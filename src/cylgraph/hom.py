@@ -16,13 +16,24 @@ commutes with the pairing, and two directed images of one pair count once.
 
 Counting in the plain and labeled modes does not enumerate vertex maps — the
 count is a sum-product over per-edge weight tables, contracted by variable
-elimination — so hom counts far beyond enumeration range stay exact.
+elimination — so hom counts far beyond enumeration range stay exact.  The
+next variable summed out is always the remaining source vertex with the fewest
+neighbours in the current factors (ties broken by ``str`` of its name), found
+from a heap that each step updates only around the eliminated vertex.  The
+cost therefore grows with the source's width along that order (the size of
+the largest joined table, at most ``|V(h)|`` to the power of the largest
+neighbourhood plus one), times the source's size, not with its size cubed.
+
+Vertex-map and edge-choice search keep an explicit stack, so sources of any
+size are searched without hitting the interpreter's recursion limit.
 """
 
 from __future__ import annotations
 
+import heapq
 import os
 from collections import defaultdict
+from itertools import count
 from typing import Iterator, Mapping
 
 from .core import GammaLabel, Graph
@@ -33,7 +44,16 @@ MODES = ("plain", "labeled", "gamma")
 
 
 def default_budget() -> int:
-    return int(os.environ.get("CYL_NODE_BUDGET", "20000000"))
+    """The node budget from ``CYL_NODE_BUDGET`` (default 20,000,000); raises
+    :class:`DomainError` unless it is a non-negative integer."""
+    raw = os.environ.get("CYL_NODE_BUDGET", "20000000")
+    try:
+        n = int(raw)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise DomainError(f"CYL_NODE_BUDGET must be a non-negative integer, got {raw!r}")
+    return n
 
 
 class _Budget:
@@ -281,13 +301,42 @@ class _Matcher:
         return _dedupe_classes(self.h, out)
 
 
+def _backtrack(slots: list, cands, budget: _Budget, ok=None) -> Iterator[dict]:
+    """Every assignment of a value from ``cands(slot)`` to each slot, in
+    depth-first order, slot by slot.  Each value tried costs one budget node;
+    ``ok(assign, slot, value)`` may reject a value given the assignment of the
+    earlier slots.  The search keeps its own stack of candidate iterators, so
+    its depth is not bounded by the interpreter's recursion limit."""
+    if not slots:
+        yield {}
+        return
+    assign: dict = {}
+    stack = [iter(cands(slots[0]))]
+    while stack:
+        i = len(stack) - 1
+        slot = slots[i]
+        for value in stack[i]:
+            budget.spend()
+            if ok is None or ok(assign, slot, value):
+                assign[slot] = value
+                break
+        else:
+            stack.pop()
+            if i:
+                del assign[slots[i - 1]]
+            continue
+        if i + 1 < len(slots):
+            stack.append(iter(cands(slots[i + 1])))
+        else:
+            yield dict(assign)
+            del assign[slot]
+
+
 def _iter_vmaps(g: Graph, h: Graph, matcher: _Matcher, pins: Mapping, budget: _Budget) -> Iterator[dict]:
-    order = _vertex_order(g, pins)
     inc = _incidence(g, _src_edges(g))
     hverts = sorted(h.vertices, key=str)
-    vmap: dict = {}
 
-    def ok(u, w) -> bool:
+    def ok(vmap, u, w) -> bool:
         for eid in inc[u]:
             e = g.edges[eid]
             other = e.head if e.tail == u else e.tail
@@ -299,20 +348,7 @@ def _iter_vmaps(g: Graph, h: Graph, matcher: _Matcher, pins: Mapping, budget: _B
                 return False
         return True
 
-    def rec(i: int) -> Iterator[dict]:
-        if i == len(order):
-            yield dict(vmap)
-            return
-        u = order[i]
-        cands = [pins[u]] if u in pins else hverts
-        for w in cands:
-            budget.spend()
-            if ok(u, w):
-                vmap[u] = w
-                yield from rec(i + 1)
-                del vmap[u]
-
-    yield from rec(0)
+    return _backtrack(_vertex_order(g, pins), lambda u: [pins[u]] if u in pins else hverts, budget, ok)
 
 
 def _fill_twins(g: Graph, h: Graph, emap: dict) -> dict:
@@ -324,23 +360,6 @@ def _fill_twins(g: Graph, h: Graph, emap: dict) -> dict:
         if tw not in full:
             full[tw] = h.pairing[f]
     return full
-
-
-def _iter_edge_choices(edge_ids: list[str], cands: dict, budget: _Budget) -> Iterator[dict]:
-    emap: dict = {}
-
-    def rec(i: int) -> Iterator[dict]:
-        if i == len(edge_ids):
-            yield dict(emap)
-            return
-        eid = edge_ids[i]
-        for f in cands[eid]:
-            budget.spend()
-            emap[eid] = f
-            yield from rec(i + 1)
-            del emap[eid]
-
-    yield from rec(0)
 
 
 def _alpha_vertices(g: Graph) -> list:
@@ -378,7 +397,7 @@ def _iter_gamma(g, h, matcher: _Matcher, vmap: dict, group: PermGroup, budget: _
                     total *= len(c)
                 yield total
             else:
-                for emap in _iter_edge_choices(sorted(cands), cands, budget):
+                for emap in _backtrack(sorted(cands), cands.__getitem__, budget):
                     yield Homomorphism(vmap, _fill_twins(g, h, emap), dict(alphas))
             return
         u = verts[i]
@@ -414,7 +433,7 @@ def iter_homs(g: Graph, h: Graph, mode: str = "labeled", group: PermGroup | None
             yield from _iter_gamma(g, h, matcher, vmap, group, b, count_only=False)
         else:
             cands = {eid: matcher.weak(eid, vmap[g.edges[eid].tail], vmap[g.edges[eid].head]) for eid in src}
-            for emap in _iter_edge_choices(sorted(cands), cands, b):
+            for emap in _backtrack(sorted(cands), cands.__getitem__, b):
                 yield Homomorphism(vmap, _fill_twins(g, h, emap))
 
 
@@ -500,23 +519,51 @@ def _join(f1: tuple[tuple, dict], f2: tuple[tuple, dict], budget: _Budget) -> tu
 
 
 def _eliminate(domains: dict, factors: list[tuple[tuple, dict]], budget: _Budget) -> int:
-    pool = list(factors)
-    remaining = set(domains)
+    """Sum out every variable, always the remaining one of least
+    ``(degree, str(name))``, where the degree counts the other variables that
+    share a factor with it.  Factors are numbered in creation order; each
+    variable indexes its factors by number and counts the factors it shares
+    with each neighbour, so one step touches only the eliminated
+    neighbourhood.  Heap entries go stale lazily: an entry counts only while
+    its variable is uneliminated and its degree is current."""
+    var_factors: dict = defaultdict(dict)  # variable -> {factor number: factor}, in creation order
+    nbrs: dict = defaultdict(lambda: defaultdict(int))  # variable -> {neighbour: shared factors}
+    heap: list = []
+    seq = count()
+
+    def push(v) -> None:
+        heapq.heappush(heap, (len(nbrs[v]), str(v), next(seq), v))
+
+    def add(f: tuple[tuple, dict]) -> None:
+        i = next(seq)
+        for u in f[0]:
+            var_factors[u][i] = f
+            for w in f[0]:
+                if w != u:
+                    nbrs[u][w] += 1
+
+    def remove(i: int, f: tuple[tuple, dict]) -> tuple[tuple, dict]:
+        for u in f[0]:
+            del var_factors[u][i]
+            for w in f[0]:
+                if w != u:
+                    nbrs[u][w] -= 1
+                    if not nbrs[u][w]:
+                        del nbrs[u][w]
+        return f
+
+    for f in factors:
+        add(f)
+    for v in domains:
+        push(v)
+    done: set = set()
     result = 1
-
-    def degree(v) -> int:
-        others: set = set()
-        for vars_, _ in pool:
-            if v in vars_:
-                others.update(vars_)
-        others.discard(v)
-        return len(others)
-
-    while remaining:
-        v = min(remaining, key=lambda x: (degree(x), str(x)))
-        remaining.remove(v)
-        touching = [f for f in pool if v in f[0]]
-        pool = [f for f in pool if v not in f[0]]
+    while heap:
+        deg, _, _, v = heapq.heappop(heap)
+        if v in done or deg != len(nbrs[v]):
+            continue
+        done.add(v)
+        touching = [remove(i, f) for i, f in list(var_factors[v].items())]
         if not touching:
             result *= domains[v]
             continue
@@ -531,9 +578,11 @@ def _eliminate(domains: dict, factors: list[tuple[tuple, dict]], budget: _Budget
             summed[assign[:idx] + assign[idx + 1 :]] += w
         budget.spend(len(summed) + 1)
         if out_vars:
-            pool.append((out_vars, dict(summed)))
+            add((out_vars, dict(summed)))
         else:
             result *= summed.get((), 0)
+        for u in out_vars:  # only v's neighbours changed degree
+            push(u)
     return result
 
 

@@ -187,6 +187,26 @@ def test_error_paths_emit_json(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "usage"
 
 
+
+def test_bad_node_budget_is_a_json_error(tmp_path, capsys, monkeypatch):
+    fx = fixtures(tmp_path)
+    for raw in ("abc", "-5", "1.5"):
+        monkeypatch.setenv("CYL_NODE_BUDGET", raw)
+        assert main(["hom", "count", "--source", fx["c5"], "--target", fx["k3"]]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "DomainError"
+        assert "CYL_NODE_BUDGET must be a non-negative integer" in err["message"]
+    monkeypatch.setenv("CYL_NODE_BUDGET", "0")
+    assert main(["hom", "count", "--source", fx["c5"], "--target", fx["k3"]]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ResourceLimit"
+
+
+def test_hom_exists_on_a_deep_source(tmp_path, capsys):
+    fx = fixtures(tmp_path)
+    src = dump(tmp_path, "c2001.json", cycle_graph(2001).to_json())
+    assert main(["hom", "exists", "--source", src, "--target", fx["k3"]]) == 0
+    assert json.loads(capsys.readouterr().out) == {"exists": True}
+
 def test_seed_flag_is_accepted(tmp_path, capsys):
     assert main(["--seed", "7", "catalog", "petersen"]) == 0
     capsys.readouterr()

@@ -1,7 +1,9 @@
 import random
+import time
 
 import pytest
 
+from cylgraph.catalog import kneser_graph
 from cylgraph.core import GammaLabel, Graph, disjoint_union
 from cylgraph.errors import DomainError, ResourceLimit
 from cylgraph.hom import (
@@ -253,3 +255,42 @@ def test_budget_limits():
     big = complete(7)
     with pytest.raises(ResourceLimit):
         list_homs(sym_cycle(7), big, budget=50)
+
+
+def test_elimination_ties_between_names_with_equal_str():
+    # 1 and "1" tie on (degree, str); the engine must not compare the names
+    g = Graph(symmetric=True)
+    g.add_vertices([1, "1", 2])
+    g.add_sym_edge(1, 2)
+    g.add_sym_edge("1", 2)
+    assert count_homs(g, complete(3), mode="plain") == 12
+
+
+def test_elimination_closed_forms_at_scale():
+    rng = random.Random(3)
+    tree = Graph(symmetric=True)
+    tree.add_vertices(range(1500))
+    for v in range(1, 1500):
+        tree.add_sym_edge(rng.randrange(v), v)
+    start = time.perf_counter()
+    assert count_homs(sym_cycle(2000), complete(3), mode="plain") == 2**2000 + 2
+    # a tree on n vertices has k (k-1)^(n-1) maps into K_k
+    assert count_homs(sym_path(1999), complete(4), mode="plain") == 4 * 3**1999
+    assert count_homs(tree, complete(3), mode="plain") == 3 * 2**1499
+    assert time.perf_counter() - start <= 5.0
+
+
+def test_elimination_order_pins_budget():
+    # the Petersen graph has 12960 proper 4-colourings; 6687 nodes is exactly
+    # what the min-degree elimination order spends on counting them
+    petersen = kneser_graph(5, 2)
+    assert count_homs(petersen, complete(4), mode="plain", budget=6687) == 12960
+    with pytest.raises(ResourceLimit):
+        count_homs(petersen, complete(4), mode="plain", budget=6686)
+
+
+def test_deep_search_has_no_recursion_limit():
+    c = sym_cycle(2001)
+    hom = find_hom(c, complete(3), mode="plain")
+    assert hom is not None
+    assert check_hom(c, complete(3), hom, mode="plain") is None
