@@ -12,7 +12,9 @@ Graphs are built by mutation and then treated as immutable.
 
 from __future__ import annotations
 
+import heapq
 import json
+import os
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
@@ -179,6 +181,15 @@ class Graph:
         (a twin loop pair contributes 2)."""
         return len(self.out_edges(v))
 
+    def neighbour_sets(self) -> dict:
+        """vertex -> set of vertices sharing an edge with it, in either
+        direction (a loop makes a vertex its own neighbour)."""
+        nbrs: dict = {v: set() for v in self._vertices}
+        for e in self.edges.values():
+            nbrs[e.tail].add(e.head)
+            nbrs[e.head].add(e.tail)
+        return nbrs
+
     def isolated_vertices(self) -> list:
         return [v for v in self._vertices if not self.out_edges(v) and not self.in_edges(v)]
 
@@ -300,10 +311,7 @@ class Graph:
     def components(self) -> list[list]:
         """Weakly connected components, each sorted, in first-seen order."""
         seen: set = set()
-        nbrs: dict = {v: set() for v in self._vertices}
-        for e in self.edges.values():
-            nbrs[e.tail].add(e.head)
-            nbrs[e.head].add(e.tail)
+        nbrs = self.neighbour_sets()
         comps = []
         for v in self._vertices:
             if v in seen:
@@ -593,7 +601,48 @@ def alpha_shift(g: Graph, alphas: Mapping) -> Graph:
     return out
 
 
-# -- isomorphism --------------------------------------------------------------
+# -- search order and isomorphism ---------------------------------------------
+
+
+def default_budget() -> int:
+    """The node budget from ``CYL_NODE_BUDGET`` (default 20,000,000); raises
+    :class:`DomainError` unless it is a non-negative integer."""
+    raw = os.environ.get("CYL_NODE_BUDGET", "20000000")
+    try:
+        n = int(raw)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise DomainError(f"CYL_NODE_BUDGET must be a non-negative integer, got {raw!r}")
+    return n
+
+
+def connected_order(ranked: list, nbrs: Mapping, eligible: Iterable = ()) -> list:
+    """Repeatedly take the first remaining vertex of ``ranked`` that is
+    ``eligible`` or adjacent (by ``nbrs``) to a placed one, else the first
+    remaining vertex.  Qualifying ranks wait on a heap and go stale lazily
+    once placed: O((V + E) log V), and names are never compared."""
+    rank = {v: i for i, v in enumerate(ranked)}
+    ready = sorted({rank[v] for v in eligible if v in rank})
+    placed = [False] * len(ranked)
+    first = 0
+    order: list = []
+    while len(order) < len(ranked):
+        while ready and placed[ready[0]]:
+            heapq.heappop(ready)
+        if ready:
+            i = heapq.heappop(ready)
+        else:
+            while placed[first]:
+                first += 1
+            i = first
+        placed[i] = True
+        v = ranked[i]
+        order.append(v)
+        for x in nbrs[v]:
+            if not placed[rank[x]]:
+                heapq.heappush(ready, rank[x])
+    return order
 
 
 def _invariants(g: Graph, rounds: int = 2) -> dict:
@@ -618,17 +667,39 @@ def _invariants(g: Graph, rounds: int = 2) -> dict:
     return inv
 
 
-def _edge_labels_between(g: Graph, u, v) -> Counter:
+def labels_between(g: Graph, u, v) -> Counter:
+    """The multiset of labels on the edges ``u -> v``."""
     return Counter(g.edges[eid].label for eid in g.out_edges(u) if g.edges[eid].head == v)
 
 
-def isomorphic(g: Graph, h: Graph, budget: int = 2_000_000) -> dict | None:
+def _label_table(g: Graph) -> dict:
+    """vertex -> {(direction, other end): Counter of labels} over its
+    non-loop edges; direction ``"o"`` for out-edges, ``"i"`` for in-edges."""
+    table: dict = {v: defaultdict(Counter) for v in g.vertices}
+    for e in g.edges.values():
+        if e.tail != e.head:
+            table[e.tail][("o", e.head)][e.label] += 1
+            table[e.head][("i", e.tail)][e.label] += 1
+    return table
+
+
+def isomorphic(g: Graph, h: Graph, budget: int | None = None) -> dict | None:
     """Search for a label-preserving digraph isomorphism.
 
-    Returns ``{"vertices": vmap, "edges": emap}`` or None.  Uses refined
-    degree/label invariants to cut the search; raises :class:`ResourceLimit`
-    if the backtracking exceeds ``budget`` nodes.
+    Returns ``{"vertices": vmap, "edges": emap}`` or None.  Refined
+    degree/label invariants give the candidate classes; source vertices are
+    mapped rarest class first, in :func:`connected_order`.  Acceptance reads
+    only neighbourhoods (the VF2 feasibility rule): ``w`` fits ``u`` when
+    their loops carry the same labels, each mapped neighbour ``x`` of ``u``
+    is joined to ``u`` by the same labels, both ways, as ``vmap[x]`` is to
+    ``w``, and ``w`` has no other neighbours among the used images.  The
+    search keeps an explicit stack, so any size avoids the recursion limit.
+    Each candidate tried (used images skipped) costs one node; past
+    ``budget`` nodes, by default ``CYL_NODE_BUDGET``, it raises
+    :class:`ResourceLimit`.
     """
+    if budget is None:
+        budget = default_budget()
     if g.symmetric != h.symmetric:
         return None
     if len(g.vertices) != len(h.vertices) or len(g.edges) != len(h.edges):
@@ -641,65 +712,51 @@ def isomorphic(g: Graph, h: Graph, budget: int = 2_000_000) -> dict | None:
     by_inv: dict = defaultdict(list)
     for v in h.vertices:
         by_inv[hi[v]].append(v)
-
-    gverts = sorted(g.vertices, key=lambda v: (len(by_inv[gi[v]]), str(v)))
-    # prefer extending along adjacency: reorder greedily so each vertex touches a prior one
-    order: list = []
-    placed: set = set()
-    pool = list(gverts)
-    nbrs: dict = {v: set() for v in g.vertices}
-    for e in g.edges.values():
-        nbrs[e.tail].add(e.head)
-        nbrs[e.head].add(e.tail)
-    while pool:
-        pick = None
-        for v in pool:
-            if nbrs[v] & placed:
-                pick = v
-                break
-        if pick is None:
-            pick = pool[0]
-        pool.remove(pick)
-        placed.add(pick)
-        order.append(pick)
+    ranked = sorted(g.vertices, key=lambda v: (len(by_inv[gi[v]]), str(v)))
+    order = connected_order(ranked, g.neighbour_sets())
+    gtab, htab = _label_table(g), _label_table(h)
+    gloops = {v: labels_between(g, v, v) for v in g.vertices}
+    hloops = {v: labels_between(h, v, v) for v in h.vertices}
 
     vmap: dict = {}
     used: set = set()
-    nodes = 0
 
-    def extend(i: int) -> bool:
-        nonlocal nodes
-        if i == len(order):
-            return True
+    def fits(u, w) -> bool:
+        if gloops[u] != hloops[w]:
+            return False
+        tw = htab[w]
+        mapped = 0
+        for (d, x), labels in gtab[u].items():
+            if x in vmap:
+                if tw.get((d, vmap[x])) != labels:
+                    return False
+                mapped += 1
+        return mapped == sum(1 for _, y in tw if y in used)
+
+    nodes = 0
+    stack = [iter(by_inv[gi[order[0]]])] if order else []
+    while len(vmap) < len(order):
+        if not stack:
+            return None
+        i = len(stack) - 1
         u = order[i]
-        for w in by_inv[gi[u]]:
+        for w in stack[i]:
             if w in used:
                 continue
             nodes += 1
             if nodes > budget:
                 raise ResourceLimit(f"isomorphism search exceeded {budget} nodes")
-            ok = True
-            for x, mx in vmap.items():
-                if _edge_labels_between(g, u, x) != _edge_labels_between(h, w, mx):
-                    ok = False
-                    break
-                if _edge_labels_between(g, x, u) != _edge_labels_between(h, mx, w):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            if _edge_labels_between(g, u, u) != _edge_labels_between(h, w, w):
-                continue
-            vmap[u] = w
-            used.add(w)
-            if extend(i + 1):
-                return True
-            del vmap[u]
-            used.remove(w)
-        return False
-
-    if not extend(0):
-        return None
+            if fits(u, w):
+                vmap[u] = w
+                used.add(w)
+                break
+        else:
+            stack.pop()
+            if i:
+                used.remove(vmap.pop(order[i - 1]))
+            continue
+        if i + 1 < len(order):
+            stack.append(iter(by_inv[gi[order[i + 1]]]))
 
     emap: dict = {}
     buckets: dict = defaultdict(list)

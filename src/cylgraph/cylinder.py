@@ -13,22 +13,17 @@ common base.  These sets parameterise the gluing product and the exponential.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Mapping
 
-from .core import Graph, UnionFind, disjoint_union, identify_vertices, merge_parallel
+from .core import Graph, UnionFind, disjoint_union, identify_vertices, labels_between, merge_parallel
 from .errors import DomainError, EpsilonError, NotACylinder, NotATwist
 from .perm import Perm, PermGroup
-
-
-def _labels_between(g: Graph, u, v) -> Counter:
-    return Counter(g.edges[eid].label for eid in g.out_edges(u) if g.edges[eid].head == v)
 
 
 def _rows_slot_isomorphic(ga: Graph, row_a, gb: Graph, row_b) -> bool:
     k = len(row_a)
     return all(
-        _labels_between(ga, row_a[i], row_a[j]) == _labels_between(gb, row_b[i], row_b[j])
+        labels_between(ga, row_a[i], row_a[j]) == labels_between(gb, row_b[i], row_b[j])
         for i in range(k)
         for j in range(k)
     )

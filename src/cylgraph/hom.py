@@ -24,36 +24,27 @@ cost therefore grows with the source's width along that order (the size of
 the largest joined table, at most ``|V(h)|`` to the power of the largest
 neighbourhood plus one), times the source's size, not with its size cubed.
 
-Vertex-map and edge-choice search keep an explicit stack, so sources of any
-size are searched without hitting the interpreter's recursion limit.
+Vertex-map search maps pinned vertices first, then the others by falling
+degree (ties broken by ``str`` of the name), except that each next vertex is
+the first in that ranking adjacent to an already-mapped one whenever such a
+vertex remains, so every edge check can fail early.  The order comes from
+:func:`~cylgraph.core.connected_order` in O((V + E) log V).  Vertex-map and
+edge-choice search keep an explicit stack, so sources of any size are
+searched without hitting the interpreter's recursion limit.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 from collections import defaultdict
 from itertools import count
 from typing import Iterator, Mapping
 
-from .core import GammaLabel, Graph
+from .core import GammaLabel, Graph, connected_order, default_budget
 from .errors import DomainError, ResourceLimit
 from .perm import Perm, PermGroup, compose
 
 MODES = ("plain", "labeled", "gamma")
-
-
-def default_budget() -> int:
-    """The node budget from ``CYL_NODE_BUDGET`` (default 20,000,000); raises
-    :class:`DomainError` unless it is a non-negative integer."""
-    raw = os.environ.get("CYL_NODE_BUDGET", "20000000")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = -1
-    if n < 0:
-        raise DomainError(f"CYL_NODE_BUDGET must be a non-negative integer, got {raw!r}")
-    return n
 
 
 class _Budget:
@@ -202,20 +193,10 @@ def _incidence(g: Graph, edge_ids: list[str]) -> dict:
 
 
 def _vertex_order(g: Graph, pins: Mapping) -> list:
-    deg = {v: len(g.out_edges(v)) + len(g.in_edges(v)) for v in g.vertices}
-    nbrs: dict = {v: set() for v in g.vertices}
-    for e in g.edges.values():
-        nbrs[e.tail].add(e.head)
-        nbrs[e.head].add(e.tail)
-    pool = sorted(g.vertices, key=lambda v: (v not in pins, -deg[v], str(v)))
-    order: list = []
-    placed: set = set()
-    while pool:
-        pick = next((v for v in pool if v in pins or nbrs[v] & placed), pool[0])
-        pool.remove(pick)
-        placed.add(pick)
-        order.append(pick)
-    return order
+    def key(v):
+        return v not in pins, -len(g.out_edges(v)) - len(g.in_edges(v)), str(v)
+
+    return connected_order(sorted(g.vertices, key=key), g.neighbour_sets(), pins)
 
 
 class _Matcher:
@@ -226,7 +207,6 @@ class _Matcher:
         self.h = h
         self.mode = mode
         self.group = group
-        self.gamma_set = set(group.elements) if group is not None else None
         self.idx = _pair_index(h)
         # the same few (edge, images, twists) queries recur across the whole
         # backtracking tree, so both candidate computations are memoized
@@ -239,7 +219,7 @@ class _Matcher:
         key = (src.images, tgt.images)
         hit = self._coset_cache.get(key)
         if hit is None:
-            hit = self._coset_cache[key] = compose(src, tgt.inverse()) in self.gamma_set
+            hit = self._coset_cache[key] = compose(src, tgt.inverse()) in self.group
         return hit
 
     def weak(self, eid: str, a, b) -> list[str]:

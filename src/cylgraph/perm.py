@@ -140,12 +140,13 @@ class PermGroup:
     the identity first.
     """
 
-    __slots__ = ("degree", "elements", "generators")
+    __slots__ = ("degree", "elements", "generators", "_members")
 
     def __init__(self, degree: int, elements: Iterable[Perm], generators: Sequence[Perm] = ()):
         self.degree = degree
         self.elements: tuple[Perm, ...] = tuple(sorted(set(elements)))
         self.generators: tuple[Perm, ...] = tuple(generators)
+        self._members = frozenset(self.elements)
         if not self.elements or not self.elements[0].is_identity():
             raise NotAPermutation("group must contain the identity")
         for g in self.elements:
@@ -197,7 +198,7 @@ class PermGroup:
         return cls.generated(k, [rot])
 
     def __contains__(self, g: Perm) -> bool:
-        return isinstance(g, Perm) and g in set(self.elements)
+        return isinstance(g, Perm) and g in self._members
 
     def __len__(self) -> int:
         return len(self.elements)

@@ -201,6 +201,21 @@ def test_bad_node_budget_is_a_json_error(tmp_path, capsys, monkeypatch):
     assert json.loads(capsys.readouterr().err)["error"] == "ResourceLimit"
 
 
+def test_node_budget_caps_isomorphism(tmp_path, capsys, monkeypatch):
+    c6 = dump(tmp_path, "c6.json", cycle_graph(6).to_json())
+    monkeypatch.setenv("CYL_NODE_BUDGET", "0")
+    assert main(["iso", "--left", c6, "--right", c6]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "ResourceLimit"
+    monkeypatch.setenv("CYL_NODE_BUDGET", "abc")
+    assert main(["iso", "--left", c6, "--right", c6]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "DomainError"
+    monkeypatch.setenv("CYL_NODE_BUDGET", "6")
+    assert main(["iso", "--left", c6, "--right", c6]) == 0
+    assert json.loads(capsys.readouterr().out)["isomorphic"] is True
+
+
 def test_hom_exists_on_a_deep_source(tmp_path, capsys):
     fx = fixtures(tmp_path)
     src = dump(tmp_path, "c2001.json", cycle_graph(2001).to_json())

@@ -1,17 +1,25 @@
+import random
+import time
+from collections import Counter
+
 import pytest
 
+from cylgraph.catalog import complete_graph, cycle_graph, neps_product, path_graph, petersen
 from cylgraph.core import (
     Graph,
     GammaLabel,
     alpha_shift,
     amalgam,
+    connected_order,
     disjoint_union,
     identify_vertices,
     isomorphic,
     merge_parallel,
 )
-from cylgraph.errors import DomainError, LabelConflict
+from cylgraph.errors import DomainError, LabelConflict, ResourceLimit
 from cylgraph.perm import Perm
+
+from util import iso_error, pool_scan, random_graph, random_multigraph, shuffled_relabel, tied_names
 
 
 def path(n: int) -> Graph:
@@ -232,6 +240,79 @@ def test_isomorphic_respects_labels_multiedges():
     b.add_edge("a", "b", "x")
     b.add_edge("b", "a", "x")
     assert isomorphic(a, b) is None
+
+
+def test_connected_order_matches_the_pool_scan():
+    rng = random.Random(5)
+    for _ in range(600):
+        g = tied_names(random_graph(rng, rng.randint(0, 12), p=rng.choice((0.1, 0.3, 0.6)),
+                                    symmetric=rng.random() < 0.5, loops=True))
+        nbrs = g.neighbour_sets()
+        ranked = sorted(g.vertices, key=lambda v: (rng.random() < 0.3, str(v)))  # str ties stay in place
+        pinned = set(rng.sample(ranked, rng.randint(0, min(3, len(ranked)))))
+        for eligible in ((), pinned):
+            assert connected_order(ranked, nbrs, eligible) == pool_scan(ranked, nbrs, eligible)
+
+
+def test_isomorphic_agrees_with_networkx():
+    nx = pytest.importorskip("networkx")
+
+    def to_nx(g):
+        out = nx.MultiDiGraph()
+        out.add_nodes_from(g.vertices)
+        out.add_edges_from((e.tail, e.head, {"label": e.label}) for e in g.edges.values())
+        return out
+
+    def same_labels(a, b):
+        return Counter(d["label"] for d in a.values()) == Counter(d["label"] for d in b.values())
+
+    rng = random.Random(11)
+    found = 0
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        symmetric = rng.random() < 0.5
+        g = random_multigraph(rng, n, rng.randint(0, 2 * n), symmetric=symmetric)
+        if rng.random() < 0.5:
+            h = shuffled_relabel(rng, g)
+        else:
+            h = random_multigraph(rng, n, len(g.canonical_edges()), symmetric=symmetric)
+        got = isomorphic(g, h)
+        assert (got is not None) == nx.is_isomorphic(to_nx(g), to_nx(h), edge_match=same_labels)
+        if got is not None:
+            found += 1
+            assert iso_error(g, h, got) is None
+    assert found >= 150
+
+
+def test_isomorphic_node_count_is_pinned():
+    # Petersen and the pentagonal prism are both cubic on 10 vertices, so the
+    # invariants cannot tell them apart; refuting a match takes 1520 nodes
+    prism = neps_product(cycle_graph(5), complete_graph(2), "cartesian")
+    assert isomorphic(petersen(), prism, budget=1520) is None
+    with pytest.raises(ResourceLimit):
+        isomorphic(petersen(), prism, budget=1519)
+
+
+def test_isomorphic_reads_the_budget_from_the_environment(monkeypatch):
+    monkeypatch.setenv("CYL_NODE_BUDGET", "0")
+    with pytest.raises(ResourceLimit):
+        isomorphic(cycle(6), cycle(6))
+    assert isomorphic(cycle(6), cycle(6), budget=6) is not None
+    monkeypatch.setenv("CYL_NODE_BUDGET", "many")
+    with pytest.raises(DomainError):
+        isomorphic(cycle(6), cycle(6))
+
+
+@pytest.mark.parametrize("g", [path_graph(1500), cycle_graph(200)], ids=["P1500", "C200"])
+def test_isomorphic_at_scale(g):
+    # random names, same vertex order: candidates are still tried in h's
+    # vertex order, so a shuffled order costs quadratically many nodes
+    names = random.Random(2).sample(range(10 * len(g.vertices)), len(g.vertices))
+    h = g.relabel(dict(zip(g.vertices, names)))
+    start = time.perf_counter()
+    found = isomorphic(g, h)
+    assert time.perf_counter() - start <= 2.0
+    assert iso_error(g, h, found) is None
 
 
 def test_json_roundtrip():

@@ -8,6 +8,7 @@ from cylgraph.core import GammaLabel, Graph, disjoint_union
 from cylgraph.errors import DomainError, ResourceLimit
 from cylgraph.hom import (
     Homomorphism,
+    _vertex_order,
     check_hom,
     compose_homs,
     count_homs,
@@ -18,6 +19,8 @@ from cylgraph.hom import (
     list_homs,
 )
 from cylgraph.perm import Perm, PermGroup
+
+from util import pool_scan, random_graph, tied_names
 
 
 def sym_cycle(n):
@@ -293,4 +296,23 @@ def test_deep_search_has_no_recursion_limit():
     c = sym_cycle(2001)
     hom = find_hom(c, complete(3), mode="plain")
     assert hom is not None
+    assert check_hom(c, complete(3), hom, mode="plain") is None
+
+
+def test_vertex_order_matches_the_pool_scan():
+    rng = random.Random(8)
+    for _ in range(600):
+        g = tied_names(random_graph(rng, rng.randint(0, 12), p=rng.choice((0.1, 0.3, 0.6)),
+                                    symmetric=rng.random() < 0.5, loops=True))
+        pins = {v: 0 for v in rng.sample(g.vertices, rng.randint(0, min(3, len(g.vertices))))}
+        deg = {v: len(g.out_edges(v)) + len(g.in_edges(v)) for v in g.vertices}
+        ranked = sorted(g.vertices, key=lambda v: (v not in pins, -deg[v], str(v)))
+        assert _vertex_order(g, pins) == pool_scan(ranked, g.neighbour_sets(), pins)
+
+
+def test_vertex_map_search_is_linear_in_the_source():
+    c = sym_cycle(8001)
+    start = time.perf_counter()
+    hom = find_hom(c, complete(3), mode="plain")
+    assert time.perf_counter() - start <= 2.0
     assert check_hom(c, complete(3), hom, mode="plain") is None

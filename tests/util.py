@@ -64,3 +64,67 @@ def random_gamma_labels(rng, g, cset):
         else:
             out.add_edge(e.tail, e.head, lab, eid)
     return out
+
+
+def tied_names(g):
+    """Rename vertex i to i // 2 or str(i // 2), so that pairs such as 1 and
+    "1" tie under ``str``."""
+    return g.relabel({v: v // 2 if v % 2 == 0 else str(v // 2) for v in g.vertices})
+
+
+def pool_scan(ranked, nbrs, eligible=()):
+    """The quadratic order ``connected_order`` replaced, kept as its oracle:
+    take the first pool vertex that is eligible or touches a placed one,
+    else the first pool vertex."""
+    pool = list(ranked)
+    placed: set = set()
+    order = []
+    while pool:
+        pick = next((v for v in pool if v in eligible or nbrs[v] & placed), pool[0])
+        pool.remove(pick)
+        placed.add(pick)
+        order.append(pick)
+    return order
+
+
+def random_multigraph(rng, n, m, labels=(None, "a", "b"), symmetric=False):
+    """n vertices and m random edges (or twin pairs), loops and parallels
+    allowed, labels drawn from ``labels``."""
+    g = Graph(symmetric=symmetric)
+    g.add_vertices(range(n))
+    for _ in range(m if n else 0):
+        u, v, lab = rng.randrange(n), rng.randrange(n), rng.choice(labels)
+        if symmetric:
+            g.add_sym_edge(u, v, lab)
+        else:
+            g.add_edge(u, v, lab)
+    return g
+
+
+def shuffled_relabel(rng, g):
+    """An isomorphic copy of ``g`` with fresh vertex names, vertices and
+    edges inserted in a shuffled order."""
+    names = {v: f"w{i}" for i, v in enumerate(rng.sample(g.vertices, len(g.vertices)))}
+    out = Graph(symmetric=g.symmetric)
+    out.add_vertices(rng.sample(list(names.values()), len(names)))
+    eids = list(g.edges)
+    rng.shuffle(eids)
+    for eid in eids:
+        e = g.edges[eid]
+        out.add_edge(names[e.tail], names[e.head], e.label, eid)
+    out.pairing = dict(g.pairing)
+    return out
+
+
+def iso_error(g, h, found):
+    """Why ``found`` is not a label-preserving isomorphism g -> h (None if it is)."""
+    vmap, emap = found["vertices"], found["edges"]
+    if set(vmap) != set(g.vertices) or set(vmap.values()) != set(h.vertices) or len(vmap) != len(h.vertices):
+        return "vertex map is not a bijection"
+    if set(emap) != set(g.edges) or set(emap.values()) != set(h.edges) or len(emap) != len(h.edges):
+        return "edge map is not a bijection"
+    for eid, e in g.edges.items():
+        img = h.edges[emap[eid]]
+        if (vmap[e.tail], vmap[e.head], e.label) != (img.tail, img.head, img.label):
+            return f"edge {eid!r} is not preserved"
+    return None
