@@ -19,6 +19,7 @@ from .core import GammaLabel, Graph, merge_parallel
 from .cylinder import (
     Cylinder,
     CylinderSet,
+    deletion_cyl,
     identity_cyl,
     make_cylinder,
     path_cyl,
@@ -553,7 +554,7 @@ def graph_minor(g: Graph, contract=(), delete=()) -> Graph:
     cyls = {
         "keep": identity_cyl(1, directed=directed),
         "cut": path_cyl(0, directed=directed),
-        "drop": _deletion(directed),
+        "drop": deletion_cyl(directed),
     }
     cs = CylinderSet(PermGroup.trivial(1), cyls)
     ident = Perm.identity(1)
@@ -568,9 +569,3 @@ def graph_minor(g: Graph, contract=(), delete=()) -> Graph:
         else:
             labeled.add_edge(e.tail, e.head, lab, eid)
     return cyl_product(labeled, cs).graph.stripped()
-
-
-def _deletion(directed: bool) -> Cylinder:
-    g = Graph(symmetric=not directed)
-    g.add_vertices(["y1", "z1"])
-    return make_cylinder(g, ["y1"], ["z1"])

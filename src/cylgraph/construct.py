@@ -235,6 +235,8 @@ class ExpoTrace:
     tuple_of       -- final vertex name -> representative tuple
     witnesses      -- final edge id -> hom from that cylinder's graph into target
     edge_by_triple -- (tail name, head name, label key) -> final edge id
+    names          -- representative tuple -> vertex name (every orbit of
+                      V(target)^k, isolated ones included, after exponential)
     """
 
     __slots__ = (
@@ -245,6 +247,7 @@ class ExpoTrace:
         "witnesses",
         "edge_by_triple",
         "rep_choice",
+        "names",
         "_reps",
     )
 
@@ -256,6 +259,7 @@ class ExpoTrace:
         self.witnesses = witnesses
         self.edge_by_triple = edge_by_triple
         self.rep_choice = rep_choice
+        self.names: dict = {r: nm for nm, r in tuple_of.items()}
         self._reps: dict = {}
 
     def rep(self, t: tuple) -> tuple:
@@ -271,7 +275,8 @@ class ExpoTrace:
         return hit
 
     def name(self, t: tuple) -> str:
-        return _tuple_name(self.rep(t))
+        r = self.rep(t)
+        return self.names.get(r) or _tuple_name(r)
 
     def find_edge(self, tail_name: str, head_name: str, label: GammaLabel):
         return self.edge_by_triple.get((tail_name, head_name, label_sort_key(label)))
@@ -297,6 +302,13 @@ def exponential(
     cylinder's graph into ``h`` satisfies ``s(y_b) = R1[d-(b)]`` and
     ``s(z_b) = R2[d+(b)]`` for every slot ``b``.  Vertices left isolated are
     dropped.
+
+    The witness stored for an edge is the first hom, in ``iter_homs`` order
+    over that cylinder's graph, whose boundary rows are the edge's pair
+    ``(p, q)``; :func:`~cylgraph.duality.section` fills cylinder interiors
+    from it.  A triple fixes ``p = R1 . d-`` and ``q = R2 . d+``, so every
+    triple of a pair is realized by the pair's first hom, and later homs with
+    an already seen pair are skipped.
     """
     if rep_choice not in ("min", "max"):
         raise DomainError(f"rep_choice must be 'min' or 'max', not {rep_choice!r}")
@@ -326,72 +338,84 @@ def exponential(
         reps.append(r)
         if len(reps) > max_vertices:
             raise ResourceLimit(f"more than {max_vertices} orbit representatives")
+    names = {r: _tuple_name(r) for r in reps}
 
-    # one witness per realized (tail, head, label) triple
+    shifts: dict = {}  # boundary tuple t -> (name of rep(t), [d : rep(t) . d = t])
+
+    def shift(t):
+        hit = shifts.get(t)
+        if hit is None:
+            r = trace._reps[t]
+            hit = shifts[t] = (names[r], [d for d in group if act(r, d) == t])
+        return hit
+
+    # (tail name, head name, label key) -> (label, witness, key of the reversed triple)
     triples: dict = {}
-    order: list = []
     for key in sorted(cset.keys(), key=str):
         cyl = cset[key]
+        labels: dict = {}  # (d-, d+) -> (label, its sort key, reversed label's sort key)
+        pairs: set = set()
         for hom in iter_homs(cyl.graph, h, mode="labeled", budget=budget):
-            p = tuple(hom.vertex(v) for v in cyl.y)
-            q = tuple(hom.vertex(v) for v in cyl.z)
-            r1, r2 = trace.rep(p), trace.rep(q)
-            dm = [d for d in group if act(r1, d) == p]
-            dp = [d for d in group if act(r2, d) == q]
+            vm = hom.vmap
+            p = tuple(vm[v] for v in cyl.y)
+            q = tuple(vm[v] for v in cyl.z)
+            if (p, q) in pairs:
+                continue
+            pairs.add((p, q))
+            n1, dm = shift(p)
+            n2, dp = shift(q)
             for a in dm:
                 for b in dp:
-                    lab = GammaLabel(a, key, b)
-                    tk = (_tuple_name(r1), _tuple_name(r2), label_sort_key(lab))
+                    lab = labels.get((a, b))
+                    if lab is None:
+                        gl = GammaLabel(a, key, b)
+                        lab = labels[(a, b)] = (gl, label_sort_key(gl), label_sort_key(gl.reversed()))
+                    tk = (n1, n2, lab[1])
                     if tk not in triples:
-                        triples[tk] = (r1, r2, lab, hom)
-                        order.append(tk)
+                        triples[tk] = (lab[0], hom, (n2, n1, lab[2]))
 
     g = Graph(symmetric=h.symmetric)
     for r in reps:
-        g.add_vertex(_tuple_name(r))
+        g.add_vertex(names[r])
 
     witnesses: dict = {}
     edge_by_triple: dict = {}
     if not h.symmetric:
-        for n, tk in enumerate(sorted(order)):
-            r1, r2, lab, hom = triples[tk]
+        for n, tk in enumerate(sorted(triples)):
+            lab, hom, _ = triples[tk]
             eid = f"x{n}"
             g.add_edge(tk[0], tk[1], lab, eid)
             witnesses[eid] = hom
-            edge_by_triple[(tk[0], tk[1], tk[2])] = eid
+            edge_by_triple[tk] = eid
     else:
-        def reverse_key(tk):
-            r1, r2, lab, _ = triples[tk]
-            return (tk[1], tk[0], label_sort_key(lab.reversed()))
-
-        for tk in order:
-            if reverse_key(tk) not in triples:
+        for lab, hom, rk in triples.values():
+            if rk not in triples:
                 raise LabelConflict(
                     "exponential edge set is not reversal-closed; the cylinders are not genuinely symmetric"
                 )
         n = 0
-        for tk in sorted(order):
-            rk = reverse_key(tk)
-            if rk < tk and rk != tk:
+        for tk in sorted(triples):
+            lab, hom, rk = triples[tk]
+            if rk < tk:
                 continue
-            r1, r2, lab, hom = triples[tk]
             eid = f"x{n}"
             n += 1
             g.add_edge(tk[0], tk[1], lab, eid)
             witnesses[eid] = hom
-            edge_by_triple[(tk[0], tk[1], tk[2])] = eid
+            edge_by_triple[tk] = eid
             tid = f"{eid}t"
-            _, _, rlab, rhom = triples[rk]
+            rlab, rhom, _ = triples[rk]
             g.add_edge(tk[1], tk[0], rlab, tid)
             witnesses[tid] = rhom
             if rk != tk:
-                edge_by_triple[(rk[0], rk[1], rk[2])] = tid
+                edge_by_triple[rk] = tid
             g.pair_edges(eid, tid)
 
     g = g.reduced()
     g.validate()
     trace.graph = g
-    trace.tuple_of = {_tuple_name(r): r for r in reps if g.has_vertex(_tuple_name(r))}
+    trace.names = names
+    trace.tuple_of = {names[r]: r for r in reps if g.has_vertex(names[r])}
     trace.witnesses = {eid: w for eid, w in witnesses.items() if eid in g.edges}
     trace.edge_by_triple = {tk: eid for tk, eid in edge_by_triple.items() if eid in g.edges}
     return trace

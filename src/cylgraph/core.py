@@ -437,10 +437,13 @@ class UnionFind:
         self.parent: dict = {}
 
     def find(self, x):
-        p = self.parent.setdefault(x, x)
-        if p != x:
-            self.parent[x] = p = self.find(p)
-        return p
+        parent = self.parent
+        root = parent.setdefault(x, x)
+        while parent[root] != root:
+            root = parent[root]
+        while x != root:  # path compression
+            parent[x], x = root, parent[x]
+        return root
 
     def union(self, a, b) -> None:
         ra, rb = self.find(a), self.find(b)

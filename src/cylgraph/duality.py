@@ -25,6 +25,7 @@ from .cylinder import CylinderSet
 from .errors import DomainError
 from .hom import (
     Homomorphism,
+    _src_edges,
     check_hom,
     count_homs,
     extract_alphas,
@@ -33,10 +34,6 @@ from .hom import (
     iter_homs,
 )
 from .perm import Perm, compose
-
-
-def _canonical_edges(g: Graph) -> list[str]:
-    return sorted(g.canonical_edges()) if g.symmetric else sorted(g.edges)
 
 
 def _fill_twin(g_src: Graph, g_tgt: Graph, emap: dict, eid: str, image: str) -> None:
@@ -59,8 +56,8 @@ def retraction(tr: ProductTrace, et: ExpoTrace, sigma: Homomorphism) -> Homomorp
     for v in g.vertices:
         row = tuple(sigma.vmap[s] for s in tr.blowup(v))
         rep = et.rep(row)
-        name = et.name(row)
-        if not et.graph.has_vertex(name):
+        name = et.names.get(rep)
+        if name is None or not et.graph.has_vertex(name):
             raise DomainError(
                 f"the slot row of {v!r} lands on a tuple with no surviving "
                 "representative in the exponential graph"
@@ -70,7 +67,7 @@ def retraction(tr: ProductTrace, et: ExpoTrace, sigma: Homomorphism) -> Homomorp
 
     emap: dict = {}
     alphas: dict = {}
-    for eid in _canonical_edges(g):
+    for eid in _src_edges(g):
         e = g.edges[eid]
         want = GammaLabel(
             compose(shift[e.tail], e.label.pre),
@@ -146,7 +143,7 @@ def product_map(f: Homomorphism, tr1: ProductTrace, tr2: ProductTrace) -> Homomo
     if alphas is None:
         alphas = extract_alphas(g1, g2, f, cset.group)
     ident = Perm.identity(cset.width)
-    canon2 = set(_canonical_edges(g2))
+    canon2 = set(_src_edges(g2))
     reversals: dict = {}
 
     def reversal(key) -> Homomorphism:
@@ -189,7 +186,7 @@ def product_map(f: Homomorphism, tr1: ProductTrace, tr2: ProductTrace) -> Homomo
         by_copy.setdefault(ee, []).append((x, name))
 
     emap: dict = {}
-    for eid in _canonical_edges(g1):
+    for eid in _src_edges(g1):
         img = f.emap[eid]
         key = g1.edges[eid].label.key
         if img in canon2 or not g2.symmetric:
@@ -226,8 +223,8 @@ def exponential_map(f: Homomorphism, et1: ExpoTrace, et2: ExpoTrace) -> Homomorp
     for name, row in et1.tuple_of.items():
         pushed = tuple(f.vmap[t] for t in row)
         rep = et2.rep(pushed)
-        image = et2.name(pushed)
-        if not x2.has_vertex(image):
+        image = et2.names.get(rep)
+        if image is None or not x2.has_vertex(image):
             raise DomainError(
                 f"the image tuple of {name!r} has no surviving representative; "
                 "the target map does not carry this exponential graph over"
@@ -237,7 +234,7 @@ def exponential_map(f: Homomorphism, et1: ExpoTrace, et2: ExpoTrace) -> Homomorp
 
     emap: dict = {}
     alphas: dict = {}
-    for eid in _canonical_edges(x1):
+    for eid in _src_edges(x1):
         e = x1.edges[eid]
         want = GammaLabel(
             compose(snap[e.tail], e.label.pre),

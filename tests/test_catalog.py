@@ -227,3 +227,11 @@ def test_graph_minor_contract_and_delete():
         graph_minor(c5, contract=(eids[0],), delete=(eids[0],))
     with pytest.raises(DomainError):
         graph_minor(c5, contract=("nope",))
+
+
+def test_graph_minor_contracts_a_long_path_named_against_its_order():
+    # union-find roots each class at its smallest name, so decreasing names
+    # build a parent chain as long as the path
+    g = path_graph(3000).relabel({i: f"{100000 - i}" for i in range(3001)})
+    m = graph_minor(g, contract=g.canonical_edges())
+    assert len(m.vertices) == 1 and not m.edges

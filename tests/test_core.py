@@ -8,6 +8,7 @@ from cylgraph.catalog import complete_graph, cycle_graph, neps_product, path_gra
 from cylgraph.core import (
     Graph,
     GammaLabel,
+    UnionFind,
     alpha_shift,
     amalgam,
     connected_order,
@@ -103,6 +104,17 @@ def test_merge_parallel_keeps_twin_loops():
     m.validate()
     assert len(m.edges) == 2  # one undirected loop = two paired twins
     assert len(m.canonical_edges()) == 1
+
+
+def test_union_find_keeps_smallest_representative_on_deep_chains():
+    uf = UnionFind()
+    names = [f"v{5000 - i:04d}" for i in range(5000)]  # each union re-roots at the newcomer
+    for a, b in zip(names, names[1:]):
+        uf.union(a, b)
+    assert uf.find(names[0]) == min(names) == names[-1]
+    assert set(uf.canonical_map().values()) == {names[-1]}
+    uf.union("0", names[0])
+    assert uf.find(names[2500]) == "0"
 
 
 def test_identify_keeps_parallels():

@@ -1,0 +1,276 @@
+"""The exponential against frozen output: golden CLI files and a copy of its
+earlier triple loop, kept as a differential oracle."""
+
+import itertools
+import json
+import random
+from itertools import combinations
+from pathlib import Path
+
+import pytest
+
+from cylgraph.catalog import complete_graph, cycle_graph, neps_cylinder, path_graph
+from cylgraph.cli import main
+from cylgraph.construct import exponential
+from cylgraph.core import GammaLabel, Graph, label_sort_key
+from cylgraph.cylinder import (
+    CylinderSet,
+    identity_cyl,
+    make_cylinder,
+    path_cyl,
+    sqcap_cyl,
+    square_cyl,
+    wedge_cyl,
+)
+from cylgraph.errors import CylError, LabelConflict
+from cylgraph.hom import iter_homs
+from cylgraph.perm import PermGroup, act
+
+from util import random_graph, random_multigraph
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _digraph():
+    """A directed 4-cycle with a chord, a loop and a parallel edge."""
+    g = Graph(symmetric=False)
+    g.add_vertices("abcd")
+    for t, h in ("ab", "bc", "cd", "da", "ac", "bb", "ab"):
+        g.add_edge(t, h)
+    return g
+
+
+def golden_instances():
+    """name -> (cylinder set, target) for ``tests/golden/expo_<name>.json``."""
+    return {
+        "walk_power": (CylinderSet(PermGroup.trivial(1), {1: path_cyl(3)}), cycle_graph(7)),
+        "tensor_power": (
+            CylinderSet(PermGroup.trivial(3), {"tensor": neps_cylinder(path_graph(2), "tensor")}),
+            complete_graph(3),
+        ),
+        "wedge_s2": (CylinderSet(PermGroup.symmetric(2), {1: wedge_cyl()}), cycle_graph(5)),
+        "square_s2": (CylinderSet(PermGroup.symmetric(2), {1: square_cyl()}), complete_graph(3)),
+        "directed_path": (CylinderSet(PermGroup.trivial(1), {1: path_cyl(2, directed=True)}), _digraph()),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(golden_instances()))
+def test_cli_expo_matches_golden_file(tmp_path, name):
+    cset, h = golden_instances()[name]
+    cyl_path, target_path, out = tmp_path / "c.json", tmp_path / "h.json", tmp_path / "out.json"
+    cyl_path.write_text(json.dumps(cset.to_json()))
+    target_path.write_text(json.dumps(h.to_json()))
+    assert main(["expo", "--cylinders", str(cyl_path), "--target", str(target_path), "-o", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"expo_{name}.json").read_bytes()
+
+
+# -- differential oracle ------------------------------------------------------
+
+
+def expo_oracle(cset, h, rep_choice="min", budget=None):
+    """The exponential as built before boundary pairs were deduplicated: every
+    hom's boundary rows are re-keyed by JSON text.  Returns (graph, tuple_of,
+    witnesses, edge_by_triple, homs seen, distinct boundary pairs)."""
+    def tuple_key(t):
+        return tuple(str(x) for x in t)
+
+    def tuple_name(t):
+        return json.dumps(list(t), separators=(",", ":"), default=str)
+
+    group = cset.group
+    pick = min if rep_choice == "min" else max
+    verts = sorted(h.vertices, key=str)
+    reps, rep_of = [], {}
+    for t in itertools.product(verts, repeat=cset.width):
+        if t in rep_of:
+            continue
+        orbit = {p.act(t) for p in group}
+        r = pick(orbit, key=tuple_key)
+        for q in orbit:
+            rep_of[q] = r
+        reps.append(r)
+
+    triples, order, n_homs, pairs = {}, [], 0, set()
+    for key in sorted(cset.keys(), key=str):
+        cyl = cset[key]
+        for hom in iter_homs(cyl.graph, h, mode="labeled", budget=budget):
+            p = tuple(hom.vertex(v) for v in cyl.y)
+            q = tuple(hom.vertex(v) for v in cyl.z)
+            n_homs += 1
+            pairs.add((key, p, q))
+            r1, r2 = rep_of[p], rep_of[q]
+            dm = [d for d in group if act(r1, d) == p]
+            dp = [d for d in group if act(r2, d) == q]
+            for a in dm:
+                for b in dp:
+                    lab = GammaLabel(a, key, b)
+                    tk = (tuple_name(r1), tuple_name(r2), label_sort_key(lab))
+                    if tk not in triples:
+                        triples[tk] = (r1, r2, lab, hom)
+                        order.append(tk)
+
+    g = Graph(symmetric=h.symmetric)
+    for r in reps:
+        g.add_vertex(tuple_name(r))
+    witnesses, edge_by_triple = {}, {}
+    if not h.symmetric:
+        for n, tk in enumerate(sorted(order)):
+            r1, r2, lab, hom = triples[tk]
+            g.add_edge(tk[0], tk[1], lab, f"x{n}")
+            witnesses[f"x{n}"] = hom
+            edge_by_triple[tk] = f"x{n}"
+    else:
+        def reverse_key(tk):
+            return (tk[1], tk[0], label_sort_key(triples[tk][2].reversed()))
+
+        for tk in order:
+            if reverse_key(tk) not in triples:
+                raise LabelConflict(
+                    "exponential edge set is not reversal-closed; the cylinders are not genuinely symmetric"
+                )
+        n = 0
+        for tk in sorted(order):
+            rk = reverse_key(tk)
+            if rk < tk and rk != tk:
+                continue
+            r1, r2, lab, hom = triples[tk]
+            eid = f"x{n}"
+            n += 1
+            g.add_edge(tk[0], tk[1], lab, eid)
+            witnesses[eid] = hom
+            edge_by_triple[tk] = eid
+            _, _, rlab, rhom = triples[rk]
+            g.add_edge(tk[1], tk[0], rlab, f"{eid}t")
+            witnesses[f"{eid}t"] = rhom
+            if rk != tk:
+                edge_by_triple[rk] = f"{eid}t"
+            g.pair_edges(eid, f"{eid}t")
+
+    g = g.reduced()
+    tuple_of = {tuple_name(r): r for r in reps if g.has_vertex(tuple_name(r))}
+    witnesses = {eid: w for eid, w in witnesses.items() if eid in g.edges}
+    edge_by_triple = {tk: eid for tk, eid in edge_by_triple.items() if eid in g.edges}
+    return g, tuple_of, witnesses, edge_by_triple, n_homs, len(pairs)
+
+
+def _random_cylinder(rng, k, symmetric, complete_base, labels):
+    """Rows y1..yk and z1..zk with the same base (empty or complete, so every
+    slot permutation is a twist), random rungs and up to two inner vertices;
+    inner vertices may carry loops."""
+    g = Graph(symmetric=symmetric)
+    ys = [f"y{i}" for i in range(1, k + 1)]
+    zs = [f"z{i}" for i in range(1, k + 1)]
+    inner = [f"i{j}" for j in range(rng.randint(0, 2))]
+    g.add_vertices(ys + zs + inner)
+
+    def add(u, v, lab=None):
+        if symmetric:
+            g.add_sym_edge(u, v, lab)
+        else:
+            g.add_edge(u, v, lab)
+
+    if complete_base:
+        for row in (ys, zs):
+            for a, b in combinations(row, 2):
+                add(a, b)
+                if not symmetric:
+                    add(b, a)
+    for _ in range(rng.randint(1, 2 * k + len(inner))):
+        u, v = rng.choice(ys + inner), rng.choice(zs + inner)
+        if not symmetric and rng.random() < 0.3:
+            u, v = v, u
+        add(u, v, rng.choice(labels))
+    return make_cylinder(g, ys, zs)
+
+
+_GROUPS = {
+    1: [PermGroup.trivial(1)],
+    2: [PermGroup.trivial(2), PermGroup.symmetric(2)],
+    3: [PermGroup.trivial(3), PermGroup.cyclic(3), PermGroup.symmetric(3)],
+}
+
+
+def _catalog_set(rng, symmetric):
+    directed = not symmetric
+    if symmetric and rng.random() < 0.5:
+        group = rng.choice(_GROUPS[2])
+        picks = rng.sample([sqcap_cyl, square_cyl, wedge_cyl], rng.randint(1, 2))
+        return CylinderSet(group, {j + 1: f() for j, f in enumerate(picks)})
+    if rng.random() < 0.5:
+        k = rng.choice([2, 3])
+        return CylinderSet(rng.choice(_GROUPS[k]), {1: identity_cyl(k, directed)})
+    picks = rng.sample([1, 2, 3], rng.randint(1, 2))
+    return CylinderSet(PermGroup.trivial(1), {j + 1: path_cyl(n, directed=directed) for j, n in enumerate(picks)})
+
+
+def _random_instance(rng):
+    symmetric = rng.random() < 0.6
+    labels = (None, "a")
+    if rng.random() < 0.4:
+        cset = _catalog_set(rng, symmetric)
+    else:
+        k = rng.choice([1, 2, 2, 3])
+        base = rng.random() < 0.3
+        cyls = {j: _random_cylinder(rng, k, symmetric, base, labels) for j in range(1, rng.randint(1, 2) + 1)}
+        cset = CylinderSet(rng.choice(_GROUPS[k]), cyls)
+    n = rng.randint(2, 4 if cset.width == 3 else 5)
+    if rng.random() < 0.5:
+        # loops and parallel same-label edges: several homs share one boundary pair
+        h = random_multigraph(rng, n, rng.randint(n, 3 * n), labels=labels, symmetric=symmetric)
+    else:
+        h = random_graph(rng, n, p=0.6, symmetric=symmetric, loops=rng.random() < 0.3)
+    rep_choice = "max" if rng.random() < 0.3 else "min"
+    budget = rng.choice([None, None, None, rng.randint(1, 300)])
+    return cset, h, rep_choice, budget
+
+
+def _outcome(build):
+    try:
+        return build()
+    except CylError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_exponential_matches_the_frozen_triple_loop():
+    rng = random.Random(4004)
+    skipped = conflicts = limits = twisted = compared = 0
+    for _ in range(300):
+        cset, h, rep_choice, budget = _random_instance(rng)
+        want = _outcome(lambda: expo_oracle(cset, h, rep_choice, budget))
+        got = _outcome(lambda: exponential(cset, h, rep_choice=rep_choice, budget=budget))
+        if isinstance(want, tuple) and isinstance(want[0], str):
+            assert got == want
+            conflicts += want[0] == "LabelConflict"
+            limits += want[0] == "ResourceLimit"
+            continue
+        g, tuple_of, witnesses, edge_by_triple, n_homs, n_pairs = want
+        assert json.dumps(got.graph.to_json()) == json.dumps(g.to_json())
+        assert list(got.tuple_of.items()) == list(tuple_of.items())
+        assert {e: w.key() for e, w in got.witnesses.items()} == {e: w.key() for e, w in witnesses.items()}
+        assert list(got.witnesses) == list(witnesses)
+        assert list(got.edge_by_triple.items()) == list(edge_by_triple.items())
+        for name, r in tuple_of.items():
+            assert got.name(r) == name
+        skipped += n_homs > n_pairs
+        twisted += len(cset.group.elements) > 1
+        compared += 1
+    # the battery reaches the cases the deduplication and the verdicts touch
+    assert compared >= 200
+    assert skipped >= 50
+    assert twisted >= 50
+    assert conflicts >= 1 and limits >= 5
+
+
+def test_resource_limit_verdicts_agree_at_every_budget():
+    cset = CylinderSet(PermGroup.symmetric(2), {1: square_cyl(), 2: sqcap_cyl()})
+    h = random_multigraph(random.Random(7), 4, 9, symmetric=True)
+    verdicts = set()
+    for budget in range(200):
+        want = _outcome(lambda: expo_oracle(cset, h, budget=budget))
+        got = _outcome(lambda: exponential(cset, h, budget=budget))
+        if isinstance(want[0], str):
+            assert got == want
+        else:
+            assert json.dumps(got.graph.to_json()) == json.dumps(want[0].to_json())
+        verdicts.add(want[0] if isinstance(want[0], str) else "built")
+    assert verdicts == {"ResourceLimit", "built"}
