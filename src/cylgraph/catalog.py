@@ -278,7 +278,7 @@ def voltage_lift(base: Graph, voltages: dict, k: int) -> Graph:
     ident = Perm.identity(k)
     labeled = Graph(symmetric=base.symmetric)
     labeled.add_vertices(base.vertices)
-    canon = base.canonical_edges() if base.symmetric else list(base.edges)
+    canon = base.canonical_edges()
     perms = []
     for eid in sorted(canon):
         e = base.edges[eid]
@@ -302,7 +302,7 @@ def voltage_lift_direct(base: Graph, voltages: dict, k: int) -> Graph:
     ident = Perm.identity(k)
     out = Graph(symmetric=base.symmetric)
     out.add_vertices(f"{v}#{b}" for v in base.vertices for b in range(1, k + 1))
-    canon = base.canonical_edges() if base.symmetric else list(base.edges)
+    canon = base.canonical_edges()
     seen: set = set()
     for eid in sorted(canon):
         e = base.edges[eid]
@@ -546,7 +546,7 @@ def graph_minor(g: Graph, contract=(), delete=()) -> Graph:
     overlap = contract & delete
     if overlap:
         raise DomainError(f"edges {sorted(overlap)} are both contracted and deleted")
-    canon = set(g.canonical_edges() if g.symmetric else g.edges)
+    canon = set(g.canonical_edges())
     for eid in contract | delete:
         if eid not in canon:
             raise DomainError(f"edge {eid!r} is not a canonical edge of the graph")

@@ -157,12 +157,8 @@ def cmd_reduce(args) -> int:
     homomorphism from it into the (unchanged) target exists exactly when
     the original structured map into the exponential does.
     """
-    cset = load_cylinders(args.cylinders)
-    g = _maybe_uniform(load_graph(args.graph), cset, args.uniform)
     load_graph(args.target)  # validated; the instance leaves it untouched
-    tr = cyl_product(g, cset)
-    _emit(tr.graph.to_json(), args.output)
-    return 0
+    return cmd_product(args)
 
 
 def cmd_hom(args) -> int:
@@ -416,6 +412,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _fail(type(exc).__name__, str(exc))
     except OSError as exc:
         return _fail("io", str(exc))
+    except Exception as exc:  # a fault of the program; still one line of JSON
+        return _fail("internal", f"{type(exc).__name__}: {exc}")
 
 
 if __name__ == "__main__":

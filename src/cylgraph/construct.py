@@ -116,7 +116,7 @@ def cyl_product(g: Graph, cset: CylinderSet) -> ProductTrace:
     if len(set(slot.values())) != len(slot):
         raise DomainError("vertex names collide after slotting; rename the source vertices")
 
-    src_eids = sorted(g.canonical_edges() if g.symmetric else g.edges, key=str)
+    src_eids = sorted(g.canonical_edges(), key=str)
 
     uf = UnionFind()
     for nm in slot.values():
@@ -453,9 +453,9 @@ def cylinders_from_surjection(g: Graph, h: Graph, vmap: dict) -> tuple[Graph, Cy
             return None
         return min(cands, key=str)
 
-    canon = sorted(h.canonical_edges() if h.symmetric else h.edges, key=str)
+    canon = sorted(h.canonical_edges(), key=str)
     rungs: dict = {eid: [] for eid in canon}
-    for geid in sorted(g.canonical_edges() if g.symmetric else g.edges, key=str):
+    for geid in sorted(g.canonical_edges(), key=str):
         e = g.edges[geid]
         a, b = vmap[e.tail], vmap[e.head]
         target = h_edge_between(a, b)

@@ -554,7 +554,7 @@ def amalgam(a: Graph, b: Graph, shared: Graph) -> Graph:
 
     taken_a: set = set()
     drop_b: dict[str, str] = {}  # b edge id -> a edge id it folds into
-    sig_edges = shared.canonical_edges() if shared.symmetric else list(shared.edges)
+    sig_edges = shared.canonical_edges()
     for seid in sorted(sig_edges):
         se = shared.edges[seid]
         sig = (se.tail, se.head, se.label)

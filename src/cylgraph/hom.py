@@ -28,9 +28,27 @@ Vertex-map search maps pinned vertices first, then the others by falling
 degree (ties broken by ``str`` of the name), except that each next vertex is
 the first in that ranking adjacent to an already-mapped one whenever such a
 vertex remains, so every edge check can fail early.  The order comes from
-:func:`~cylgraph.core.connected_order` in O((V + E) log V).  Vertex-map and
-edge-choice search keep an explicit stack, so sources of any size are
-searched without hitting the interpreter's recursion limit.
+:func:`~cylgraph.core.connected_order` in O((V + E) log V).  Each target
+vertex tried costs one budget node, and a vertex is checked only against its
+edges to itself and to vertices placed before it, a list fixed by the order.
+
+Enumeration order is nested: vertex maps, lexicographic over that vertex
+order with target vertices sorted by ``str``; in gamma mode, for each vertex
+map, twist vectors, lexicographic over the edge-incident source vertices
+sorted by ``str``, each running through the group's elements in order; then
+edge images, lexicographic over the source edges (one per twin pair, sorted
+by id), each over its candidate target edges sorted by id, one per twin pair.
+
+Gamma twists are read off per-edge candidate tables rather than searched for
+edge by edge.  Each table, for one source edge and one pair of target
+vertices, holds the key-matching target edges grouped by the tail and head
+twists they induce (``pre * inverse(d_pre)`` and ``post * inverse(d_post)``),
+keeping those whose twists both lie in the group.  A vertex's allowed twists
+are those that every incident edge's table allows given the twists already
+fixed; still, every group element tried costs one budget node, allowed or
+not, and every edge image taken costs one.  All three levels keep explicit
+stacks, so sources of any size are searched without hitting the
+interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -70,6 +88,13 @@ class Homomorphism:
         self.vmap = dict(vmap)
         self.emap = dict(emap)
         self.alphas = dict(alphas) if alphas is not None else None
+
+    @classmethod
+    def _wrap(cls, vmap: dict, emap: dict, alphas: dict | None = None) -> Homomorphism:
+        """Adopt dicts that nobody else holds, without copying them."""
+        hom = object.__new__(cls)
+        hom.vmap, hom.emap, hom.alphas = vmap, emap, alphas
+        return hom
 
     def vertex(self, v):
         return self.vmap[v]
@@ -157,7 +182,7 @@ def _require_comparable(g: Graph, h: Graph, mode: str, group: PermGroup | None):
 
 
 def _src_edges(g: Graph) -> list[str]:
-    return sorted(g.canonical_edges()) if g.symmetric else sorted(g.edges)
+    return sorted(g.canonical_edges())
 
 
 def _pair_index(h: Graph) -> dict:
@@ -182,164 +207,11 @@ def _dedupe_classes(h: Graph, eids: list[str]) -> list[str]:
     return out
 
 
-def _incidence(g: Graph, edge_ids: list[str]) -> dict:
-    inc: dict = {v: [] for v in g.vertices}
-    for eid in edge_ids:
-        e = g.edges[eid]
-        inc[e.tail].append(eid)
-        if e.head != e.tail:
-            inc[e.head].append(eid)
-    return inc
-
-
 def _vertex_order(g: Graph, pins: Mapping) -> list:
     def key(v):
         return v not in pins, -len(g.out_edges(v)) - len(g.in_edges(v)), str(v)
 
     return connected_order(sorted(g.vertices, key=key), g.neighbour_sets(), pins)
-
-
-class _Matcher:
-    """Target-edge candidate computation for one (g, h, mode, group) query."""
-
-    def __init__(self, g: Graph, h: Graph, mode: str, group: PermGroup | None):
-        self.g = g
-        self.h = h
-        self.mode = mode
-        self.group = group
-        self.idx = _pair_index(h)
-        # the same few (edge, images, twists) queries recur across the whole
-        # backtracking tree, so both candidate computations are memoized
-        self._weak_cache: dict = {}
-        self._forced_cache: dict = {}
-        self._coset_cache: dict = {}
-
-    def _coset_ok(self, src: Perm, tgt: Perm) -> bool:
-        # is there a group twist t with src == t * tgt?
-        key = (src.images, tgt.images)
-        hit = self._coset_cache.get(key)
-        if hit is None:
-            hit = self._coset_cache[key] = compose(src, tgt.inverse()) in self.group
-        return hit
-
-    def weak(self, eid: str, a, b) -> list[str]:
-        """Candidates before any twist is fixed (used while mapping vertices)."""
-        key = (eid, a, b)
-        hit = self._weak_cache.get(key)
-        if hit is None:
-            hit = self._weak_cache[key] = self._weak(eid, a, b)
-        return hit
-
-    def _weak(self, eid: str, a, b) -> list[str]:
-        e = self.g.edges[eid]
-        out = []
-        for f in self.idx.get((a, b), ()):
-            lab = self.h.edges[f].label
-            if self.mode == "plain":
-                out.append(f)
-            elif self.mode == "labeled":
-                if lab == e.label:
-                    out.append(f)
-            else:
-                if (
-                    isinstance(lab, GammaLabel)
-                    and lab.key == e.label.key
-                    and self._coset_ok(e.label.pre, lab.pre)
-                    and self._coset_ok(e.label.post, lab.post)
-                ):
-                    out.append(f)
-        return _dedupe_classes(self.h, out)
-
-    def forced(self, eid: str, a, b, alpha_tail: Perm | None, alpha_head: Perm | None) -> list[str]:
-        """Gamma candidates once twists at the endpoints are (partly) known."""
-        key = (eid, a, b, alpha_tail, alpha_head)
-        hit = self._forced_cache.get(key)
-        if hit is None:
-            hit = self._forced_cache[key] = self._forced(eid, a, b, alpha_tail, alpha_head)
-        return hit
-
-    def _forced(self, eid: str, a, b, alpha_tail: Perm | None, alpha_head: Perm | None) -> list[str]:
-        e = self.g.edges[eid]
-        want_pre = compose(alpha_tail.inverse(), e.label.pre) if alpha_tail is not None else None
-        want_post = compose(alpha_head.inverse(), e.label.post) if alpha_head is not None else None
-        out = []
-        for f in self.idx.get((a, b), ()):
-            lab = self.h.edges[f].label
-            if lab.key != e.label.key:
-                continue
-            if want_pre is not None:
-                if lab.pre != want_pre:
-                    continue
-            elif not self._coset_ok(e.label.pre, lab.pre):
-                continue
-            if want_post is not None:
-                if lab.post != want_post:
-                    continue
-            elif not self._coset_ok(e.label.post, lab.post):
-                continue
-            out.append(f)
-        return _dedupe_classes(self.h, out)
-
-
-def _backtrack(slots: list, cands, budget: _Budget, ok=None) -> Iterator[dict]:
-    """Every assignment of a value from ``cands(slot)`` to each slot, in
-    depth-first order, slot by slot.  Each value tried costs one budget node;
-    ``ok(assign, slot, value)`` may reject a value given the assignment of the
-    earlier slots.  The search keeps its own stack of candidate iterators, so
-    its depth is not bounded by the interpreter's recursion limit."""
-    if not slots:
-        yield {}
-        return
-    assign: dict = {}
-    stack = [iter(cands(slots[0]))]
-    while stack:
-        i = len(stack) - 1
-        slot = slots[i]
-        for value in stack[i]:
-            budget.spend()
-            if ok is None or ok(assign, slot, value):
-                assign[slot] = value
-                break
-        else:
-            stack.pop()
-            if i:
-                del assign[slots[i - 1]]
-            continue
-        if i + 1 < len(slots):
-            stack.append(iter(cands(slots[i + 1])))
-        else:
-            yield dict(assign)
-            del assign[slot]
-
-
-def _iter_vmaps(g: Graph, h: Graph, matcher: _Matcher, pins: Mapping, budget: _Budget) -> Iterator[dict]:
-    inc = _incidence(g, _src_edges(g))
-    hverts = sorted(h.vertices, key=str)
-
-    def ok(vmap, u, w) -> bool:
-        for eid in inc[u]:
-            e = g.edges[eid]
-            other = e.head if e.tail == u else e.tail
-            if other != u and other not in vmap:
-                continue
-            a = w if e.tail == u else vmap[e.tail]
-            b = w if e.head == u else vmap[e.head]
-            if not matcher.weak(eid, a, b):
-                return False
-        return True
-
-    return _backtrack(_vertex_order(g, pins), lambda u: [pins[u]] if u in pins else hverts, budget, ok)
-
-
-def _fill_twins(g: Graph, h: Graph, emap: dict) -> dict:
-    if not g.symmetric:
-        return emap
-    full = dict(emap)
-    for eid, f in emap.items():
-        tw = g.pairing[eid]
-        if tw not in full:
-            full[tw] = h.pairing[f]
-    return full
 
 
 def _alpha_vertices(g: Graph) -> list:
@@ -350,45 +222,263 @@ def _alpha_vertices(g: Graph) -> list:
     return sorted(incident, key=str)
 
 
-def _iter_gamma(g, h, matcher: _Matcher, vmap: dict, group: PermGroup, budget: _Budget,
-                count_only: bool) -> Iterator:
-    """Given a vertex map, walk over twist vectors; yield homomorphisms, or
-    per-(twist) counts when counting."""
-    verts = _alpha_vertices(g)
-    inc = _incidence(g, _src_edges(g))
-    alphas: dict = {}
+_MISSING = object()
 
-    def edge_cands(eid) -> list[str]:
-        e = g.edges[eid]
-        return matcher.forced(
-            eid,
-            vmap[e.tail],
-            vmap[e.head],
-            alphas.get(e.tail),
-            alphas.get(e.head),
-        )
 
-    def rec(i: int):
-        if i == len(verts):
-            cands = {eid: edge_cands(eid) for eid in _src_edges(g)}
-            if count_only:
-                total = 1
-                for c in cands.values():
-                    total *= len(c)
-                yield total
+class _Matcher:
+    """Candidate tables for one (g, h, mode, group) query.  Each table, keyed
+    by a source edge and a pair of target vertices, is built on first use and
+    kept for the whole search.
+
+    ``weak(eid, a, b)`` lists the target edges a->b that ``eid`` may map to,
+    one per twin pair.  In gamma mode a key-matching target edge ``f``
+    induces the tail twist ``pre * inverse(f.pre)`` and the head twist
+    ``post * inverse(f.post)``, and is a candidate when both lie in the
+    group; ``twists(eid, a, b)`` groups the candidates by that pair of twists
+    (as image tuples), one per twin pair within each group.  Each distinct
+    (source, target) permutation pair is composed once and each distinct
+    twist tested for membership once."""
+
+    def __init__(self, g: Graph, h: Graph, mode: str, group: PermGroup | None):
+        self.g = g
+        self.h = h
+        self.mode = mode
+        self.group = group
+        self.idx = _pair_index(h)
+        self._weak: dict = {}
+        self._twists: dict = {}
+        self._induced: dict = {}  # (source images, target images) -> twist images, or None
+        self._members: dict = {}  # twist images -> lies in the group
+
+    def weak(self, eid: str, a, b) -> list[str]:
+        hit = self._weak.get((eid, a, b))
+        if hit is None:
+            hit = self._build(eid, a, b)
+        return hit
+
+    def twists(self, eid: str, a, b) -> dict:
+        hit = self._twists.get((eid, a, b))
+        if hit is None:
+            self._build(eid, a, b)
+            hit = self._twists[(eid, a, b)]
+        return hit
+
+    def _twist(self, src: Perm, tgt: Perm):
+        """Images of ``src * inverse(tgt)``, or None outside the group."""
+        key = (src.images, tgt.images)
+        t = self._induced.get(key, _MISSING)
+        if t is _MISSING:
+            p = compose(src, tgt.inverse())
+            inside = self._members.get(p.images)
+            if inside is None:
+                inside = self._members[p.images] = p in self.group
+            t = self._induced[key] = p.images if inside else None
+        return t
+
+    def _build(self, eid: str, a, b) -> list[str]:
+        label = self.g.edges[eid].label
+        targets = self.idx.get((a, b), ())
+        if self.mode == "plain":
+            out = list(targets)
+        elif self.mode == "labeled":
+            out = [f for f in targets if self.h.edges[f].label == label]
+        else:
+            out = []
+            by_twists: dict = {}
+            for f in targets:
+                lab = self.h.edges[f].label
+                if lab.key != label.key:
+                    continue
+                t = self._twist(label.pre, lab.pre)
+                if t is None:
+                    continue
+                s = self._twist(label.post, lab.post)
+                if s is None:
+                    continue
+                out.append(f)
+                by_twists.setdefault((t, s), []).append(f)
+            if a == b:
+                by_twists = {ts: _dedupe_classes(self.h, fs) for ts, fs in by_twists.items()}
+            self._twists[(eid, a, b)] = by_twists
+        # the twin of an a->b edge runs b->a, so only loops can bring both
+        # edges of a twin pair into one list
+        if a == b:
+            out = _dedupe_classes(self.h, out)
+        self._weak[(eid, a, b)] = out
+        return out
+
+
+_SELF = object()  # in a vertex's edge checks: the end that is the vertex itself
+_LOOP = 2  # in a twist check: the edge is a loop at the vertex
+
+
+class _Search:
+    """One ``iter_homs``/``count_homs`` query: the candidate tables plus all
+    that the search reads from the source, worked out once.
+
+    - ``src``: the source edges, one per twin pair, sorted, with their ends;
+    - ``back[i]``: the edge checks for the ``i``-th vertex of the vertex
+      order, one per edge to itself or to an earlier vertex, in source-edge
+      order, with ``_SELF`` standing for the vertex being placed;
+    - gamma mode: ``verts``, the edge-incident vertices sorted by ``str``,
+      and ``twist_checks[i]``, one ``(source edge index, side, j)`` per edge
+      at ``verts[i]``, where ``side`` is 0 when the vertex is the tail, 1 when
+      it is the head, ``_LOOP`` for a loop, and ``j`` the position of the
+      other end when it comes earlier (else None)."""
+
+    def __init__(self, g: Graph, h: Graph, mode: str, group: PermGroup | None, pins: Mapping):
+        self.matcher = _Matcher(g, h, mode, group)
+        self.src = _src_edges(g)
+        self.ends = [g.edges[eid][:2] for eid in self.src]
+        hverts = sorted(h.vertices, key=str)
+        self.order = _vertex_order(g, pins)
+        self.cands = [[pins[u]] if u in pins else hverts for u in self.order]
+        placed = {u: i for i, u in enumerate(self.order)}
+        self.back = [[] for _ in self.order]
+        for eid, (tail, head) in zip(self.src, self.ends):
+            i, j = placed[tail], placed[head]
+            if i >= j:
+                self.back[i].append((eid, _SELF, _SELF if i == j else head))
             else:
-                for emap in _backtrack(sorted(cands), cands.__getitem__, budget):
-                    yield Homomorphism(vmap, _fill_twins(g, h, emap), dict(alphas))
-            return
-        u = verts[i]
-        for a in group:
-            budget.spend()
-            alphas[u] = a
-            if all(edge_cands(eid) for eid in inc[u]):
-                yield from rec(i + 1)
-            del alphas[u]
+                self.back[j].append((eid, tail, _SELF))
+        self.verts = None
+        if mode == "gamma":
+            self.elements = list(group)
+            self.verts = _alpha_vertices(g)
+            at = {v: i for i, v in enumerate(self.verts)}
+            self.ends_at = [(at[tail], at[head]) for tail, head in self.ends]
+            self.twist_checks = [[] for _ in self.verts]
+            for k, (i, j) in enumerate(self.ends_at):
+                if i == j:
+                    self.twist_checks[i].append((k, _LOOP, None))
+                else:
+                    self.twist_checks[i].append((k, 0, j if j < i else None))
+                    self.twist_checks[j].append((k, 1, i if i < j else None))
 
-    yield from rec(0)
+    def vmaps(self, budget: _Budget) -> Iterator[dict]:
+        """Every vertex map in search order, as one dict updated in place
+        (ordered like the vertex order).  Each target vertex tried costs one
+        budget node; the search keeps its own stack, so its depth is not
+        bounded by the interpreter's recursion limit."""
+        order, cands, back = self.order, self.cands, self.back
+        weak = self.matcher.weak
+        vmap: dict = {}
+        if not order:
+            yield vmap
+            return
+        last = len(order) - 1
+        stack = [iter(cands[0])]
+        while stack:
+            i = len(stack) - 1
+            for w in stack[i]:
+                budget.spend()
+                for eid, tail, head in back[i]:
+                    if not weak(eid, w if tail is _SELF else vmap[tail], w if head is _SELF else vmap[head]):
+                        break
+                else:
+                    vmap[order[i]] = w
+                    break
+            else:
+                stack.pop()
+                if i:
+                    del vmap[order[i - 1]]
+                continue
+            if i < last:
+                stack.append(iter(cands[i + 1]))
+            else:
+                yield vmap
+                del vmap[order[i]]
+
+    def _allowed(self, i: int, tabs: list, imgs: list):
+        """The twists (as images) that ``verts[i]`` may take given the twists
+        at the earlier positions: those every incident edge's table has an
+        entry for."""
+        acc = None
+        for k, side, j in self.twist_checks[i]:
+            tab = tabs[k]
+            if side == _LOOP:
+                got = {t for t, s in tab if t == s}
+            elif j is None:
+                got = {ts[side] for ts in tab}
+            else:
+                want, other = imgs[j], 1 - side
+                got = {ts[side] for ts in tab if ts[other] == want}
+            acc = got if acc is None else acc & got
+            if not acc:
+                break
+        return {a.images for a in self.elements} if acc is None else acc
+
+    def twist_vectors(self, tabs: list, budget: _Budget) -> Iterator[tuple[list, list]]:
+        """For the current vertex map, whose twist tables per source edge are
+        ``tabs``: every twist vector, in group order position by position,
+        with the candidate lists it leaves per source edge.  The vector is
+        one list of group elements updated in place.  Each group element
+        tried costs one budget node, allowed or not."""
+        n = len(self.verts)
+        chosen: list = [None] * n
+        imgs: list = [None] * n
+        if not n:
+            yield chosen, []
+            return
+        stack = [iter(self.elements)]
+        allowed = [self._allowed(0, tabs, imgs)]
+        while stack:
+            i = len(stack) - 1
+            for a in stack[i]:
+                budget.spend()
+                if a.images in allowed[i]:
+                    chosen[i], imgs[i] = a, a.images
+                    break
+            else:
+                stack.pop()
+                allowed.pop()
+                continue
+            if i + 1 < n:
+                allowed.append(self._allowed(i + 1, tabs, imgs))
+                stack.append(iter(self.elements))
+            else:
+                yield chosen, [tab[imgs[t], imgs[hd]] for tab, (t, hd) in zip(tabs, self.ends_at)]
+
+    def leaves(self, budget: _Budget) -> Iterator[tuple[dict, list | None, list]]:
+        """``(vertex map, twist vector or None, candidate lists per source
+        edge)`` for every vertex map and, in gamma mode, every twist vector,
+        in search order."""
+        table = self.matcher.weak if self.verts is None else self.matcher.twists
+        for vmap in self.vmaps(budget):
+            tabs = [table(eid, vmap[t], vmap[hd]) for eid, (t, hd) in zip(self.src, self.ends)]
+            if self.verts is None:
+                yield vmap, None, tabs
+            else:
+                for chosen, lists in self.twist_vectors(tabs, budget):
+                    yield vmap, chosen, lists
+
+
+def _edge_choices(lists: list, budget: _Budget) -> Iterator[list]:
+    """Every pick of one entry per list, the last list turning fastest,
+    yielded as one list updated in place.  It spends what depth-first search
+    over the lists spends: one budget node per entry taken, so moving list
+    ``i`` on re-enters every list after it.  No list is empty: the vertex and
+    twist searches admit only maps under which every source edge has a
+    candidate."""
+    n = len(lists)
+    free = [i for i, c in enumerate(lists) if len(c) > 1]
+    at = [0] * len(free)
+    pick = [c[0] for c in lists]
+    if n:
+        budget.spend(n)
+    while True:
+        yield pick
+        k = len(free) - 1
+        while k >= 0 and at[k] + 1 == len(lists[free[k]]):
+            at[k] = 0
+            pick[free[k]] = lists[free[k]][0]
+            k -= 1
+        if k < 0:
+            return
+        i = free[k]
+        at[k] += 1
+        pick[i] = lists[i][at[k]]
+        budget.spend(n - i)
 
 
 # -- public API ----------------------------------------------------------------
@@ -406,15 +496,16 @@ def iter_homs(g: Graph, h: Graph, mode: str = "labeled", group: PermGroup | None
         if not h.has_vertex(w):
             raise DomainError(f"pin target {w!r} not in target")
     b = _Budget(budget)
-    matcher = _Matcher(g, h, mode, group)
-    src = _src_edges(g)
-    for vmap in _iter_vmaps(g, h, matcher, pins, b):
-        if mode == "gamma":
-            yield from _iter_gamma(g, h, matcher, vmap, group, b, count_only=False)
-        else:
-            cands = {eid: matcher.weak(eid, vmap[g.edges[eid].tail], vmap[g.edges[eid].head]) for eid in src}
-            for emap in _backtrack(sorted(cands), cands.__getitem__, b):
-                yield Homomorphism(vmap, _fill_twins(g, h, emap))
+    search = _Search(g, h, mode, group, pins)
+    src, verts = search.src, search.verts
+    twins = [g.pairing[eid] for eid in src] if g.symmetric else ()
+    for vmap, chosen, lists in search.leaves(b):
+        for pick in _edge_choices(lists, b):
+            emap = dict(zip(src, pick))
+            for tw, f in zip(twins, pick):
+                emap[tw] = h.pairing[f]
+            alphas = None if chosen is None else dict(zip(verts, chosen))
+            yield Homomorphism._wrap(dict(vmap), emap, alphas)
 
 
 def find_hom(g: Graph, h: Graph, mode: str = "labeled", group: PermGroup | None = None,
@@ -439,14 +530,15 @@ def count_homs(g: Graph, h: Graph, mode: str = "labeled", group: PermGroup | Non
     _require_comparable(g, h, mode, group)
     pins = dict(pins or {})
     b = _Budget(budget, "homomorphism count")
-    matcher = _Matcher(g, h, mode, group)
     if mode == "gamma":
         total = 0
-        for vmap in _iter_vmaps(g, h, matcher, pins, b):
-            for n in _iter_gamma(g, h, matcher, vmap, group, b, count_only=True):
-                total += n
+        for _, _, lists in _Search(g, h, mode, group, pins).leaves(b):
+            n = 1
+            for c in lists:
+                n *= len(c)
+            total += n
         return total
-    return _count_by_elimination(g, h, matcher, pins, b)
+    return _count_by_elimination(g, h, _Matcher(g, h, mode, group), pins, b)
 
 
 def _count_by_elimination(g: Graph, h: Graph, matcher: _Matcher, pins: Mapping, budget: _Budget) -> int:

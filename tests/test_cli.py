@@ -3,8 +3,10 @@ from __future__ import annotations
 
 import json
 import random
+import time
 
-from cylgraph.catalog import complete_graph, cycle_graph, kneser_graph
+from cylgraph import cli
+from cylgraph.catalog import complete_graph, cycle_graph, kneser_graph, path_graph
 from cylgraph.cli import main
 from cylgraph.construct import uniform_labels
 from cylgraph.core import Graph, isomorphic
@@ -221,6 +223,32 @@ def test_hom_exists_on_a_deep_source(tmp_path, capsys):
     src = dump(tmp_path, "c2001.json", cycle_graph(2001).to_json())
     assert main(["hom", "exists", "--source", src, "--target", fx["k3"]]) == 0
     assert json.loads(capsys.readouterr().out) == {"exists": True}
+
+
+def test_gamma_hom_exists_on_a_deep_source(tmp_path, capsys):
+    src = dump(tmp_path, "p1500.json", uniform_labels(path_graph(1500), key=1).to_json())
+    k2 = dump(tmp_path, "k2.json", uniform_labels(complete_graph(2), key=1).to_json())
+    group = dump(tmp_path, "trivial.json", PermGroup.trivial(1).to_json())
+    start = time.perf_counter()
+    assert main(["hom", "exists", "--mode", "gamma", "--source", src, "--target", k2, "--group", group]) == 0
+    assert time.perf_counter() - start <= 2.0
+    assert json.loads(capsys.readouterr().out) == {"exists": True}
+
+
+def test_unexpected_faults_still_emit_one_json_line(tmp_path, capsys, monkeypatch):
+    fx = fixtures(tmp_path)
+
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_hom", broken)
+    assert main(["hom", "exists", "--source", fx["c5"], "--target", fx["k3"]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [json.loads(line) for line in captured.err.splitlines()] == [
+        {"error": "internal", "message": "RuntimeError: boom"}
+    ]
+
 
 def test_seed_flag_is_accepted(tmp_path, capsys):
     assert main(["--seed", "7", "catalog", "petersen"]) == 0
