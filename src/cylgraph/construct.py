@@ -27,7 +27,7 @@ from .core import GammaLabel, Graph, UnionFind, label_sort_key
 from .cylinder import CylinderSet, make_cylinder
 from .errors import DomainError, LabelConflict, NotATwist, ResourceLimit
 from .hom import iter_homs
-from .perm import Perm, PermGroup, act
+from .perm import Perm, PermGroup
 
 MAX_PRODUCT_EDGES = 2_000_000
 MAX_TUPLE_SPACE = 400_000
@@ -99,6 +99,22 @@ def _audit_product_labels(g: Graph, cset: CylinderSet) -> None:
             raise NotATwist(f"edge {eid!r} twists by a permutation outside the slot group")
 
 
+def _cylinder_shape(key, cg: Graph) -> list:
+    """One entry per canonical edge of a cylinder graph, in ``str`` order of
+    edge id: (the edge id and its twin's, tail, head, label, twin's label)."""
+    shape = []
+    for ce in sorted(cg.canonical_edges(), key=str):
+        e = cg.edges[ce]
+        ids = cg.with_twin(ce)
+        twin_label = cg.edges[ids[-1]].label
+        try:
+            hash((e.label, twin_label))
+        except TypeError:
+            raise LabelConflict(f"cylinder {key!r} edge {ce!r} carries an unhashable label") from None
+        shape.append((ids, e.tail, e.head, e.label, twin_label))
+    return shape
+
+
 def cyl_product(g: Graph, cset: CylinderSet) -> ProductTrace:
     """Glue one cylinder copy onto every edge of ``g``.
 
@@ -160,62 +176,37 @@ def cyl_product(g: Graph, cset: CylinderSet) -> ProductTrace:
     for nm in sorted(set(cmap.values()), key=str):
         out.add_vertex(nm)
 
+    # Each canonical cylinder edge travels with its twin when symmetric.  Copies
+    # whose ends land on the same (tail, head, label) set merge into the first
+    # copy's edges; a copy whose first end is not the group's first end lies
+    # the other way round and maps its edges in swapped order.
+    symmetric = g.symmetric
+    shapes: dict = {}  # cylinder key -> [(edge ids, tail, head, label, twin label)]
+    groups: dict = {}  # frozenset of end keys -> [(source edge id, edge ids, end keys)]
+    for eid in src_eids:
+        key = g.edges[eid].label.key
+        shape = shapes.get(key)
+        if shape is None:
+            shape = shapes[key] = _cylinder_shape(key, cset[key].graph)
+        for ids, x, y, lab, rlab in shape:
+            a, b = final_copy[(eid, x)], final_copy[(eid, y)]
+            ends = ((a, b, lab), (b, a, rlab)) if symmetric else ((a, b, lab),)
+            groups.setdefault(frozenset(ends), []).append((eid, ids, ends))
+
     edge_src: dict = {}
     src_edge: dict = {}
-
-    if not g.symmetric:
-        groups: dict = {}
-        order: list = []
-        for eid in src_eids:
-            cyl = cset[g.edges[eid].label.key]
-            for ce in sorted(cyl.graph.edges, key=str):
-                ed = cyl.graph.edges[ce]
-                t, h = final_copy[(eid, ed.tail)], final_copy[(eid, ed.head)]
-                gk = (t, h, label_sort_key(ed.label))
-                if gk not in groups:
-                    groups[gk] = (ed.label, [])
-                    order.append(gk)
-                groups[gk][1].append((eid, ce))
-        for gk in order:
-            lab, members = groups[gk]
-            fid = f"{members[0][0]}@{members[0][1]}"
-            out.add_edge(gk[0], gk[1], lab, fid)
-            edge_src[fid] = list(members)
-            for m in members:
-                src_edge[m] = fid
-    else:
-        # merge whole twin pairs so the pairing survives
-        groups = {}
-        order = []
-        for eid in src_eids:
-            cyl = cset[g.edges[eid].label.key]
-            for ce in sorted(cyl.graph.canonical_edges(), key=str):
-                tw = cyl.graph.pairing[ce]
-                e1, e2 = cyl.graph.edges[ce], cyl.graph.edges[tw]
-                k1 = (final_copy[(eid, e1.tail)], final_copy[(eid, e1.head)], label_sort_key(e1.label))
-                k2 = (final_copy[(eid, e2.tail)], final_copy[(eid, e2.head)], label_sort_key(e2.label))
-                gk = (min(k1, k2), max(k1, k2))
-                if gk not in groups:
-                    groups[gk] = []
-                    order.append(gk)
-                groups[gk].append((eid, ce, tw, k1))
-        for gk in order:
-            members = groups[gk]
-            eid0, ce0, tw0, k1_0 = members[0]
-            src0 = cset[g.edges[eid0].label.key].graph
-            fid_a, fid_b = f"{eid0}@{ce0}", f"{eid0}@{tw0}"
-            ea, eb = src0.edges[ce0], src0.edges[tw0]
-            out.add_edge(final_copy[(eid0, ea.tail)], final_copy[(eid0, ea.head)], ea.label, fid_a)
-            out.add_edge(final_copy[(eid0, eb.tail)], final_copy[(eid0, eb.head)], eb.label, fid_b)
-            out.pair_edges(fid_a, fid_b)
-            edge_src[fid_a] = []
-            edge_src[fid_b] = []
-            for eid, ce, tw, k1 in members:
-                f_ce, f_tw = (fid_a, fid_b) if k1 == k1_0 else (fid_b, fid_a)
-                src_edge[(eid, ce)] = f_ce
-                src_edge[(eid, tw)] = f_tw
-                edge_src[f_ce].append((eid, ce))
-                edge_src[f_tw].append((eid, tw))
+    for members in groups.values():
+        eid0, ids0, ends0 = members[0]
+        fids = [f"{eid0}@{ce}" for ce in ids0]
+        for fid, (t, hd, lab) in zip(fids, ends0):
+            out.add_edge(t, hd, lab, fid)
+            edge_src[fid] = []
+        if symmetric:
+            out.pair_edges(*fids)
+        for eid, ids, ends in members:
+            for ce, fid in zip(ids, fids if ends[0] == ends0[0] else fids[::-1]):
+                src_edge[(eid, ce)] = fid
+                edge_src[fid].append((eid, ce))
 
     out.validate()
     return ProductTrace(out, g, cset, final_slot, final_copy, edge_src, src_edge)
@@ -234,9 +225,14 @@ class ExpoTrace:
 
     tuple_of       -- final vertex name -> representative tuple
     witnesses      -- final edge id -> hom from that cylinder's graph into target
-    edge_by_triple -- (tail name, head name, label key) -> final edge id
+    edge_by_triple -- (tail name, head name, GammaLabel) -> final edge id
     names          -- representative tuple -> vertex name (every orbit of
                       V(target)^k, isolated ones included, after exponential)
+
+    One orbit table, filled once per orbit, answers :meth:`rep` and
+    :meth:`shift` for every tuple over the target's vertices: it maps a
+    tuple ``t`` to its representative and to the slot permutations ``d``,
+    in group order, with ``d.act(rep) == t``.
     """
 
     __slots__ = (
@@ -262,24 +258,21 @@ class ExpoTrace:
         self.names: dict = {r: nm for nm, r in tuple_of.items()}
         self._reps: dict = {}
 
-    def rep(self, t: tuple) -> tuple:
-        """Canonical representative of the slot-group orbit of ``t``."""
-        t = tuple(t)
-        hit = self._reps.get(t)
-        if hit is None:
-            orbit = {p.act(t) for p in self.cset.group}
-            pick = min if self.rep_choice == "min" else max
-            hit = pick(orbit, key=_tuple_key)
-            for q in orbit:
-                self._reps[q] = hit
-        return hit
+    def rep(self, t: tuple) -> tuple | None:
+        """Canonical representative of the slot-group orbit of ``t``; None
+        when ``t`` is not a width-long tuple over the target's vertices."""
+        hit = self._reps.get(tuple(t))
+        return None if hit is None else hit[0]
+
+    def shift(self, t: tuple) -> Perm:
+        """The first slot permutation, in group order, carrying ``rep(t)`` to ``t``."""
+        return self._reps[tuple(t)][1][0]
 
     def name(self, t: tuple) -> str:
-        r = self.rep(t)
-        return self.names.get(r) or _tuple_name(r)
+        return self.names[self.rep(t)]
 
     def find_edge(self, tail_name: str, head_name: str, label: GammaLabel):
-        return self.edge_by_triple.get((tail_name, head_name, label_sort_key(label)))
+        return self.edge_by_triple.get((tail_name, head_name, label))
 
     def __repr__(self) -> str:
         return f"ExpoTrace({len(self.graph.vertices)} vertices, {len(self.graph.edges)} edges)"
@@ -324,32 +317,22 @@ def exponential(
         raise ResourceLimit(f"tuple space {len(verts)}^{k} exceeds {MAX_TUPLE_SPACE}")
 
     trace = ExpoTrace(Graph(symmetric=h.symmetric), cset, h, {}, {}, {}, rep_choice)
-
+    orbits = trace._reps
     reps: list = []
-    seen: set = set()
     for t in itertools.product(verts, repeat=k):
-        if t in seen:
+        if t in orbits:
             continue
-        orbit = {p.act(t) for p in group}
-        seen |= orbit
-        r = pick(orbit, key=_tuple_key)
-        for q in orbit:
-            trace._reps[q] = r
+        # ties under _tuple_key (names 1 and "1") go to the first in group order
+        r = pick([p.act(t) for p in group], key=_tuple_key)
+        for d in group:
+            orbits.setdefault(d.act(r), (r, []))[1].append(d)
         reps.append(r)
         if len(reps) > max_vertices:
             raise ResourceLimit(f"more than {max_vertices} orbit representatives")
     names = {r: _tuple_name(r) for r in reps}
 
-    shifts: dict = {}  # boundary tuple t -> (name of rep(t), [d : rep(t) . d = t])
-
-    def shift(t):
-        hit = shifts.get(t)
-        if hit is None:
-            r = trace._reps[t]
-            hit = shifts[t] = (names[r], [d for d in group if act(r, d) == t])
-        return hit
-
-    # (tail name, head name, label key) -> (label, witness, key of the reversed triple)
+    # (tail name, head name, label sort key) -> (label, witness, key of the reversed triple);
+    # the sort keys are cheap interned keys here and fix the edge numbering below
     triples: dict = {}
     for key in sorted(cset.keys(), key=str):
         cyl = cset[key]
@@ -362,8 +345,9 @@ def exponential(
             if (p, q) in pairs:
                 continue
             pairs.add((p, q))
-            n1, dm = shift(p)
-            n2, dp = shift(q)
+            r1, dm = orbits[p]
+            r2, dp = orbits[q]
+            n1, n2 = names[r1], names[r2]
             for a in dm:
                 for b in dp:
                     lab = labels.get((a, b))
@@ -374,50 +358,39 @@ def exponential(
                     if tk not in triples:
                         triples[tk] = (lab[0], hom, (n2, n1, lab[2]))
 
-    g = Graph(symmetric=h.symmetric)
+    g = trace.graph
+    ends = {n for tk in triples for n in tk[:2]}
     for r in reps:
-        g.add_vertex(names[r])
-
-    witnesses: dict = {}
-    edge_by_triple: dict = {}
-    if not h.symmetric:
-        for n, tk in enumerate(sorted(triples)):
-            lab, hom, _ = triples[tk]
-            eid = f"x{n}"
-            g.add_edge(tk[0], tk[1], lab, eid)
-            witnesses[eid] = hom
-            edge_by_triple[tk] = eid
-    else:
-        for lab, hom, rk in triples.values():
+        if names[r] in ends:
+            g.add_vertex(names[r])
+    witnesses = trace.witnesses
+    edge_by_triple = trace.edge_by_triple
+    n = 0
+    for tk in sorted(triples):
+        lab, hom, rk = triples[tk]
+        if h.symmetric:
             if rk not in triples:
                 raise LabelConflict(
                     "exponential edge set is not reversal-closed; the cylinders are not genuinely symmetric"
                 )
-        n = 0
-        for tk in sorted(triples):
-            lab, hom, rk = triples[tk]
             if rk < tk:
                 continue
-            eid = f"x{n}"
-            n += 1
-            g.add_edge(tk[0], tk[1], lab, eid)
-            witnesses[eid] = hom
-            edge_by_triple[tk] = eid
+        eid = f"x{n}"
+        n += 1
+        g.add_edge(tk[0], tk[1], lab, eid)
+        witnesses[eid] = hom
+        edge_by_triple[(tk[0], tk[1], lab)] = eid
+        if h.symmetric:
             tid = f"{eid}t"
             rlab, rhom, _ = triples[rk]
             g.add_edge(tk[1], tk[0], rlab, tid)
             witnesses[tid] = rhom
-            if rk != tk:
-                edge_by_triple[rk] = tid
+            edge_by_triple.setdefault((tk[1], tk[0], rlab), tid)  # a self-reverse loop keeps eid
             g.pair_edges(eid, tid)
 
-    g = g.reduced()
     g.validate()
-    trace.graph = g
     trace.names = names
     trace.tuple_of = {names[r]: r for r in reps if g.has_vertex(names[r])}
-    trace.witnesses = {eid: w for eid, w in witnesses.items() if eid in g.edges}
-    trace.edge_by_triple = {tk: eid for tk, eid in edge_by_triple.items() if eid in g.edges}
     return trace
 
 

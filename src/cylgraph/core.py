@@ -71,20 +71,11 @@ def label_from_json(data) -> object:
     return data
 
 
-_label_keys: dict = {}
-
-
 def label_sort_key(label) -> str:
-    """A deterministic (not semantic) ordering key for arbitrary labels."""
-    try:
-        hit = _label_keys.get(label)
-    except TypeError:  # unhashable label; compute without caching
-        return json.dumps(label_to_json(label), sort_keys=True, default=str)
-    if hit is None:
-        if len(_label_keys) > 100_000:
-            _label_keys.clear()
-        hit = _label_keys[label] = json.dumps(label_to_json(label), sort_keys=True, default=str)
-    return hit
+    """A deterministic (not semantic) ordering key for arbitrary labels.  It
+    orders labels; it is not an identity key, since labels that compare
+    equal (``1`` and ``1.0``) can serialise differently."""
+    return json.dumps(label_to_json(label), sort_keys=True, default=str)
 
 
 class Graph:
@@ -198,6 +189,10 @@ class Graph:
         if not self.symmetric:
             return list(self.edges)
         return [eid for eid in self.edges if eid <= self.pairing.get(eid, eid)]
+
+    def with_twin(self, eid: str) -> tuple:
+        """``(eid, its twin)`` in symmetric mode, ``(eid,)`` otherwise."""
+        return (eid, self.pairing[eid]) if self.symmetric else (eid,)
 
     def pair_class(self, eid: str) -> frozenset:
         return frozenset({eid, self.pairing.get(eid, eid)})
@@ -485,26 +480,17 @@ def merge_parallel(g: Graph) -> Graph:
     its twin (one undirected loop survives as two paired directed loops)."""
     out = Graph(g.symmetric)
     out.add_vertices(g.vertices)
-    if not g.symmetric:
-        seen: dict = {}
-        for eid in sorted(g.edges):
-            e = g.edges[eid]
-            key = (e.tail, e.head, e.label)
-            if key not in seen:
-                seen[key] = eid
-                out.add_edge(e.tail, e.head, e.label, eid)
-        return out
-    seen = {}
+    seen: set = set()
     for eid in sorted(g.canonical_edges()):
-        e = g.edges[eid]
-        tw = g.pairing[eid]
-        t = g.edges[tw]
-        key = min((e.tail, e.head, label_sort_key(e.label)), (t.tail, t.head, label_sort_key(t.label)), key=str)
+        ids = g.with_twin(eid)
+        edges = [g.edges[x] for x in ids]
+        key = frozenset(edges)
         if key not in seen:
-            seen[key] = eid
-            out.add_edge(e.tail, e.head, e.label, eid)
-            out.add_edge(t.tail, t.head, t.label, tw)
-            out.pair_edges(eid, tw)
+            seen.add(key)
+            for x, e in zip(ids, edges):
+                out.add_edge(e.tail, e.head, e.label, x)
+            if g.symmetric:
+                out.pair_edges(*ids)
     return out
 
 

@@ -36,35 +36,12 @@ from .hom import (
 from .perm import Perm, compose
 
 
-def _fill_twin(g_src: Graph, g_tgt: Graph, emap: dict, eid: str, image: str) -> None:
-    emap[eid] = image
-    if g_src.symmetric:
-        emap[g_src.pairing[eid]] = g_tgt.pairing[image]
-
-
-def retraction(tr: ProductTrace, et: ExpoTrace, sigma: Homomorphism) -> Homomorphism:
-    """Fold a map off the product down to a structured map on the base.
-
-    ``sigma`` maps the product graph into the exponential's target; the
-    result maps the labeled base graph into the exponential graph, twist
-    group and all.  Only the vertex part of ``sigma`` is consulted.
-    """
-    g = tr.source
-    group = tr.cset.group
-    vmap: dict = {}
-    shift: dict = {}
-    for v in g.vertices:
-        row = tuple(sigma.vmap[s] for s in tr.blowup(v))
-        rep = et.rep(row)
-        name = et.names.get(rep)
-        if name is None or not et.graph.has_vertex(name):
-            raise DomainError(
-                f"the slot row of {v!r} lands on a tuple with no surviving "
-                "representative in the exponential graph"
-            )
-        vmap[v] = name
-        shift[v] = next(a for a in group if a.act(rep) == row)
-
+def _lift_edges(g: Graph, et: ExpoTrace, vmap: dict, shift: dict, missing: str) -> Homomorphism:
+    """Complete a vertex map from ``g`` into the exponential graph, whose
+    vertex ``v`` reached its image tuple through the slot permutation
+    ``shift[v]``: each edge goes to the exponential edge carrying its label
+    shifted the same way.  ``missing`` is the error message, with ``{eid!r}``
+    for the edge no exponential edge realizes."""
     emap: dict = {}
     alphas: dict = {}
     for eid in _src_edges(g):
@@ -76,14 +53,35 @@ def retraction(tr: ProductTrace, et: ExpoTrace, sigma: Homomorphism) -> Homomorp
         )
         x = et.find_edge(vmap[e.tail], vmap[e.head], want)
         if x is None:
-            raise DomainError(
-                f"no exponential edge realizes the image of {eid!r}; "
-                "the given map does not respect the product structure"
-            )
-        _fill_twin(g, et.graph, emap, eid, x)
+            raise DomainError(missing.format(eid=eid))
+        emap.update(zip(g.with_twin(eid), et.graph.with_twin(x)))
         alphas[e.tail] = shift[e.tail].inverse()
         alphas[e.head] = shift[e.head].inverse()
     return Homomorphism(vmap, emap, alphas)
+
+
+def retraction(tr: ProductTrace, et: ExpoTrace, sigma: Homomorphism) -> Homomorphism:
+    """Fold a map off the product down to a structured map on the base.
+
+    ``sigma`` maps the product graph into the exponential's target; the
+    result maps the labeled base graph into the exponential graph, twist
+    group and all.  Only the vertex part of ``sigma`` is consulted.
+    """
+    g = tr.source
+    vmap: dict = {}
+    shift: dict = {}
+    for v in g.vertices:
+        row = tuple(sigma.vmap[s] for s in tr.blowup(v))
+        name = et.names.get(et.rep(row))
+        if name is None or not et.graph.has_vertex(name):
+            raise DomainError(
+                f"the slot row of {v!r} lands on a tuple with no surviving "
+                "representative in the exponential graph"
+            )
+        vmap[v] = name
+        shift[v] = et.shift(row)
+    return _lift_edges(g, et, vmap, shift, "no exponential edge realizes the image of {eid!r}; "
+                       "the given map does not respect the product structure")
 
 
 def section(tr: ProductTrace, et: ExpoTrace, sp: Homomorphism) -> Homomorphism:
@@ -216,40 +214,20 @@ def exponential_map(f: Homomorphism, et1: ExpoTrace, et2: ExpoTrace) -> Homomorp
     cset = et1.cset
     if et2.cset.width != cset.width or et2.cset.group != cset.group:
         raise DomainError("the two exponential graphs use different cylinder sets")
-    x1, x2 = et1.graph, et2.graph
-
     vmap: dict = {}
     snap: dict = {}
     for name, row in et1.tuple_of.items():
         pushed = tuple(f.vmap[t] for t in row)
-        rep = et2.rep(pushed)
-        image = et2.names.get(rep)
-        if image is None or not x2.has_vertex(image):
+        image = et2.names.get(et2.rep(pushed))
+        if image is None or not et2.graph.has_vertex(image):
             raise DomainError(
                 f"the image tuple of {name!r} has no surviving representative; "
                 "the target map does not carry this exponential graph over"
             )
         vmap[name] = image
-        snap[name] = next(a for a in cset.group if a.act(rep) == pushed)
-
-    emap: dict = {}
-    alphas: dict = {}
-    for eid in _src_edges(x1):
-        e = x1.edges[eid]
-        want = GammaLabel(
-            compose(snap[e.tail], e.label.pre),
-            e.label.key,
-            compose(snap[e.head], e.label.post),
-        )
-        img = et2.find_edge(vmap[e.tail], vmap[e.head], want)
-        if img is None:
-            raise DomainError(
-                f"no edge of the image exponential graph realizes the image of {eid!r}"
-            )
-        _fill_twin(x1, x2, emap, eid, img)
-        alphas[e.tail] = snap[e.tail].inverse()
-        alphas[e.head] = snap[e.head].inverse()
-    return Homomorphism(vmap, emap, alphas)
+        snap[name] = et2.shift(pushed)
+    return _lift_edges(et1.graph, et2, vmap, snap,
+                       "no edge of the image exponential graph realizes the image of {eid!r}")
 
 
 def unit_map(g: Graph, cset: CylinderSet, *, budget: int | None = None):
@@ -271,11 +249,8 @@ def counit_map(cset: CylinderSet, h: Graph, *, budget: int | None = None):
 def gamma_acts_freely(et: ExpoTrace) -> bool:
     """Does every tuple realized in the exponential graph have a trivial
     stabilizer inside the slot group?"""
-    for row in et.tuple_of.values():
-        for a in et.cset.group:
-            if not a.is_identity() and a.act(row) == row:
-                return False
-    return True
+    # a representative's own shift list is its stabilizer
+    return all(len(et._reps[row][1]) == 1 for row in et.tuple_of.values())
 
 
 @dataclass

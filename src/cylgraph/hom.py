@@ -181,6 +181,16 @@ def _require_comparable(g: Graph, h: Graph, mode: str, group: PermGroup | None):
                     raise DomainError(f"{side} edge {eid!r} lacks an attachment label")
 
 
+def _checked_pins(g: Graph, h: Graph, pins: Mapping | None) -> dict:
+    pins = dict(pins or {})
+    for v, w in pins.items():
+        if not g.has_vertex(v):
+            raise DomainError(f"pinned vertex {v!r} not in source")
+        if not h.has_vertex(w):
+            raise DomainError(f"pin target {w!r} not in target")
+    return pins
+
+
 def _src_edges(g: Graph) -> list[str]:
     return sorted(g.canonical_edges())
 
@@ -215,10 +225,11 @@ def _vertex_order(g: Graph, pins: Mapping) -> list:
 
 
 def _alpha_vertices(g: Graph) -> list:
-    incident: set = set()
+    """Edge endpoints sorted by ``str``; names that tie (``1`` and ``"1"``)
+    keep the order of the edges they first appear on, not hash order."""
+    incident: dict = {}
     for e in g.edges.values():
-        incident.add(e.tail)
-        incident.add(e.head)
+        incident[e.tail] = incident[e.head] = None
     return sorted(incident, key=str)
 
 
@@ -489,12 +500,7 @@ def iter_homs(g: Graph, h: Graph, mode: str = "labeled", group: PermGroup | None
     """All homomorphisms, deterministically ordered.  ``pins`` fixes chosen
     source vertices to chosen target vertices."""
     _require_comparable(g, h, mode, group)
-    pins = dict(pins or {})
-    for v, w in pins.items():
-        if not g.has_vertex(v):
-            raise DomainError(f"pinned vertex {v!r} not in source")
-        if not h.has_vertex(w):
-            raise DomainError(f"pin target {w!r} not in target")
+    pins = _checked_pins(g, h, pins)
     b = _Budget(budget)
     search = _Search(g, h, mode, group, pins)
     src, verts = search.src, search.verts
@@ -528,7 +534,7 @@ def count_homs(g: Graph, h: Graph, mode: str = "labeled", group: PermGroup | Non
                pins: Mapping | None = None, budget: int | None = None) -> int:
     """Exact number of homomorphisms (pair-level between symmetric graphs)."""
     _require_comparable(g, h, mode, group)
-    pins = dict(pins or {})
+    pins = _checked_pins(g, h, pins)
     b = _Budget(budget, "homomorphism count")
     if mode == "gamma":
         total = 0

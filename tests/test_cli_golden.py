@@ -1,6 +1,8 @@
-"""CLI output frozen in golden files: ``cyl hom list`` in gamma and labeled
-mode and ``cyl product`` on catalog instances, compared byte for byte with
-``tests/golden/<verb>_<name>.json``."""
+"""CLI output frozen in golden files, compared byte for byte with
+``tests/golden/<name>.json`` (``.dot`` for ``export-dot``): ``hom list`` in
+gamma and labeled mode, ``product``, ``duality check``, ``closed``,
+``reduce``, the catalog builders that glue, merge or take exponentials,
+``iso`` and ``export-dot``."""
 
 import json
 import random
@@ -12,10 +14,10 @@ from cylgraph.catalog import complete_graph, cycle_graph, neps_cylinder, path_gr
 from cylgraph.cli import main
 from cylgraph.construct import cyl_product, exponential, uniform_labels
 from cylgraph.core import Graph
-from cylgraph.cylinder import CylinderSet, path_cyl, square_cyl, wedge_cyl
-from cylgraph.perm import PermGroup
+from cylgraph.cylinder import CylinderSet, identity_cyl, path_cyl, square_cyl, wedge_cyl
+from cylgraph.perm import Perm, PermGroup
 
-from util import random_gamma_labels
+from util import random_gamma_labels, random_multigraph, shuffled_relabel
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -38,15 +40,35 @@ def _directed_source():
     return g
 
 
+def _dumbbell():
+    """Two looped vertices joined by a bar, and voltages turning the loops by
+    a 5-cycle and its square."""
+    g = Graph(symmetric=True)
+    g.add_vertices("uw")
+    e1, _ = g.add_sym_edge("u", "u")
+    e2, _ = g.add_sym_edge("w", "w")
+    g.add_sym_edge("u", "w")
+    rho = Perm.from_cycles(5, (1, 2, 3, 4, 5))
+    return g, {e1: list(rho.images), e2: list((rho * rho).images)}
+
+
+# cases whose verb answers "no" (exit code 2)
+ANSWERS_NO = {"closed_lower_square_k3"}
+
+
 def golden_cases():
-    """name -> (verb words, {flag: JSON payload written to a file}, extra flags)."""
+    """name -> (verb words, {flag: payload written to a JSON file}, extra
+    flags).  A payload is a graph or cylinder set, or plain JSON data."""
     s2 = PermGroup.symmetric(2)
     wedge = CylinderSet(s2, {1: wedge_cyl()})
+    square = CylinderSet(s2, {1: square_cyl()})
     mixed = CylinderSet(s2, {1: wedge_cyl(), 2: square_cyl()})
     walk = CylinderSet(PermGroup.trivial(1), {1: path_cyl(2)})
     directed = CylinderSet(PermGroup.trivial(1), {1: path_cyl(2, directed=True)})
     tensor = CylinderSet(PermGroup.trivial(3), {"tensor": neps_cylinder(path_graph(2), "tensor")})
     hom_list = ["hom", "list"]
+    dumbbell, voltages = _dumbbell()
+    twisted_c4 = random_gamma_labels(random.Random(3), cycle_graph(4), mixed)
     return {
         "hom_list_gamma_wedge_c5": (hom_list, {
             "--source": uniform_labels(path_graph(2), 1, width=2),
@@ -84,7 +106,7 @@ def golden_cases():
             "--cylinders": wedge,
         }, []),
         "product_twisted_c4": (["product"], {
-            "--graph": random_gamma_labels(random.Random(3), cycle_graph(4), mixed),
+            "--graph": twisted_c4,
             "--cylinders": mixed,
         }, []),
         "product_directed": (["product"], {
@@ -95,7 +117,76 @@ def golden_cases():
             "--graph": uniform_labels(path_graph(3), "tensor", width=3),
             "--cylinders": tensor,
         }, []),
+        "duality_check_wedge_c5": (["duality", "check"], {
+            "--graph": cycle_graph(4),
+            "--cylinders": wedge,
+            "--target": cycle_graph(5),
+        }, ["--uniform", "1"]),
+        "duality_check_twisted_k3": (["duality", "check"], {
+            "--graph": random_gamma_labels(random.Random(7), path_graph(2), mixed),
+            "--cylinders": mixed,
+            "--target": complete_graph(3),
+        }, []),
+        "duality_check_not_free": (["duality", "check"], {
+            "--graph": cycle_graph(4),
+            "--cylinders": CylinderSet(s2, {1: identity_cyl(2)}),
+            "--target": complete_graph(3),
+        }, ["--uniform", "1"]),
+        "duality_check_directed": (["duality", "check"], {
+            "--graph": _directed_source(),
+            "--cylinders": directed,
+            "--target": _digraph(),
+        }, ["--uniform", "1"]),
+        "closed_lower_identity_c5": (["closed", "lower"], {
+            "--cylinders": CylinderSet(PermGroup.trivial(1), {1: identity_cyl(1)}),
+            "--target": cycle_graph(5),
+        }, []),
+        "closed_lower_square_k3": (["closed", "lower"], {
+            "--cylinders": square,
+            "--target": complete_graph(3),
+        }, []),
+        "closed_upper_square_k3": (["closed", "upper"], {
+            "--cylinders": square,
+            "--graph": complete_graph(3),
+        }, []),
+        "closed_tight_square_c4": (["closed", "tight"], {
+            "--cylinders": square,
+            "--graph": uniform_labels(cycle_graph(4), 1, width=2),
+            "--target": complete_graph(3),
+        }, []),
+        "reduce_twisted_c4": (["reduce"], {
+            "--graph": twisted_c4,
+            "--cylinders": mixed,
+            "--target": complete_graph(3),
+        }, []),
+        "catalog_linegraph_multigraph": (["catalog", "linegraph"], {
+            "--graph": random_multigraph(random.Random(5), 4, 6, labels=(None,), symmetric=True),
+        }, []),
+        "catalog_subdivision_c5": (["catalog", "subdivision"], {"--graph": cycle_graph(5)}, ["-n", "3"]),
+        "catalog_subdivision_directed": (["catalog", "subdivision"], {"--graph": _digraph()}, ["-n", "2"]),
+        "catalog_voltage_dumbbell": (["catalog", "voltage"], {
+            "--base": dumbbell,
+            "--voltages": voltages,
+        }, ["-k", "5"]),
+        "catalog_zigzag_k4_c3": (["catalog", "zigzag"], {
+            "--outer": complete_graph(4),
+            "--inner": cycle_graph(3),
+        }, []),
+        "catalog_replacement_k4_c3": (["catalog", "replacement"], {
+            "--outer": complete_graph(4),
+            "--inner": cycle_graph(3),
+        }, []),
+        "iso_petersen": (["iso"], {
+            "--left": petersen(),
+            "--right": shuffled_relabel(random.Random(1), petersen()),
+        }, []),
+        "export_dot_twisted_product": (["export-dot"], {"--graph": cyl_product(twisted_c4, mixed).graph}, []),
+        "export_dot_directed": (["export-dot"], {"--graph": uniform_labels(_digraph(), 1)}, []),
     }
+
+
+def golden_path(name):
+    return GOLDEN / (f"{name}.dot" if name.startswith("export_dot") else f"{name}.json")
 
 
 def run_case(name, workdir, out):
@@ -105,7 +196,7 @@ def run_case(name, workdir, out):
     argv = list(words)
     for flag, payload in files.items():
         path = Path(workdir) / f"{flag.strip('-')}.json"
-        path.write_text(json.dumps(payload.to_json()))
+        path.write_text(json.dumps(payload.to_json() if hasattr(payload, "to_json") else payload))
         argv += [flag, str(path)]
     return main(argv + extra + ["-o", str(out)])
 
@@ -113,5 +204,5 @@ def run_case(name, workdir, out):
 @pytest.mark.parametrize("name", sorted(golden_cases()))
 def test_cli_output_matches_golden_file(tmp_path, name):
     out = tmp_path / "out.json"
-    assert run_case(name, tmp_path, out) == 0
-    assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+    assert run_case(name, tmp_path, out) == (2 if name in ANSWERS_NO else 0)
+    assert out.read_bytes() == golden_path(name).read_bytes()

@@ -15,6 +15,7 @@ from cylgraph.core import GammaLabel, Graph, isomorphic
 from cylgraph.cylinder import (
     CylinderSet,
     identity_cyl,
+    make_cylinder,
     path_cyl,
     sqcap_cyl,
     wedge_cyl,
@@ -163,6 +164,27 @@ def test_product_rejects_bad_labels():
         cyl_product(g3, cs2)
     with pytest.raises(DomainError):
         cyl_product(Graph(symmetric=True), CylinderSet(PermGroup.trivial(1), {1: identity_cyl(1, directed=True)}))
+
+
+def _rung_cylinder(*labels):
+    """Width 1: parallel rungs y1 - z1, one per label."""
+    cg = Graph(symmetric=True)
+    cg.add_vertices(["y1", "z1"])
+    for lab in labels:
+        cg.add_sym_edge("y1", "z1", lab)
+    return CylinderSet(PermGroup.trivial(1), {1: make_cylinder(cg, ["y1"], ["z1"])})
+
+
+def test_product_merges_rungs_whose_labels_compare_equal():
+    # labeled hom search already treats 1 and 1.0 as one label
+    tr = cyl_product(uniform_labels(path_graph(1), 1), _rung_cylinder(1, 1.0, "1"))
+    assert sorted(e.label for e in tr.graph.edges.values() if e.label != "1") == [1, 1]
+    assert len(tr.graph.edges) == 4
+
+
+def test_product_rejects_unhashable_cylinder_labels():
+    with pytest.raises(LabelConflict):
+        cyl_product(uniform_labels(path_graph(1), 1), _rung_cylinder(["a"]))
 
 
 def test_exponential_identity_law():

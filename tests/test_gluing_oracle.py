@@ -1,0 +1,267 @@
+"""The gluing product and ``merge_parallel`` against frozen copies of their
+earlier two-branch versions (one branch for directed graphs, one for twin
+pairs), kept as differential oracles."""
+
+import json
+import random
+from collections import Counter
+
+from cylgraph.construct import MAX_PRODUCT_EDGES, ProductTrace, _audit_product_labels, cyl_product
+from cylgraph.core import GammaLabel, Graph, UnionFind, label_to_json, merge_parallel
+from cylgraph.cylinder import CylinderSet, identity_cyl, make_cylinder, path_cyl, sqcap_cyl, square_cyl, wedge_cyl
+from cylgraph.errors import CylError, DomainError, ResourceLimit
+from cylgraph.perm import Perm, PermGroup
+
+from util import random_gamma_labels, random_multigraph
+
+
+def json_key(label) -> str:
+    return json.dumps(label_to_json(label), sort_keys=True, default=str)
+
+
+def product_oracle(g, cset, stats=None):
+    """``cyl_product`` as built with separate directed and symmetric merge
+    loops keyed by the labels' JSON text.  ``stats`` counts merged copies,
+    copies merged in flipped orientation and loop pairs whose label is its
+    own reverse."""
+    stats = Counter() if stats is None else stats
+    if g.symmetric != cset.symmetric:
+        raise DomainError("source graph and cylinders disagree about being symmetric")
+    g.validate()
+    _audit_product_labels(g, cset)
+    k = cset.width
+    slot = {(v, i): f"{v}#{i}" for v in g.vertices for i in range(1, k + 1)}
+    if len(set(slot.values())) != len(slot):
+        raise DomainError("vertex names collide after slotting; rename the source vertices")
+    src_eids = sorted(g.canonical_edges(), key=str)
+    uf = UnionFind()
+    for nm in slot.values():
+        uf.find(nm)
+    copy, inner_names, n_pre = {}, set(), 0
+    for eid in src_eids:
+        e = g.edges[eid]
+        lab = e.label
+        cyl = cset[lab.key]
+        n_pre += len(cyl.graph.edges)
+        if n_pre > MAX_PRODUCT_EDGES:
+            raise ResourceLimit(f"product would exceed {MAX_PRODUCT_EDGES} edges before merging")
+        ypos = {v: b for b, v in enumerate(cyl.y, start=1)}
+        zpos = {v: b for b, v in enumerate(cyl.z, start=1)}
+        for x in cyl.graph.vertices:
+            aliases = []
+            if x in ypos:
+                aliases.append(slot[(e.tail, lab.pre(ypos[x]))])
+            if x in zpos:
+                aliases.append(slot[(e.head, lab.post(zpos[x]))])
+            if not aliases:
+                nm = f"{eid}@{x}"
+                if nm in inner_names:
+                    raise DomainError(f"inner vertex name {nm!r} collides; rename edges or cylinder vertices")
+                inner_names.add(nm)
+                aliases.append(nm)
+            copy[(eid, x)] = aliases[0]
+            uf.find(aliases[0])
+            for other in aliases[1:]:
+                uf.union(aliases[0], other)
+    if inner_names & set(slot.values()):
+        raise DomainError("inner vertex names collide with slot names; rename the source vertices")
+    cmap = uf.canonical_map()
+    final_slot = {key: cmap[nm] for key, nm in slot.items()}
+    final_copy = {key: cmap[nm] for key, nm in copy.items()}
+    out = Graph(symmetric=g.symmetric)
+    for nm in sorted(set(cmap.values()), key=str):
+        out.add_vertex(nm)
+
+    edge_src, src_edge = {}, {}
+    if not g.symmetric:
+        groups, order = {}, []
+        for eid in src_eids:
+            cyl = cset[g.edges[eid].label.key]
+            for ce in sorted(cyl.graph.edges, key=str):
+                ed = cyl.graph.edges[ce]
+                gk = (final_copy[(eid, ed.tail)], final_copy[(eid, ed.head)], json_key(ed.label))
+                if gk not in groups:
+                    groups[gk] = (ed.label, [])
+                    order.append(gk)
+                groups[gk][1].append((eid, ce))
+        for gk in order:
+            lab, members = groups[gk]
+            fid = f"{members[0][0]}@{members[0][1]}"
+            out.add_edge(gk[0], gk[1], lab, fid)
+            edge_src[fid] = list(members)
+            for m in members:
+                src_edge[m] = fid
+            stats["merged"] += len(members) - 1
+    else:
+        groups, order = {}, []
+        for eid in src_eids:
+            cyl = cset[g.edges[eid].label.key]
+            for ce in sorted(cyl.graph.canonical_edges(), key=str):
+                tw = cyl.graph.pairing[ce]
+                e1, e2 = cyl.graph.edges[ce], cyl.graph.edges[tw]
+                k1 = (final_copy[(eid, e1.tail)], final_copy[(eid, e1.head)], json_key(e1.label))
+                k2 = (final_copy[(eid, e2.tail)], final_copy[(eid, e2.head)], json_key(e2.label))
+                gk = (min(k1, k2), max(k1, k2))
+                if gk not in groups:
+                    groups[gk] = []
+                    order.append(gk)
+                groups[gk].append((eid, ce, tw, k1))
+                stats["self_reverse_loops"] += k1 == k2
+        for gk in order:
+            members = groups[gk]
+            eid0, ce0, tw0, k1_0 = members[0]
+            src0 = cset[g.edges[eid0].label.key].graph
+            fid_a, fid_b = f"{eid0}@{ce0}", f"{eid0}@{tw0}"
+            ea, eb = src0.edges[ce0], src0.edges[tw0]
+            out.add_edge(final_copy[(eid0, ea.tail)], final_copy[(eid0, ea.head)], ea.label, fid_a)
+            out.add_edge(final_copy[(eid0, eb.tail)], final_copy[(eid0, eb.head)], eb.label, fid_b)
+            out.pair_edges(fid_a, fid_b)
+            edge_src[fid_a] = []
+            edge_src[fid_b] = []
+            for eid, ce, tw, k1 in members:
+                f_ce, f_tw = (fid_a, fid_b) if k1 == k1_0 else (fid_b, fid_a)
+                src_edge[(eid, ce)] = f_ce
+                src_edge[(eid, tw)] = f_tw
+                edge_src[f_ce].append((eid, ce))
+                edge_src[f_tw].append((eid, tw))
+            stats["merged"] += len(members) - 1
+            stats["flipped"] += sum(k1 != k1_0 for *_, k1 in members)
+    out.validate()
+    return ProductTrace(out, g, cset, final_slot, final_copy, edge_src, src_edge)
+
+
+def merge_oracle(g):
+    """``merge_parallel`` with separate directed and twin-pair loops; twin
+    pairs are keyed by the smaller of their two JSON-keyed ends."""
+    out = Graph(g.symmetric)
+    out.add_vertices(g.vertices)
+    if not g.symmetric:
+        seen = {}
+        for eid in sorted(g.edges):
+            e = g.edges[eid]
+            key = (e.tail, e.head, e.label)
+            if key not in seen:
+                seen[key] = eid
+                out.add_edge(e.tail, e.head, e.label, eid)
+        return out
+    seen = {}
+    for eid in sorted(g.canonical_edges()):
+        e = g.edges[eid]
+        tw = g.pairing[eid]
+        t = g.edges[tw]
+        key = min((e.tail, e.head, json_key(e.label)), (t.tail, t.head, json_key(t.label)), key=str)
+        if key not in seen:
+            seen[key] = eid
+            out.add_edge(e.tail, e.head, e.label, eid)
+            out.add_edge(t.tail, t.head, t.label, tw)
+            out.pair_edges(eid, tw)
+    return out
+
+
+# -- random instances ---------------------------------------------------------
+
+S2 = Perm([2, 1])
+ID2 = Perm.identity(2)
+# Scalars and slot-group triples, some their own reverse and some not; no two
+# of them compare equal while serialising differently.
+LABELS = (None, "a", "b", GammaLabel(S2, "r", ID2), GammaLabel(S2, "s", S2))
+
+
+def _random_cylinder(rng, k, symmetric):
+    """Rows that may share vertices, random rungs, inner vertices with loops
+    and parallel same-label edges."""
+    g = Graph(symmetric=symmetric)
+    ys = [f"y{i}" for i in range(1, k + 1)]
+    zs = [f"z{i}" for i in range(1, k + 1)]
+    if rng.random() < 0.3:
+        zs[0] = ys[0]
+    inner = [f"i{j}" for j in range(rng.randint(0, 2))]
+    g.add_vertices(dict.fromkeys(ys + zs + inner))
+    lab = rng.choice(LABELS)
+    for _ in range(rng.randint(1, 2 * k + len(inner))):
+        if rng.random() < 0.6:
+            lab = rng.choice(LABELS)
+        u = rng.choice(ys + inner)
+        v = u if inner and rng.random() < 0.2 else rng.choice(zs + inner)
+        if symmetric:
+            g.add_sym_edge(u, v, lab)
+        else:
+            g.add_edge(*((v, u) if rng.random() < 0.3 else (u, v)), lab)
+    return make_cylinder(g, ys, zs)
+
+
+def _random_cset(rng, symmetric):
+    while True:
+        try:
+            if rng.random() < 0.3:
+                if symmetric and rng.random() < 0.5:
+                    picks = rng.sample([sqcap_cyl, square_cyl, wedge_cyl], rng.randint(1, 2))
+                    return CylinderSet(PermGroup.symmetric(2), {j + 1: f() for j, f in enumerate(picks)})
+                k = rng.choice([1, 2])
+                cyls = {1: identity_cyl(k, not symmetric)}
+                if k == 1:
+                    cyls[2] = path_cyl(rng.randint(0, 2), directed=not symmetric)
+                return CylinderSet(rng.choice([PermGroup.trivial(k), PermGroup.symmetric(k)]), cyls)
+            k = rng.choice([1, 2])
+            group = rng.choice([PermGroup.trivial(k), PermGroup.symmetric(k)])
+            return CylinderSet(group, {j: _random_cylinder(rng, k, symmetric) for j in range(1, rng.randint(1, 2) + 1)})
+        except CylError:
+            continue
+
+
+def random_product_instance(rng):
+    symmetric = rng.random() < 0.6
+    cset = _random_cset(rng, symmetric)
+    n = rng.randint(1, 4)
+    base = random_multigraph(rng, n, rng.randint(1, 2 * n + 1), symmetric=symmetric)
+    return random_gamma_labels(rng, base, cset), cset
+
+
+def _outcome(build):
+    try:
+        return build()
+    except CylError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_product_matches_the_frozen_two_branch_merge():
+    rng = random.Random(6006)
+    stats = Counter()
+    kinds = Counter()
+    for _ in range(250):
+        g, cset = random_product_instance(rng)
+        want = _outcome(lambda: product_oracle(g, cset, stats))
+        got = _outcome(lambda: cyl_product(g, cset))
+        if isinstance(want, tuple):
+            assert got == want
+            kinds["error"] += 1
+            continue
+        assert json.dumps(got.graph.to_json()) == json.dumps(want.graph.to_json())
+        assert list(got.graph.edges.items()) == list(want.graph.edges.items())
+        assert list(got.graph.pairing.items()) == list(want.graph.pairing.items())
+        for field in ("slot", "copy", "edge_src", "src_edge"):
+            assert list(getattr(got, field).items()) == list(getattr(want, field).items()), field
+        kinds["symmetric" if g.symmetric else "directed"] += 1
+    # the battery reaches both kinds of graph and every merge case
+    assert kinds["symmetric"] >= 100 and kinds["directed"] >= 60
+    assert stats["merged"] >= 100 and stats["flipped"] >= 20 and stats["self_reverse_loops"] >= 20
+
+
+def test_merge_parallel_matches_the_frozen_two_branch_merge():
+    rng = random.Random(6007)
+    flipped = 0
+    for i in range(250):
+        symmetric = i % 2 == 0
+        n = rng.randint(1, 4)
+        g = random_multigraph(rng, n, rng.randint(1, 3 * n), labels=LABELS, symmetric=symmetric)
+        if symmetric:
+            # re-add some pairs the other way round, so they merge flipped
+            for eid in rng.sample(g.canonical_edges(), rng.randint(0, len(g.edges) // 2)):
+                e = g.edges[g.pairing[eid]]
+                g.add_sym_edge(e.tail, e.head, e.label)
+                flipped += 1
+        want, got = merge_oracle(g), merge_parallel(g)
+        assert got.vertices == want.vertices
+        assert list(got.edges.items()) == list(want.edges.items())
+        assert list(got.pairing.items()) == list(want.pairing.items())
+    assert flipped >= 100

@@ -3,7 +3,8 @@ import time
 
 import pytest
 
-from cylgraph.catalog import kneser_graph
+from cylgraph.catalog import complete_graph, cycle_graph, kneser_graph
+from cylgraph.construct import uniform_labels
 from cylgraph.core import GammaLabel, Graph, disjoint_union
 from cylgraph.errors import DomainError, ResourceLimit
 from cylgraph.hom import (
@@ -20,7 +21,7 @@ from cylgraph.hom import (
 )
 from cylgraph.perm import Perm, PermGroup
 
-from util import pool_scan, random_graph, tied_names
+from util import outputs_under_hash_seeds, pool_scan, random_graph, tied_names
 
 
 def sym_cycle(n):
@@ -138,6 +139,16 @@ def test_pins():
     assert count_homs(p, c4, pins={0: 0, 2: 0}) == 2  # middle folds to 1 or 3
     with pytest.raises(DomainError):
         find_hom(p, p, pins={99: 0})
+
+
+@pytest.mark.parametrize("mode", ["plain", "labeled", "gamma"])
+@pytest.mark.parametrize("pins", [{99: 0}, {0: "zz"}])
+def test_count_rejects_pins_off_the_graphs(mode, pins):
+    g, h = uniform_labels(cycle_graph(5), 1), uniform_labels(complete_graph(3), 1)
+    group = PermGroup.trivial(1)
+    for query in (count_homs, list_homs):
+        with pytest.raises(DomainError):
+            query(g, h, mode=mode, group=group, pins=pins)
 
 
 def test_empty_and_edgeless():
@@ -267,6 +278,33 @@ def test_elimination_ties_between_names_with_equal_str():
     g.add_sym_edge(1, 2)
     g.add_sym_edge("1", 2)
     assert count_homs(g, complete(3), mode="plain") == 12
+
+
+GAMMA_ORDER_SCRIPT = """
+from cylgraph.core import GammaLabel, Graph
+from cylgraph.hom import list_homs
+from cylgraph.perm import Perm, PermGroup
+
+ident, tau = Perm.identity(2), Perm((2, 1))
+g = Graph()
+g.add_vertices(["1", 1])
+g.add_edge(1, "1", GammaLabel(ident, 0, ident))
+h = Graph()
+h.add_vertices("uv")
+h.add_edge("u", "v", GammaLabel(tau, 0, tau))
+h.add_edge("u", "v", GammaLabel(ident, 0, tau))
+h.add_edge("v", "u", GammaLabel(ident, 0, ident))
+for m in list_homs(g, h, mode="gamma", group=PermGroup.symmetric(2)):
+    print([(repr(v), w) for v, w in m.vmap.items()], m.emap,
+          [(repr(v), a.images) for v, a in m.alphas.items()])
+"""
+
+
+def test_gamma_hom_order_ignores_the_hash_seed():
+    # 1 and "1" tie under str; their twists must not come out in hash order
+    outputs = outputs_under_hash_seeds(GAMMA_ORDER_SCRIPT)
+    assert len(outputs) == 1
+    assert next(iter(outputs)).count("\n") >= 2
 
 
 def test_elimination_closed_forms_at_scale():

@@ -1,6 +1,13 @@
 """Small graph builders shared by the test modules."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from cylgraph.core import GammaLabel, Graph
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def cycle(n):
@@ -128,3 +135,15 @@ def iso_error(g, h, found):
         if (vmap[e.tail], vmap[e.head], e.label) != (img.tail, img.head, img.label):
             return f"edge {eid!r} is not preserved"
     return None
+
+
+def outputs_under_hash_seeds(script, seeds=range(13)):
+    """The distinct standard outputs of ``python -c script`` run once under
+    each ``PYTHONHASHSEED`` in ``seeds``."""
+    outputs = set()
+    for seed in seeds:
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=SRC)
+        run = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=60, check=True)
+        outputs.add(run.stdout)
+    return outputs
