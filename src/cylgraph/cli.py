@@ -33,7 +33,7 @@ from .construct import cyl_product, exponential, uniform_labels
 from .core import Graph, isomorphic
 from .cylinder import CylinderSet
 from .duality import check_duality, is_lower_closed, is_upper_closed
-from .errors import CylError, DomainError
+from .errors import CylError, DomainError, json_checked
 from .hom import MODES, count_homs, find_hom, list_homs
 from .perm import Perm, PermGroup
 
@@ -62,51 +62,36 @@ def _load_json(path: str):
         raise DomainError(f"{path} is not valid JSON: {exc}") from None
 
 
-def _require(path: str, data, field: str, kind: type) -> None:
-    if field not in data:
-        raise DomainError(f"{path}: missing field {field!r}")
-    if not isinstance(data[field], kind):
-        raise DomainError(f"{path}: field {field!r} must be a JSON {kind.__name__}")
+def _read(path: str, build):
+    """``build`` applied to a JSON file's content; a DomainError it raises
+    for a malformed document names the file."""
+    data = _load_json(path)
+    try:
+        return build(data)
+    except DomainError as exc:
+        raise DomainError(f"{path}: {exc}") from None
 
 
 def load_graph(path: str) -> Graph:
-    data = _load_json(path)
-    if not isinstance(data, dict):
-        raise DomainError(f"{path}: expected a JSON object")
-    _require(path, data, "vertices", list)
-    _require(path, data, "edges", list)
-    for i, rec in enumerate(data["edges"]):
-        if not isinstance(rec, dict) or "tail" not in rec or "head" not in rec:
-            raise DomainError(f"{path}: edge #{i} needs 'tail' and 'head'")
-    return Graph.from_json(data)
+    return _read(path, Graph.from_json)
 
 
 def load_cylinders(path: str) -> CylinderSet:
-    data = _load_json(path)
-    if not isinstance(data, dict):
-        raise DomainError(f"{path}: expected a JSON object")
-    _require(path, data, "group", dict)
-    _require(path, data, "cylinders", list)
-    return CylinderSet.from_json(data)
+    return _read(path, CylinderSet.from_json)
 
 
 def load_group(path: str) -> PermGroup:
     """A slot group, either standalone or pulled out of a cylinder set."""
-    data = _load_json(path)
-    if isinstance(data, dict) and "cylinders" in data:
-        return CylinderSet.from_json(data).group
-    if isinstance(data, dict) and "degree" in data:
+    def build(data):
+        if isinstance(data, dict) and "cylinders" in data:
+            return CylinderSet.from_json(data).group
         return PermGroup.from_json(data)
-    raise DomainError(f"{path}: expected a group or a cylinder set")
+
+    return _read(path, build)
 
 
 def _emit(data: dict, out: str | None) -> None:
-    text = json.dumps(data, indent=2, sort_keys=True, default=str) + "\n"
-    if out in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _emit_text(json.dumps(data, indent=2, sort_keys=True, default=str) + "\n", out)
 
 
 def _emit_text(text: str, out: str | None) -> None:
@@ -171,6 +156,8 @@ def cmd_hom(args) -> int:
         if not args.group:
             raise UsageError("--mode gamma needs --group")
         group = load_group(args.group)
+    if args.limit is not None and args.limit < 1:
+        raise UsageError(f"--limit must be at least 1, got {args.limit}")
     if args.action == "exists":
         found = find_hom(g, h, mode=args.mode, group=group)
         _emit({"exists": found is not None}, args.output)
@@ -228,10 +215,8 @@ def cmd_catalog(args) -> int:
         out = neps_product(load_graph(args.left), load_graph(args.right), args.kind)
     elif which == "voltage":
         base = load_graph(args.base)
-        raw = _load_json(args.voltages)
-        if not isinstance(raw, dict):
-            raise DomainError(f"{args.voltages}: expected an object of edge -> images")
-        volts = {eid: Perm(images) for eid, images in raw.items()}
+        raw = json_checked(_load_json(args.voltages), dict, args.voltages)
+        volts = {eid: Perm(json_checked(ims, list, f"{args.voltages}: voltage of {eid!r}")) for eid, ims in raw.items()}
         out = voltage_lift(base, volts, args.k)
     elif which == "zigzag":
         out = zigzag_product(load_graph(args.outer), load_graph(args.inner))

@@ -19,7 +19,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
-from .errors import DomainError, LabelConflict, ResourceLimit
+from .errors import JSON_SCALAR, DomainError, LabelConflict, ResourceLimit, json_checked
 from .perm import Perm, compose
 
 
@@ -43,7 +43,7 @@ class GammaLabel:
 
     @classmethod
     def from_json(cls, data: dict) -> GammaLabel:
-        return cls(Perm(data["pre"]), data["cyl"], Perm(data["post"]))
+        return cls(Perm(data["pre"]), json_checked(data["cyl"], JSON_SCALAR, "label 'cyl'"), Perm(data["post"]))
 
 
 def _perm_str(p: Perm) -> str:
@@ -68,7 +68,7 @@ def label_to_json(label) -> object:
 def label_from_json(data) -> object:
     if isinstance(data, dict) and set(data) == {"pre", "cyl", "post"}:
         return GammaLabel.from_json(data)
-    return data
+    return json_checked(data, JSON_SCALAR, "edge label")
 
 
 def label_sort_key(label) -> str:
@@ -134,7 +134,9 @@ class Graph:
         return e1, e2
 
     def pair_edges(self, e1: str, e2: str) -> None:
-        a, b = self.edges[e1], self.edges[e2]
+        a, b = self.edges.get(e1), self.edges.get(e2)
+        if a is None or b is None:
+            raise DomainError(f"cannot pair {e1!r} with {e2!r}: no such edge")
         if (a.tail, a.head) != (b.head, b.tail):
             raise DomainError(f"edges {e1!r}, {e2!r} are not mutual reverses")
         if e1 == e2:
@@ -388,12 +390,16 @@ class Graph:
 
     @classmethod
     def from_json(cls, data: dict) -> Graph:
-        g = cls(bool(data.get("symmetric", False)))
-        g.add_vertices(data.get("vertices", ()))
-        for rec in data.get("edges", ()):
-            g.add_edge(rec["tail"], rec["head"], label_from_json(rec.get("label")), rec.get("id"))
-        for eid, tw in data.get("pairing", {}).items():
-            g.pair_edges(eid, tw)
+        g = cls(bool(json_checked(data, dict, "graph").get("symmetric", False)))
+        vertices = json_checked(data.get("vertices"), list, "'vertices'")
+        g.add_vertices(json_checked(v, JSON_SCALAR, "vertex name") for v in vertices)
+        for i, rec in enumerate(json_checked(data.get("edges"), list, "'edges'")):
+            if not isinstance(rec, dict) or "tail" not in rec or "head" not in rec:
+                raise DomainError(f"edge #{i} needs 'tail' and 'head'")
+            tail, head = (json_checked(rec[end], JSON_SCALAR, f"edge #{i} {end!r}") for end in ("tail", "head"))
+            g.add_edge(tail, head, label_from_json(rec.get("label")), rec.get("id"))
+        for eid, tw in json_checked(data.get("pairing", {}), dict, "'pairing'").items():
+            g.pair_edges(eid, json_checked(tw, JSON_SCALAR, "'pairing' twin"))
         if g.symmetric:
             g.validate()
         return g

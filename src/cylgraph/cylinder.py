@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from .core import Graph, UnionFind, disjoint_union, identify_vertices, labels_between, merge_parallel
-from .errors import DomainError, EpsilonError, NotACylinder, NotATwist
+from .errors import JSON_SCALAR, DomainError, EpsilonError, NotACylinder, NotATwist, json_checked
 from .perm import Perm, PermGroup
 
 
@@ -84,7 +84,11 @@ class Cylinder:
 
     @classmethod
     def from_json(cls, data: dict) -> Cylinder:
-        return make_cylinder(Graph.from_json(data["graph"]), data["y"], data["z"])
+        json_checked(data, dict, "cylinder")
+        rows = [json_checked(data.get(row), list, f"cylinder {row!r}") for row in ("y", "z")]
+        for v in rows[0] + rows[1]:
+            json_checked(v, JSON_SCALAR, "row vertex")
+        return make_cylinder(Graph.from_json(data.get("graph")), *rows)
 
 
 def make_cylinder(graph: Graph, y, z, eps: Mapping[int, int] | None = None) -> Cylinder:
@@ -269,8 +273,13 @@ class CylinderSet:
 
     @classmethod
     def from_json(cls, data: dict) -> CylinderSet:
-        group = PermGroup.from_json(data["group"])
-        cyls = {rec["key"]: Cylinder.from_json(rec["cyl"]) for rec in data["cylinders"]}
+        group = PermGroup.from_json(json_checked(data, dict, "cylinder set").get("group"))
+        cyls = {}
+        for i, rec in enumerate(json_checked(data.get("cylinders"), list, "'cylinders'")):
+            if not isinstance(rec, dict) or "key" not in rec or "cyl" not in rec:
+                raise DomainError(f"cylinder record #{i} needs 'key' and 'cyl'")
+            key = json_checked(rec["key"], JSON_SCALAR, f"cylinder record #{i} 'key'")
+            cyls[key] = Cylinder.from_json(rec["cyl"])
         return cls(group, cyls)
 
 

@@ -1,6 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the JSON readers' type check."""
 
 from __future__ import annotations
+
+import reprlib
 
 
 class CylError(Exception):
@@ -33,3 +35,15 @@ class LabelConflict(CylError):
 
 class ResourceLimit(CylError):
     """A search or count exceeded its node/size budget."""
+
+
+JSON_SCALAR = (str, int, float, bool, type(None))
+_KINDS = {dict: "a JSON object", list: "a JSON list", int: "an integer", JSON_SCALAR: "a JSON scalar"}
+
+
+def json_checked(value, kind, what: str):
+    """``value`` when it is a ``kind``; otherwise one :class:`DomainError`
+    naming ``what``, the place in the JSON document it was read from."""
+    if not isinstance(value, kind):
+        raise DomainError(f"{what} must be {_KINDS[kind]}, got {reprlib.repr(value)}")
+    return value

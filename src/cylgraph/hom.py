@@ -14,14 +14,17 @@ Three matching modes:
 Between symmetric graphs a homomorphism is a map of twin *pairs*: the edge map
 commutes with the pairing, and two directed images of one pair count once.
 
-Counting in the plain and labeled modes does not enumerate vertex maps — the
-count is a sum-product over per-edge weight tables, contracted by variable
-elimination — so hom counts far beyond enumeration range stay exact.  The
-next variable summed out is always the remaining source vertex with the fewest
-neighbours in the current factors (ties broken by ``str`` of its name), found
-from a heap that each step updates only around the eliminated vertex.  The
-cost therefore grows with the source's width along that order (the size of
-the largest joined table, at most ``|V(h)|`` to the power of the largest
+Counting, in every mode, does not enumerate maps — the count is a
+sum-product over per-edge weight tables, contracted by variable elimination —
+so hom counts far beyond enumeration range stay exact.  In gamma mode each
+edge-incident source vertex takes (target vertex, twist) values, and an edge
+weighs each pair of such values by how many of its candidate images induce
+that pair of twists.  The next variable summed out is always the remaining
+source vertex with the fewest neighbours in the current factors (ties broken
+by ``str`` of its name), found from a heap that each step updates only around
+the eliminated vertex.  The cost therefore grows with the source's width
+along that order (the size of the largest joined table, at most ``|V(h)|``,
+times the group order in gamma mode, to the power of the largest
 neighbourhood plus one), times the source's size, not with its size cubed.
 
 Vertex-map search maps pinned vertices first, then the others by falling
@@ -55,7 +58,7 @@ from __future__ import annotations
 
 import heapq
 from collections import defaultdict
-from itertools import count
+from itertools import count, islice
 from typing import Iterator, Mapping
 
 from .core import GammaLabel, Graph, connected_order, default_budget
@@ -150,9 +153,7 @@ def identity_hom(g: Graph) -> Homomorphism:
     alphas = None
     if g.has_gamma_labels() and g.edges:
         k = next(iter(g.edges.values())).label.pre.degree
-        ident = Perm.identity(k)
-        incident = {e.tail for e in g.edges.values()} | {e.head for e in g.edges.values()}
-        alphas = {v: ident for v in incident}
+        alphas = dict.fromkeys(_alpha_vertices(g), Perm.identity(k))
     return Homomorphism({v: v for v in g.vertices}, {e: e for e in g.edges}, alphas)
 
 
@@ -193,14 +194,6 @@ def _checked_pins(g: Graph, h: Graph, pins: Mapping | None) -> dict:
 
 def _src_edges(g: Graph) -> list[str]:
     return sorted(g.canonical_edges())
-
-
-def _pair_index(h: Graph) -> dict:
-    idx: dict = defaultdict(list)
-    for eid in sorted(h.edges):
-        e = h.edges[eid]
-        idx[(e.tail, e.head)].append(eid)
-    return idx
 
 
 def _dedupe_classes(h: Graph, eids: list[str]) -> list[str]:
@@ -255,7 +248,9 @@ class _Matcher:
         self.h = h
         self.mode = mode
         self.group = group
-        self.idx = _pair_index(h)
+        self.idx: dict = defaultdict(list)  # (tail, head) -> target edge ids, sorted
+        for eid in sorted(h.edges):
+            self.idx[h.edges[eid][:2]].append(eid)
         self._weak: dict = {}
         self._twists: dict = {}
         self._induced: dict = {}  # (source images, target images) -> twist images, or None
@@ -324,8 +319,8 @@ _LOOP = 2  # in a twist check: the edge is a loop at the vertex
 
 
 class _Search:
-    """One ``iter_homs``/``count_homs`` query: the candidate tables plus all
-    that the search reads from the source, worked out once.
+    """One ``iter_homs`` query: the candidate tables plus all that the
+    search reads from the source, worked out once.
 
     - ``src``: the source edges, one per twin pair, sorted, with their ends;
     - ``back[i]``: the edge checks for the ``i``-th vertex of the vertex
@@ -450,19 +445,6 @@ class _Search:
             else:
                 yield chosen, [tab[imgs[t], imgs[hd]] for tab, (t, hd) in zip(tabs, self.ends_at)]
 
-    def leaves(self, budget: _Budget) -> Iterator[tuple[dict, list | None, list]]:
-        """``(vertex map, twist vector or None, candidate lists per source
-        edge)`` for every vertex map and, in gamma mode, every twist vector,
-        in search order."""
-        table = self.matcher.weak if self.verts is None else self.matcher.twists
-        for vmap in self.vmaps(budget):
-            tabs = [table(eid, vmap[t], vmap[hd]) for eid, (t, hd) in zip(self.src, self.ends)]
-            if self.verts is None:
-                yield vmap, None, tabs
-            else:
-                for chosen, lists in self.twist_vectors(tabs, budget):
-                    yield vmap, chosen, lists
-
 
 def _edge_choices(lists: list, budget: _Budget) -> Iterator[list]:
     """Every pick of one entry per list, the last list turning fastest,
@@ -504,14 +486,17 @@ def iter_homs(g: Graph, h: Graph, mode: str = "labeled", group: PermGroup | None
     b = _Budget(budget)
     search = _Search(g, h, mode, group, pins)
     src, verts = search.src, search.verts
+    table = search.matcher.weak if verts is None else search.matcher.twists
     twins = [g.pairing[eid] for eid in src] if g.symmetric else ()
-    for vmap, chosen, lists in search.leaves(b):
-        for pick in _edge_choices(lists, b):
-            emap = dict(zip(src, pick))
-            for tw, f in zip(twins, pick):
-                emap[tw] = h.pairing[f]
-            alphas = None if chosen is None else dict(zip(verts, chosen))
-            yield Homomorphism._wrap(dict(vmap), emap, alphas)
+    for vmap in search.vmaps(b):
+        tabs = [table(eid, vmap[t], vmap[hd]) for eid, (t, hd) in zip(src, search.ends)]
+        for chosen, lists in [(None, tabs)] if verts is None else search.twist_vectors(tabs, b):
+            for pick in _edge_choices(lists, b):
+                emap = dict(zip(src, pick))
+                for tw, f in zip(twins, pick):
+                    emap[tw] = h.pairing[f]
+                alphas = None if chosen is None else dict(zip(verts, chosen))
+                yield Homomorphism._wrap(dict(vmap), emap, alphas)
 
 
 def find_hom(g: Graph, h: Graph, mode: str = "labeled", group: PermGroup | None = None,
@@ -522,58 +507,55 @@ def find_hom(g: Graph, h: Graph, mode: str = "labeled", group: PermGroup | None 
 def list_homs(g: Graph, h: Graph, mode: str = "labeled", group: PermGroup | None = None,
               pins: Mapping | None = None, budget: int | None = None,
               limit: int | None = None) -> list[Homomorphism]:
-    out = []
-    for hom in iter_homs(g, h, mode, group, pins, budget):
-        out.append(hom)
-        if limit is not None and len(out) >= limit:
-            break
-    return out
+    """The first ``limit`` homomorphisms of ``iter_homs``, all when None;
+    ``limit=0`` starts no search, so it checks no argument either."""
+    if limit is not None and limit < 0:
+        raise DomainError(f"limit must be at least 0, got {limit}")
+    return list(islice(iter_homs(g, h, mode, group, pins, budget), limit))
 
 
 def count_homs(g: Graph, h: Graph, mode: str = "labeled", group: PermGroup | None = None,
                pins: Mapping | None = None, budget: int | None = None) -> int:
-    """Exact number of homomorphisms (pair-level between symmetric graphs)."""
+    """Exact number of homomorphisms (pair-level between symmetric graphs),
+    by variable elimination in every mode: one factor per source edge (one
+    per twin pair) weighing its ends' values by their candidate images, one
+    per pin.  In gamma mode an edge-incident source vertex takes (target
+    vertex, twist) values."""
     _require_comparable(g, h, mode, group)
     pins = _checked_pins(g, h, pins)
     b = _Budget(budget, "homomorphism count")
-    if mode == "gamma":
-        total = 0
-        for _, _, lists in _Search(g, h, mode, group, pins).leaves(b):
-            n = 1
-            for c in lists:
-                n *= len(c)
-            total += n
-        return total
     return _count_by_elimination(g, h, _Matcher(g, h, mode, group), pins, b)
 
 
 def _count_by_elimination(g: Graph, h: Graph, matcher: _Matcher, pins: Mapping, budget: _Budget) -> int:
-    hverts = sorted(h.vertices, key=str)
     if not g.vertices:
         return 1
-    if not hverts:
+    if not h.vertices:
         return 0
-
+    gamma = matcher.mode == "gamma"
     factors: list[tuple[tuple, dict]] = []
     for eid in _src_edges(g):
-        e = g.edges[eid]
+        tail, head = g.edges[eid][:2]
         table: dict = {}
-        if e.tail == e.head:
-            for a in hverts:
-                c = len(matcher.weak(eid, a, a))
-                if c:
-                    table[(a,)] = c
-            factors.append(((e.tail,), table))
-        else:
-            for (a, b2), _ in matcher.idx.items():
-                c = len(matcher.weak(eid, a, b2))
-                if c:
-                    table[(a, b2)] = c
-            factors.append(((e.tail, e.head), table))
+        for a, b in matcher.idx:
+            if tail == head and a != b:
+                continue
+            if gamma:  # values are (target vertex, twist images)
+                cells = [((a, t), (b, s), len(fs)) for (t, s), fs in matcher.twists(eid, a, b).items()]
+            else:
+                cells = [(a, b, len(matcher.weak(eid, a, b)))]
+            for x, y, c in cells:
+                if c and tail != head:
+                    table[(x, y)] = c
+                elif c and x == y:  # a loop keeps equal twists at its one end
+                    table[(x,)] = c
+        factors.append(((tail,) if tail == head else (tail, head), table))
     for v, w in pins.items():
-        factors.append(((v,), {(w,): 1}))
-
-    return _eliminate({v: len(hverts) for v in g.vertices}, factors, budget)
+        if gamma and (g.out_edges(v) or g.in_edges(v)):
+            factors.append(((v,), {((w, a.images),): 1 for a in matcher.group}))
+        else:
+            factors.append(((v,), {(w,): 1}))
+    return _eliminate(dict.fromkeys(g.vertices, len(h.vertices)), factors, budget)
 
 
 def _join(f1: tuple[tuple, dict], f2: tuple[tuple, dict], budget: _Budget) -> tuple[tuple, dict]:

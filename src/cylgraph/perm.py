@@ -15,14 +15,17 @@ import itertools
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
 
-from .errors import NotAPermutation, ResourceLimit
+from .errors import NotAPermutation, ResourceLimit, json_checked
 
 
 class Perm:
     __slots__ = ("images",)
 
     def __init__(self, images: Iterable[int]):
-        images = tuple(int(i) for i in images)
+        try:
+            images = tuple(int(i) for i in images)
+        except (TypeError, ValueError):
+            raise NotAPermutation(f"images must be a list of integers, got {images!r}") from None
         k = len(images)
         if sorted(images) != list(range(1, k + 1)):
             raise NotAPermutation(f"not a bijection on 1..{k}: {images!r}")
@@ -234,6 +237,6 @@ class PermGroup:
 
     @classmethod
     def from_json(cls, data: dict) -> PermGroup:
-        k = int(data["degree"])
-        gens = [Perm(images) for images in data.get("generators", [])]
-        return cls.generated(k, gens)
+        k = json_checked(json_checked(data, dict, "group").get("degree"), int, "group 'degree'")
+        gens = json_checked(data.get("generators", []), list, "group 'generators'")
+        return cls.generated(k, [Perm(images) for images in gens])

@@ -5,6 +5,8 @@ import json
 import random
 import time
 
+import pytest
+
 from cylgraph import cli
 from cylgraph.catalog import complete_graph, cycle_graph, kneser_graph, path_graph
 from cylgraph.cli import main
@@ -58,6 +60,15 @@ def test_hom_count_and_list(tmp_path, capsys):
     got = json.loads(capsys.readouterr().out)
     assert got["count"] == 4
     assert all(set(m) == {"vertices", "edges"} for m in got["homs"])
+
+
+@pytest.mark.parametrize("limit", ["0", "-3"])
+def test_hom_list_rejects_a_limit_below_one(tmp_path, capsys, limit):
+    fx = fixtures(tmp_path)
+    assert main(["hom", "list", "--source", fx["c5"], "--target", fx["k3"], "--limit", limit]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "usage"
 
 
 def test_gamma_mode_wants_a_group(tmp_path, capsys):
@@ -188,6 +199,76 @@ def test_error_paths_emit_json(tmp_path, capsys):
     assert main(["catalog", "neps", "--left", fx["k3"], "--right", fx["k3"], "--kind", "conormal"]) == 1
     assert json.loads(capsys.readouterr().err)["error"] == "usage"
 
+
+
+def _graph(**change):
+    data = {"symmetric": False, "vertices": [0, 1], "edges": [{"id": "e0", "tail": 0, "head": 1, "label": None}]}
+    return {**data, **change}
+
+
+def _cylinders(group=None, record=None):
+    data = CylinderSet(PermGroup.trivial(1), {1: path_cyl(2)}).to_json()
+    if group is not None:
+        data["group"] = group
+    if record is not None:
+        data["cylinders"] = [record(data["cylinders"][0])]
+    return data
+
+
+def _edge(**change):
+    return [{"id": "e0", "tail": 0, "head": 1, "label": None, **change}]
+
+
+def _in_cyl(field, value):
+    return lambda rec: {**rec, "cyl": {**rec["cyl"], field: value}}
+
+
+# name -> (the malformed document, the command it is handed to)
+MALFORMED = {
+    "list label": (_graph(edges=_edge(label=["a"])), "iso"),
+    "object label": (_graph(edges=_edge(label={"a": 1})), "count"),
+    "list label key": (_graph(edges=_edge(label={"pre": [1], "cyl": [1], "post": [1]})), "count"),
+    "label twist of strings": (_graph(edges=_edge(label={"pre": ["x"], "cyl": 1, "post": [1]})), "count"),
+    "list vertex name": (_graph(vertices=[[0], 1], edges=[]), "export-dot"),
+    "list edge end": (_graph(edges=_edge(head=[1])), "export-dot"),
+    "graph is a list": ([1], "export-dot"),
+    "edge is a number": (_graph(edges=[5]), "export-dot"),
+    "pairing is a list": (_graph(symmetric=True, pairing=[1]), "export-dot"),
+    "pairing names no edge": (_graph(symmetric=True, pairing={"e0": "zz"}), "export-dot"),
+    "record without cyl": (_cylinders(record=lambda rec: {"key": rec["key"]}), "product"),
+    "record without key": (_cylinders(record=lambda rec: {"cyl": rec["cyl"]}), "product"),
+    "list cylinder key": (_cylinders(record=lambda rec: {**rec, "key": [1]}), "product"),
+    "record is a number": (_cylinders(record=lambda rec: 1), "product"),
+    "row is a number": (_cylinders(record=_in_cyl("y", 5)), "product"),
+    "list row vertex": (_cylinders(record=_in_cyl("z", [[1]])), "product"),
+    "cylinder graph is a number": (_cylinders(record=_in_cyl("graph", 5)), "product"),
+    "string degree": ({"degree": "x"}, "gamma"),
+    "missing degree": (_cylinders(group={"generators": []}), "gamma"),
+    "generators a number": ({"degree": 1, "generators": 5}, "gamma"),
+    "voltage a number": ({"e0": 5}, "voltage"),
+    "voltage a string": ({"e0": "ab"}, "voltage"),
+    "voltages a list": ([[2, 1]], "voltage"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_files_are_domain_errors(tmp_path, capsys, name):
+    payload, command = MALFORMED[name]
+    bad = dump(tmp_path, "bad.json", payload)
+    good = dump(tmp_path, "good.json", _graph())
+    argv = {
+        "iso": ["iso", "--left", bad, "--right", bad],
+        "count": ["hom", "count", "--source", bad, "--target", bad],
+        "export-dot": ["export-dot", "--graph", bad],
+        "product": ["product", "--graph", good, "--cylinders", bad],
+        "gamma": ["hom", "count", "--mode", "gamma", "--group", bad, "--source", good, "--target", good],
+        "voltage": ["catalog", "voltage", "--base", good, "--voltages", bad, "-k", "2"],
+    }[command]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] in ("DomainError", "NotAPermutation"), err
 
 
 def test_bad_node_budget_is_a_json_error(tmp_path, capsys, monkeypatch):

@@ -151,6 +151,15 @@ def test_count_rejects_pins_off_the_graphs(mode, pins):
             query(g, h, mode=mode, group=group, pins=pins)
 
 
+def test_list_limit():
+    k3 = complete(3)
+    assert list_homs(k3, k3, mode="plain", limit=0) == []
+    assert len(list_homs(k3, k3, mode="plain", limit=2)) == 2
+    assert len(list_homs(k3, k3, mode="plain", limit=None)) == 6
+    with pytest.raises(DomainError):
+        list_homs(k3, k3, mode="plain", limit=-3)
+
+
 def test_empty_and_edgeless():
     e3 = Graph(symmetric=True)
     e3.add_vertices("xyz")

@@ -1,14 +1,16 @@
 """The search contract of ``iter_homs``: its output order against a brute-force
-oracle, its node counts in gamma mode, and gamma search on deep sources."""
+oracle, its node counts in gamma mode, and gamma search on deep sources; and
+gamma-mode counting by elimination against that enumeration."""
 
 import itertools
 import random
 import time
+from collections import Counter
 
 import pytest
 
 from cylgraph.catalog import complete_graph, cycle_graph, path_graph
-from cylgraph.construct import exponential, uniform_labels
+from cylgraph.construct import cyl_product, exponential, uniform_labels
 from cylgraph.core import GammaLabel, Graph
 from cylgraph.cylinder import CylinderSet, square_cyl, wedge_cyl
 from cylgraph.errors import ResourceLimit
@@ -20,6 +22,7 @@ from cylgraph.hom import (
     count_homs,
     extract_alphas,
     find_hom,
+    iter_homs,
     list_homs,
 )
 from cylgraph.perm import Perm, PermGroup
@@ -128,9 +131,10 @@ def gamma_instances():
 
 
 # name -> (homs, smallest budget list_homs succeeds at, smallest budget
-# count_homs succeeds at); both budgets are what the search spent on these
-# instances before its candidate tables were rebuilt, found by bisection
-GAMMA_NODE_PINS = {"wedge": (80, 1360, 1040), "twisted": (48, 882, 738)}
+# count_homs succeeds at), each found by bisection: one node less raises.
+# The list budget is what the vertex-map and twist search spends; the count
+# budget is what variable elimination over (vertex, twist) values spends.
+GAMMA_NODE_PINS = {"wedge": (80, 1360, 155), "twisted": (48, 882, 47)}
 
 
 @pytest.mark.parametrize("name", sorted(GAMMA_NODE_PINS))
@@ -172,3 +176,42 @@ def test_gamma_lists_a_twin_pair_of_loops_once():
     assert [fingerprint(x) for x in homs] == [fingerprint(x) for x in brute_homs(g, h, "gamma", s2)]
     assert len(homs) == count_homs(g, h, mode="gamma", group=s2) == 1
     assert homs[0].alphas == {"u": ident}
+
+
+@pytest.mark.parametrize("group", [PermGroup.trivial(2), PermGroup.symmetric(2), PermGroup.cyclic(3),
+                                   PermGroup.symmetric(3)], ids=["trivial2", "S2", "C3", "S3"])
+def test_gamma_count_equals_the_enumeration(group):
+    rng = random.Random(41 + group.degree + len(group))
+    everything = list(PermGroup.symmetric(group.degree))
+    seen: Counter = Counter()
+    for _ in range(100):
+        symmetric = rng.random() < 0.5
+        # labels drawn partly from outside the group, so some twists fail
+        perms = everything if rng.random() < 0.5 else list(group)
+        g = random_labelled(rng, rng.randint(0, 4), rng.randint(0, 5), symmetric, perms)
+        h = random_labelled(rng, rng.randint(1, 3), rng.randint(2, 9), symmetric, perms)
+        pins = {}
+        if g.vertices and rng.random() < 0.4:
+            pins = {rng.choice(g.vertices): rng.choice(h.vertices)}
+        want = sum(1 for _ in iter_homs(g, h, mode="gamma", group=group, pins=pins))
+        assert count_homs(g, h, mode="gamma", group=group, pins=pins) == want
+        ends = [frozenset(g.edges[eid][:2]) for eid in g.canonical_edges()]  # one per twin pair
+        seen.update(nonzero=want > 0, symmetric=symmetric, empty=not g.vertices, pinned=bool(pins),
+                    loops=any(len(e) == 1 for e in ends), parallel=len(set(ends)) < len(ends),
+                    isolated=bool(g.isolated_vertices()))
+    assert seen["nonzero"] >= 30  # the instances are not all hom-free
+    assert all(seen[k] for k in ("symmetric", "empty", "pinned", "loops", "parallel", "isolated"))
+
+
+def test_gamma_counts_of_wedge_cycles_equal_the_product_side():
+    s2 = PermGroup.symmetric(2)
+    cset = CylinderSet(s2, {1: wedge_cyl()})
+    k3 = complete_graph(3)
+    expo = exponential(cset, k3).graph
+    for n, want in ((6, 192), (9, 1536), (12, 12288), (15, 98304), (200, None)):
+        g = uniform_labels(cycle_graph(n), 1, width=2)
+        start = time.perf_counter()
+        got = count_homs(g, expo, mode="gamma", group=s2)
+        assert time.perf_counter() - start <= 1.0
+        assert got == count_homs(cyl_product(g, cset).graph, k3, "labeled")
+        assert want is None or got == want
