@@ -1,8 +1,8 @@
 """CLI output frozen in golden files, compared byte for byte with
 ``tests/golden/<name>.json`` (``.dot`` for ``export-dot``): ``hom list`` in
 gamma and labeled mode, ``product``, ``duality check``, ``closed``,
-``reduce``, the catalog builders that glue, merge or take exponentials,
-``iso`` and ``export-dot``."""
+``reduce``, the catalog builders that glue, merge, relabel or take
+exponentials, ``iso`` and ``export-dot``."""
 
 import json
 import random
@@ -176,6 +176,16 @@ def golden_cases():
             "--outer": complete_graph(4),
             "--inner": cycle_graph(3),
         }, []),
+        "catalog_minor_multigraph": (["catalog", "minor"], {
+            "--graph": random_multigraph(random.Random(5), 4, 6, labels=(None,), symmetric=True),
+        }, ["--contract", "e2", "--delete", "e6,e8"]),
+        "catalog_minor_directed": (["catalog", "minor"], {"--graph": _digraph()}, ["--contract", "e0", "--delete", "e4,e5"]),
+        "catalog_neps_strong_p2_k3": (["catalog", "neps"], {
+            "--left": path_graph(2),
+            "--right": complete_graph(3),
+        }, ["--kind", "strong"]),
+        "catalog_join_c4_p1": (["catalog", "join"], {"--left": cycle_graph(4), "--right": path_graph(1)}, []),
+        "catalog_universal_c5": (["catalog", "universal"], {"--graph": cycle_graph(5)}, []),
         "iso_petersen": (["iso"], {
             "--left": petersen(),
             "--right": shuffled_relabel(random.Random(1), petersen()),
