@@ -276,22 +276,12 @@ def voltage_lift(base: Graph, voltages: dict, k: int) -> Graph:
     twin pair when symmetric) to a degree-k permutation; missing edges get
     the identity.  Coincident sheets collapse to a single edge."""
     ident = Perm.identity(k)
-    labeled = Graph(symmetric=base.symmetric)
-    labeled.add_vertices(base.vertices)
-    canon = base.canonical_edges()
-    perms = []
-    for eid in sorted(canon):
-        e = base.edges[eid]
-        rho = voltages.get(eid, ident)
+    perms = {eid: voltages.get(eid, ident) for eid in sorted(base.canonical_edges())}
+    for eid, rho in perms.items():
         if rho.degree != k:
             raise DomainError(f"voltage on {eid!r} has degree {rho.degree}, expected {k}")
-        perms.append(rho)
-        lab = GammaLabel(ident, "lift", rho)
-        if base.symmetric:
-            labeled.add_sym_edge(e.tail, e.head, lab, eid, base.pairing[eid])
-        else:
-            labeled.add_edge(e.tail, e.head, lab, eid)
-    group = PermGroup.generated(k, perms)
+    labeled = base.with_labels({eid: GammaLabel(ident, "lift", rho) for eid, rho in perms.items()})
+    group = PermGroup.generated(k, list(perms.values()))
     cyl = identity_cyl(k, directed=not base.symmetric)
     cs = CylinderSet(group, {"lift": cyl})
     return cyl_product(labeled, cs).graph.stripped()
@@ -361,16 +351,16 @@ def _transitive_shifts(h: Graph) -> list[Perm]:
 
 
 def _ports(g: Graph, d: int) -> dict:
-    """Number the edge ends around every vertex 1..d."""
+    """Number the edge ends around every vertex 1..d, in edge id order."""
+    inc: dict = {v: [] for v in g.vertices}
+    for eid in sorted(g.canonical_edges()):
+        for v in {g.edges[eid].tail, g.edges[eid].head}:
+            inc[v].append(eid)
     ports: dict = {}
     for v in sorted(g.vertices, key=str):
-        inc = sorted(
-            eid for eid in g.canonical_edges()
-            if v in (g.edges[eid].tail, g.edges[eid].head)
-        )
-        if len(inc) != d:
-            raise DomainError(f"vertex {v!r} has degree {len(inc)}, expected {d}")
-        for i, eid in enumerate(inc, start=1):
+        if len(inc[v]) != d:
+            raise DomainError(f"vertex {v!r} has degree {len(inc[v])}, expected {d}")
+        for i, eid in enumerate(inc[v], start=1):
             ports[(v, eid)] = i
     return ports
 
@@ -389,13 +379,11 @@ def rotation_labels(g: Graph, h: Graph):
     gammas = {i + 1: s for i, s in enumerate(shifts)}
     group = PermGroup.generated(d, shifts)
     ports = _ports(g, d)
-    out = Graph(symmetric=True)
-    out.add_vertices(g.vertices)
-    for eid in sorted(g.canonical_edges()):
+    labels: dict = {}
+    for eid in g.canonical_edges():
         e = g.edges[eid]
-        lab = GammaLabel(gammas[ports[(e.tail, eid)]], "rot", gammas[ports[(e.head, eid)]])
-        out.add_sym_edge(e.tail, e.head, lab, eid, g.pairing[eid])
-    return out, group
+        labels[eid] = GammaLabel(gammas[ports[(e.tail, eid)]], "rot", gammas[ports[(e.head, eid)]])
+    return g.with_labels(labels), group
 
 
 def replacement_cylinder(h: Graph) -> Cylinder:
@@ -558,14 +546,8 @@ def graph_minor(g: Graph, contract=(), delete=()) -> Graph:
     }
     cs = CylinderSet(PermGroup.trivial(1), cyls)
     ident = Perm.identity(1)
-    labeled = Graph(symmetric=g.symmetric)
-    labeled.add_vertices(g.vertices)
-    for eid in sorted(canon):
-        e = g.edges[eid]
-        key = "cut" if eid in contract else ("drop" if eid in delete else "keep")
-        lab = GammaLabel(ident, key, ident)
-        if g.symmetric:
-            labeled.add_sym_edge(e.tail, e.head, lab, eid, g.pairing[eid])
-        else:
-            labeled.add_edge(e.tail, e.head, lab, eid)
+    labeled = g.with_labels({
+        eid: GammaLabel(ident, "cut" if eid in contract else ("drop" if eid in delete else "keep"), ident)
+        for eid in canon
+    })
     return cyl_product(labeled, cs).graph.stripped()

@@ -38,13 +38,7 @@ def uniform_labels(g: Graph, key, width: int = 1) -> Graph:
     width.  This is how a plain graph enters the product or a homomorphism
     against a labeled one."""
     ident = Perm.identity(width)
-    out = Graph(symmetric=g.symmetric)
-    for v in g.vertices:
-        out.add_vertex(v)
-    lab = GammaLabel(ident, key, ident)
-    for eid, e in g.edges.items():
-        out.add_edge(e.tail, e.head, lab, eid)
-    out.pairing = dict(g.pairing)
+    out = g.with_labels(dict.fromkeys(g.edges, GammaLabel(ident, key, ident)))
     out.validate()
     return out
 
@@ -227,12 +221,12 @@ class ExpoTrace:
     witnesses      -- final edge id -> hom from that cylinder's graph into target
     edge_by_triple -- (tail name, head name, GammaLabel) -> final edge id
     names          -- representative tuple -> vertex name (every orbit of
-                      V(target)^k, isolated ones included, after exponential)
+                      V(target)^k, isolated ones included)
 
-    One orbit table, filled once per orbit, answers :meth:`rep` and
-    :meth:`shift` for every tuple over the target's vertices: it maps a
-    tuple ``t`` to its representative and to the slot permutations ``d``,
-    in group order, with ``d.act(rep) == t``.
+    One orbit table, filled once per orbit by :func:`exponential`, answers
+    :meth:`rep` and :meth:`shift` for every tuple over the target's
+    vertices: it maps a tuple ``t`` to its representative and to the slot
+    permutations ``d``, in group order, with ``d.act(rep) == t``.
     """
 
     __slots__ = (
@@ -247,7 +241,7 @@ class ExpoTrace:
         "_reps",
     )
 
-    def __init__(self, graph, cset, target, tuple_of, witnesses, edge_by_triple, rep_choice):
+    def __init__(self, graph, cset, target, tuple_of, witnesses, edge_by_triple, rep_choice, names, orbits):
         self.graph = graph
         self.cset = cset
         self.target = target
@@ -255,8 +249,8 @@ class ExpoTrace:
         self.witnesses = witnesses
         self.edge_by_triple = edge_by_triple
         self.rep_choice = rep_choice
-        self.names: dict = {r: nm for nm, r in tuple_of.items()}
-        self._reps: dict = {}
+        self.names = names
+        self._reps = orbits
 
     def rep(self, t: tuple) -> tuple | None:
         """Canonical representative of the slot-group orbit of ``t``; None
@@ -316,8 +310,7 @@ def exponential(
     if verts and len(verts) ** k > MAX_TUPLE_SPACE:
         raise ResourceLimit(f"tuple space {len(verts)}^{k} exceeds {MAX_TUPLE_SPACE}")
 
-    trace = ExpoTrace(Graph(symmetric=h.symmetric), cset, h, {}, {}, {}, rep_choice)
-    orbits = trace._reps
+    orbits: dict = {}
     reps: list = []
     for t in itertools.product(verts, repeat=k):
         if t in orbits:
@@ -358,16 +351,16 @@ def exponential(
                     if tk not in triples:
                         triples[tk] = (lab[0], hom, (n2, n1, lab[2]))
 
-    g = trace.graph
+    g = Graph(symmetric=h.symmetric)
     ends = {n for tk in triples for n in tk[:2]}
     for r in reps:
         if names[r] in ends:
             g.add_vertex(names[r])
-    witnesses = trace.witnesses
-    edge_by_triple = trace.edge_by_triple
+    witnesses: dict = {}
+    edge_by_triple: dict = {}
     n = 0
     for tk in sorted(triples):
-        lab, hom, rk = triples[tk]
+        rk = triples[tk][2]
         if h.symmetric:
             if rk not in triples:
                 raise LabelConflict(
@@ -375,23 +368,19 @@ def exponential(
                 )
             if rk < tk:
                 continue
-        eid = f"x{n}"
+        ids = (f"x{n}", f"x{n}t")
         n += 1
-        g.add_edge(tk[0], tk[1], lab, eid)
-        witnesses[eid] = hom
-        edge_by_triple[(tk[0], tk[1], lab)] = eid
+        for fid, tri in zip(ids, (tk, rk) if h.symmetric else (tk,)):
+            lab, hom, _ = triples[tri]
+            g.add_edge(tri[0], tri[1], lab, fid)
+            witnesses[fid] = hom
+            edge_by_triple.setdefault((tri[0], tri[1], lab), fid)  # a self-reverse loop keeps its first edge
         if h.symmetric:
-            tid = f"{eid}t"
-            rlab, rhom, _ = triples[rk]
-            g.add_edge(tk[1], tk[0], rlab, tid)
-            witnesses[tid] = rhom
-            edge_by_triple.setdefault((tk[1], tk[0], rlab), tid)  # a self-reverse loop keeps eid
-            g.pair_edges(eid, tid)
+            g.pair_edges(*ids)
 
     g.validate()
-    trace.names = names
-    trace.tuple_of = {names[r]: r for r in reps if g.has_vertex(names[r])}
-    return trace
+    tuple_of = {names[r]: r for r in reps if g.has_vertex(names[r])}
+    return ExpoTrace(g, cset, h, tuple_of, witnesses, edge_by_triple, rep_choice, names, orbits)
 
 
 def cylinders_from_surjection(g: Graph, h: Graph, vmap: dict) -> tuple[Graph, CylinderSet]:
@@ -445,25 +434,15 @@ def cylinders_from_surjection(g: Graph, h: Graph, vmap: dict) -> tuple[Graph, Cy
     cyls = {}
     for eid in canon:
         cg = Graph(symmetric=g.symmetric)
+        link = cg.add_sym_edge if g.symmetric else cg.add_edge
         ys = [f"y{i}" for i in range(1, k + 1)]
         zs = [f"z{i}" for i in range(1, k + 1)]
         cg.add_vertices(ys)
         cg.add_vertices(zs)
         for (i, j) in sorted(set(rungs[eid])):
-            if g.symmetric:
-                cg.add_sym_edge(ys[i - 1], zs[j - 1], None)
-            else:
-                cg.add_edge(ys[i - 1], zs[j - 1], None)
+            link(ys[i - 1], zs[j - 1])
         cyls[eid] = make_cylinder(cg, ys, zs)
 
-    labeled = Graph(symmetric=h.symmetric)
-    for v in h.vertices:
-        labeled.add_vertex(v)
     ident = Perm.identity(k)
-    for eid, e in h.edges.items():
-        key = eid if eid in rungs else h.pairing[eid]
-        labeled.add_edge(e.tail, e.head, GammaLabel(ident, key, ident), eid)
-    labeled.pairing = dict(h.pairing)
-    labeled.validate()
-
+    labeled = h.with_labels({eid: GammaLabel(ident, eid, ident) for eid in canon})
     return labeled, CylinderSet(PermGroup.trivial(k), cyls)

@@ -46,6 +46,12 @@ class GammaLabel:
         return cls(Perm(data["pre"]), json_checked(data["cyl"], JSON_SCALAR, "label 'cyl'"), Perm(data["post"]))
 
 
+def _reversed(label):
+    """The label a twin carries: a :class:`GammaLabel` reversed, anything
+    else as it is."""
+    return label.reversed() if isinstance(label, GammaLabel) else label
+
+
 def _perm_str(p: Perm) -> str:
     cycs = p.cycles()
     if not cycs:
@@ -127,9 +133,8 @@ class Graph:
         """
         if not self.symmetric:
             raise DomainError("add_sym_edge on a non-symmetric graph")
-        back = label.reversed() if isinstance(label, GammaLabel) else label
         e1 = self.add_edge(u, v, label, eid)
-        e2 = self.add_edge(v, u, back, twin_eid)
+        e2 = self.add_edge(v, u, _reversed(label), twin_eid)
         self.pair_edges(e1, e2)
         return e1, e2
 
@@ -283,27 +288,38 @@ class Graph:
                 g.pairing[eid] = tw
         return g
 
-    def stripped(self) -> Graph:
-        """Forget all edge labels (same vertices, edges, and pairing)."""
+    def with_labels(self, labels: Mapping) -> Graph:
+        """Copy with edge ``eid`` labeled ``labels[eid]``; vertices, edge ids
+        and pairing (and their insertion order) stay.  An edge missing from
+        ``labels`` takes its twin's label, reversed as in
+        :meth:`add_sym_edge`; with neither present it raises
+        :class:`DomainError`."""
+
+        def from_twin(eid: str):
+            tw = self.pairing.get(eid, eid)
+            if tw not in labels:
+                raise DomainError(f"no label for edge {eid!r} or its twin")
+            return _reversed(labels[tw])
+
         g = Graph(self.symmetric)
-        g.add_vertices(self._vertices)
-        for eid, e in self.edges.items():
-            g.add_edge(e.tail, e.head, None, eid)
+        g._vertices = dict(self._vertices)
+        g.edges = {
+            eid: Edge(e.tail, e.head, labels[eid] if eid in labels else from_twin(eid))
+            for eid, e in self.edges.items()
+        }
         g.pairing = dict(self.pairing)
         return g
+
+    def stripped(self) -> Graph:
+        """Forget all edge labels (same vertices, edges, and pairing)."""
+        return self.with_labels(dict.fromkeys(self.edges))
 
     def relabel(self, mapping: Mapping) -> Graph:
         """Rename vertices injectively (vertices not in the mapping keep their name)."""
         tr = {v: mapping.get(v, v) for v in self._vertices}
         if len(set(tr.values())) != len(tr):
             raise DomainError("relabel mapping is not injective")
-        g = Graph(self.symmetric)
-        for v in self._vertices:
-            g.add_vertex(tr[v])
-        for eid, e in self.edges.items():
-            g.add_edge(tr[e.tail], tr[e.head], e.label, eid)
-        g.pairing = dict(self.pairing)
-        return g
+        return identify_vertices(self, tr)
 
     def components(self) -> list[list]:
         """Weakly connected components, each sorted, in first-seen order."""
@@ -367,9 +383,8 @@ class Graph:
         g = Graph(symmetric=True)
         g.add_vertices(self._vertices)
         for eid, e in self.edges.items():
-            back = e.label.reversed() if isinstance(e.label, GammaLabel) else e.label
             a = g.add_edge(e.tail, e.head, e.label, eid)
-            b = g.add_edge(e.head, e.tail, back, f"{eid}~")
+            b = g.add_edge(e.head, e.tail, _reversed(e.label), f"{eid}~")
             g.pair_edges(a, b)
         return g
 
@@ -582,8 +597,7 @@ def alpha_shift(g: Graph, alphas: Mapping) -> Graph:
     """Precompose both attachment permutations of every edge with per-vertex
     permutations: the edge u->v labeled (pre, j, post) becomes
     (alphas[u]*pre, j, alphas[v]*post).  Missing vertices act as identity."""
-    out = Graph(g.symmetric)
-    out.add_vertices(g.vertices)
+    labels: dict = {}
     for eid, e in g.edges.items():
         if not isinstance(e.label, GammaLabel):
             raise DomainError(f"edge {eid!r} does not carry an attachment label")
@@ -591,9 +605,8 @@ def alpha_shift(g: Graph, alphas: Mapping) -> Graph:
         av = alphas.get(e.head)
         pre = compose(au, e.label.pre) if au is not None else e.label.pre
         post = compose(av, e.label.post) if av is not None else e.label.post
-        out.add_edge(e.tail, e.head, GammaLabel(pre, e.label.key, post), eid)
-    out.pairing = dict(g.pairing)
-    return out
+        labels[eid] = GammaLabel(pre, e.label.key, post)
+    return g.with_labels(labels)
 
 
 # -- search order and isomorphism ---------------------------------------------

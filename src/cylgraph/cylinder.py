@@ -186,20 +186,9 @@ def generalized_loop(cyl: Cylinder, g: Perm, l: Perm) -> Cylinder:
         raise EpsilonError("row overlap merges two slots; the closure is not a cylinder")
 
     # rename each class to its slot vertex where one is present
-    final: dict = {}
     slot_of_class = {cmap[s]: s for s in slots}
-    for v, rep in cmap.items():
-        final[v] = slot_of_class.get(rep, rep)
-    g2 = Graph(cyl.graph.symmetric)
-    for s in slots:
-        g2.add_vertex(s)
-    for v in cyl.graph.vertices:
-        g2.add_vertex(final[v])
-    for eid, e in cyl.graph.edges.items():
-        g2.add_edge(final[e.tail], final[e.head], e.label, eid)
-    g2.pairing = dict(cyl.graph.pairing)
-    g2 = merge_parallel(g2)
-    out = Cylinder(g2, slots, slots)
+    final = {v: slot_of_class.get(rep, rep) for v, rep in cmap.items()}
+    out = Cylinder(merge_parallel(identify_vertices(cyl.graph, final)), slots, slots)
     out.validate()
     return out
 
@@ -295,11 +284,9 @@ def identity_cyl(k: int, directed: bool = False) -> Cylinder:
     zs = [f"z{i}" for i in range(1, k + 1)]
     g.add_vertices(ys)
     g.add_vertices(zs)
+    link = g.add_edge if directed else g.add_sym_edge
     for i in range(k):
-        if directed:
-            g.add_edge(ys[i], zs[i], None)
-        else:
-            g.add_sym_edge(ys[i], zs[i], None)
+        link(ys[i], zs[i])
     return make_cylinder(g, ys, zs)
 
 
@@ -313,12 +300,9 @@ def path_cyl(n: int, labels=None, directed: bool = False) -> Cylinder:
     g = Graph(symmetric=not directed)
     vs = [f"w{i}" for i in range(n + 1)]
     g.add_vertices(vs)
+    link = g.add_edge if directed else g.add_sym_edge
     for i in range(n):
-        lab = None if labels is None else labels[i]
-        if directed:
-            g.add_edge(vs[i], vs[i + 1], lab)
-        else:
-            g.add_sym_edge(vs[i], vs[i + 1], lab)
+        link(vs[i], vs[i + 1], None if labels is None else labels[i])
     return make_cylinder(g, [vs[0]], [vs[-1]])
 
 

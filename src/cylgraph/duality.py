@@ -60,6 +60,16 @@ def _lift_edges(g: Graph, et: ExpoTrace, vmap: dict, shift: dict, missing: str) 
     return Homomorphism(vmap, emap, alphas)
 
 
+def _put(vmap: dict, name, value) -> None:
+    """Send product vertex ``name`` to ``value`` unless it already has
+    another image, which means the map being expanded is not consistent."""
+    if vmap.setdefault(name, value) != value:
+        raise DomainError(
+            f"product vertex {name!r} receives two different images; "
+            "the map is not a valid structured map"
+        )
+
+
 def retraction(tr: ProductTrace, et: ExpoTrace, sigma: Homomorphism) -> Homomorphism:
     """Fold a map off the product down to a structured map on the base.
 
@@ -100,23 +110,14 @@ def section(tr: ProductTrace, et: ExpoTrace, sp: Homomorphism) -> Homomorphism:
         alphas = extract_alphas(g, et.graph, sp, group)
 
     vmap: dict = {}
-
-    def put(name, value) -> None:
-        old = vmap.setdefault(name, value)
-        if old != value:
-            raise DomainError(
-                f"product vertex {name!r} receives two different values; "
-                "the structured map is not internally consistent"
-            )
-
     for v in g.vertices:
         row = et.tuple_of[sp.vmap[v]]
         beta = alphas.get(v, ident).inverse()
         for b in range(1, tr.cset.width + 1):
-            put(tr.slot[(v, b)], row[beta(b) - 1])
+            _put(vmap, tr.slot[(v, b)], row[beta(b) - 1])
     for (eid, x), name in tr.copy.items():
         witness = et.witnesses[sp.emap[eid]]
-        put(name, witness.vmap[x])
+        _put(vmap, name, witness.vmap[x])
 
     emap: dict = {}
     for fid in tr.graph.edges:
@@ -147,15 +148,11 @@ def product_map(f: Homomorphism, tr1: ProductTrace, tr2: ProductTrace) -> Homomo
     def reversal(key) -> Homomorphism:
         if key not in reversals:
             cyl = cset[key]
-            pins = {}
-            for yb, zb in zip(cyl.y, cyl.z):
-                for a, b in ((yb, zb), (zb, yb)):
-                    if pins.setdefault(a, b) != b:
-                        raise DomainError(
-                            f"cylinder {key!r} has no end-for-end reversal; "
-                            "cannot carry a pair-reversing base map across the product"
-                        )
-            rho = find_hom(cyl.graph, cyl.graph, mode="labeled", pins=pins)
+            swaps = [p for yb, zb in zip(cyl.y, cyl.z) for p in ((yb, zb), (zb, yb))]
+            pins = dict(swaps)
+            rho = None
+            if len(pins) == len(set(swaps)):  # else a vertex on both rows at different slots needs two images
+                rho = find_hom(cyl.graph, cyl.graph, mode="labeled", pins=pins)
             if rho is None:
                 raise DomainError(
                     f"cylinder {key!r} has no end-for-end reversal; "
@@ -165,19 +162,10 @@ def product_map(f: Homomorphism, tr1: ProductTrace, tr2: ProductTrace) -> Homomo
         return reversals[key]
 
     vmap: dict = {}
-
-    def put(name, value) -> None:
-        old = vmap.setdefault(name, value)
-        if old != value:
-            raise DomainError(
-                f"product vertex {name!r} receives two different images; "
-                "the base map is not a valid structured map"
-            )
-
     for v in g1.vertices:
         beta = alphas.get(v, ident).inverse()
         for b in range(1, cset.width + 1):
-            put(tr1.slot[(v, b)], tr2.slot[(f.vmap[v], beta(b))])
+            _put(vmap, tr1.slot[(v, b)], tr2.slot[(f.vmap[v], beta(b))])
 
     by_copy: dict = {}
     for (ee, x), name in tr1.copy.items():
@@ -196,7 +184,7 @@ def product_map(f: Homomorphism, tr1: ProductTrace, tr2: ProductTrace) -> Homomo
             carry_v, carry_e = rho.vmap, rho.emap
             target = g2.pairing[img]
         for x, name in by_copy.get(eid, ()):
-            put(name, tr2.copy[(target, carry_v[x])])
+            _put(vmap, name, tr2.copy[(target, carry_v[x])])
         for ce in cset[key].graph.edges:
             fid = tr1.src_edge[(eid, ce)]
             if fid not in emap:

@@ -230,18 +230,19 @@ _MISSING = object()
 
 
 class _Matcher:
-    """Candidate tables for one (g, h, mode, group) query.  Each table, keyed
-    by a source edge and a pair of target vertices, is built on first use and
-    kept for the whole search.
+    """Candidate tables for one (g, h, mode, group) query.  ``table(eid, a,
+    b)``, keyed by a source edge and a pair of target vertices, is built on
+    first use and kept for the whole search; it is empty exactly when
+    ``eid`` has no candidate a->b.
 
-    ``weak(eid, a, b)`` lists the target edges a->b that ``eid`` may map to,
-    one per twin pair.  In gamma mode a key-matching target edge ``f``
-    induces the tail twist ``pre * inverse(f.pre)`` and the head twist
-    ``post * inverse(f.post)``, and is a candidate when both lie in the
-    group; ``twists(eid, a, b)`` groups the candidates by that pair of twists
-    (as image tuples), one per twin pair within each group.  Each distinct
-    (source, target) permutation pair is composed once and each distinct
-    twist tested for membership once."""
+    In plain and labeled mode the table lists the target edges a->b that
+    ``eid`` may map to, one per twin pair.  In gamma mode a key-matching
+    target edge ``f`` induces the tail twist ``pre * inverse(f.pre)`` and
+    the head twist ``post * inverse(f.post)``, and is a candidate when both
+    lie in the group; the table groups the candidates by that pair of
+    twists (as image tuples), one per twin pair within each group.  Each
+    distinct (source, target) permutation pair is composed once and each
+    distinct twist tested for membership once."""
 
     def __init__(self, g: Graph, h: Graph, mode: str, group: PermGroup | None):
         self.g = g
@@ -251,22 +252,14 @@ class _Matcher:
         self.idx: dict = defaultdict(list)  # (tail, head) -> target edge ids, sorted
         for eid in sorted(h.edges):
             self.idx[h.edges[eid][:2]].append(eid)
-        self._weak: dict = {}
-        self._twists: dict = {}
+        self._tables: dict = {}
         self._induced: dict = {}  # (source images, target images) -> twist images, or None
         self._members: dict = {}  # twist images -> lies in the group
 
-    def weak(self, eid: str, a, b) -> list[str]:
-        hit = self._weak.get((eid, a, b))
+    def table(self, eid: str, a, b) -> list[str] | dict:
+        hit = self._tables.get((eid, a, b))
         if hit is None:
-            hit = self._build(eid, a, b)
-        return hit
-
-    def twists(self, eid: str, a, b) -> dict:
-        hit = self._twists.get((eid, a, b))
-        if hit is None:
-            self._build(eid, a, b)
-            hit = self._twists[(eid, a, b)]
+            hit = self._tables[(eid, a, b)] = self._build(eid, a, b)
         return hit
 
     def _twist(self, src: Perm, tgt: Perm):
@@ -281,15 +274,16 @@ class _Matcher:
             t = self._induced[key] = p.images if inside else None
         return t
 
-    def _build(self, eid: str, a, b) -> list[str]:
+    def _build(self, eid: str, a, b) -> list[str] | dict:
         label = self.g.edges[eid].label
         targets = self.idx.get((a, b), ())
+        # the twin of an a->b edge runs b->a, so only loops (a == b) can
+        # bring both edges of a twin pair into one list
         if self.mode == "plain":
             out = list(targets)
         elif self.mode == "labeled":
             out = [f for f in targets if self.h.edges[f].label == label]
         else:
-            out = []
             by_twists: dict = {}
             for f in targets:
                 lab = self.h.edges[f].label
@@ -301,17 +295,11 @@ class _Matcher:
                 s = self._twist(label.post, lab.post)
                 if s is None:
                     continue
-                out.append(f)
                 by_twists.setdefault((t, s), []).append(f)
             if a == b:
-                by_twists = {ts: _dedupe_classes(self.h, fs) for ts, fs in by_twists.items()}
-            self._twists[(eid, a, b)] = by_twists
-        # the twin of an a->b edge runs b->a, so only loops can bring both
-        # edges of a twin pair into one list
-        if a == b:
-            out = _dedupe_classes(self.h, out)
-        self._weak[(eid, a, b)] = out
-        return out
+                return {ts: _dedupe_classes(self.h, fs) for ts, fs in by_twists.items()}
+            return by_twists
+        return _dedupe_classes(self.h, out) if a == b else out
 
 
 _SELF = object()  # in a vertex's edge checks: the end that is the vertex itself
@@ -367,7 +355,7 @@ class _Search:
         budget node; the search keeps its own stack, so its depth is not
         bounded by the interpreter's recursion limit."""
         order, cands, back = self.order, self.cands, self.back
-        weak = self.matcher.weak
+        table = self.matcher.table
         vmap: dict = {}
         if not order:
             yield vmap
@@ -379,7 +367,7 @@ class _Search:
             for w in stack[i]:
                 budget.spend()
                 for eid, tail, head in back[i]:
-                    if not weak(eid, w if tail is _SELF else vmap[tail], w if head is _SELF else vmap[head]):
+                    if not table(eid, w if tail is _SELF else vmap[tail], w if head is _SELF else vmap[head]):
                         break
                 else:
                     vmap[order[i]] = w
@@ -486,7 +474,7 @@ def iter_homs(g: Graph, h: Graph, mode: str = "labeled", group: PermGroup | None
     b = _Budget(budget)
     search = _Search(g, h, mode, group, pins)
     src, verts = search.src, search.verts
-    table = search.matcher.weak if verts is None else search.matcher.twists
+    table = search.matcher.table
     twins = [g.pairing[eid] for eid in src] if g.symmetric else ()
     for vmap in search.vmaps(b):
         tabs = [table(eid, vmap[t], vmap[hd]) for eid, (t, hd) in zip(src, search.ends)]
@@ -540,10 +528,11 @@ def _count_by_elimination(g: Graph, h: Graph, matcher: _Matcher, pins: Mapping, 
         for a, b in matcher.idx:
             if tail == head and a != b:
                 continue
+            hit = matcher.table(eid, a, b)
             if gamma:  # values are (target vertex, twist images)
-                cells = [((a, t), (b, s), len(fs)) for (t, s), fs in matcher.twists(eid, a, b).items()]
+                cells = [((a, t), (b, s), len(fs)) for (t, s), fs in hit.items()]
             else:
-                cells = [(a, b, len(matcher.weak(eid, a, b)))]
+                cells = [(a, b, len(hit))]
             for x, y, c in cells:
                 if c and tail != head:
                     table[(x, y)] = c

@@ -23,9 +23,11 @@ class Perm:
 
     def __init__(self, images: Iterable[int]):
         try:
-            images = tuple(int(i) for i in images)
-        except (TypeError, ValueError):
+            images = tuple(images)
+        except TypeError:
             raise NotAPermutation(f"images must be a list of integers, got {images!r}") from None
+        if not all(isinstance(i, int) and not isinstance(i, bool) for i in images):
+            raise NotAPermutation(f"images must be a list of integers, got {list(images)!r}")
         k = len(images)
         if sorted(images) != list(range(1, k + 1)):
             raise NotAPermutation(f"not a bijection on 1..{k}: {images!r}")

@@ -2,11 +2,13 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
 from cylgraph.catalog import (
     NEPS_KINDS,
+    _ports,
     complete_graph,
     cone,
     cycle_graph,
@@ -235,3 +237,21 @@ def test_graph_minor_contracts_a_long_path_named_against_its_order():
     g = path_graph(3000).relabel({i: f"{100000 - i}" for i in range(3001)})
     m = graph_minor(g, contract=g.canonical_edges())
     assert len(m.vertices) == 1 and not m.edges
+
+
+def test_ports_take_one_pass_over_the_edges():
+    """A 3-regular prism on 4,000 vertices; scanning every edge per vertex
+    took 13.7 s here."""
+    n = 2000
+    g = Graph(symmetric=True)
+    g.add_vertices(range(2 * n))
+    for i in range(n):
+        g.add_sym_edge(i, (i + 1) % n)
+        g.add_sym_edge(n + i, n + (i + 1) % n)
+        g.add_sym_edge(i, n + i)
+    start = time.perf_counter()
+    ports = _ports(g, 3)
+    assert time.perf_counter() - start <= 1.0
+    assert len(ports) == 6 * n
+    # ports follow edge id order (as strings) around each vertex
+    assert [ports[(0, eid)] for eid in ("e0", "e11994", "e4")] == [1, 2, 3]

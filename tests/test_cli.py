@@ -271,6 +271,14 @@ def test_malformed_files_are_domain_errors(tmp_path, capsys, name):
     assert err["error"] in ("DomainError", "NotAPermutation"), err
 
 
+def test_non_integer_twist_images_are_rejected(tmp_path, capsys):
+    bad = dump(tmp_path, "bad.json", _graph(edges=_edge(label={"pre": "21", "cyl": 1, "post": [1.9, 2]})))
+    assert main(["export-dot", "--graph", bad]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "NotAPermutation"
+
+
 def test_bad_node_budget_is_a_json_error(tmp_path, capsys, monkeypatch):
     fx = fixtures(tmp_path)
     for raw in ("abc", "-5", "1.5"):

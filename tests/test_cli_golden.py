@@ -179,7 +179,8 @@ def golden_cases():
         "catalog_minor_multigraph": (["catalog", "minor"], {
             "--graph": random_multigraph(random.Random(5), 4, 6, labels=(None,), symmetric=True),
         }, ["--contract", "e2", "--delete", "e6,e8"]),
-        "catalog_minor_directed": (["catalog", "minor"], {"--graph": _digraph()}, ["--contract", "e0", "--delete", "e4,e5"]),
+        "catalog_minor_directed": (["catalog", "minor"], {"--graph": _digraph()},
+                                   ["--contract", "e0", "--delete", "e4,e5"]),
         "catalog_neps_strong_p2_k3": (["catalog", "neps"], {
             "--left": path_graph(2),
             "--right": complete_graph(3),

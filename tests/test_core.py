@@ -202,6 +202,43 @@ def test_alpha_shift():
     assert lab2 == GammaLabel(Perm.identity(2), "c", Perm.identity(2))
 
 
+def test_with_labels_reverses_twin_labels_like_add_sym_edge():
+    ident, swap = Perm.identity(2), Perm((2, 1))
+    labels = [GammaLabel(ident, "a", swap), "x", None, GammaLabel(swap, 1, swap)]
+    built = Graph(symmetric=True)
+    built.add_vertices("uvw")
+    for lab, (t, h) in zip(labels, ("uv", "vw", "ww", "wu")):
+        built.add_sym_edge(t, h, lab)
+    relabeled = built.stripped().with_labels(dict(zip(built.canonical_edges(), labels)))
+    assert relabeled == built
+    assert list(relabeled.edges.items()) == list(built.edges.items())
+    assert relabeled.edges["e1"].label == GammaLabel(swap, "a", ident)
+    assert relabeled.edges["e3"].label == "x"
+
+
+def test_with_labels_names_an_edge_left_without_a_label():
+    g = cycle(3)
+    with pytest.raises(DomainError, match="'e2'"):
+        g.with_labels({"e0": 1, "e1": 1})
+    directed = Graph()
+    directed.add_vertices("ab")
+    directed.add_edge("a", "b", 1, "f")
+    with pytest.raises(DomainError, match="'f'"):
+        directed.with_labels({})
+
+
+def test_stripped_keeps_insertion_order():
+    g = random_multigraph(random.Random(4), 5, 12, symmetric=True)
+    g.add_vertex("late")
+    g.add_sym_edge("late", "late", "loop")
+    bare = g.stripped()
+    assert bare.vertices == g.vertices
+    assert list(bare.edges) == list(g.edges)
+    assert list(bare.pairing.items()) == list(g.pairing.items())
+    assert [e[:2] for e in bare.edges.values()] == [e[:2] for e in g.edges.values()]
+    assert all(e.label is None for e in bare.edges.values())
+
+
 def test_components_and_girth():
     c5 = cycle(5)
     assert c5.girth() == 5

@@ -59,6 +59,12 @@ def test_bad_permutations_rejected():
         g.act(("x",))
 
 
+@pytest.mark.parametrize("images", ["21", [1.9, 2], [True, 2], [1.0, 2], [True], 5])
+def test_only_integer_images_are_accepted(images):
+    with pytest.raises(NotAPermutation):
+        Perm(images)
+
+
 def test_group_closure_and_order():
     s3 = PermGroup.generated(3, [Perm.from_cycles(3, (1, 2)), Perm.from_cycles(3, (1, 2, 3))])
     assert len(s3) == 6
