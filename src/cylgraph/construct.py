@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import json
 
-from .core import GammaLabel, Graph, UnionFind, label_sort_key
+from .core import Edge, GammaLabel, Graph, label_sort_key
 from .cylinder import CylinderSet, make_cylinder
 from .errors import DomainError, LabelConflict, NotATwist, ResourceLimit
 from .hom import iter_homs
@@ -43,10 +43,6 @@ def uniform_labels(g: Graph, key, width: int = 1) -> Graph:
     return out
 
 
-def _slot_name(v, i: int) -> str:
-    return f"{v}#{i}"
-
-
 class ProductTrace:
     """Result of :func:`cyl_product` plus provenance.
 
@@ -54,18 +50,32 @@ class ProductTrace:
     copy       -- (source edge id, cylinder vertex) -> final vertex name
     edge_src   -- final edge id -> list of (source edge id, cylinder edge id)
     src_edge   -- (source edge id, cylinder edge id) -> final edge id
+
+    The four maps are built together on first read, from the integer gluing
+    record :func:`cyl_product` captured (later changes to the source graph do
+    not reach them); the record is dropped once they exist.  A caller that
+    keeps only ``graph`` never pays for them.
     """
 
-    __slots__ = ("graph", "source", "cset", "slot", "copy", "edge_src", "src_edge")
+    __slots__ = ("graph", "source", "cset", "_record", "_maps")
 
-    def __init__(self, graph, source, cset, slot, copy, edge_src, src_edge):
+    def __init__(self, graph, source, cset, record):
         self.graph = graph
         self.source = source
         self.cset = cset
-        self.slot = slot
-        self.copy = copy
-        self.edge_src = edge_src
-        self.src_edge = src_edge
+        self._record = record
+        self._maps = None
+
+    def _built(self) -> tuple:
+        if self._maps is None:
+            self._maps = _provenance(*self._record)
+            self._record = None
+        return self._maps
+
+    slot = property(lambda self: self._built()[0])
+    copy = property(lambda self: self._built()[1])
+    edge_src = property(lambda self: self._built()[2])
+    src_edge = property(lambda self: self._built()[3])
 
     def blowup(self, v) -> tuple:
         k = self.cset.width
@@ -76,6 +86,36 @@ class ProductTrace:
             f"ProductTrace({len(self.graph.vertices)} vertices, "
             f"{len(self.graph.edges)} edges from {len(self.source.edges)} source edges)"
         )
+
+
+def _provenance(verts, k, names, src_eids, keys, rows, nodes, shapes, gids, fids, width) -> tuple:
+    """The four :class:`ProductTrace` maps from :func:`cyl_product`'s gluing
+    record, in the insertion order the product defines: slots by source
+    vertex then index, copies by source edge then cylinder vertex,
+    ``edge_src`` by output edge, and ``src_edge`` by merge group, then
+    source edge, then cylinder edge."""
+    slot = dict(zip([(v, i) for v in verts for i in range(1, k + 1)], names))
+    copy: dict = {}
+    members: list = [[] for _ in range(len(fids) // width)]
+    pos = j = 0
+    for eid, key in zip(src_eids, keys):
+        for x in rows[key][1]:
+            copy[(eid, x)] = names[nodes[pos]]
+            pos += 1
+        for entry in shapes[key]:
+            c = gids[j]
+            j += 1
+            members[c >> 1].append((eid, entry[0], c & 1))
+    edge_src: dict = {fid: [] for fid in fids}
+    src_edge: dict = {}
+    for gid, group in enumerate(members):
+        own = fids[gid * width : (gid + 1) * width]
+        first = group[0][2]
+        for eid, ids, o in group:
+            for ce, fid in zip(ids, own if o == first else own[::-1]):
+                src_edge[(eid, ce)] = fid
+                edge_src[fid].append((eid, ce))
+    return slot, copy, edge_src, src_edge
 
 
 def _audit_product_labels(g: Graph, cset: CylinderSet) -> None:
@@ -93,20 +133,52 @@ def _audit_product_labels(g: Graph, cset: CylinderSet) -> None:
             raise NotATwist(f"edge {eid!r} twists by a permutation outside the slot group")
 
 
-def _cylinder_shape(key, cg: Graph) -> list:
+def _cylinder_rows(cyl) -> tuple:
+    """A cylinder's edge count, its vertices, and per vertex (the vertex,
+    its 0-based y row position, its z row position), None off a row."""
+    ypos = {v: b for b, v in enumerate(cyl.y)}
+    zpos = {v: b for b, v in enumerate(cyl.z)}
+    verts = cyl.graph.vertices
+    return len(cyl.graph.edges), verts, [(x, ypos.get(x), zpos.get(x)) for x in verts]
+
+
+def _cylinder_shape(key, cg: Graph, verts: list, labels: dict) -> list:
     """One entry per canonical edge of a cylinder graph, in ``str`` order of
-    edge id: (the edge id and its twin's, tail, head, label, twin's label)."""
+    edge id: (the edge id and its twin's, tail and head positions in
+    ``verts``, the ids ``labels`` interns the label and twin label under, the
+    label, the twin label).  Labels that compare equal share an id."""
+    pos = {x: j for j, x in enumerate(verts)}
     shape = []
     for ce in sorted(cg.canonical_edges(), key=str):
         e = cg.edges[ce]
         ids = cg.with_twin(ce)
         twin_label = cg.edges[ids[-1]].label
         try:
-            hash((e.label, twin_label))
+            lid = labels.setdefault(e.label, len(labels))
+            rlid = labels.setdefault(twin_label, len(labels))
         except TypeError:
             raise LabelConflict(f"cylinder {key!r} edge {ce!r} carries an unhashable label") from None
-        shape.append((ids, e.tail, e.head, e.label, twin_label))
+        shape.append((ids, pos[e.tail], pos[e.head], lid, rlid, e.label, twin_label))
     return shape
+
+
+_INNER_CLASH = "inner vertex name {!r} collides; rename edges or cylinder vertices"
+_ID_CLASH = "duplicate edge id {!r}"
+
+
+def _reject_repeats(items: list, message: str) -> None:
+    """Raise :class:`DomainError` naming the first item equal to an earlier one."""
+    seen: set = set()
+    for x in items:
+        if x in seen:
+            raise DomainError(message.format(x))
+        seen.add(x)
+
+
+def _root(parent: list, x: int) -> int:
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]  # path halving
+    return x
 
 
 def cyl_product(g: Graph, cset: CylinderSet) -> ProductTrace:
@@ -115,95 +187,133 @@ def cyl_product(g: Graph, cset: CylinderSet) -> ProductTrace:
     Boundary row vertex ``y_b`` of the copy on edge ``u -> v`` labeled
     ``(pre, key, post)`` lands on slot ``u#pre(b)``, and ``z_b`` on
     ``v#post(b)``.  Rows sharing a vertex weld the two slots together.
+
+    The gluing runs over dense integer ids: slot ``(v, i)`` is
+    ``rank(v)·k + i − 1``, ranks in ``g.vertices`` order, and interior copy
+    vertices are numbered after the slots.  An array union-find welds slots,
+    and each class is named by its smallest member name (``str`` order) once
+    at the end.  Copies whose ends land on the same (tail, head, label) set
+    merge into the first copy's edges, which name the output edges.
     """
     if g.symmetric != cset.symmetric:
         raise DomainError("source graph and cylinders disagree about being symmetric")
     g.validate()
     _audit_product_labels(g, cset)
     k = cset.width
-
-    slot = {(v, i): _slot_name(v, i) for v in g.vertices for i in range(1, k + 1)}
-    if len(set(slot.values())) != len(slot):
+    verts = g.vertices
+    slot_names = [f"{v}#{i}" for v in verts for i in range(1, k + 1)]
+    if len(set(slot_names)) != len(slot_names):
         raise DomainError("vertex names collide after slotting; rename the source vertices")
+    n_slots = len(slot_names)
+    base = {v: r * k - 1 for r, v in enumerate(verts)}  # slot id of (v, i) is base[v] + i
 
     src_eids = sorted(g.canonical_edges(), key=str)
-
-    uf = UnionFind()
-    for nm in slot.values():
-        uf.find(nm)
-    copy: dict = {}
-    inner_names: set = set()
+    rows: dict = {}  # cylinder key -> _cylinder_rows
+    keys: list = []  # cylinder key per source edge
+    nodes: list = []  # node id per copy vertex, source edge by source edge
+    inner: list = []  # name of interior node n_slots + i
+    parent = None  # array union-find over slot ids, made at the first weld
     n_pre = 0
     for eid in src_eids:
         e = g.edges[eid]
         lab = e.label
-        cyl = cset[lab.key]
-        n_pre += len(cyl.graph.edges)
+        key = lab.key
+        row = rows.get(key)
+        if row is None:
+            row = rows[key] = _cylinder_rows(cset[key])
+        n_pre += row[0]
         if n_pre > MAX_PRODUCT_EDGES:
+            _reject_repeats(inner, _INNER_CLASH)  # an earlier collision is reported first
             raise ResourceLimit(f"product would exceed {MAX_PRODUCT_EDGES} edges before merging")
-        ypos = {v: b for b, v in enumerate(cyl.y, start=1)}
-        zpos = {v: b for b, v in enumerate(cyl.z, start=1)}
-        for x in cyl.graph.vertices:
-            aliases = []
-            if x in ypos:
-                aliases.append(slot[(e.tail, lab.pre(ypos[x]))])
-            if x in zpos:
-                aliases.append(slot[(e.head, lab.post(zpos[x]))])
-            if not aliases:
-                nm = f"{eid}@{x}"
-                if nm in inner_names:
-                    raise DomainError(f"inner vertex name {nm!r} collides; rename edges or cylinder vertices")
-                inner_names.add(nm)
-                aliases.append(nm)
-            copy[(eid, x)] = aliases[0]
-            uf.find(aliases[0])
-            for other in aliases[1:]:
-                uf.union(aliases[0], other)
-    if inner_names & set(slot.values()):
+        keys.append(key)
+        bt, bh = base[e.tail], base[e.head]
+        pre, post = lab.pre.images, lab.post.images
+        for x, yb, zb in row[2]:
+            if yb is not None:
+                a = bt + pre[yb]
+                if zb is not None:
+                    if parent is None:
+                        parent = list(range(n_slots))
+                    ra, rb = _root(parent, a), _root(parent, bh + post[zb])
+                    parent[max(ra, rb)] = min(ra, rb)
+                nodes.append(a)
+            elif zb is not None:
+                nodes.append(bh + post[zb])
+            else:
+                nodes.append(n_slots + len(inner))
+                inner.append(f"{eid}@{x}")
+    _reject_repeats(inner, _INNER_CLASH)
+    if not set(slot_names).isdisjoint(inner):
         raise DomainError("inner vertex names collide with slot names; rename the source vertices")
 
-    cmap = uf.canonical_map()
-    final_slot = {key: cmap[nm] for key, nm in slot.items()}
-    final_copy = {key: cmap[nm] for key, nm in copy.items()}
+    names = slot_names
+    if parent is not None:
+        root = [_root(parent, s) for s in range(n_slots)]
+        best: dict = {}
+        for s, r in enumerate(root):
+            if r not in best or slot_names[s] < best[r]:
+                best[r] = slot_names[s]
+        names = [best[r] for r in root]
+        nodes = [root[x] if x < n_slots else x for x in nodes]
+    names = names + inner  # node id -> final vertex name
 
     out = Graph(symmetric=g.symmetric)
-    for nm in sorted(set(cmap.values()), key=str):
-        out.add_vertex(nm)
+    out._vertices = dict.fromkeys(sorted(set(names)))
+    edges, pairing = out.edges, out.pairing
 
-    # Each canonical cylinder edge travels with its twin when symmetric.  Copies
-    # whose ends land on the same (tail, head, label) set merge into the first
-    # copy's edges; a copy whose first end is not the group's first end lies
-    # the other way round and maps its edges in swapped order.
+    # Each canonical cylinder edge travels with its twin when symmetric.  An
+    # end (tail node, head node, label id) is the integer
+    # (tail * len(names) + head) * n_labels + label id, and a copy's group key
+    # is its ends in sorted order.  A copy whose first end is not the group's
+    # first end lies the other way round; ``gids`` keeps 2 * group + (first
+    # end is the smaller).  No cylinder interns more labels than it has edges.
     symmetric = g.symmetric
-    shapes: dict = {}  # cylinder key -> [(edge ids, tail, head, label, twin label)]
-    groups: dict = {}  # frozenset of end keys -> [(source edge id, edge ids, end keys)]
-    for eid in src_eids:
-        key = g.edges[eid].label.key
+    n_labels = 1 + sum(row[0] for row in rows.values())
+    nl = len(names) * n_labels
+    span = len(names) * nl
+    labels: dict = {}  # label -> interned id, shared by every cylinder
+    shapes: dict = {}  # cylinder key -> _cylinder_shape
+    groups: dict = {}  # group key -> group number
+    gids: list = []  # per copy edge, source edge by source edge
+    fids: list = []  # output edge ids, group by group
+    off = 0
+    for eid, key in zip(src_eids, keys):
         shape = shapes.get(key)
         if shape is None:
-            shape = shapes[key] = _cylinder_shape(key, cset[key].graph)
-        for ids, x, y, lab, rlab in shape:
-            a, b = final_copy[(eid, x)], final_copy[(eid, y)]
-            ends = ((a, b, lab), (b, a, rlab)) if symmetric else ((a, b, lab),)
-            groups.setdefault(frozenset(ends), []).append((eid, ids, ends))
-
-    edge_src: dict = {}
-    src_edge: dict = {}
-    for members in groups.values():
-        eid0, ids0, ends0 = members[0]
-        fids = [f"{eid0}@{ce}" for ce in ids0]
-        for fid, (t, hd, lab) in zip(fids, ends0):
-            out.add_edge(t, hd, lab, fid)
-            edge_src[fid] = []
-        if symmetric:
-            out.pair_edges(*fids)
-        for eid, ids, ends in members:
-            for ce, fid in zip(ids, fids if ends[0] == ends0[0] else fids[::-1]):
-                src_edge[(eid, ce)] = fid
-                edge_src[fid].append((eid, ce))
+            try:
+                shape = shapes[key] = _cylinder_shape(key, cset[key].graph, rows[key][1], labels)
+            except LabelConflict:
+                _reject_repeats(fids, _ID_CLASH)  # an earlier duplicate id is reported first
+                raise
+        for ids, ti, hi, lid, rlid, lab, rlab in shape:
+            a, b = nodes[off + ti], nodes[off + hi]
+            end = a * nl + b * n_labels + lid
+            if symmetric:
+                back = b * nl + a * n_labels + rlid
+                first = end <= back
+                gk = end * span + back if first else back * span + end
+            else:
+                gk, first = end, True
+            gid = groups.get(gk)
+            if gid is None:
+                gid = groups[gk] = len(groups)
+                fid = f"{eid}@{ids[0]}"
+                fids.append(fid)
+                edges[fid] = Edge(names[a], names[b], lab)
+                if symmetric:
+                    tid = f"{eid}@{ids[1]}"
+                    fids.append(tid)
+                    edges[tid] = Edge(names[b], names[a], rlab)
+                    pairing[fid] = tid
+                    pairing[tid] = fid
+            gids.append(2 * gid + first)
+        off += len(rows[key][1])
+    if len(edges) != len(fids):
+        _reject_repeats(fids, _ID_CLASH)
 
     out.validate()
-    return ProductTrace(out, g, cset, final_slot, final_copy, edge_src, src_edge)
+    record = (verts, k, names, src_eids, keys, rows, nodes, shapes, gids, fids, 2 if symmetric else 1)
+    return ProductTrace(out, g, cset, record)
 
 
 def _tuple_key(t) -> tuple:

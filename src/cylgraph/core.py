@@ -208,23 +208,23 @@ class Graph:
         return all(isinstance(e.label, GammaLabel) for e in self.edges.values())
 
     def validate(self) -> None:
-        for eid, e in self.edges.items():
-            if e.tail not in self._vertices or e.head not in self._vertices:
+        verts, edges, pairing = self._vertices, self.edges, self.pairing
+        for eid, (tail, head, _) in edges.items():
+            if tail not in verts or head not in verts:
                 raise DomainError(f"edge {eid!r} has a missing endpoint")
         if self.symmetric:
-            if set(self.pairing) != set(self.edges):
-                missing = set(self.edges) - set(self.pairing)
+            if pairing.keys() != edges.keys():
+                missing = set(edges) - set(pairing)
                 raise DomainError(f"symmetric graph with unpaired edges: {sorted(missing)[:5]}")
-            for eid, tw in self.pairing.items():
-                if self.pairing.get(tw) != eid or tw == eid:
+            for eid, tw in pairing.items():
+                if pairing.get(tw) != eid or tw == eid:
                     raise DomainError(f"pairing is not a fixed-point-free involution at {eid!r}")
-                a, b = self.edges[eid], self.edges[tw]
-                if (a.tail, a.head) != (b.head, b.tail):
+                (at, ah, al), (bt, bh, bl) = edges[eid], edges[tw]
+                if (at, ah) != (bh, bt):
                     raise DomainError(f"paired edges {eid!r}/{tw!r} are not mutual reverses")
-                want = a.label.reversed() if isinstance(a.label, GammaLabel) else a.label
-                if b.label != want:
+                if bl != (al.reversed() if isinstance(al, GammaLabel) else al):
                     raise LabelConflict(f"paired edges {eid!r}/{tw!r} carry incompatible labels")
-        elif self.pairing:
+        elif pairing:
             raise DomainError("non-symmetric graph must not carry a pairing")
 
     # -- equality and copying ----------------------------------------------

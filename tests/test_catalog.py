@@ -255,3 +255,14 @@ def test_ports_take_one_pass_over_the_edges():
     assert len(ports) == 6 * n
     # ports follow edge id order (as strings) around each vertex
     assert [ports[(0, eid)] for eid in ("e0", "e11994", "e4")] == [1, 2, 3]
+
+
+def test_subdivision_of_a_long_cycle_glues_over_integer_ids():
+    """100,000 vertices and 200,000 directed edges; the string-keyed gluing
+    took 2.5 s here on a 2-CPU host."""
+    g = cycle_graph(20000)
+    start = time.perf_counter()
+    out = subdivision(g, 5)
+    assert time.perf_counter() - start <= 2.0
+    assert len(out.vertices) == 100_000
+    assert len(out.edges) == 200_000

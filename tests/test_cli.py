@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import os
 import random
 import time
 
@@ -41,6 +42,22 @@ def test_catalog_petersen_round_trips(tmp_path, capsys):
     g = Graph.from_json(data)
     assert isomorphic(g, kneser_graph(5, 2)) is not None
     assert g.to_json() == data  # import then export changes nothing
+
+
+def test_output_file_is_rewritten_whole(tmp_path, capsys):
+    """``-o`` writes over an existing file in place; a longer old file
+    keeps none of its tail, a shorter one grows, and a device takes the
+    text without being truncated."""
+    assert main(["catalog", "petersen"]) == 0
+    want = capsys.readouterr().out
+    out = tmp_path / "p.json"
+    for old in ("x" * (3 * len(want)), "{}", want):
+        out.write_text(old)
+        assert main(["catalog", "petersen", "-o", str(out)]) == 0
+        assert out.read_text() == want
+    assert main(["catalog", "petersen", "-o", os.devnull]) == 0
+    assert main(["catalog", "petersen", "-o", str(tmp_path)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "io"
 
 
 def test_hom_exists_exit_codes(tmp_path, capsys):

@@ -1,12 +1,17 @@
 """The gluing product and ``merge_parallel`` against frozen copies of their
 earlier two-branch versions (one branch for directed graphs, one for twin
-pairs), kept as differential oracles."""
+pairs), kept as differential oracles: outputs, provenance maps and, for the
+product, the error raised first on each bad input."""
 
 import json
 import random
 from collections import Counter
+from types import SimpleNamespace
 
-from cylgraph.construct import MAX_PRODUCT_EDGES, ProductTrace, _audit_product_labels, cyl_product
+import pytest
+
+from cylgraph import construct
+from cylgraph.construct import MAX_PRODUCT_EDGES, _audit_product_labels, cyl_product
 from cylgraph.core import GammaLabel, Graph, UnionFind, label_to_json, merge_parallel
 from cylgraph.cylinder import CylinderSet, identity_cyl, make_cylinder, path_cyl, sqcap_cyl, square_cyl, wedge_cyl
 from cylgraph.errors import CylError, DomainError, ResourceLimit
@@ -127,7 +132,7 @@ def product_oracle(g, cset, stats=None):
             stats["merged"] += len(members) - 1
             stats["flipped"] += sum(k1 != k1_0 for *_, k1 in members)
     out.validate()
-    return ProductTrace(out, g, cset, final_slot, final_copy, edge_src, src_edge)
+    return SimpleNamespace(graph=out, slot=final_slot, copy=final_copy, edge_src=edge_src, src_edge=src_edge)
 
 
 def merge_oracle(g):
@@ -265,3 +270,117 @@ def test_merge_parallel_matches_the_frozen_two_branch_merge():
         assert list(got.edges.items()) == list(want.edges.items())
         assert list(got.pairing.items()) == list(want.pairing.items())
     assert flipped >= 100
+
+
+# -- error paths and the maps built on first read ---------------------------------
+
+ID1 = Perm.identity(1)
+
+
+def _directed_cset(*edges, inner=()):
+    """Width 1, directed: rows y1 and z1, the given inner vertices, and one
+    edge ``(tail, head, label, id)`` per entry."""
+    cg = Graph()
+    cg.add_vertices(["y1", "z1", *inner])
+    for tail, head, lab, eid in edges:
+        cg.add_edge(tail, head, lab, eid)
+    return CylinderSet(PermGroup.trivial(1), {1: make_cylinder(cg, ["y1"], ["z1"])})
+
+
+def _directed_source(vertices, edges):
+    """``edges`` are ``(tail, head, id)``, each labeled ``(id, 1, id)``."""
+    g = Graph()
+    g.add_vertices(vertices)
+    for tail, head, eid in edges:
+        g.add_edge(tail, head, GammaLabel(ID1, 1, ID1), eid)
+    return g
+
+
+def _slot_collision():
+    return _directed_source([1, "1"], [(1, "1", "e")]), _directed_cset(("y1", "z1", None, "r"))
+
+
+def _inner_collision():
+    cset = _directed_cset(("y1", "z1", None, "rung"), inner=["q@r", "r"])
+    return _directed_source("uv", [("u", "v", "p"), ("u", "v", "p@q")]), cset
+
+
+def _inner_slot_collision():
+    cset = _directed_cset(("y1", "x#1", None, "a"), inner=["x#1"])
+    return _directed_source(["u", "e0@x"], [("u", "e0@x", "e0")]), cset
+
+
+def _duplicate_edge_id():
+    cset = _directed_cset(("y1", "z1", "a", "q@r"), ("y1", "z1", "b", "r"))
+    return _directed_source("uvw", [("u", "v", "p"), ("v", "w", "p@q")]), cset
+
+
+def _duplicate_id_before_unhashable_label():
+    g, cset = _duplicate_edge_id()
+    cg = Graph()
+    cg.add_vertices(["y1", "z1"])
+    cg.add_edge("y1", "z1", ["unhashable"], "s")
+    cset = CylinderSet(PermGroup.trivial(1), {1: cset[1], 2: make_cylinder(cg, ["y1"], ["z1"])})
+    g.add_vertex("x")
+    g.add_edge("w", "x", GammaLabel(ID1, 2, ID1), "q")
+    return g, cset
+
+
+ERROR_CASES = {
+    "slot collision": (_slot_collision, DomainError, "vertex names collide after slotting"),
+    "inner collision": (_inner_collision, DomainError, "inner vertex name 'p@q@r' collides"),
+    "inner vs slot collision": (_inner_slot_collision, DomainError, "inner vertex names collide with slot names"),
+    "duplicate edge id": (_duplicate_edge_id, DomainError, "duplicate edge id 'p@q@r'"),
+    "duplicate id before unhashable label": (_duplicate_id_before_unhashable_label, DomainError, "duplicate edge id"),
+}
+
+
+@pytest.mark.parametrize("case", ERROR_CASES, ids=list(ERROR_CASES))
+def test_error_paths_match_the_oracle(case):
+    build, kind, message = ERROR_CASES[case]
+    g, cset = build()
+    want = _outcome(lambda: product_oracle(g, cset))
+    assert want[0] == kind.__name__ and message in want[1]
+    assert _outcome(lambda: cyl_product(g, cset)) == want
+
+
+@pytest.mark.parametrize(
+    "cap, second, kind",
+    [(5, "p@q", "ResourceLimit"), (8, "p@q", "DomainError"), (8, "s", "ResourceLimit")],
+    ids=["cap before collision", "collision before cap", "cap at the last edge"],
+)
+def test_edge_cap_matches_the_oracle(monkeypatch, cap, second, kind):
+    """Three source edges of three cylinder edges each.  With a second edge
+    named ``p@q`` its inner names collide with the first edge's, and the
+    error the oracle raises first depends on where the cap falls."""
+    cset = _directed_cset(("y1", "q@r", None, "a"), ("q@r", "r", None, "b"), ("r", "z1", None, "c"), inner=["q@r", "r"])
+    g = _directed_source("uvwx", [("u", "v", "p"), ("v", "w", second), ("w", "x", "t")])
+    monkeypatch.setattr(construct, "MAX_PRODUCT_EDGES", cap)
+    monkeypatch.setitem(globals(), "MAX_PRODUCT_EDGES", cap)
+    want = _outcome(lambda: product_oracle(g, cset))
+    assert want[0] == kind
+    assert _outcome(lambda: cyl_product(g, cset)) == want
+
+
+def test_maps_survive_a_later_change_to_the_source():
+    """The maps are built on first read, from what the product saw."""
+    rng = random.Random(6008)
+    checked = 0
+    while checked < 20:
+        g, cset = random_product_instance(rng)
+        try:
+            want = product_oracle(g, cset)
+        except CylError:
+            continue
+        got = cyl_product(g, cset)
+        eid = next(iter(g.edges))
+        e = g.edges[eid]
+        g.add_vertex("late")
+        if g.symmetric:
+            g.add_sym_edge(e.tail, "late", e.label, "a-late", "b-late")
+        else:
+            g.add_edge(e.tail, "late", e.label, "a-late")
+        for field in ("slot", "copy", "edge_src", "src_edge"):
+            assert list(getattr(got, field).items()) == list(getattr(want, field).items()), field
+        assert got.blowup(e.tail) == tuple(want.slot[(e.tail, i)] for i in range(1, cset.width + 1))
+        checked += 1
