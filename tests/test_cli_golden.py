@@ -1,9 +1,10 @@
 """CLI output frozen in golden files, compared byte for byte with
 ``tests/golden/<name>.json`` (``.dot`` for ``export-dot``): ``hom list`` in
 gamma and labeled mode, ``product``, ``duality check``, ``closed``,
-``reduce``, the catalog builders that glue, merge, relabel or take
-exponentials, ``iso`` and ``export-dot``."""
+``reduce``, every catalog builder, ``iso`` and ``export-dot``.  The shape
+of the argument parser itself is frozen in ``tests/golden/parser_tree.json``."""
 
+import argparse
 import json
 import random
 from pathlib import Path
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from cylgraph.catalog import complete_graph, cycle_graph, neps_cylinder, path_graph, petersen
-from cylgraph.cli import main
+from cylgraph.cli import build_parser, main
 from cylgraph.construct import cyl_product, exponential, uniform_labels
 from cylgraph.core import Graph
 from cylgraph.cylinder import CylinderSet, identity_cyl, path_cyl, square_cyl, wedge_cyl
@@ -159,6 +160,9 @@ def golden_cases():
             "--cylinders": mixed,
             "--target": complete_graph(3),
         }, []),
+        "catalog_petersen": (["catalog", "petersen"], {}, []),
+        "catalog_power_c5": (["catalog", "power"], {"--graph": cycle_graph(5)}, ["-n", "2"]),
+        "catalog_fracpower_c4": (["catalog", "fracpower"], {"--graph": cycle_graph(4)}, ["-m", "3", "-n", "2"]),
         "catalog_linegraph_multigraph": (["catalog", "linegraph"], {
             "--graph": random_multigraph(random.Random(5), 4, 6, labels=(None,), symmetric=True),
         }, []),
@@ -217,3 +221,33 @@ def test_cli_output_matches_golden_file(tmp_path, name):
     out = tmp_path / "out.json"
     assert run_case(name, tmp_path, out) == (2 if name in ANSWERS_NO else 0)
     assert out.read_bytes() == golden_path(name).read_bytes()
+
+
+def parser_tree(p: argparse.ArgumentParser) -> dict:
+    """A parser as plain data, in declaration order: its defaults and, per
+    action, the fields that decide parsing and help, with every subparser
+    nested under its name.  Unlike ``format_help()`` this does not depend on
+    the terminal width or on the Python version's help layout."""
+    actions = []
+    for a in p._actions:
+        row = {
+            "options": a.option_strings,
+            "dest": a.dest,
+            "required": a.required,
+            "nargs": a.nargs,
+            "type": getattr(a.type, "__name__", a.type),
+            "choices": None if a.choices is None else list(a.choices),
+            "default": a.default,
+            "metavar": a.metavar,
+            "help": a.help,
+        }
+        if isinstance(a, argparse._SubParsersAction):
+            helps = {c.dest: c.help for c in a._choices_actions}
+            row["parsers"] = {name: {"help": helps.get(name), **parser_tree(sp)} for name, sp in a.choices.items()}
+        actions.append(row)
+    return {"prog": p.prog, "description": p.description, "defaults": p._defaults, "actions": actions}
+
+
+def test_parser_tree_matches_golden_file():
+    text = json.dumps(parser_tree(build_parser()), indent=2) + "\n"
+    assert text == (GOLDEN / "parser_tree.json").read_text()
