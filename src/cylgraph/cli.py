@@ -210,37 +210,7 @@ def cmd_closed(args) -> int:
 
 
 def cmd_catalog(args) -> int:
-    which = args.builder
-    if which == "petersen":
-        out = petersen()
-    elif which == "power":
-        out = walk_power(load_graph(args.graph), args.n)
-    elif which == "subdivision":
-        out = subdivision(load_graph(args.graph), args.n)
-    elif which == "fracpower":
-        out = fractional_power(load_graph(args.graph), args.m, args.n)
-    elif which == "neps":
-        out = neps_product(load_graph(args.left), load_graph(args.right), args.kind)
-    elif which == "voltage":
-        base = load_graph(args.base)
-        raw = json_checked(_load_json(args.voltages), dict, args.voltages)
-        volts = {eid: Perm(json_checked(ims, list, f"{args.voltages}: voltage of {eid!r}")) for eid, ims in raw.items()}
-        out = voltage_lift(base, volts, args.k)
-    elif which == "zigzag":
-        out = zigzag_product(load_graph(args.outer), load_graph(args.inner))
-    elif which == "replacement":
-        out, _ = replacement_product(load_graph(args.outer), load_graph(args.inner))
-    elif which == "linegraph":
-        out = looped_line_graph(load_graph(args.graph))
-    elif which == "join":
-        out = join_with(load_graph(args.left), load_graph(args.right))
-    elif which == "universal":
-        out = cone(load_graph(args.graph))
-    else:  # minor
-        contract = tuple(args.contract.split(",")) if args.contract else ()
-        delete = tuple(args.delete.split(",")) if args.delete else ()
-        out = graph_minor(load_graph(args.graph), contract=contract, delete=delete)
-    _emit(out.to_json(), args.output)
+    _emit(_BUILDERS[args.builder][1](args).to_json(), args.output)
     return 0
 
 
@@ -264,130 +234,106 @@ def cmd_export(args) -> int:
 # -- parser ---------------------------------------------------------------------
 
 
-def _out(p) -> None:
+def _arg(*names, **kw) -> tuple:
+    """One ``add_argument`` call, kept as data."""
+    return names, kw
+
+
+def _ids(text: str | None) -> tuple:
+    return tuple(text.split(",")) if text else ()
+
+
+def _voltage_lift(args) -> Graph:
+    base = load_graph(args.base)
+    raw = json_checked(_load_json(args.voltages), dict, args.voltages)
+    volts = {eid: Perm(json_checked(ims, list, f"{args.voltages}: voltage of {eid!r}")) for eid, ims in raw.items()}
+    return voltage_lift(base, volts, args.k)
+
+
+_GRAPH = _arg("--graph", required=True)
+_CYLINDERS = _arg("--cylinders", required=True)
+_TARGET = _arg("--target", required=True)
+_UNIFORM = _arg("--uniform", metavar="KEY", help="label every edge of a plain graph at this cylinder key first")
+_LEFT_RIGHT = (_arg("--left", required=True), _arg("--right", required=True))
+_OUTER_INNER = (_arg("--outer", required=True), _arg("--inner", required=True))
+
+# catalog builder -> (its flags, the graph it builds from the parsed arguments)
+_BUILDERS = {
+    "petersen": ((), lambda a: petersen()),
+    "power": ((_GRAPH, _arg("-n", type=int, required=True, help="walk length")),
+              lambda a: walk_power(load_graph(a.graph), a.n)),
+    "subdivision": ((_GRAPH, _arg("-n", type=int, required=True, help="edges per stretched edge")),
+                    lambda a: subdivision(load_graph(a.graph), a.n)),
+    "fracpower": ((_GRAPH, _arg("-m", type=int, required=True, help="walk length"),
+                   _arg("-n", type=int, required=True, help="subdivision first")),
+                  lambda a: fractional_power(load_graph(a.graph), a.m, a.n)),
+    "neps": ((*_LEFT_RIGHT, _arg("--kind", required=True, choices=NEPS_KINDS)),
+             lambda a: neps_product(load_graph(a.left), load_graph(a.right), a.kind)),
+    "voltage": ((_arg("--base", required=True),
+                 _arg("--voltages", required=True, help="JSON object: edge id -> permutation images"),
+                 _arg("-k", type=int, required=True, help="sheets")), _voltage_lift),
+    "zigzag": (_OUTER_INNER, lambda a: zigzag_product(load_graph(a.outer), load_graph(a.inner))),
+    "replacement": (_OUTER_INNER, lambda a: replacement_product(load_graph(a.outer), load_graph(a.inner))[0]),
+    "linegraph": ((_GRAPH,), lambda a: looped_line_graph(load_graph(a.graph))),
+    "join": (_LEFT_RIGHT, lambda a: join_with(load_graph(a.left), load_graph(a.right))),
+    "universal": ((_GRAPH,), lambda a: cone(load_graph(a.graph))),
+    "minor": ((_GRAPH, _arg("--contract", help="comma-separated edge ids"),
+               _arg("--delete", help="comma-separated edge ids")),
+              lambda a: graph_minor(load_graph(a.graph), contract=_ids(a.contract), delete=_ids(a.delete))),
+}
+
+# verb -> (help, its flags, the name of its cmd_* function); catalog's flags
+# are its builders
+_VERBS = {
+    "product": ("inflate a labeled graph by a cylinder set", (_GRAPH, _CYLINDERS, _UNIFORM), "cmd_product"),
+    "expo": ("exponential of a target by a cylinder set", (_CYLINDERS, _TARGET), "cmd_expo"),
+    "hom": ("query maps between two graphs", (
+        _arg("action", choices=("exists", "count", "list")),
+        _arg("--source", required=True),
+        _TARGET,
+        _arg("--mode", default="labeled", help="plain, labeled or gamma"),
+        _arg("--group", help="slot group (or cylinder set) for gamma mode"),
+        _arg("--limit", type=int, help="cap for 'list'"),
+    ), "cmd_hom"),
+    "duality": ("two-sided correspondence report",
+                (_arg("check", choices=("check",)), _GRAPH, _CYLINDERS, _TARGET, _UNIFORM), "cmd_duality"),
+    "closed": ("closedness / tightness checks", (
+        _arg("direction", choices=("lower", "upper", "tight")),
+        _CYLINDERS,
+        _arg("--graph", help="source graph (upper, tight)"),
+        _arg("--target", help="target graph (lower, tight)"),
+    ), "cmd_closed"),
+    "catalog": ("named constructions", _BUILDERS, "cmd_catalog"),
+    "reduce": ("emit the inflated instance whose target-maps decide the structured question",
+               (_GRAPH, _CYLINDERS, _TARGET, _UNIFORM), "cmd_reduce"),
+    "iso": ("are two graphs isomorphic?", _LEFT_RIGHT, "cmd_iso"),
+    "export-dot": ("graph JSON to DOT", (_GRAPH,), "cmd_export"),
+}
+
+
+def _add_flags(p, flags) -> None:
+    for names, kw in flags:
+        p.add_argument(*names, **kw)
     p.add_argument("-o", "--output", help="write here instead of stdout")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The ``cyl`` argument parser.  Each verb stores the name of its
-    ``cmd_*`` function as ``func``; :func:`main` looks it up in this module
-    when it runs, so a parser built once serves every call."""
+    """The ``cyl`` argument parser, built from ``_VERBS`` and ``_BUILDERS``.
+    Each verb stores the name of its ``cmd_*`` function as ``func``;
+    :func:`main` looks it up in this module when it runs, so a parser built
+    once serves every call."""
     p = _Parser(prog="cyl", description="Cylinder products, exponentials and map queries over JSON graph files.")
     p.add_argument("--seed", type=int, default=0, help="seed for any randomized choices (fixed default keeps runs reproducible)")
     sub = p.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("product", help="inflate a labeled graph by a cylinder set")
-    sp.add_argument("--graph", required=True)
-    sp.add_argument("--cylinders", required=True)
-    sp.add_argument("--uniform", metavar="KEY", help="label every edge of a plain graph at this cylinder key first")
-    _out(sp)
-    sp.set_defaults(func="cmd_product")
-
-    sp = sub.add_parser("expo", help="exponential of a target by a cylinder set")
-    sp.add_argument("--cylinders", required=True)
-    sp.add_argument("--target", required=True)
-    _out(sp)
-    sp.set_defaults(func="cmd_expo")
-
-    sp = sub.add_parser("hom", help="query maps between two graphs")
-    sp.add_argument("action", choices=("exists", "count", "list"))
-    sp.add_argument("--source", required=True)
-    sp.add_argument("--target", required=True)
-    sp.add_argument("--mode", default="labeled", help="plain, labeled or gamma")
-    sp.add_argument("--group", help="slot group (or cylinder set) for gamma mode")
-    sp.add_argument("--limit", type=int, help="cap for 'list'")
-    _out(sp)
-    sp.set_defaults(func="cmd_hom")
-
-    sp = sub.add_parser("duality", help="two-sided correspondence report")
-    sp.add_argument("check", choices=("check",))
-    sp.add_argument("--graph", required=True)
-    sp.add_argument("--cylinders", required=True)
-    sp.add_argument("--target", required=True)
-    sp.add_argument("--uniform", metavar="KEY", help="label every edge of a plain graph at this cylinder key first")
-    _out(sp)
-    sp.set_defaults(func="cmd_duality")
-
-    sp = sub.add_parser("closed", help="closedness / tightness checks")
-    sp.add_argument("direction", choices=("lower", "upper", "tight"))
-    sp.add_argument("--cylinders", required=True)
-    sp.add_argument("--graph", help="source graph (upper, tight)")
-    sp.add_argument("--target", help="target graph (lower, tight)")
-    _out(sp)
-    sp.set_defaults(func="cmd_closed")
-
-    sp = sub.add_parser("catalog", help="named constructions")
-    cat = sp.add_subparsers(dest="builder", required=True)
-
-    c = cat.add_parser("petersen")
-    _out(c)
-    c = cat.add_parser("power")
-    c.add_argument("--graph", required=True)
-    c.add_argument("-n", type=int, required=True, help="walk length")
-    _out(c)
-    c = cat.add_parser("subdivision")
-    c.add_argument("--graph", required=True)
-    c.add_argument("-n", type=int, required=True, help="edges per stretched edge")
-    _out(c)
-    c = cat.add_parser("fracpower")
-    c.add_argument("--graph", required=True)
-    c.add_argument("-m", type=int, required=True, help="walk length")
-    c.add_argument("-n", type=int, required=True, help="subdivision first")
-    _out(c)
-    c = cat.add_parser("neps")
-    c.add_argument("--left", required=True)
-    c.add_argument("--right", required=True)
-    c.add_argument("--kind", required=True, choices=NEPS_KINDS)
-    _out(c)
-    c = cat.add_parser("voltage")
-    c.add_argument("--base", required=True)
-    c.add_argument("--voltages", required=True, help="JSON object: edge id -> permutation images")
-    c.add_argument("-k", type=int, required=True, help="sheets")
-    _out(c)
-    c = cat.add_parser("zigzag")
-    c.add_argument("--outer", required=True)
-    c.add_argument("--inner", required=True)
-    _out(c)
-    c = cat.add_parser("replacement")
-    c.add_argument("--outer", required=True)
-    c.add_argument("--inner", required=True)
-    _out(c)
-    c = cat.add_parser("linegraph")
-    c.add_argument("--graph", required=True)
-    _out(c)
-    c = cat.add_parser("join")
-    c.add_argument("--left", required=True)
-    c.add_argument("--right", required=True)
-    _out(c)
-    c = cat.add_parser("universal")
-    c.add_argument("--graph", required=True)
-    _out(c)
-    c = cat.add_parser("minor")
-    c.add_argument("--graph", required=True)
-    c.add_argument("--contract", help="comma-separated edge ids")
-    c.add_argument("--delete", help="comma-separated edge ids")
-    _out(c)
-    sp.set_defaults(func="cmd_catalog")
-
-    sp = sub.add_parser("reduce", help="emit the inflated instance whose target-maps decide the structured question")
-    sp.add_argument("--graph", required=True)
-    sp.add_argument("--cylinders", required=True)
-    sp.add_argument("--target", required=True)
-    sp.add_argument("--uniform", metavar="KEY", help="label every edge of a plain graph at this cylinder key first")
-    _out(sp)
-    sp.set_defaults(func="cmd_reduce")
-
-    sp = sub.add_parser("iso", help="are two graphs isomorphic?")
-    sp.add_argument("--left", required=True)
-    sp.add_argument("--right", required=True)
-    _out(sp)
-    sp.set_defaults(func="cmd_iso")
-
-    sp = sub.add_parser("export-dot", help="graph JSON to DOT")
-    sp.add_argument("--graph", required=True)
-    _out(sp)
-    sp.set_defaults(func="cmd_export")
-
+    for verb, (help_text, flags, func) in _VERBS.items():
+        sp = sub.add_parser(verb, help=help_text)
+        if flags is _BUILDERS:
+            cat = sp.add_subparsers(dest="builder", required=True)
+            for builder, (builder_flags, _) in _BUILDERS.items():
+                _add_flags(cat.add_parser(builder), builder_flags)
+        else:
+            _add_flags(sp, flags)
+        sp.set_defaults(func=func)
     return p
 
 

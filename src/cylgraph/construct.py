@@ -121,6 +121,7 @@ def _provenance(verts, k, names, src_eids, keys, rows, nodes, shapes, gids, fids
 def _audit_product_labels(g: Graph, cset: CylinderSet) -> None:
     group = cset.group
     k = cset.width
+    inside: set = set()  # images of the twists already found in the group
     for eid, e in g.edges.items():
         lab = e.label
         if not isinstance(lab, GammaLabel):
@@ -129,8 +130,11 @@ def _audit_product_labels(g: Graph, cset: CylinderSet) -> None:
             raise DomainError(f"edge {eid!r} asks for cylinder {lab.key!r}, which the set lacks")
         if lab.pre.degree != k or lab.post.degree != k:
             raise DomainError(f"edge {eid!r} twists {lab.pre.degree} slots, cylinders have {k}")
-        if lab.pre not in group or lab.post not in group:
-            raise NotATwist(f"edge {eid!r} twists by a permutation outside the slot group")
+        for p in (lab.pre, lab.post):
+            if p.images not in inside:
+                if p not in group:
+                    raise NotATwist(f"edge {eid!r} twists by a permutation outside the slot group")
+                inside.add(p.images)
 
 
 def _cylinder_rows(cyl) -> tuple:
@@ -162,17 +166,7 @@ def _cylinder_shape(key, cg: Graph, verts: list, labels: dict) -> list:
     return shape
 
 
-_INNER_CLASH = "inner vertex name {!r} collides; rename edges or cylinder vertices"
 _ID_CLASH = "duplicate edge id {!r}"
-
-
-def _reject_repeats(items: list, message: str) -> None:
-    """Raise :class:`DomainError` naming the first item equal to an earlier one."""
-    seen: set = set()
-    for x in items:
-        if x in seen:
-            raise DomainError(message.format(x))
-        seen.add(x)
 
 
 def _root(parent: list, x: int) -> int:
@@ -211,7 +205,7 @@ def cyl_product(g: Graph, cset: CylinderSet) -> ProductTrace:
     rows: dict = {}  # cylinder key -> _cylinder_rows
     keys: list = []  # cylinder key per source edge
     nodes: list = []  # node id per copy vertex, source edge by source edge
-    inner: list = []  # name of interior node n_slots + i
+    inner: dict = {}  # names of interior nodes n_slots, n_slots + 1, ...
     parent = None  # array union-find over slot ids, made at the first weld
     n_pre = 0
     for eid in src_eids:
@@ -223,7 +217,6 @@ def cyl_product(g: Graph, cset: CylinderSet) -> ProductTrace:
             row = rows[key] = _cylinder_rows(cset[key])
         n_pre += row[0]
         if n_pre > MAX_PRODUCT_EDGES:
-            _reject_repeats(inner, _INNER_CLASH)  # an earlier collision is reported first
             raise ResourceLimit(f"product would exceed {MAX_PRODUCT_EDGES} edges before merging")
         keys.append(key)
         bt, bh = base[e.tail], base[e.head]
@@ -240,9 +233,11 @@ def cyl_product(g: Graph, cset: CylinderSet) -> ProductTrace:
             elif zb is not None:
                 nodes.append(bh + post[zb])
             else:
+                name = f"{eid}@{x}"
+                if name in inner:
+                    raise DomainError(f"inner vertex name {name!r} collides; rename edges or cylinder vertices")
                 nodes.append(n_slots + len(inner))
-                inner.append(f"{eid}@{x}")
-    _reject_repeats(inner, _INNER_CLASH)
+                inner[name] = None
     if not set(slot_names).isdisjoint(inner):
         raise DomainError("inner vertex names collide with slot names; rename the source vertices")
 
@@ -255,7 +250,7 @@ def cyl_product(g: Graph, cset: CylinderSet) -> ProductTrace:
                 best[r] = slot_names[s]
         names = [best[r] for r in root]
         nodes = [root[x] if x < n_slots else x for x in nodes]
-    names = names + inner  # node id -> final vertex name
+    names = names + list(inner)  # node id -> final vertex name
 
     out = Graph(symmetric=g.symmetric)
     out._vertices = dict.fromkeys(sorted(set(names)))
@@ -275,16 +270,11 @@ def cyl_product(g: Graph, cset: CylinderSet) -> ProductTrace:
     shapes: dict = {}  # cylinder key -> _cylinder_shape
     groups: dict = {}  # group key -> group number
     gids: list = []  # per copy edge, source edge by source edge
-    fids: list = []  # output edge ids, group by group
     off = 0
     for eid, key in zip(src_eids, keys):
         shape = shapes.get(key)
         if shape is None:
-            try:
-                shape = shapes[key] = _cylinder_shape(key, cset[key].graph, rows[key][1], labels)
-            except LabelConflict:
-                _reject_repeats(fids, _ID_CLASH)  # an earlier duplicate id is reported first
-                raise
+            shape = shapes[key] = _cylinder_shape(key, cset[key].graph, rows[key][1], labels)
         for ids, ti, hi, lid, rlid, lab, rlab in shape:
             a, b = nodes[off + ti], nodes[off + hi]
             end = a * nl + b * n_labels + lid
@@ -298,21 +288,21 @@ def cyl_product(g: Graph, cset: CylinderSet) -> ProductTrace:
             if gid is None:
                 gid = groups[gk] = len(groups)
                 fid = f"{eid}@{ids[0]}"
-                fids.append(fid)
+                if fid in edges:
+                    raise DomainError(_ID_CLASH.format(fid))
                 edges[fid] = Edge(names[a], names[b], lab)
                 if symmetric:
                     tid = f"{eid}@{ids[1]}"
-                    fids.append(tid)
+                    if tid in edges:
+                        raise DomainError(_ID_CLASH.format(tid))
                     edges[tid] = Edge(names[b], names[a], rlab)
                     pairing[fid] = tid
                     pairing[tid] = fid
             gids.append(2 * gid + first)
         off += len(rows[key][1])
-    if len(edges) != len(fids):
-        _reject_repeats(fids, _ID_CLASH)
 
     out.validate()
-    record = (verts, k, names, src_eids, keys, rows, nodes, shapes, gids, fids, 2 if symmetric else 1)
+    record = (verts, k, names, src_eids, keys, rows, nodes, shapes, gids, list(edges), 2 if symmetric else 1)
     return ProductTrace(out, g, cset, record)
 
 

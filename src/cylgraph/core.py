@@ -423,18 +423,11 @@ class Graph:
         def q(x) -> str:
             return '"' + str(x).replace('"', r"\"") + '"'
 
-        lines = []
-        if self.symmetric:
-            lines.append(f"graph {q(name)} {{")
-            arrow = "--"
-            eids = self.canonical_edges()
-        else:
-            lines.append(f"digraph {q(name)} {{")
-            arrow = "->"
-            eids = list(self.edges)
+        kind, arrow = ("graph", "--") if self.symmetric else ("digraph", "->")
+        lines = [f"{kind} {q(name)} {{"]
         for v in sorted(self._vertices, key=str):
             lines.append(f"  {q(v)};")
-        for eid in sorted(eids):
+        for eid in sorted(self.canonical_edges()):
             e = self.edges[eid]
             attr = "" if e.label is None else f" [label={q(e.label)}]"
             lines.append(f"  {q(e.tail)} {arrow} {q(e.head)}{attr};")

@@ -240,8 +240,7 @@ class CylinderSet:
                 if not _rows_slot_isomorphic(first.graph, first.y, cyl.graph, cyl.y):
                     raise NotACylinder(f"cylinder {key!r} does not share the common base")
         for g in self.group:
-            moved = tuple(first.y[g(i) - 1] for i in range(1, first.width + 1))
-            if not _rows_slot_isomorphic(first.graph, first.y, first.graph, moved):
+            if not base_automorphism(first, g):
                 raise NotATwist(f"group element {g!r} is not an automorphism of the base")
 
     @property

@@ -36,12 +36,22 @@ from .hom import (
 from .perm import Perm, compose
 
 
-def _lift_edges(g: Graph, et: ExpoTrace, vmap: dict, shift: dict, missing: str) -> Homomorphism:
-    """Complete a vertex map from ``g`` into the exponential graph, whose
-    vertex ``v`` reached its image tuple through the slot permutation
-    ``shift[v]``: each edge goes to the exponential edge carrying its label
-    shifted the same way.  ``missing`` is the error message, with ``{eid!r}``
-    for the edge no exponential edge realizes."""
+def _lift(g: Graph, et: ExpoTrace, rows, no_vertex: str, no_edge: str) -> Homomorphism:
+    """The structured map from ``g`` into the exponential graph that sends
+    each vertex ``v`` of the ``(v, tuple)`` pairs in ``rows`` to the
+    surviving vertex of its tuple's orbit, and each edge to the exponential
+    edge carrying its label shifted the way its ends' tuples were.
+    ``no_vertex`` (with ``{v!r}``) and ``no_edge`` (with ``{eid!r}``) are
+    the messages for a tuple whose orbit has no surviving vertex and for an
+    edge no exponential edge realizes."""
+    vmap: dict = {}
+    shift: dict = {}  # v -> the slot permutation carrying its representative to its tuple
+    for v, row in rows:
+        name = et.names.get(et.rep(row))
+        if name is None or not et.graph.has_vertex(name):
+            raise DomainError(no_vertex.format(v=v))
+        vmap[v] = name
+        shift[v] = et.shift(row)
     emap: dict = {}
     alphas: dict = {}
     for eid in _src_edges(g):
@@ -53,7 +63,7 @@ def _lift_edges(g: Graph, et: ExpoTrace, vmap: dict, shift: dict, missing: str) 
         )
         x = et.find_edge(vmap[e.tail], vmap[e.head], want)
         if x is None:
-            raise DomainError(missing.format(eid=eid))
+            raise DomainError(no_edge.format(eid=eid))
         emap.update(zip(g.with_twin(eid), et.graph.with_twin(x)))
         alphas[e.tail] = shift[e.tail].inverse()
         alphas[e.head] = shift[e.head].inverse()
@@ -78,20 +88,12 @@ def retraction(tr: ProductTrace, et: ExpoTrace, sigma: Homomorphism) -> Homomorp
     group and all.  Only the vertex part of ``sigma`` is consulted.
     """
     g = tr.source
-    vmap: dict = {}
-    shift: dict = {}
-    for v in g.vertices:
-        row = tuple(sigma.vmap[s] for s in tr.blowup(v))
-        name = et.names.get(et.rep(row))
-        if name is None or not et.graph.has_vertex(name):
-            raise DomainError(
-                f"the slot row of {v!r} lands on a tuple with no surviving "
-                "representative in the exponential graph"
-            )
-        vmap[v] = name
-        shift[v] = et.shift(row)
-    return _lift_edges(g, et, vmap, shift, "no exponential edge realizes the image of {eid!r}; "
-                       "the given map does not respect the product structure")
+    rows = ((v, tuple(sigma.vmap[s] for s in tr.blowup(v))) for v in g.vertices)
+    return _lift(g, et, rows,
+                 "the slot row of {v!r} lands on a tuple with no surviving "
+                 "representative in the exponential graph",
+                 "no exponential edge realizes the image of {eid!r}; "
+                 "the given map does not respect the product structure")
 
 
 def section(tr: ProductTrace, et: ExpoTrace, sp: Homomorphism) -> Homomorphism:
@@ -202,20 +204,11 @@ def exponential_map(f: Homomorphism, et1: ExpoTrace, et2: ExpoTrace) -> Homomorp
     cset = et1.cset
     if et2.cset.width != cset.width or et2.cset.group != cset.group:
         raise DomainError("the two exponential graphs use different cylinder sets")
-    vmap: dict = {}
-    snap: dict = {}
-    for name, row in et1.tuple_of.items():
-        pushed = tuple(f.vmap[t] for t in row)
-        image = et2.names.get(et2.rep(pushed))
-        if image is None or not et2.graph.has_vertex(image):
-            raise DomainError(
-                f"the image tuple of {name!r} has no surviving representative; "
-                "the target map does not carry this exponential graph over"
-            )
-        vmap[name] = image
-        snap[name] = et2.shift(pushed)
-    return _lift_edges(et1.graph, et2, vmap, snap,
-                       "no edge of the image exponential graph realizes the image of {eid!r}")
+    rows = ((name, tuple(f.vmap[t] for t in row)) for name, row in et1.tuple_of.items())
+    return _lift(et1.graph, et2, rows,
+                 "the image tuple of {v!r} has no surviving representative; "
+                 "the target map does not carry this exponential graph over",
+                 "no edge of the image exponential graph realizes the image of {eid!r}")
 
 
 def unit_map(g: Graph, cset: CylinderSet, *, budget: int | None = None):

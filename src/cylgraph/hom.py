@@ -241,8 +241,8 @@ class _Matcher:
     the head twist ``post * inverse(f.post)``, and is a candidate when both
     lie in the group; the table groups the candidates by that pair of
     twists (as image tuples), one per twin pair within each group.  Each
-    distinct (source, target) permutation pair is composed once and each
-    distinct twist tested for membership once."""
+    distinct (source, target) permutation pair is composed and its twist
+    tested for membership once."""
 
     def __init__(self, g: Graph, h: Graph, mode: str, group: PermGroup | None):
         self.g = g
@@ -254,7 +254,6 @@ class _Matcher:
             self.idx[h.edges[eid][:2]].append(eid)
         self._tables: dict = {}
         self._induced: dict = {}  # (source images, target images) -> twist images, or None
-        self._members: dict = {}  # twist images -> lies in the group
 
     def table(self, eid: str, a, b) -> list[str] | dict:
         hit = self._tables.get((eid, a, b))
@@ -268,10 +267,7 @@ class _Matcher:
         t = self._induced.get(key, _MISSING)
         if t is _MISSING:
             p = compose(src, tgt.inverse())
-            inside = self._members.get(p.images)
-            if inside is None:
-                inside = self._members[p.images] = p in self.group
-            t = self._induced[key] = p.images if inside else None
+            t = self._induced[key] = p.images if p in self.group else None
         return t
 
     def _build(self, eid: str, a, b) -> list[str] | dict:
