@@ -1,5 +1,5 @@
 """The search contract of ``iter_homs``: its output order against a brute-force
-oracle, its node counts in gamma mode, and gamma search on deep sources; and
+oracle, its node counts in every mode, and gamma search on deep sources; and
 gamma-mode counting by elimination against that enumeration."""
 
 import itertools
@@ -9,7 +9,7 @@ from collections import Counter
 
 import pytest
 
-from cylgraph.catalog import complete_graph, cycle_graph, path_graph
+from cylgraph.catalog import complete_graph, cycle_graph, path_graph, petersen
 from cylgraph.construct import cyl_product, exponential, uniform_labels
 from cylgraph.core import GammaLabel, Graph
 from cylgraph.cylinder import CylinderSet, square_cyl, wedge_cyl
@@ -27,7 +27,7 @@ from cylgraph.hom import (
 )
 from cylgraph.perm import Perm, PermGroup
 
-from util import random_gamma_labels
+from util import random_gamma_labels, random_multigraph
 
 
 def brute_homs(g, h, mode, group=None, pins=None):
@@ -147,6 +147,30 @@ def test_gamma_search_spends_pinned_node_counts(name):
     assert count_homs(g, h, mode="gamma", group=group, budget=count_budget) == homs
     with pytest.raises(ResourceLimit):
         count_homs(g, h, mode="gamma", group=group, budget=count_budget - 1)
+
+
+def list_instances():
+    labels = ("a", "b")
+    return {
+        "petersen_k3_plain": (petersen(), complete_graph(3), "plain"),
+        "labeled_multigraph": (random_multigraph(random.Random(4), 6, 7, labels=labels, symmetric=True),
+                               random_multigraph(random.Random(104), 4, 10, labels=labels, symmetric=True),
+                               "labeled"),
+    }
+
+
+# name -> (homs, smallest budget list_homs succeeds at), found by the same
+# bisection: what the vertex-map search and the edge choices spend.
+LIST_NODE_PINS = {"petersen_k3_plain": (120, 3288), "labeled_multigraph": (1320, 5132)}
+
+
+@pytest.mark.parametrize("name", sorted(LIST_NODE_PINS))
+def test_plain_and_labeled_search_spend_pinned_node_counts(name):
+    g, h, mode = list_instances()[name]
+    homs, list_budget = LIST_NODE_PINS[name]
+    assert len(list_homs(g, h, mode=mode, budget=list_budget)) == homs
+    with pytest.raises(ResourceLimit):
+        list_homs(g, h, mode=mode, budget=list_budget - 1)
 
 
 def test_gamma_search_has_no_recursion_limit():
