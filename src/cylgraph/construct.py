@@ -432,9 +432,9 @@ def exponential(
         labels: dict = {}  # (d-, d+) -> (label, its sort key, reversed label's sort key)
         pairs: set = set()
         for hom in iter_homs(cyl.graph, h, mode="labeled", budget=budget):
-            vm = hom.vmap
-            p = tuple(vm[v] for v in cyl.y)
-            q = tuple(vm[v] for v in cyl.z)
+            at = hom.vmap.__getitem__
+            p = tuple(map(at, cyl.y))
+            q = tuple(map(at, cyl.z))
             if (p, q) in pairs:
                 continue
             pairs.add((p, q))

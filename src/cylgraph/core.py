@@ -605,9 +605,15 @@ def alpha_shift(g: Graph, alphas: Mapping) -> Graph:
 # -- search order and isomorphism ---------------------------------------------
 
 
-def default_budget() -> int:
-    """The node budget from ``CYL_NODE_BUDGET`` (default 20,000,000); raises
-    :class:`DomainError` unless it is a non-negative integer."""
+def node_budget(budget: int | None = None) -> int:
+    """A search's node budget: ``budget``, or when it is None the value of
+    ``CYL_NODE_BUDGET`` (default 20,000,000).  Either must be a non-negative
+    integer (``bool`` is not one); anything else raises :class:`DomainError`
+    naming the knob."""
+    if budget is not None:
+        if isinstance(budget, bool) or not isinstance(budget, int) or budget < 0:
+            raise DomainError(f"budget= must be a non-negative integer, got {budget!r}")
+        return budget
     raw = os.environ.get("CYL_NODE_BUDGET", "20000000")
     try:
         n = int(raw)
@@ -616,6 +622,12 @@ def default_budget() -> int:
     if n < 0:
         raise DomainError(f"CYL_NODE_BUDGET must be a non-negative integer, got {raw!r}")
     return n
+
+
+def budget_exceeded(what: str, limit: int) -> ResourceLimit:
+    """The error a search raises once it needs more than ``limit`` nodes."""
+    return ResourceLimit(f"{what} exceeded its node budget of {limit} nodes; "
+                         "pass a larger budget= or set CYL_NODE_BUDGET")
 
 
 def connected_order(ranked: list, nbrs: Mapping, eligible: Iterable = ()) -> list:
@@ -699,8 +711,7 @@ def isomorphic(g: Graph, h: Graph, budget: int | None = None) -> dict | None:
     ``budget`` nodes, by default ``CYL_NODE_BUDGET``, it raises
     :class:`ResourceLimit`.
     """
-    if budget is None:
-        budget = default_budget()
+    budget = node_budget(budget)
     if g.symmetric != h.symmetric:
         return None
     if len(g.vertices) != len(h.vertices) or len(g.edges) != len(h.edges):
@@ -746,7 +757,7 @@ def isomorphic(g: Graph, h: Graph, budget: int | None = None) -> dict | None:
                 continue
             nodes += 1
             if nodes > budget:
-                raise ResourceLimit(f"isomorphism search exceeded {budget} nodes")
+                raise budget_exceeded("isomorphism search", budget)
             if fits(u, w):
                 vmap[u] = w
                 used.add(w)

@@ -31,9 +31,11 @@ Vertex-map search maps pinned vertices first, then the others by falling
 degree (ties broken by ``str`` of the name), except that each next vertex is
 the first in that ranking adjacent to an already-mapped one whenever such a
 vertex remains, so every edge check can fail early.  The order comes from
-:func:`~cylgraph.core.connected_order` in O((V + E) log V).  Each target
-vertex tried costs one budget node, and a vertex is checked only against its
-edges to itself and to vertices placed before it, a list fixed by the order.
+:func:`~cylgraph.core.connected_order` in O((V + E) log V).  A vertex is
+checked only against its edges to itself and to vertices placed before it,
+a list fixed by the order.  Candidates come from the target neighbours of
+an earlier neighbour's image when there is one, but nodes are charged as if
+every target vertex had been tried, one budget node each.
 
 Enumeration order is nested: vertex maps, lexicographic over that vertex
 order with target vertices sorted by ``str``; in gamma mode, for each vertex
@@ -59,26 +61,27 @@ from __future__ import annotations
 import heapq
 from collections import defaultdict
 from itertools import count, islice
+from operator import itemgetter
 from typing import Iterator, Mapping
 
-from .core import GammaLabel, Graph, connected_order, default_budget
-from .errors import DomainError, ResourceLimit
+from .core import GammaLabel, Graph, budget_exceeded, connected_order, node_budget
+from .errors import DomainError
 from .perm import Perm, PermGroup, compose
 
 MODES = ("plain", "labeled", "gamma")
 
 
 class _Budget:
-    __slots__ = ("left", "what")
+    __slots__ = ("left", "limit", "what")
 
     def __init__(self, n: int | None, what: str = "homomorphism search"):
-        self.left = default_budget() if n is None else n
+        self.left = self.limit = node_budget(n)
         self.what = what
 
     def spend(self, n: int = 1) -> None:
         self.left -= n
         if self.left < 0:
-            raise ResourceLimit(f"{self.what} exceeded its node budget")
+            raise budget_exceeded(self.what, self.limit)
 
 
 class Homomorphism:
@@ -308,8 +311,13 @@ class _Search:
 
     - ``src``: the source edges, one per twin pair, sorted, with their ends;
     - ``back[i]``: the edge checks for the ``i``-th vertex of the vertex
-      order, one per edge to itself or to an earlier vertex, in source-edge
-      order, with ``_SELF`` standing for the vertex being placed;
+      order, one ``(k, eid, tail, head)`` per edge ``src[k]`` to itself or to
+      an earlier vertex, in source-edge order, with ``_SELF`` standing for
+      the vertex being placed;
+    - ``draw[i]``: for a vertex with an edge to an earlier one and no pin,
+      ``(x, nbrs)`` for the first such edge: ``x`` its earlier end, ``nbrs``
+      each target vertex's out- (``x`` is the tail) or in-neighbours as
+      ``(rank, vertex)`` by ``str`` rank; else empty, and ``cands[i]`` holds;
     - gamma mode: ``verts``, the edge-incident vertices sorted by ``str``,
       and ``twist_checks[i]``, one ``(source edge index, side, j)`` per edge
       at ``verts[i]``, where ``side`` is 0 when the vertex is the tail, 1 when
@@ -320,17 +328,25 @@ class _Search:
         self.matcher = _Matcher(g, h, mode, group)
         self.src = _src_edges(g)
         self.ends = [g.edges[eid][:2] for eid in self.src]
-        hverts = sorted(h.vertices, key=str)
+        ranked = list(enumerate(sorted(h.vertices, key=str)))
+        rank = {w: r for r, w in ranked}
+        outs, ins = defaultdict(list), defaultdict(list)  # filled in rank order of both ends
+        for a, b in sorted(self.matcher.idx, key=lambda ab: (rank[ab[0]], rank[ab[1]])):
+            outs[a].append((rank[b], b))
+            ins[b].append((rank[a], a))
         self.order = _vertex_order(g, pins)
-        self.cands = [[pins[u]] if u in pins else hverts for u in self.order]
+        self.cands = [[(0, pins[u])] if u in pins else ranked for u in self.order]
         placed = {u: i for i, u in enumerate(self.order)}
         self.back = [[] for _ in self.order]
-        for eid, (tail, head) in zip(self.src, self.ends):
+        self.draw = [() if u in pins else None for u in self.order]  # () is never drawn
+        for k, (eid, (tail, head)) in enumerate(zip(self.src, self.ends)):
             i, j = placed[tail], placed[head]
             if i >= j:
-                self.back[i].append((eid, _SELF, _SELF if i == j else head))
+                self.back[i].append((k, eid, _SELF, _SELF if i == j else head))
             else:
-                self.back[j].append((eid, tail, _SELF))
+                self.back[j].append((k, eid, tail, _SELF))
+            if i != j and self.draw[max(i, j)] is None:
+                self.draw[max(i, j)] = (head, ins) if i > j else (tail, outs)
         self.verts = None
         if mode == "gamma":
             self.elements = list(group)
@@ -345,38 +361,50 @@ class _Search:
                     self.twist_checks[i].append((k, 0, j if j < i else None))
                     self.twist_checks[j].append((k, 1, i if i < j else None))
 
-    def vmaps(self, budget: _Budget) -> Iterator[dict]:
+    def vmaps(self, budget: _Budget) -> Iterator[tuple[dict, list]]:
         """Every vertex map in search order, as one dict updated in place
-        (ordered like the vertex order).  Each target vertex tried costs one
-        budget node; the search keeps its own stack, so its depth is not
-        bounded by the interpreter's recursion limit."""
-        order, cands, back = self.order, self.cands, self.back
+        (ordered like the vertex order), with each source edge's candidate
+        table under it, one list also updated in place.  A drawn position
+        tries only an earlier image's neighbours, but charges as if every
+        target vertex were tried: taking rank ``r`` charges the ranks since
+        the last one taken there, and running out charges the rest.  The
+        stack is explicit, so depth is not bounded by the recursion limit."""
+        order, cands, draw, back = self.order, self.cands, self.draw, self.back
         table = self.matcher.table
         vmap: dict = {}
+        tabs: list = [None] * len(self.src)
         if not order:
-            yield vmap
+            yield vmap, tabs
             return
         last = len(order) - 1
+        top = [len(c) - 1 for c in cands]
+        taken = [-1] * len(order)
         stack = [iter(cands[0])]
         while stack:
             i = len(stack) - 1
-            for w in stack[i]:
-                budget.spend()
-                for eid, tail, head in back[i]:
-                    if not table(eid, w if tail is _SELF else vmap[tail], w if head is _SELF else vmap[head]):
+            for r, w in stack[i]:
+                for k, eid, tail, head in back[i]:
+                    tab = table(eid, w if tail is _SELF else vmap[tail], w if head is _SELF else vmap[head])
+                    if not tab:
                         break
+                    tabs[k] = tab
                 else:
+                    budget.spend(r - taken[i])
+                    taken[i] = r
                     vmap[order[i]] = w
                     break
             else:
+                budget.spend(top[i] - taken[i])
                 stack.pop()
                 if i:
                     del vmap[order[i - 1]]
                 continue
             if i < last:
-                stack.append(iter(cands[i + 1]))
+                d = draw[i + 1]
+                stack.append(iter(d[1].get(vmap[d[0]], ()) if d else cands[i + 1]))
+                taken[i + 1] = -1
             else:
-                yield vmap
+                yield vmap, tabs
                 del vmap[order[i]]
 
     def _allowed(self, i: int, tabs: list, imgs: list):
@@ -470,17 +498,21 @@ def iter_homs(g: Graph, h: Graph, mode: str = "labeled", group: PermGroup | None
     b = _Budget(budget)
     search = _Search(g, h, mode, group, pins)
     src, verts = search.src, search.verts
-    table = search.matcher.table
-    twins = [g.pairing[eid] for eid in src] if g.symmetric else ()
-    for vmap in search.vmaps(b):
-        tabs = [table(eid, vmap[t], vmap[hd]) for eid, (t, hd) in zip(src, search.ends)]
+    keys = src + [g.pairing[eid] for eid in src] if g.symmetric else src
+    twin = h.pairing.__getitem__
+    n = len(src)
+    for vmap, tabs in search.vmaps(b):
         for chosen, lists in [(None, tabs)] if verts is None else search.twist_vectors(tabs, b):
-            for pick in _edge_choices(lists, b):
-                emap = dict(zip(src, pick))
-                for tw, f in zip(twins, pick):
-                    emap[tw] = h.pairing[f]
+            if sum(map(len, lists)) == n:  # one candidate per edge: the pick is forced
+                b.spend(n)
+                picks = [list(map(itemgetter(0), lists))]
+            else:
+                picks = _edge_choices(lists, b)
+            for pick in picks:
+                if g.symmetric:
+                    pick = pick + list(map(twin, pick))
                 alphas = None if chosen is None else dict(zip(verts, chosen))
-                yield Homomorphism._wrap(dict(vmap), emap, alphas)
+                yield Homomorphism._wrap(dict(vmap), dict(zip(keys, pick)), alphas)
 
 
 def find_hom(g: Graph, h: Graph, mode: str = "labeled", group: PermGroup | None = None,

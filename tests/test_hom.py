@@ -3,9 +3,9 @@ import time
 
 import pytest
 
-from cylgraph.catalog import complete_graph, cycle_graph, kneser_graph
+from cylgraph.catalog import complete_graph, cycle_graph, kneser_graph, walk_power
 from cylgraph.construct import uniform_labels
-from cylgraph.core import GammaLabel, Graph, disjoint_union
+from cylgraph.core import GammaLabel, Graph, disjoint_union, isomorphic
 from cylgraph.errors import DomainError, ResourceLimit
 from cylgraph.hom import (
     Homomorphism,
@@ -16,6 +16,7 @@ from cylgraph.hom import (
     extract_alphas,
     find_hom,
     identity_hom,
+    iter_homs,
     label_difference,
     list_homs,
 )
@@ -363,3 +364,31 @@ def test_vertex_map_search_is_linear_in_the_source():
     hom = find_hom(c, complete(3), mode="plain")
     assert time.perf_counter() - start <= 2.0
     assert check_hom(c, complete(3), hom, mode="plain") is None
+
+
+BAD_BUDGETS = ["5", 1.5, True, False, -1, [3]]
+
+
+@pytest.mark.parametrize("bad", BAD_BUDGETS, ids=repr)
+@pytest.mark.parametrize("call", ["iter_homs", "find_hom", "count_homs", "isomorphic", "walk_power"])
+def test_budget_must_be_a_non_negative_int(call, bad):
+    k3 = complete_graph(3)
+    run = {
+        "iter_homs": lambda: list(iter_homs(k3, k3, budget=bad)),
+        "find_hom": lambda: find_hom(k3, k3, budget=bad),
+        "count_homs": lambda: count_homs(k3, k3, budget=bad),
+        "isomorphic": lambda: isomorphic(k3, k3, budget=bad),
+        "walk_power": lambda: walk_power(k3, 2, budget=bad),
+    }[call]
+    with pytest.raises(DomainError, match="budget= must be a non-negative integer"):
+        run()
+
+
+def test_resource_limit_names_the_limit_and_the_knobs():
+    for run, what in ((lambda: find_hom(cycle_graph(5), complete_graph(3), budget=3), "homomorphism search"),
+                      (lambda: count_homs(cycle_graph(5), complete_graph(3), budget=3), "homomorphism count"),
+                      (lambda: isomorphic(cycle_graph(5), cycle_graph(5), budget=3), "isomorphism search")):
+        with pytest.raises(ResourceLimit) as err:
+            run()
+        assert str(err.value) == (f"{what} exceeded its node budget of 3 nodes; "
+                                  "pass a larger budget= or set CYL_NODE_BUDGET")
