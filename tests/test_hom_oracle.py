@@ -20,7 +20,7 @@ from cylgraph.errors import ResourceLimit
 from cylgraph.hom import _alpha_vertices, _Matcher, _src_edges, _vertex_order, find_hom, iter_homs
 from cylgraph.perm import PermGroup
 
-from util import random_multigraph
+from util import random_multigraph, tied_names
 
 _SELF = object()
 _LOOP = 2
@@ -255,6 +255,7 @@ def catalog_instances():
         "path_cyl3_k4": (path_cyl(3).graph, complete_graph(4), "labeled", None, {}),
         "directed_path_cyl2_k3": (path_cyl(2, directed=True).graph, directed_k3(), "labeled", None, {}),
         "c6_k3_pinned": (cycle_graph(6), complete_graph(3), "plain", None, {0: 1, 3: 2}),
+        "tied_names": (tied_names(cycle_graph(6)), tied_names(complete_graph(4)), "plain", None, {}),
         "wedge_c4_gamma": (wedge, expo_c5, "gamma", s2, {}),
         "wedge_p3_gamma_pinned": (twisted, expo_c5, "gamma", s2, {0: expo_c5.vertices[0]}),
     }
