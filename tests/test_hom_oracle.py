@@ -314,3 +314,29 @@ def test_catalog_instances_match_the_frozen_kernel(monkeypatch, name):
         except ResourceLimit:
             mine = "ResourceLimit"
         assert mine == first_or_limit(oracle_homs(g, h, mode, group, pins, Nodes(budget)))
+
+
+def prefix_before_limit(run):
+    """The maps a run yields, and whether it then ran out of nodes."""
+    out = []
+    try:
+        for x in run:
+            out.append(x)
+    except ResourceLimit:
+        return out, True
+    return out, False
+
+
+@pytest.mark.parametrize("name", sorted(catalog_instances()))
+def test_maps_before_a_resource_limit_match_the_frozen_kernel(name):
+    g, h, mode, group, pins = catalog_instances()[name]
+    full = Nodes(BIG)
+    for _ in oracle_homs(g, h, mode, group, pins, full):
+        pass
+    total = BIG - full.left
+    for k in range(1, 12):
+        budget = total * k // 12
+        mine = prefix_before_limit(fingerprint(x) for x in iter_homs(g, h, mode, group, pins, budget))
+        want = prefix_before_limit(oracle_homs(g, h, mode, group, pins, Nodes(budget)))
+        assert mine == want, (name, budget)
+        assert mine[1], (name, budget)
