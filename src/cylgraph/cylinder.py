@@ -267,6 +267,8 @@ class CylinderSet:
             if not isinstance(rec, dict) or "key" not in rec or "cyl" not in rec:
                 raise DomainError(f"cylinder record #{i} needs 'key' and 'cyl'")
             key = json_checked(rec["key"], JSON_SCALAR, f"cylinder record #{i} 'key'")
+            if key in cyls:  # 1, 1.0 and true are one key
+                raise DomainError(f"cylinder record #{i} repeats the key {key!r} of an earlier record")
             cyls[key] = Cylinder.from_json(rec["cyl"])
         return cls(group, cyls)
 

@@ -44,16 +44,21 @@ sorted by ``str``, each running through the group's elements in order; then
 edge images, lexicographic over the source edges (one per twin pair, sorted
 by id), each over its candidate target edges sorted by id, one per twin pair.
 
-Gamma twists are read off per-edge candidate tables rather than searched for
-edge by edge.  Each table, for one source edge and one pair of target
-vertices, holds the key-matching target edges grouped by the tail and head
-twists they induce (``pre * inverse(d_pre)`` and ``post * inverse(d_post)``),
-keeping those whose twists both lie in the group.  A vertex's allowed twists
-are those that every incident edge's table allows given the twists already
-fixed; still, every group element tried costs one budget node, allowed or
-not, and every edge image taken costs one.  All three levels keep explicit
-stacks, so sources of any size are searched without hitting the
-interpreter's recursion limit.
+One search fills the vertex images and the twists: its positions are the
+vertex order followed, in gamma mode, by the edge-incident vertices sorted
+by ``str``, and one explicit stack holds a candidate iterator per position,
+so sources of any size are searched without hitting the interpreter's
+recursion limit.  Twists are read off per-edge candidate tables rather than
+searched for edge by edge.  Each table, for one source edge and one pair of
+target vertices, holds the key-matching target edges grouped by the tail and
+head twists they induce (``pre * inverse(d_pre)`` and ``post *
+inverse(d_post)``), keeping those whose twists both lie in the group.  A
+twist position's candidates are the group elements that every incident
+edge's table allows given the twists already fixed.  Every position charges
+by rank, one budget node per candidate it could have tried: a target vertex
+at a vertex position, a group element, allowed or not, at a twist position.
+Edge images are then picked from the tables the search leaves, one budget
+node per edge image taken.
 """
 
 from __future__ import annotations
@@ -301,7 +306,6 @@ class _Matcher:
         return _dedupe_classes(self.h, out) if a == b else out
 
 
-_SELF = object()  # in a vertex's edge checks: the end that is the vertex itself
 _LOOP = 2  # in a twist check: the edge is a loop at the vertex
 
 
@@ -309,25 +313,33 @@ class _Search:
     """One ``iter_homs`` query: the candidate tables plus all that the
     search reads from the source, worked out once.
 
-    - ``src``: the source edges, one per twin pair, sorted, with their ends;
-    - ``back[i]``: the edge checks for the ``i``-th vertex of the vertex
-      order, one ``(k, eid, tail, head)`` per edge ``src[k]`` to itself or to
-      an earlier vertex, in source-edge order, with ``_SELF`` standing for
-      the vertex being placed;
+    The search fills *positions* in a fixed order: the vertex order, whose
+    values are target vertices, then in gamma mode ``verts``, the
+    edge-incident vertices sorted by ``str``, whose values are their twists.
+
+    - ``src``: the source edges, one per twin pair, sorted;
+    - ``top[i]``: the highest rank a candidate at position ``i`` can have:
+      the number of target vertices (1 when pinned), or of group elements,
+      less one;
+    - ``back[i]``: the edge checks at vertex position ``i``, one ``(k, eid,
+      tail, head)`` per edge ``src[k]`` to itself or to an earlier vertex, in
+      source-edge order, with the positions of its ends;
     - ``draw[i]``: for a vertex with an edge to an earlier one and no pin,
-      ``(x, nbrs)`` for the first such edge: ``x`` its earlier end, ``nbrs``
-      each target vertex's out- (``x`` is the tail) or in-neighbours as
-      ``(rank, vertex)`` by ``str`` rank; else empty, and ``cands[i]`` holds;
-    - gamma mode: ``verts``, the edge-incident vertices sorted by ``str``,
-      and ``twist_checks[i]``, one ``(source edge index, side, j)`` per edge
-      at ``verts[i]``, where ``side`` is 0 when the vertex is the tail, 1 when
-      it is the head, ``_LOOP`` for a loop, and ``j`` the position of the
-      other end when it comes earlier (else None)."""
+      ``(j, nbrs)`` for the first such edge: ``j`` the position of its
+      earlier end, ``nbrs`` each target vertex's out- (that end is the tail)
+      or in-neighbours as ``(rank, vertex)`` by ``str`` rank; else empty, and
+      ``cands[i]`` holds;
+    - gamma mode: ``twist_checks[i]`` at twist position ``i``, one ``(k,
+      side, j)`` per edge ``src[k]`` at the vertex, where ``side`` is 0 when
+      the vertex is the tail, 1 when it is the head, ``_LOOP`` for a loop,
+      and ``j`` the position of the other end when it comes earlier (else
+      None); ``ends_at[k]``, the positions of the twists at the ends of
+      ``src[k]``."""
 
     def __init__(self, g: Graph, h: Graph, mode: str, group: PermGroup | None, pins: Mapping):
         self.matcher = _Matcher(g, h, mode, group)
         self.src = _src_edges(g)
-        self.ends = [g.edges[eid][:2] for eid in self.src]
+        ends = [g.edges[eid][:2] for eid in self.src]
         ranked = list(enumerate(sorted(h.vertices, key=str)))
         rank = {w: r for r, w in ranked}
         outs, ins = defaultdict(list), defaultdict(list)  # filled in rank order of both ends
@@ -335,25 +347,23 @@ class _Search:
             outs[a].append((rank[b], b))
             ins[b].append((rank[a], a))
         self.order = _vertex_order(g, pins)
+        self.verts = _alpha_vertices(g) if mode == "gamma" else []
+        self.elements = list(enumerate(group)) if mode == "gamma" else []
         self.cands = [[(0, pins[u])] if u in pins else ranked for u in self.order]
+        self.top = [len(c) - 1 for c in self.cands] + [len(self.elements) - 1] * len(self.verts)
         placed = {u: i for i, u in enumerate(self.order)}
-        self.back = [[] for _ in self.order]
+        self.back = [[] for _ in self.top]
         self.draw = [() if u in pins else None for u in self.order]  # () is never drawn
-        for k, (eid, (tail, head)) in enumerate(zip(self.src, self.ends)):
+        for k, (eid, (tail, head)) in enumerate(zip(self.src, ends)):
             i, j = placed[tail], placed[head]
-            if i >= j:
-                self.back[i].append((k, eid, _SELF, _SELF if i == j else head))
-            else:
-                self.back[j].append((k, eid, tail, _SELF))
+            self.back[max(i, j)].append((k, eid, i, j))
             if i != j and self.draw[max(i, j)] is None:
-                self.draw[max(i, j)] = (head, ins) if i > j else (tail, outs)
-        self.verts = None
+                self.draw[max(i, j)] = (j, ins) if i > j else (i, outs)
+        self.ends_at = None
         if mode == "gamma":
-            self.elements = list(group)
-            self.verts = _alpha_vertices(g)
-            at = {v: i for i, v in enumerate(self.verts)}
-            self.ends_at = [(at[tail], at[head]) for tail, head in self.ends]
-            self.twist_checks = [[] for _ in self.verts]
+            at = {v: i for i, v in enumerate(self.verts, len(self.order))}
+            self.ends_at = [(at[tail], at[head]) for tail, head in ends]
+            self.twist_checks = [[] for _ in self.top]
             for k, (i, j) in enumerate(self.ends_at):
                 if i == j:
                     self.twist_checks[i].append((k, _LOOP, None))
@@ -361,56 +371,65 @@ class _Search:
                     self.twist_checks[i].append((k, 0, j if j < i else None))
                     self.twist_checks[j].append((k, 1, i if i < j else None))
 
-    def vmaps(self, budget: _Budget) -> Iterator[tuple[dict, list]]:
-        """Every vertex map in search order, as one dict updated in place
-        (ordered like the vertex order), with each source edge's candidate
-        table under it, one list also updated in place.  A drawn position
-        tries only an earlier image's neighbours, but charges as if every
-        target vertex were tried: taking rank ``r`` charges the ranks since
-        the last one taken there, and running out charges the rest.  The
-        stack is explicit, so depth is not bounded by the recursion limit."""
-        order, cands, draw, back = self.order, self.cands, self.draw, self.back
+    def values(self, budget: _Budget) -> Iterator[tuple[list, list]]:
+        """Every assignment of the positions in search order, as one list of
+        values by position updated in place, with the candidate list it
+        leaves each source edge: the edge's table, or in gamma mode the
+        table's entry for the twists at its ends.
+
+        A position tries its candidates as ``(rank, value)`` pairs and
+        charges by rank: taking rank ``r`` charges the ranks since the last
+        one taken there, and running out charges the rest up to ``top``, so
+        it costs one node per candidate it could have tried.  A vertex ranks
+        the target vertices by ``str`` and tries only an earlier image's
+        neighbours when it has one; a twist ranks the group's elements in
+        order and tries only those its edges allow.  The stack is explicit,
+        so depth is not bounded by the recursion limit."""
+        cands, draw, back, top, ends_at = self.cands, self.draw, self.back, self.top, self.ends_at
         table = self.matcher.table
-        vmap: dict = {}
+        n = len(self.order)
+        vals: list = [None] * len(top)
         tabs: list = [None] * len(self.src)
-        if not order:
-            yield vmap, tabs
+        if not top:
+            yield vals, tabs
             return
-        last = len(order) - 1
-        top = [len(c) - 1 for c in cands]
-        taken = [-1] * len(order)
+        last = len(top) - 1
+        taken = [-1] * len(top)
         stack = [iter(cands[0])]
         while stack:
             i = len(stack) - 1
             for r, w in stack[i]:
+                vals[i] = w
                 for k, eid, tail, head in back[i]:
-                    tab = table(eid, w if tail is _SELF else vmap[tail], w if head is _SELF else vmap[head])
+                    tab = table(eid, vals[tail], vals[head])
                     if not tab:
                         break
                     tabs[k] = tab
                 else:
                     budget.spend(r - taken[i])
                     taken[i] = r
-                    vmap[order[i]] = w
                     break
             else:
                 budget.spend(top[i] - taken[i])
                 stack.pop()
-                if i:
-                    del vmap[order[i - 1]]
                 continue
             if i < last:
-                d = draw[i + 1]
-                stack.append(iter(d[1].get(vmap[d[0]], ()) if d else cands[i + 1]))
-                taken[i + 1] = -1
+                i += 1
+                if i < n:
+                    d = draw[i]
+                    stack.append(iter(d[1].get(vals[d[0]], ()) if d else cands[i]))
+                else:
+                    stack.append(iter(self._twists(i, tabs, vals)))
+                taken[i] = -1
+            elif ends_at is None:
+                yield vals, tabs
             else:
-                yield vmap, tabs
-                del vmap[order[i]]
+                yield vals, [tab[vals[t].images, vals[hd].images] for tab, (t, hd) in zip(tabs, ends_at)]
 
-    def _allowed(self, i: int, tabs: list, imgs: list):
-        """The twists (as images) that ``verts[i]`` may take given the twists
-        at the earlier positions: those every incident edge's table has an
-        entry for."""
+    def _twists(self, i: int, tabs: list, vals: list) -> list:
+        """The candidates at twist position ``i``: the group's elements, as
+        ``(rank, element)`` in order, that every incident edge's table has an
+        entry for given the twists at the earlier positions."""
         acc = None
         for k, side, j in self.twist_checks[i]:
             tab = tabs[k]
@@ -419,52 +438,20 @@ class _Search:
             elif j is None:
                 got = {ts[side] for ts in tab}
             else:
-                want, other = imgs[j], 1 - side
+                want, other = vals[j].images, 1 - side
                 got = {ts[side] for ts in tab if ts[other] == want}
             acc = got if acc is None else acc & got
             if not acc:
-                break
-        return {a.images for a in self.elements} if acc is None else acc
-
-    def twist_vectors(self, tabs: list, budget: _Budget) -> Iterator[tuple[list, list]]:
-        """For the current vertex map, whose twist tables per source edge are
-        ``tabs``: every twist vector, in group order position by position,
-        with the candidate lists it leaves per source edge.  The vector is
-        one list of group elements updated in place.  Each group element
-        tried costs one budget node, allowed or not."""
-        n = len(self.verts)
-        chosen: list = [None] * n
-        imgs: list = [None] * n
-        if not n:
-            yield chosen, []
-            return
-        stack = [iter(self.elements)]
-        allowed = [self._allowed(0, tabs, imgs)]
-        while stack:
-            i = len(stack) - 1
-            for a in stack[i]:
-                budget.spend()
-                if a.images in allowed[i]:
-                    chosen[i], imgs[i] = a, a.images
-                    break
-            else:
-                stack.pop()
-                allowed.pop()
-                continue
-            if i + 1 < n:
-                allowed.append(self._allowed(i + 1, tabs, imgs))
-                stack.append(iter(self.elements))
-            else:
-                yield chosen, [tab[imgs[t], imgs[hd]] for tab, (t, hd) in zip(tabs, self.ends_at)]
+                return []
+        return [(r, a) for r, a in self.elements if a.images in acc]
 
 
 def _edge_choices(lists: list, budget: _Budget) -> Iterator[list]:
     """Every pick of one entry per list, the last list turning fastest,
     yielded as one list updated in place.  It spends what depth-first search
     over the lists spends: one budget node per entry taken, so moving list
-    ``i`` on re-enters every list after it.  No list is empty: the vertex and
-    twist searches admit only maps under which every source edge has a
-    candidate."""
+    ``i`` on re-enters every list after it.  No list is empty: the search
+    admits only assignments under which every source edge has a candidate."""
     n = len(lists)
     free = [i for i, c in enumerate(lists) if len(c) > 1]
     at = [0] * len(free)
@@ -492,27 +479,30 @@ def _edge_choices(lists: list, budget: _Budget) -> Iterator[list]:
 def iter_homs(g: Graph, h: Graph, mode: str = "labeled", group: PermGroup | None = None,
               pins: Mapping | None = None, budget: int | None = None) -> Iterator[Homomorphism]:
     """All homomorphisms, deterministically ordered.  ``pins`` fixes chosen
-    source vertices to chosen target vertices."""
+    source vertices to chosen target vertices.  The arguments are checked at
+    the call; the search starts at the first ``next()``."""
     _require_comparable(g, h, mode, group)
-    pins = _checked_pins(g, h, pins)
-    b = _Budget(budget)
+    return _homs(g, h, mode, group, _checked_pins(g, h, pins), _Budget(budget))
+
+
+def _homs(g: Graph, h: Graph, mode: str, group: PermGroup | None, pins: dict,
+          b: _Budget) -> Iterator[Homomorphism]:
     search = _Search(g, h, mode, group, pins)
-    src, verts = search.src, search.verts
+    src, order, verts = search.src, search.order, search.verts
     keys = src + [g.pairing[eid] for eid in src] if g.symmetric else src
     twin = h.pairing.__getitem__
-    n = len(src)
-    for vmap, tabs in search.vmaps(b):
-        for chosen, lists in [(None, tabs)] if verts is None else search.twist_vectors(tabs, b):
-            if sum(map(len, lists)) == n:  # one candidate per edge: the pick is forced
-                b.spend(n)
-                picks = [list(map(itemgetter(0), lists))]
-            else:
-                picks = _edge_choices(lists, b)
-            for pick in picks:
-                if g.symmetric:
-                    pick = pick + list(map(twin, pick))
-                alphas = None if chosen is None else dict(zip(verts, chosen))
-                yield Homomorphism._wrap(dict(vmap), dict(zip(keys, pick)), alphas)
+    n, nv = len(src), len(order)
+    for vals, lists in search.values(b):
+        if sum(map(len, lists)) == n:  # one candidate per edge: the pick is forced
+            b.spend(n)
+            picks = [list(map(itemgetter(0), lists))]
+        else:
+            picks = _edge_choices(lists, b)
+        for pick in picks:
+            if g.symmetric:
+                pick = pick + list(map(twin, pick))
+            alphas = dict(zip(verts, islice(vals, nv, None))) if mode == "gamma" else None
+            yield Homomorphism._wrap(dict(zip(order, vals)), dict(zip(keys, pick)), alphas)
 
 
 def find_hom(g: Graph, h: Graph, mode: str = "labeled", group: PermGroup | None = None,
@@ -524,7 +514,7 @@ def list_homs(g: Graph, h: Graph, mode: str = "labeled", group: PermGroup | None
               pins: Mapping | None = None, budget: int | None = None,
               limit: int | None = None) -> list[Homomorphism]:
     """The first ``limit`` homomorphisms of ``iter_homs``, all when None;
-    ``limit=0`` starts no search, so it checks no argument either."""
+    ``limit=0`` starts no search but still checks the arguments."""
     if limit is not None and limit < 0:
         raise DomainError(f"limit must be at least 0, got {limit}")
     return list(islice(iter_homs(g, h, mode, group, pins, budget), limit))

@@ -288,6 +288,21 @@ def test_malformed_files_are_domain_errors(tmp_path, capsys, name):
     assert err["error"] in ("DomainError", "NotAPermutation"), err
 
 
+def test_repeated_cylinder_key_is_a_json_error(tmp_path, capsys):
+    data = CylinderSet(PermGroup.trivial(1), {1: path_cyl(1)}).to_json()
+    data["cylinders"].append({**data["cylinders"][0], "key": True})
+    bad = dump(tmp_path, "twice.json", data)
+    good = dump(tmp_path, "good.json", _graph())
+    assert main(["product", "--graph", good, "--cylinders", bad]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert json.loads(captured.err) == {
+        "error": "DomainError",
+        "message": f"{bad}: cylinder record #1 repeats the key True of an earlier record",
+    }
+
+
 def test_non_integer_twist_images_are_rejected(tmp_path, capsys):
     bad = dump(tmp_path, "bad.json", _graph(edges=_edge(label={"pre": "21", "cyl": 1, "post": [1.9, 2]})))
     assert main(["export-dot", "--graph", bad]) == 1

@@ -209,6 +209,14 @@ def test_cylinder_json_roundtrip():
     assert again[0] == cs[0]
 
 
+@pytest.mark.parametrize("second", [1, 1.0, True])
+def test_cylinder_set_rejects_a_repeated_key(second):
+    data = CylinderSet(PermGroup.trivial(1), {1: path_cyl(1), 2: path_cyl(2)}).to_json()
+    data["cylinders"][1]["key"] = second
+    with pytest.raises(DomainError, match=f"cylinder record #1 repeats the key {second!r}"):
+        CylinderSet.from_json(data)
+
+
 def test_builtin_dispatcher():
     assert builtin_cylinder("identity", k=2).width == 2
     assert builtin_cylinder("sqcap") == sqcap_cyl()

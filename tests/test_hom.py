@@ -161,6 +161,21 @@ def test_list_limit():
         list_homs(k3, k3, mode="plain", limit=-3)
 
 
+@pytest.mark.parametrize("bad, message", [
+    ({"mode": "colour"}, "unknown mode"),
+    ({"pins": {99: 0}}, "not in source"),
+    ({"pins": {0: "zz"}}, "not in target"),
+    ({"mode": "gamma"}, "needs the slot group"),
+    ({"budget": "5"}, "budget= must be a non-negative integer"),
+], ids=repr)
+def test_iter_homs_checks_its_arguments_at_the_call(bad, message):
+    k3 = complete_graph(3)
+    with pytest.raises(DomainError, match=message):
+        iter_homs(k3, k3, **bad)
+    with pytest.raises(DomainError, match=message):
+        list_homs(k3, k3, limit=0, **bad)
+
+
 def test_empty_and_edgeless():
     e3 = Graph(symmetric=True)
     e3.add_vertices("xyz")
