@@ -319,7 +319,8 @@ class ExpoTrace:
 
     tuple_of       -- final vertex name -> representative tuple
     witnesses      -- final edge id -> hom from that cylinder's graph into target
-    edge_by_triple -- (tail name, head name, GammaLabel) -> final edge id
+    edge_by_triple -- (tail name, head name, GammaLabel) -> final edge id,
+                      built from ``graph``'s edges on first read
     names          -- representative tuple -> vertex name (every orbit of
                       V(target)^k, isolated ones included)
 
@@ -335,22 +336,31 @@ class ExpoTrace:
         "target",
         "tuple_of",
         "witnesses",
-        "edge_by_triple",
+        "_edge_by_triple",
         "rep_choice",
         "names",
         "_reps",
     )
 
-    def __init__(self, graph, cset, target, tuple_of, witnesses, edge_by_triple, rep_choice, names, orbits):
+    def __init__(self, graph, cset, target, tuple_of, witnesses, rep_choice, names, orbits):
         self.graph = graph
         self.cset = cset
         self.target = target
         self.tuple_of = tuple_of
         self.witnesses = witnesses
-        self.edge_by_triple = edge_by_triple
+        self._edge_by_triple = None
         self.rep_choice = rep_choice
         self.names = names
         self._reps = orbits
+
+    @property
+    def edge_by_triple(self) -> dict:
+        if self._edge_by_triple is None:
+            found: dict = {}
+            for fid, e in self.graph.edges.items():
+                found.setdefault(tuple(e), fid)  # a self-reverse loop keeps its first edge
+            self._edge_by_triple = found
+        return self._edge_by_triple
 
     def rep(self, t: tuple) -> tuple | None:
         """Canonical representative of the slot-group orbit of ``t``; None
@@ -399,6 +409,8 @@ def exponential(
     """
     if rep_choice not in ("min", "max"):
         raise DomainError(f"rep_choice must be 'min' or 'max', not {rep_choice!r}")
+    if isinstance(max_vertices, bool) or not isinstance(max_vertices, int) or max_vertices < 0:
+        raise DomainError(f"max_vertices= must be a non-negative integer, got {max_vertices!r}")
     if h.symmetric != cset.symmetric:
         raise DomainError("target graph and cylinders disagree about being symmetric")
     h.validate()
@@ -421,7 +433,7 @@ def exponential(
             orbits.setdefault(d.act(r), (r, []))[1].append(d)
         reps.append(r)
         if len(reps) > max_vertices:
-            raise ResourceLimit(f"more than {max_vertices} orbit representatives")
+            raise ResourceLimit(f"more than {max_vertices} orbit representatives; pass a larger max_vertices=")
     names = {r: _tuple_name(r) for r in reps}
 
     # (tail name, head name, label sort key) -> (label, witness, key of the reversed triple);
@@ -429,38 +441,38 @@ def exponential(
     triples: dict = {}
     for key in sorted(cset.keys(), key=str):
         cyl = cset[key]
-        labels: dict = {}  # (d-, d+) -> (label, its sort key, reversed label's sort key)
+        labels: dict = {}  # (d- images, d+ images) -> (label, its sort key, reversed label's sort key)
         pairs: set = set()
         for hom in iter_homs(cyl.graph, h, mode="labeled", budget=budget):
             at = hom.vmap.__getitem__
-            p = tuple(map(at, cyl.y))
-            q = tuple(map(at, cyl.z))
-            if (p, q) in pairs:
+            pq = (tuple(map(at, cyl.y)), tuple(map(at, cyl.z)))
+            if pq in pairs:
                 continue
-            pairs.add((p, q))
-            r1, dm = orbits[p]
-            r2, dp = orbits[q]
+            pairs.add(pq)
+            r1, dm = orbits[pq[0]]
+            r2, dp = orbits[pq[1]]
             n1, n2 = names[r1], names[r2]
             for a in dm:
                 for b in dp:
-                    lab = labels.get((a, b))
+                    ab = (a.images, b.images)
+                    lab = labels.get(ab)
                     if lab is None:
                         gl = GammaLabel(a, key, b)
-                        lab = labels[(a, b)] = (gl, label_sort_key(gl), label_sort_key(gl.reversed()))
+                        lab = labels[ab] = (gl, label_sort_key(gl), label_sort_key(gl.reversed()))
                     tk = (n1, n2, lab[1])
                     if tk not in triples:
                         triples[tk] = (lab[0], hom, (n2, n1, lab[2]))
 
-    g = Graph(symmetric=h.symmetric)
+    # edge x<n> per triple in order, and when symmetric its twin x<n>t carrying the reverse
     ends = {n for tk in triples for n in tk[:2]}
-    for r in reps:
-        if names[r] in ends:
-            g.add_vertex(names[r])
+    tuple_of = {names[r]: r for r in reps if names[r] in ends}
+    g = Graph(symmetric=h.symmetric)
+    g._vertices = dict.fromkeys(tuple_of)
+    edges, pairing = g.edges, g.pairing
     witnesses: dict = {}
-    edge_by_triple: dict = {}
     n = 0
     for tk in sorted(triples):
-        rk = triples[tk][2]
+        lab, hom, rk = triples[tk]
         if h.symmetric:
             if rk not in triples:
                 raise LabelConflict(
@@ -468,19 +480,18 @@ def exponential(
                 )
             if rk < tk:
                 continue
-        ids = (f"x{n}", f"x{n}t")
+        fid = f"x{n}"
         n += 1
-        for fid, tri in zip(ids, (tk, rk) if h.symmetric else (tk,)):
-            lab, hom, _ = triples[tri]
-            g.add_edge(tri[0], tri[1], lab, fid)
-            witnesses[fid] = hom
-            edge_by_triple.setdefault((tri[0], tri[1], lab), fid)  # a self-reverse loop keeps its first edge
+        edges[fid] = Edge(tk[0], tk[1], lab)
+        witnesses[fid] = hom
         if h.symmetric:
-            g.pair_edges(*ids)
+            tid = fid + "t"
+            rlab, witnesses[tid], _ = triples[rk]
+            edges[tid] = Edge(rk[0], rk[1], rlab)
+            pairing[fid], pairing[tid] = tid, fid
 
     g.validate()
-    tuple_of = {names[r]: r for r in reps if g.has_vertex(names[r])}
-    return ExpoTrace(g, cset, h, tuple_of, witnesses, edge_by_triple, rep_choice, names, orbits)
+    return ExpoTrace(g, cset, h, tuple_of, witnesses, rep_choice, names, orbits)
 
 
 def cylinders_from_surjection(g: Graph, h: Graph, vmap: dict) -> tuple[Graph, CylinderSet]:

@@ -222,7 +222,11 @@ class Graph:
                 (at, ah, al), (bt, bh, bl) = edges[eid], edges[tw]
                 if (at, ah) != (bh, bt):
                     raise DomainError(f"paired edges {eid!r}/{tw!r} are not mutual reverses")
-                if bl != (al.reversed() if isinstance(al, GammaLabel) else al):
+                if isinstance(al, GammaLabel):  # bl == al.reversed(), field by field
+                    twin = type(bl) is GammaLabel and (bl.pre, bl.key, bl.post) == (al.post, al.key, al.pre)
+                else:
+                    twin = bl == al
+                if not twin:
                     raise LabelConflict(f"paired edges {eid!r}/{tw!r} carry incompatible labels")
         elif pairing:
             raise DomainError("non-symmetric graph must not carry a pairing")

@@ -58,7 +58,8 @@ edge's table allows given the twists already fixed.  Every position charges
 by rank, one budget node per candidate it could have tried: a target vertex
 at a vertex position, a group element, allowed or not, at a twist position.
 Edge images are then picked from the tables the search leaves, one budget
-node per edge image taken.
+node per edge image taken.  A yielded map keeps a copy of its picked edge
+images and builds its edge map, twins included, on first read of ``emap``.
 """
 
 from __future__ import annotations
@@ -91,9 +92,11 @@ class _Budget:
 
 class Homomorphism:
     """A vertex map plus an edge map; gamma-mode maps also carry the
-    per-vertex twists on edge-incident vertices."""
+    per-vertex twists on edge-incident vertices.  A map that
+    :func:`iter_homs` yields builds its edge map on first read of ``emap``,
+    from its own copy of the edge images the search picked."""
 
-    __slots__ = ("vmap", "emap", "alphas")
+    __slots__ = ("vmap", "emap", "alphas", "_picked")
 
     def __init__(self, vmap: Mapping, emap: Mapping, alphas: Mapping | None = None):
         self.vmap = dict(vmap)
@@ -101,11 +104,24 @@ class Homomorphism:
         self.alphas = dict(alphas) if alphas is not None else None
 
     @classmethod
-    def _wrap(cls, vmap: dict, emap: dict, alphas: dict | None = None) -> Homomorphism:
-        """Adopt dicts that nobody else holds, without copying them."""
+    def _lazy(cls, vmap: dict, alphas: dict | None, picked: tuple) -> Homomorphism:
+        """Adopt dicts that nobody else holds and leave ``emap`` unset;
+        ``picked`` is (the source edge ids, their images, the target's twin
+        pairing when symmetric)."""
         hom = object.__new__(cls)
-        hom.vmap, hom.emap, hom.alphas = vmap, emap, alphas
+        hom.vmap, hom.alphas, hom._picked = vmap, alphas, picked
         return hom
+
+    def __getattr__(self, name):
+        # reached only when a slot is unset, so once ``emap`` is built it
+        # reads as fast as an eagerly built map's
+        if name != "emap":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        keys, pick, twins = self._picked
+        if twins is not None:
+            pick += tuple(map(twins.__getitem__, pick))
+        self.emap = dict(zip(keys, pick))
+        return self.emap
 
     def vertex(self, v):
         return self.vmap[v]
@@ -490,19 +506,17 @@ def _homs(g: Graph, h: Graph, mode: str, group: PermGroup | None, pins: dict,
     search = _Search(g, h, mode, group, pins)
     src, order, verts = search.src, search.order, search.verts
     keys = src + [g.pairing[eid] for eid in src] if g.symmetric else src
-    twin = h.pairing.__getitem__
+    twins = h.pairing if g.symmetric else None
     n, nv = len(src), len(order)
     for vals, lists in search.values(b):
         if sum(map(len, lists)) == n:  # one candidate per edge: the pick is forced
             b.spend(n)
-            picks = [list(map(itemgetter(0), lists))]
+            picks = [tuple(map(itemgetter(0), lists))]
         else:
-            picks = _edge_choices(lists, b)
+            picks = map(tuple, _edge_choices(lists, b))
         for pick in picks:
-            if g.symmetric:
-                pick = pick + list(map(twin, pick))
             alphas = dict(zip(verts, islice(vals, nv, None))) if mode == "gamma" else None
-            yield Homomorphism._wrap(dict(zip(order, vals)), dict(zip(keys, pick)), alphas)
+            yield Homomorphism._lazy(dict(zip(order, vals)), alphas, (keys, pick, twins))
 
 
 def find_hom(g: Graph, h: Graph, mode: str = "labeled", group: PermGroup | None = None,

@@ -293,6 +293,24 @@ def test_exponential_budget_and_degenerate_targets():
     assert len(et.graph.vertices) == 0 and len(et.graph.edges) == 0
 
 
+@pytest.mark.parametrize("bad", ["x", "10", 1.5, True, False, None, -1, [3]], ids=repr)
+def test_exponential_max_vertices_must_be_a_non_negative_int(bad):
+    cs = CylinderSet(PermGroup.trivial(2), {1: identity_cyl(2)})
+    with pytest.raises(DomainError) as err:
+        exponential(cs, complete(3), max_vertices=bad)
+    assert str(err.value) == f"max_vertices= must be a non-negative integer, got {bad!r}"
+
+
+def test_exponential_orbit_limit_names_max_vertices():
+    cs = CylinderSet(PermGroup.trivial(2), {1: identity_cyl(2)})
+    assert len(exponential(cs, complete(3), max_vertices=9).names) == 9  # 3^2 orbits
+    assert len(exponential(cs, Graph(symmetric=True), max_vertices=0).names) == 0
+    for limit, target in ((8, complete(3)), (0, complete(1))):
+        with pytest.raises(ResourceLimit) as err:
+            exponential(cs, target, max_vertices=limit)
+        assert str(err.value) == f"more than {limit} orbit representatives; pass a larger max_vertices="
+
+
 def test_surjection_cylinders_roundtrip():
     cases = []
     g1 = cycle(4)

@@ -85,6 +85,30 @@ def test_gamma_label_pairing_swaps_sides():
     g.validate()
 
 
+@pytest.mark.parametrize("label, twin_label, ok", [
+    (GammaLabel(Perm((2, 1)), 1, Perm((1, 2))), GammaLabel(Perm([1, 2]), 1.0, Perm([2, 1])), True),
+    (GammaLabel(Perm((2, 1)), 1, Perm((1, 2))), GammaLabel(Perm((2, 1)), 1, Perm((1, 2))), False),
+    (GammaLabel(Perm((2, 1)), 1, Perm((1, 2))), GammaLabel(Perm((1, 2)), 2, Perm((2, 1))), False),
+    (GammaLabel(Perm((1, 2)), 1, Perm((1, 2))), (Perm((1, 2)), 1, Perm((1, 2))), False),
+    ((Perm((1, 2)), 1, Perm((1, 2))), GammaLabel(Perm((1, 2)), 1, Perm((1, 2))), False),
+    ("w", "w", True),
+    (1, 1.0, True),
+    ("w", "v", False),
+], ids=repr)
+def test_twin_labels_must_be_reverses(label, twin_label, ok):
+    # a GammaLabel's twin is the label reversed; any other label's twin is the label
+    g = Graph(symmetric=True)
+    g.add_vertices("ab")
+    g.add_edge("a", "b", label, "e")
+    g.add_edge("b", "a", twin_label, "f")
+    g.pair_edges("e", "f")
+    if ok:
+        g.validate()
+    else:
+        with pytest.raises(LabelConflict, match=r"^paired edges 'e'/'f' carry incompatible labels$"):
+            g.validate()
+
+
 def test_merge_parallel_directed():
     g = Graph()
     g.add_vertices("ab")

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import cylgraph.construct
 from cylgraph.catalog import complete_graph, cycle_graph, neps_cylinder, path_graph
 from cylgraph.cli import main
 from cylgraph.construct import exponential
@@ -23,7 +24,7 @@ from cylgraph.cylinder import (
     wedge_cyl,
 )
 from cylgraph.errors import CylError, LabelConflict
-from cylgraph.hom import iter_homs
+from cylgraph.hom import count_homs, iter_homs
 from cylgraph.perm import PermGroup, act
 
 from util import outputs_under_hash_seeds, random_graph, random_multigraph
@@ -62,6 +63,28 @@ def test_cli_expo_matches_golden_file(tmp_path, name):
     target_path.write_text(json.dumps(h.to_json()))
     assert main(["expo", "--cylinders", str(cyl_path), "--target", str(target_path), "-o", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / f"expo_{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(golden_instances()))
+def test_exponential_takes_every_map_of_each_cylinder(monkeypatch, name):
+    # stopping early would change the ResourceLimit verdicts and the
+    # benchmark's counts of maps enumerated
+    cset, h = golden_instances()[name]
+    key_of = {id(cset[key].graph): key for key in cset.keys()}
+    taken = dict.fromkeys(cset.keys(), 0)
+    calls = []
+
+    def counted(g, *args, **kwargs):
+        calls.append(key_of[id(g)])
+        for hom in iter_homs(g, *args, **kwargs):
+            taken[key_of[id(g)]] += 1
+            yield hom
+
+    monkeypatch.setattr(cylgraph.construct, "iter_homs", counted)
+    exponential(cset, h)
+    assert sorted(calls, key=str) == sorted(cset.keys(), key=str)
+    assert taken == {key: count_homs(cset[key].graph, h, mode="labeled") for key in cset.keys()}
+    assert all(taken.values())
 
 
 TIED_NAMES_SCRIPT = """

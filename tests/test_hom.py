@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import time
 
@@ -8,6 +10,7 @@ from cylgraph.construct import uniform_labels
 from cylgraph.core import GammaLabel, Graph, disjoint_union, isomorphic
 from cylgraph.errors import DomainError, ResourceLimit
 from cylgraph.hom import (
+    MODES,
     Homomorphism,
     _vertex_order,
     check_hom,
@@ -22,7 +25,7 @@ from cylgraph.hom import (
 )
 from cylgraph.perm import Perm, PermGroup
 
-from util import outputs_under_hash_seeds, pool_scan, random_graph, tied_names
+from util import outputs_under_hash_seeds, pool_scan, random_graph, random_multigraph, tied_names
 
 
 def sym_cycle(n):
@@ -246,6 +249,43 @@ def test_gamma_count_matches_enumeration():
         for s in homs:
             assert check_hom(g, h, s, mode="gamma", group=s2) is None
             assert extract_alphas(g, h, s, s2) == s.alphas
+
+
+def _multigraph_pairs(mode, symmetric):
+    """(source, target, group) over multigraphs with parallel edges and
+    loops, so that one vertex map has several edge maps."""
+    ident, tau = Perm.identity(2), Perm((2, 1))
+    labels = [GammaLabel(ident, 0, ident), GammaLabel(tau, 0, ident)] if mode == "gamma" else [None, "a"]
+    group = PermGroup.symmetric(2) if mode == "gamma" else None
+    rng = random.Random(f"{mode}-{symmetric}")
+    return [(random_multigraph(rng, 3, 3, labels, symmetric), random_multigraph(rng, 3, 12, labels, symmetric), group)
+            for _ in range(6)]
+
+
+@pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "directed"])
+@pytest.mark.parametrize("mode", MODES)
+def test_edge_maps_read_after_listing_match_eager_maps(mode, symmetric):
+    moved = 0
+    for g, h, group in _multigraph_pairs(mode, symmetric):
+        read = [(dict(s.vmap), dict(s.emap), s.alphas, s.key(), s.to_json(), hash(s))
+                for s in iter_homs(g, h, mode=mode, group=group)]
+        homs = list(iter_homs(g, h, mode=mode, group=group))
+        assert len(homs) == len(read) == count_homs(g, h, mode=mode, group=group)
+        for s, (vmap, emap, alphas, key, data, hashed) in zip(homs, read):
+            eager = Homomorphism(vmap, emap, alphas)
+            assert s.emap == emap and list(s.emap) == list(emap)
+            assert (s.key(), s.to_json(), hash(s)) == (key, data, hashed) == (eager.key(), eager.to_json(), hash(eager))
+            assert s == eager and eager == s
+            assert check_hom(g, h, s, mode=mode, group=group) is None
+        moved += sum(a.vmap == b.vmap and a.alphas == b.alphas for a, b in zip(homs, homs[1:]))
+        assert len(set(homs)) == len(homs)
+        for clone in (copy.copy, lambda s: pickle.loads(pickle.dumps(s))):
+            for s, (vmap, emap, alphas, key, data, hashed) in zip(iter_homs(g, h, mode=mode, group=group), read):
+                c = clone(s)  # before anything reads the edge map
+                assert (c.vmap, c.emap, c.alphas, c.to_json(), hash(c)) == (vmap, emap, alphas, data, hashed)
+                assert c == s
+    # the edge picks moved under a fixed vertex map (and twists)
+    assert moved >= 5
 
 
 def test_gamma_requires_group_and_labels():
