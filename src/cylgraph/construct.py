@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import json
 
-from .core import Edge, GammaLabel, Graph, label_sort_key
+from .core import Edge, GammaLabel, Graph, label_sort_key, node_budget
 from .cylinder import CylinderSet, make_cylinder
 from .errors import DomainError, LabelConflict, NotATwist, ResourceLimit
 from .hom import iter_homs
@@ -411,6 +411,7 @@ def exponential(
         raise DomainError(f"rep_choice must be 'min' or 'max', not {rep_choice!r}")
     if isinstance(max_vertices, bool) or not isinstance(max_vertices, int) or max_vertices < 0:
         raise DomainError(f"max_vertices= must be a non-negative integer, got {max_vertices!r}")
+    budget = node_budget(budget)
     if h.symmetric != cset.symmetric:
         raise DomainError("target graph and cylinders disagree about being symmetric")
     h.validate()

@@ -628,10 +628,21 @@ def node_budget(budget: int | None = None) -> int:
     return n
 
 
-def budget_exceeded(what: str, limit: int) -> ResourceLimit:
-    """The error a search raises once it needs more than ``limit`` nodes."""
-    return ResourceLimit(f"{what} exceeded its node budget of {limit} nodes; "
-                         "pass a larger budget= or set CYL_NODE_BUDGET")
+class _Budget:
+    """One search's or count's nodes: ``spend`` raises :class:`ResourceLimit`,
+    naming ``what``, once more than ``node_budget(n)`` have gone."""
+
+    __slots__ = ("left", "limit", "what")
+
+    def __init__(self, n: int | None, what: str = "homomorphism search"):
+        self.left = self.limit = node_budget(n)
+        self.what = what
+
+    def spend(self, n: int = 1) -> None:
+        self.left -= n
+        if self.left < 0:
+            raise ResourceLimit(f"{self.what} exceeded its node budget of {self.limit} nodes; "
+                                "pass a larger budget= or set CYL_NODE_BUDGET")
 
 
 def connected_order(ranked: list, nbrs: Mapping, eligible: Iterable = ()) -> list:
@@ -715,7 +726,7 @@ def isomorphic(g: Graph, h: Graph, budget: int | None = None) -> dict | None:
     ``budget`` nodes, by default ``CYL_NODE_BUDGET``, it raises
     :class:`ResourceLimit`.
     """
-    budget = node_budget(budget)
+    spend = _Budget(budget, "isomorphism search").spend
     if g.symmetric != h.symmetric:
         return None
     if len(g.vertices) != len(h.vertices) or len(g.edges) != len(h.edges):
@@ -749,7 +760,6 @@ def isomorphic(g: Graph, h: Graph, budget: int | None = None) -> dict | None:
                 mapped += 1
         return mapped == sum(1 for _, y in tw if y in used)
 
-    nodes = 0
     stack = [iter(by_inv[gi[order[0]]])] if order else []
     while len(vmap) < len(order):
         if not stack:
@@ -759,9 +769,7 @@ def isomorphic(g: Graph, h: Graph, budget: int | None = None) -> dict | None:
         for w in stack[i]:
             if w in used:
                 continue
-            nodes += 1
-            if nodes > budget:
-                raise budget_exceeded("isomorphism search", budget)
+            spend()
             if fits(u, w):
                 vmap[u] = w
                 used.add(w)

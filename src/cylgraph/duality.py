@@ -88,7 +88,8 @@ def retraction(tr: ProductTrace, et: ExpoTrace, sigma: Homomorphism) -> Homomorp
     group and all.  Only the vertex part of ``sigma`` is consulted.
     """
     g = tr.source
-    rows = ((v, tuple(sigma.vmap[s] for s in tr.blowup(v))) for v in g.vertices)
+    at = sigma.vmap.__getitem__
+    rows = ((v, tuple(map(at, tr.blowup(v)))) for v in g.vertices)
     return _lift(g, et, rows,
                  "the slot row of {v!r} lands on a tuple with no surviving "
                  "representative in the exponential graph",
@@ -111,20 +112,21 @@ def section(tr: ProductTrace, et: ExpoTrace, sp: Homomorphism) -> Homomorphism:
     if alphas is None:
         alphas = extract_alphas(g, et.graph, sp, group)
 
+    sp_vmap, sp_emap = sp.vmap, sp.emap
     vmap: dict = {}
     for v in g.vertices:
-        row = et.tuple_of[sp.vmap[v]]
+        row = et.tuple_of[sp_vmap[v]]
         beta = alphas.get(v, ident).inverse()
         for b in range(1, tr.cset.width + 1):
             _put(vmap, tr.slot[(v, b)], row[beta(b) - 1])
     for (eid, x), name in tr.copy.items():
-        witness = et.witnesses[sp.emap[eid]]
+        witness = et.witnesses[sp_emap[eid]]
         _put(vmap, name, witness.vmap[x])
 
     emap: dict = {}
     for fid in tr.graph.edges:
         src_eid, ce = tr.edge_src[fid][0]
-        witness = et.witnesses[sp.emap[src_eid]]
+        witness = et.witnesses[sp_emap[src_eid]]
         emap[fid] = witness.emap[ce]
     return Homomorphism(vmap, emap)
 

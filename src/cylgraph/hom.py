@@ -57,37 +57,28 @@ twist position's candidates are the group elements that every incident
 edge's table allows given the twists already fixed.  Every position charges
 by rank, one budget node per candidate it could have tried: a target vertex
 at a vertex position, a group element, allowed or not, at a twist position.
-Edge images are then picked from the tables the search leaves, one budget
-node per edge image taken.  A yielded map keeps a copy of its picked edge
-images and builds its edge map, twins included, on first read of ``emap``.
+
+Edge images are then emitted as ``itertools.product`` of the candidate lists
+the search leaves, one per source edge, the last edge turning fastest.  They
+charge what depth-first search over the edges would: a leaf's first pick
+``m`` nodes, ``m`` the number of source edges, and each later pick ``m - k``,
+``k`` the index of the leftmost edge whose image moved, one node per image
+taken from edge ``k`` on.  A yielded map keeps its pick and builds its edge
+map, twins included, on first read of ``emap``.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import defaultdict
-from itertools import count, islice
-from operator import itemgetter
+from itertools import count, islice, product
 from typing import Iterator, Mapping
 
-from .core import GammaLabel, Graph, budget_exceeded, connected_order, node_budget
+from .core import GammaLabel, Graph, _Budget, connected_order
 from .errors import DomainError
 from .perm import Perm, PermGroup, compose
 
 MODES = ("plain", "labeled", "gamma")
-
-
-class _Budget:
-    __slots__ = ("left", "limit", "what")
-
-    def __init__(self, n: int | None, what: str = "homomorphism search"):
-        self.left = self.limit = node_budget(n)
-        self.what = what
-
-    def spend(self, n: int = 1) -> None:
-        self.left -= n
-        if self.left < 0:
-            raise budget_exceeded(self.what, self.limit)
 
 
 class Homomorphism:
@@ -462,33 +453,6 @@ class _Search:
         return [(r, a) for r, a in self.elements if a.images in acc]
 
 
-def _edge_choices(lists: list, budget: _Budget) -> Iterator[list]:
-    """Every pick of one entry per list, the last list turning fastest,
-    yielded as one list updated in place.  It spends what depth-first search
-    over the lists spends: one budget node per entry taken, so moving list
-    ``i`` on re-enters every list after it.  No list is empty: the search
-    admits only assignments under which every source edge has a candidate."""
-    n = len(lists)
-    free = [i for i, c in enumerate(lists) if len(c) > 1]
-    at = [0] * len(free)
-    pick = [c[0] for c in lists]
-    if n:
-        budget.spend(n)
-    while True:
-        yield pick
-        k = len(free) - 1
-        while k >= 0 and at[k] + 1 == len(lists[free[k]]):
-            at[k] = 0
-            pick[free[k]] = lists[free[k]][0]
-            k -= 1
-        if k < 0:
-            return
-        i = free[k]
-        at[k] += 1
-        pick[i] = lists[i][at[k]]
-        budget.spend(n - i)
-
-
 # -- public API ----------------------------------------------------------------
 
 
@@ -507,14 +471,17 @@ def _homs(g: Graph, h: Graph, mode: str, group: PermGroup | None, pins: dict,
     src, order, verts = search.src, search.order, search.verts
     keys = src + [g.pairing[eid] for eid in src] if g.symmetric else src
     twins = h.pairing if g.symmetric else None
-    n, nv = len(src), len(order)
+    m, nv = len(src), len(order)
     for vals, lists in search.values(b):
-        if sum(map(len, lists)) == n:  # one candidate per edge: the pick is forced
-            b.spend(n)
-            picks = [tuple(map(itemgetter(0), lists))]
-        else:
-            picks = map(tuple, _edge_choices(lists, b))
-        for pick in picks:
+        moved = False
+        for pick in product(*lists):
+            if moved:  # product moved edge k: the last edge not at its first candidate
+                k = m - 1
+                while pick[k] == lists[k][0]:
+                    k -= 1
+            else:
+                k, moved = 0, True
+            b.spend(m - k)
             alphas = dict(zip(verts, islice(vals, nv, None))) if mode == "gamma" else None
             yield Homomorphism._lazy(dict(zip(order, vals)), alphas, (keys, pick, twins))
 
@@ -529,8 +496,8 @@ def list_homs(g: Graph, h: Graph, mode: str = "labeled", group: PermGroup | None
               limit: int | None = None) -> list[Homomorphism]:
     """The first ``limit`` homomorphisms of ``iter_homs``, all when None;
     ``limit=0`` starts no search but still checks the arguments."""
-    if limit is not None and limit < 0:
-        raise DomainError(f"limit must be at least 0, got {limit}")
+    if limit is not None and (isinstance(limit, bool) or not isinstance(limit, int) or limit < 0):
+        raise DomainError(f"limit= must be a non-negative integer, got {limit!r}")
     return list(islice(iter_homs(g, h, mode, group, pins, budget), limit))
 
 
@@ -693,19 +660,20 @@ def check_hom(g: Graph, h: Graph, hom: Homomorphism, mode: str = "labeled",
               group: PermGroup | None = None) -> str | None:
     """Why is this not a valid homomorphism?  None when it is valid."""
     _require_comparable(g, h, mode, group)
+    vmap, emap = hom.vmap, hom.emap
     for v in g.vertices:
-        if v not in hom.vmap:
+        if v not in vmap:
             return f"vertex {v!r} unmapped"
-        if not h.has_vertex(hom.vmap[v]):
+        if not h.has_vertex(vmap[v]):
             return f"vertex {v!r} maps outside the target"
     for eid, e in g.edges.items():
-        if eid not in hom.emap:
+        if eid not in emap:
             return f"edge {eid!r} unmapped"
-        f = hom.emap[eid]
+        f = emap[eid]
         if f not in h.edges:
             return f"edge {eid!r} maps to unknown edge {f!r}"
         te = h.edges[f]
-        if te.tail != hom.vmap[e.tail] or te.head != hom.vmap[e.head]:
+        if te.tail != vmap[e.tail] or te.head != vmap[e.head]:
             return f"edge {eid!r} image has wrong endpoints"
         if mode == "labeled" and te.label != e.label:
             return f"edge {eid!r} image changes the label"
@@ -713,7 +681,7 @@ def check_hom(g: Graph, h: Graph, hom: Homomorphism, mode: str = "labeled",
             return f"edge {eid!r} image changes the cylinder key"
     if g.symmetric:
         for eid in g.edges:
-            if hom.emap[g.pairing[eid]] != h.pairing[hom.emap[eid]]:
+            if emap[g.pairing[eid]] != h.pairing[emap[eid]]:
                 return f"edge map does not respect the twin pairing at {eid!r}"
     if mode == "gamma":
         try:

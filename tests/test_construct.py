@@ -301,6 +301,14 @@ def test_exponential_max_vertices_must_be_a_non_negative_int(bad):
     assert str(err.value) == f"max_vertices= must be a non-negative integer, got {bad!r}"
 
 
+@pytest.mark.parametrize("bad", ["5", 2.5, True, -1], ids=repr)
+def test_exponential_checks_budget_before_building_orbits(bad):
+    cs = CylinderSet(PermGroup.trivial(2), {1: identity_cyl(2)})
+    with pytest.raises(DomainError) as err:
+        exponential(cs, complete(5), budget=bad, max_vertices=0)
+    assert str(err.value) == f"budget= must be a non-negative integer, got {bad!r}"
+
+
 def test_exponential_orbit_limit_names_max_vertices():
     cs = CylinderSet(PermGroup.trivial(2), {1: identity_cyl(2)})
     assert len(exponential(cs, complete(3), max_vertices=9).names) == 9  # 3^2 orbits

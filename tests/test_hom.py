@@ -162,6 +162,10 @@ def test_list_limit():
     assert len(list_homs(k3, k3, mode="plain", limit=None)) == 6
     with pytest.raises(DomainError):
         list_homs(k3, k3, mode="plain", limit=-3)
+    for bad in ("3", 2.5, True, False, -1, [2]):
+        with pytest.raises(DomainError) as err:
+            list_homs(k3, k3, mode="plain", limit=bad)
+        assert str(err.value) == f"limit= must be a non-negative integer, got {bad!r}"
 
 
 @pytest.mark.parametrize("bad, message", [

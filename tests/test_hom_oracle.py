@@ -258,6 +258,10 @@ def catalog_instances():
         "tied_names": (tied_names(cycle_graph(6)), tied_names(complete_graph(4)), "plain", None, {}),
         "wedge_c4_gamma": (wedge, expo_c5, "gamma", s2, {}),
         "wedge_p3_gamma_pinned": (twisted, expo_c5, "gamma", s2, {0: expo_c5.vertices[0]}),
+        # the labeled_multigraph pair of tests/test_hom_search.py
+        "labeled_multigraph": (random_multigraph(random.Random(4), 6, 7, labels=("a", "b"), symmetric=True),
+                               random_multigraph(random.Random(104), 4, 10, labels=("a", "b"), symmetric=True),
+                               "labeled", None, {}),
     }
 
 
@@ -314,6 +318,15 @@ def test_catalog_instances_match_the_frozen_kernel(monkeypatch, name):
         except ResourceLimit:
             mine = "ResourceLimit"
         assert mine == first_or_limit(oracle_homs(g, h, mode, group, pins, Nodes(budget)))
+
+
+def test_a_catalog_instance_moves_edge_picks():
+    # more maps than vertex maps: some maps differ only in their edge images,
+    # so the checks here reach the charge for a moved pick
+    g, h, mode, group, pins = catalog_instances()["labeled_multigraph"]
+    maps = list(iter_homs(g, h, mode=mode, group=group, pins=pins))
+    assert len(maps) == 1320
+    assert len({tuple(x.vmap.items()) for x in maps}) == 24
 
 
 def prefix_before_limit(run):
