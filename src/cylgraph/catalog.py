@@ -142,9 +142,9 @@ def walk_power_direct(g: Graph, n: int) -> Graph:
 
 def subdivision(g: Graph, n: int) -> Graph:
     """Every edge replaced by a path of n edges."""
+    cyl = path_cyl(n, directed=not g.symmetric)  # first: it checks that n is an int
     if n < 1:
         raise DomainError("subdivision needs n >= 1")
-    cyl = path_cyl(n, directed=not g.symmetric)
     cs = CylinderSet(PermGroup.trivial(1), {1: cyl})
     return cyl_product(uniform_labels(g, key=1), cs).graph.stripped()
 

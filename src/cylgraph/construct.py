@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 
 from .core import Edge, GammaLabel, Graph, label_sort_key, node_budget
 from .cylinder import CylinderSet, make_cylinder
@@ -404,8 +405,8 @@ def exponential(
     over that cylinder's graph, whose boundary rows are the edge's pair
     ``(p, q)``; :func:`~cylgraph.duality.section` fills cylinder interiors
     from it.  A triple fixes ``p = R1 . d-`` and ``q = R2 . d+``, so every
-    triple of a pair is realized by the pair's first hom, and later homs with
-    an already seen pair are skipped.
+    triple of a pair is realized by the pair's first hom.  Each hom costs one
+    read of its boundary rows; triples are built once per realized pair.
     """
     if rep_choice not in ("min", "max"):
         raise DomainError(f"rep_choice must be 'min' or 'max', not {rep_choice!r}")
@@ -443,15 +444,13 @@ def exponential(
     for key in sorted(cset.keys(), key=str):
         cyl = cset[key]
         labels: dict = {}  # (d- images, d+ images) -> (label, its sort key, reversed label's sort key)
-        pairs: set = set()
+        rows = operator.itemgetter(*cyl.y, *cyl.z)
+        first: dict = {}  # boundary rows y + z -> the first hom realizing them
         for hom in iter_homs(cyl.graph, h, mode="labeled", budget=budget):
-            at = hom.vmap.__getitem__
-            pq = (tuple(map(at, cyl.y)), tuple(map(at, cyl.z)))
-            if pq in pairs:
-                continue
-            pairs.add(pq)
-            r1, dm = orbits[pq[0]]
-            r2, dp = orbits[pq[1]]
+            first.setdefault(rows(hom.vmap), hom)
+        for pq, hom in first.items():
+            r1, dm = orbits[pq[:k]]
+            r2, dp = orbits[pq[k:]]
             n1, n2 = names[r1], names[r2]
             for a in dm:
                 for b in dp:

@@ -156,7 +156,10 @@ class Graph:
         return list(self._vertices)
 
     def has_vertex(self, v) -> bool:
-        return v in self._vertices
+        try:
+            return v in self._vertices
+        except TypeError:  # an unhashable value names no vertex
+            return False
 
     def _adjacency(self):
         if self._adj is None:

@@ -294,8 +294,8 @@ def identity_cyl(k: int, directed: bool = False) -> Cylinder:
 def path_cyl(n: int, labels=None, directed: bool = False) -> Cylinder:
     """Width-1 path with n edges from the y end to the z end (n = 0 collapses
     the rows onto one vertex, which makes gluing contract the edge)."""
-    if n < 0:
-        raise DomainError("path length must be >= 0")
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+        raise DomainError(f"path length must be a non-negative integer, got {n!r}")
     if labels is not None and len(labels) != n:
         raise DomainError(f"need {n} labels, got {len(labels)}")
     g = Graph(symmetric=not directed)

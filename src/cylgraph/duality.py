@@ -112,22 +112,24 @@ def section(tr: ProductTrace, et: ExpoTrace, sp: Homomorphism) -> Homomorphism:
     if alphas is None:
         alphas = extract_alphas(g, et.graph, sp, group)
 
-    sp_vmap, sp_emap = sp.vmap, sp.emap
+    sp_vmap, sp_emap, slot, edge_src, witnesses = sp.vmap, sp.emap, tr.slot, tr.edge_src, et.witnesses
     vmap: dict = {}
     for v in g.vertices:
         row = et.tuple_of[sp_vmap[v]]
         beta = alphas.get(v, ident).inverse()
         for b in range(1, tr.cset.width + 1):
-            _put(vmap, tr.slot[(v, b)], row[beta(b) - 1])
+            _put(vmap, slot[(v, b)], row[beta(b) - 1])
+    wmaps, at = {}, None  # source edge -> witness edge map; copies come grouped by source edge
     for (eid, x), name in tr.copy.items():
-        witness = et.witnesses[sp_emap[eid]]
-        _put(vmap, name, witness.vmap[x])
+        if eid != at:
+            witness = witnesses[sp_emap[eid]]
+            at, wv, wmaps[eid] = eid, witness.vmap, witness.emap
+        _put(vmap, name, wv[x])
 
     emap: dict = {}
     for fid in tr.graph.edges:
-        src_eid, ce = tr.edge_src[fid][0]
-        witness = et.witnesses[sp_emap[src_eid]]
-        emap[fid] = witness.emap[ce]
+        src_eid, ce = edge_src[fid][0]
+        emap[fid] = wmaps[src_eid][ce]
     return Homomorphism(vmap, emap)
 
 

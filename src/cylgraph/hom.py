@@ -84,8 +84,9 @@ MODES = ("plain", "labeled", "gamma")
 class Homomorphism:
     """A vertex map plus an edge map; gamma-mode maps also carry the
     per-vertex twists on edge-incident vertices.  A map that
-    :func:`iter_homs` yields builds its edge map on first read of ``emap``,
-    from its own copy of the edge images the search picked."""
+    :func:`iter_homs` yields builds its edge map on first read of ``emap``
+    from ``_picked``: the source edge ids, the images the search picked for
+    them, and the target's twin pairing when symmetric."""
 
     __slots__ = ("vmap", "emap", "alphas", "_picked")
 
@@ -93,15 +94,6 @@ class Homomorphism:
         self.vmap = dict(vmap)
         self.emap = dict(emap)
         self.alphas = dict(alphas) if alphas is not None else None
-
-    @classmethod
-    def _lazy(cls, vmap: dict, alphas: dict | None, picked: tuple) -> Homomorphism:
-        """Adopt dicts that nobody else holds and leave ``emap`` unset;
-        ``picked`` is (the source edge ids, their images, the target's twin
-        pairing when symmetric)."""
-        hom = object.__new__(cls)
-        hom.vmap, hom.alphas, hom._picked = vmap, alphas, picked
-        return hom
 
     def __getattr__(self, name):
         # reached only when a slot is unset, so once ``emap`` is built it
@@ -203,7 +195,7 @@ def _checked_pins(g: Graph, h: Graph, pins: Mapping | None) -> dict:
         if not g.has_vertex(v):
             raise DomainError(f"pinned vertex {v!r} not in source")
         if not h.has_vertex(w):
-            raise DomainError(f"pin target {w!r} not in target")
+            raise DomainError(f"pin target {w!r} of {v!r} not in target")
     return pins
 
 
@@ -472,6 +464,7 @@ def _homs(g: Graph, h: Graph, mode: str, group: PermGroup | None, pins: dict,
     keys = src + [g.pairing[eid] for eid in src] if g.symmetric else src
     twins = h.pairing if g.symmetric else None
     m, nv = len(src), len(order)
+    spend, gamma, new = b.spend, mode == "gamma", object.__new__
     for vals, lists in search.values(b):
         moved = False
         for pick in product(*lists):
@@ -481,9 +474,11 @@ def _homs(g: Graph, h: Graph, mode: str, group: PermGroup | None, pins: dict,
                     k -= 1
             else:
                 k, moved = 0, True
-            b.spend(m - k)
-            alphas = dict(zip(verts, islice(vals, nv, None))) if mode == "gamma" else None
-            yield Homomorphism._lazy(dict(zip(order, vals)), alphas, (keys, pick, twins))
+            spend(m - k)
+            hom = new(Homomorphism)  # owns its dicts and leaves ``emap`` unset
+            hom.vmap, hom._picked = dict(zip(order, vals)), (keys, pick, twins)
+            hom.alphas = dict(zip(verts, islice(vals, nv, None))) if gamma else None
+            yield hom
 
 
 def find_hom(g: Graph, h: Graph, mode: str = "labeled", group: PermGroup | None = None,

@@ -36,6 +36,7 @@ from cylgraph.catalog import (
     zigzag_via_walks,
 )
 from cylgraph.core import Graph, disjoint_union, isomorphic
+from cylgraph.cylinder import path_cyl
 from cylgraph.errors import DomainError
 from cylgraph.perm import Perm
 
@@ -85,6 +86,22 @@ def test_subdivision_stretches_each_edge():
     assert isomorphic(subdivision(k4, 1), k4) is not None
     with pytest.raises(DomainError):
         subdivision(k4, 0)
+
+
+@pytest.mark.parametrize("bad", ["2", "x", 2.0, True, None, -1], ids=repr)
+def test_path_lengths_must_be_non_negative_integers(bad):
+    c5 = cycle_graph(5)
+    builds = [
+        lambda: path_cyl(bad),
+        lambda: walk_power(c5, bad),
+        lambda: subdivision(c5, bad),
+        lambda: fractional_power(c5, bad, 2),
+        lambda: fractional_power(c5, 2, bad),
+    ]
+    for build in builds:
+        with pytest.raises(DomainError) as err:
+            build()
+        assert str(err.value) == f"path length must be a non-negative integer, got {bad!r}"
 
 
 def test_fractional_power_half_then_square():

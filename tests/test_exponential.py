@@ -16,6 +16,8 @@ from cylgraph.construct import exponential
 from cylgraph.core import GammaLabel, Graph, label_sort_key
 from cylgraph.cylinder import (
     CylinderSet,
+    contraction_cyl,
+    deletion_cyl,
     identity_cyl,
     make_cylinder,
     path_cyl,
@@ -305,6 +307,36 @@ def test_exponential_matches_the_frozen_triple_loop():
     assert skipped >= 50
     assert twisted >= 50
     assert conflicts >= 1 and limits >= 5
+
+
+def _boundary_read_instances():
+    """Cylinders whose boundary rows stress the one-read row lookup: y and z
+    the same vertex (a repeated name), an isolated boundary with no edges,
+    and three slots under the full symmetric group."""
+    multigraph = random_multigraph(random.Random(15), 4, 10, labels=(None, "a"), symmetric=True)
+    return {
+        "contraction": (CylinderSet(PermGroup.trivial(1), {1: contraction_cyl()}), multigraph),
+        "contraction_directed": (
+            CylinderSet(PermGroup.trivial(1), {1: contraction_cyl(directed=True)}),
+            random_multigraph(random.Random(16), 4, 10, labels=(None, "a")),
+        ),
+        "deletion": (CylinderSet(PermGroup.trivial(1), {1: deletion_cyl()}), multigraph),
+        "identity_s3": (CylinderSet(PermGroup.symmetric(3), {1: identity_cyl(3)}), multigraph),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_boundary_read_instances()))
+def test_exponential_matches_the_frozen_triple_loop_at_boundary_edge_cases(name):
+    cset, h = _boundary_read_instances()[name]
+    g, tuple_of, witnesses, edge_by_triple, _, _ = expo_oracle(cset, h)
+    got = exponential(cset, h)
+    assert got.graph.edges
+    assert json.dumps(got.graph.to_json()) == json.dumps(g.to_json())
+    assert list(got.tuple_of.items()) == list(tuple_of.items())
+    assert {e: w.key() for e, w in got.witnesses.items()} == {e: w.key() for e, w in witnesses.items()}
+    assert list(got.witnesses) == list(witnesses)
+    by_sort_key = [((t, hd, label_sort_key(lab)), eid) for (t, hd, lab), eid in got.edge_by_triple.items()]
+    assert by_sort_key == list(edge_by_triple.items())
 
 
 def test_resource_limit_verdicts_agree_at_every_budget():

@@ -155,6 +155,15 @@ def test_count_rejects_pins_off_the_graphs(mode, pins):
             query(g, h, mode=mode, group=group, pins=pins)
 
 
+@pytest.mark.parametrize("target", [[1], {1: 2}, (1, [2])], ids=repr)
+def test_unhashable_pin_targets_are_domain_errors(target):
+    c5 = cycle_graph(5)
+    for query in (count_homs, list_homs, iter_homs, find_hom):
+        with pytest.raises(DomainError) as err:
+            query(c5, c5, pins={0: target})
+        assert str(err.value) == f"pin target {target!r} of 0 not in target"
+
+
 def test_list_limit():
     k3 = complete(3)
     assert list_homs(k3, k3, mode="plain", limit=0) == []
