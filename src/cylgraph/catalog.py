@@ -12,6 +12,7 @@ can be compared on concrete graphs.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from itertools import combinations
 
 from .construct import cyl_product, exponential, uniform_labels
@@ -26,7 +27,7 @@ from .cylinder import (
     sqcap_cyl,
     wedge_cyl,
 )
-from .errors import DomainError
+from .errors import DomainError, count_checked
 from .hom import iter_homs
 from .perm import Perm, PermGroup
 
@@ -35,7 +36,7 @@ from .perm import Perm, PermGroup
 
 def empty_graph(n: int, symmetric: bool = True) -> Graph:
     g = Graph(symmetric=symmetric)
-    g.add_vertices(range(n))
+    g.add_vertices(range(count_checked(n, "n=")))
     return g
 
 
@@ -48,7 +49,7 @@ def complete_graph(n: int) -> Graph:
 
 
 def cycle_graph(n: int) -> Graph:
-    if n < 3:
+    if count_checked(n, "n=") < 3:
         raise DomainError("cycles need at least 3 vertices")
     g = empty_graph(n)
     for i in range(n):
@@ -58,13 +59,14 @@ def cycle_graph(n: int) -> Graph:
 
 def path_graph(n: int) -> Graph:
     """Path with n edges on vertices 0..n."""
-    g = empty_graph(n + 1)
+    g = empty_graph(count_checked(n, "n=") + 1)
     for i in range(n):
         g.add_sym_edge(i, i + 1)
     return g
 
 
 def kneser_graph(n: int, k: int) -> Graph:
+    n, k = count_checked(n, "n="), count_checked(k, "k=")
     g = Graph(symmetric=True)
     subsets = [frozenset(c) for c in combinations(range(n), k)]
     names = {s: "".join(map(str, sorted(s))) for s in subsets}
@@ -529,15 +531,19 @@ def cone(g: Graph) -> Graph:
 
 def graph_minor(g: Graph, contract=(), delete=()) -> Graph:
     """Contract and delete the named edges (ids of canonical directions).
-    Kept parallel edges collapse, as minors of simple graphs do."""
-    contract, delete = set(contract), set(delete)
-    overlap = contract & delete
-    if overlap:
-        raise DomainError(f"edges {sorted(overlap)} are both contracted and deleted")
+    Kept parallel edges collapse, as minors of simple graphs do.  The first
+    unknown id, in the order given and contract before delete, is named."""
+    for what, ids in (("contract=", contract), ("delete=", delete)):
+        if isinstance(ids, str) or not isinstance(ids, Iterable):
+            raise DomainError(f"{what} must be a collection of edge ids, got {ids!r}")
+    contract, delete = dict.fromkeys(contract), dict.fromkeys(delete)  # sets in the order given
     canon = set(g.canonical_edges())
-    for eid in contract | delete:
+    for eid in (*contract, *delete):
         if eid not in canon:
             raise DomainError(f"edge {eid!r} is not a canonical edge of the graph")
+    overlap = contract.keys() & delete.keys()
+    if overlap:
+        raise DomainError(f"edges {sorted(overlap)} are both contracted and deleted")
     directed = not g.symmetric
     cyls = {
         "keep": identity_cyl(1, directed=directed),

@@ -26,7 +26,7 @@ import operator
 
 from .core import Edge, GammaLabel, Graph, label_sort_key, node_budget
 from .cylinder import CylinderSet, make_cylinder
-from .errors import DomainError, LabelConflict, NotATwist, ResourceLimit
+from .errors import DomainError, LabelConflict, NotATwist, ResourceLimit, count_checked
 from .hom import iter_homs
 from .perm import Perm, PermGroup
 
@@ -410,8 +410,7 @@ def exponential(
     """
     if rep_choice not in ("min", "max"):
         raise DomainError(f"rep_choice must be 'min' or 'max', not {rep_choice!r}")
-    if isinstance(max_vertices, bool) or not isinstance(max_vertices, int) or max_vertices < 0:
-        raise DomainError(f"max_vertices= must be a non-negative integer, got {max_vertices!r}")
+    count_checked(max_vertices, "max_vertices=")
     budget = node_budget(budget)
     if h.symmetric != cset.symmetric:
         raise DomainError("target graph and cylinders disagree about being symmetric")

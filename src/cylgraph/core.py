@@ -19,7 +19,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
-from .errors import JSON_SCALAR, DomainError, LabelConflict, ResourceLimit, json_checked
+from .errors import JSON_SCALAR, DomainError, LabelConflict, ResourceLimit, count_checked, json_checked
 from .perm import Perm, compose
 
 
@@ -618,9 +618,7 @@ def node_budget(budget: int | None = None) -> int:
     integer (``bool`` is not one); anything else raises :class:`DomainError`
     naming the knob."""
     if budget is not None:
-        if isinstance(budget, bool) or not isinstance(budget, int) or budget < 0:
-            raise DomainError(f"budget= must be a non-negative integer, got {budget!r}")
-        return budget
+        return count_checked(budget, "budget=")
     raw = os.environ.get("CYL_NODE_BUDGET", "20000000")
     try:
         n = int(raw)

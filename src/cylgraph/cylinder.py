@@ -13,20 +13,20 @@ common base.  These sets parameterise the gluing product and the exponential.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Mapping
 
-from .core import Graph, UnionFind, disjoint_union, identify_vertices, labels_between, merge_parallel
-from .errors import JSON_SCALAR, DomainError, EpsilonError, NotACylinder, NotATwist, json_checked
+from .core import Graph, UnionFind, disjoint_union, identify_vertices, merge_parallel
+from .errors import JSON_SCALAR, DomainError, EpsilonError, NotACylinder, NotATwist, count_checked, json_checked
 from .perm import Perm, PermGroup
 
 
-def _rows_slot_isomorphic(ga: Graph, row_a, gb: Graph, row_b) -> bool:
-    k = len(row_a)
-    return all(
-        labels_between(ga, row_a[i], row_a[j]) == labels_between(gb, row_b[i], row_b[j])
-        for i in range(k)
-        for j in range(k)
-    )
+def _row_signature(g: Graph, row) -> Counter:
+    """The multiset of ``(slot i, slot j, label)`` over the edges ``row[i] -> row[j]``:
+    two rows induce slotwise isomorphic bases iff their signatures are equal."""
+    slot = {v: i for i, v in enumerate(row)}
+    out = (g.edges[eid] for v in row for eid in g.out_edges(v))
+    return Counter((slot[e.tail], slot[e.head], e.label) for e in out if e.head in slot)
 
 
 class Cylinder:
@@ -65,7 +65,7 @@ class Cylinder:
                     raise DomainError(f"{name}-row vertex {v!r} not in graph")
             if len(set(row)) != len(row):
                 raise EpsilonError(f"{name}-row has repeated vertices: {row!r}")
-        if not _rows_slot_isomorphic(self.graph, self.y, self.graph, self.z):
+        if _row_signature(self.graph, self.y) != _row_signature(self.graph, self.z):
             raise NotACylinder("slotwise map between the rows is not an isomorphism of the bases")
 
     def __eq__(self, other) -> bool:
@@ -110,7 +110,7 @@ def base_automorphism(cyl: Cylinder, g: Perm, row: str = "y") -> bool:
     if g.degree != k:
         return False
     moved = tuple(vs[g(i + 1) - 1] for i in range(k))
-    return _rows_slot_isomorphic(cyl.graph, vs, cyl.graph, moved)
+    return _row_signature(cyl.graph, vs) == _row_signature(cyl.graph, moved)
 
 
 def twist(cyl: Cylinder, g: Perm, l: Perm) -> Cylinder:
@@ -225,7 +225,7 @@ class CylinderSet:
     def validate(self) -> None:
         if not self.cyls:
             raise NotACylinder("cylinder set is empty")
-        first = None
+        first = base = None
         for key, cyl in self.cyls.items():
             cyl.validate()
             if cyl.width != self.group.degree:
@@ -233,11 +233,11 @@ class CylinderSet:
                     f"cylinder {key!r} has width {cyl.width}, group acts on {self.group.degree} slots"
                 )
             if first is None:
-                first = cyl
+                first, base = cyl, _row_signature(cyl.graph, cyl.y)
             else:
                 if cyl.graph.symmetric != first.graph.symmetric:
                     raise NotACylinder("cylinders mix symmetric and directed graphs")
-                if not _rows_slot_isomorphic(first.graph, first.y, cyl.graph, cyl.y):
+                if _row_signature(cyl.graph, cyl.y) != base:
                     raise NotACylinder(f"cylinder {key!r} does not share the common base")
         for g in self.group:
             if not base_automorphism(first, g):
@@ -281,7 +281,7 @@ def identity_cyl(k: int, directed: bool = False) -> Cylinder:
     in each slot.  Gluing it reproduces the edge (slot by slot), so it is the
     unit of the gluing product; with a nontrivial slot group it builds lifts."""
     g = Graph(symmetric=not directed)
-    ys = [f"y{i}" for i in range(1, k + 1)]
+    ys = [f"y{i}" for i in range(1, count_checked(k, "k=") + 1)]
     zs = [f"z{i}" for i in range(1, k + 1)]
     g.add_vertices(ys)
     g.add_vertices(zs)
@@ -294,8 +294,7 @@ def identity_cyl(k: int, directed: bool = False) -> Cylinder:
 def path_cyl(n: int, labels=None, directed: bool = False) -> Cylinder:
     """Width-1 path with n edges from the y end to the z end (n = 0 collapses
     the rows onto one vertex, which makes gluing contract the edge)."""
-    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-        raise DomainError(f"path length must be a non-negative integer, got {n!r}")
+    count_checked(n, "path length")
     if labels is not None and len(labels) != n:
         raise DomainError(f"need {n} labels, got {len(labels)}")
     g = Graph(symmetric=not directed)
@@ -350,8 +349,8 @@ def square_cyl() -> Cylinder:
 
 
 _BUILTINS = {
-    "identity": lambda k=1, directed=False: identity_cyl(int(k), directed),
-    "path": lambda n=1, labels=None, directed=False: path_cyl(int(n), labels, directed),
+    "identity": lambda k=1, directed=False: identity_cyl(k, directed),
+    "path": lambda n=1, labels=None, directed=False: path_cyl(n, labels, directed),
     "contraction": lambda directed=False: contraction_cyl(directed),
     "deletion": lambda directed=False: deletion_cyl(directed),
     "sqcap": lambda: sqcap_cyl(),

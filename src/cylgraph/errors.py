@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the JSON readers' type check."""
+"""Exception types shared across the package, the JSON readers' type check,
+and the one rule for a count argument."""
 
 from __future__ import annotations
 
@@ -41,9 +42,22 @@ JSON_SCALAR = (str, int, float, bool, type(None))
 _KINDS = {dict: "a JSON object", list: "a JSON list", int: "an integer", JSON_SCALAR: "a JSON scalar"}
 
 
+def _is_int(value) -> bool:
+    """An ``int`` that is not a ``bool``: the only JSON or Python integer accepted."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def json_checked(value, kind, what: str):
     """``value`` when it is a ``kind``; otherwise one :class:`DomainError`
     naming ``what``, the place in the JSON document it was read from."""
-    if not isinstance(value, kind):
+    if not (_is_int(value) if kind is int else isinstance(value, kind)):
         raise DomainError(f"{what} must be {_KINDS[kind]}, got {reprlib.repr(value)}")
+    return value
+
+
+def count_checked(value, what: str) -> int:
+    """``value`` when it is a non-negative integer; otherwise one
+    :class:`DomainError` naming ``what``, the argument it was passed as."""
+    if not _is_int(value) or value < 0:
+        raise DomainError(f"{what} must be a non-negative integer, got {value!r}")
     return value

@@ -75,7 +75,7 @@ from itertools import count, islice, product
 from typing import Iterator, Mapping
 
 from .core import GammaLabel, Graph, _Budget, connected_order
-from .errors import DomainError
+from .errors import DomainError, count_checked
 from .perm import Perm, PermGroup, compose
 
 MODES = ("plain", "labeled", "gamma")
@@ -491,8 +491,8 @@ def list_homs(g: Graph, h: Graph, mode: str = "labeled", group: PermGroup | None
               limit: int | None = None) -> list[Homomorphism]:
     """The first ``limit`` homomorphisms of ``iter_homs``, all when None;
     ``limit=0`` starts no search but still checks the arguments."""
-    if limit is not None and (isinstance(limit, bool) or not isinstance(limit, int) or limit < 0):
-        raise DomainError(f"limit= must be a non-negative integer, got {limit!r}")
+    if limit is not None:
+        count_checked(limit, "limit=")
     return list(islice(iter_homs(g, h, mode, group, pins, budget), limit))
 
 

@@ -15,7 +15,7 @@ import itertools
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
 
-from .errors import NotAPermutation, ResourceLimit, json_checked
+from .errors import NotAPermutation, ResourceLimit, count_checked, json_checked
 
 
 class Perm:
@@ -100,11 +100,11 @@ class Perm:
 
     @classmethod
     def identity(cls, k: int) -> Perm:
-        return cls(range(1, k + 1))
+        return cls(range(1, count_checked(k, "k=") + 1))
 
     @classmethod
     def from_cycles(cls, k: int, *cycles: Sequence[int]) -> Perm:
-        images = list(range(1, k + 1))
+        images = list(range(1, count_checked(k, "k=") + 1))
         for cyc in cycles:
             for a, b in zip(cyc, list(cyc[1:]) + [cyc[0]]):
                 if not 1 <= a <= k:
@@ -162,6 +162,7 @@ class PermGroup:
     def generated(cls, k: int, gens: Iterable[Perm], limit: int = 1_000_000) -> PermGroup:
         gens = tuple(gens)
         found = {Perm.identity(k)}
+        count_checked(limit, "limit=")
         frontier = list(found)
         while frontier:
             nxt = []
@@ -182,11 +183,12 @@ class PermGroup:
 
     @classmethod
     def symmetric(cls, k: int, limit: int = 1_000_000) -> PermGroup:
+        k, limit = count_checked(k, "k="), count_checked(limit, "limit=")
         size = 1
         for i in range(2, k + 1):
-            size *= i
-        if size > limit:
-            raise ResourceLimit(f"symmetric group of degree {k} has {size} elements (limit {limit})")
+            size *= i  # stop at the limit: a large k! is slow to build and too long to print
+            if size > limit:
+                raise ResourceLimit(f"symmetric group of degree {k} has more than {limit} elements")
         elems = [Perm(p) for p in itertools.permutations(range(1, k + 1))]
         gens = []
         if k >= 2:
@@ -197,7 +199,7 @@ class PermGroup:
 
     @classmethod
     def cyclic(cls, k: int) -> PermGroup:
-        if k == 0:
+        if count_checked(k, "k=") == 0:
             return cls.trivial(0)
         rot = Perm.from_cycles(k, tuple(range(1, k + 1)))
         return cls.generated(k, [rot])

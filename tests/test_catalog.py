@@ -283,3 +283,34 @@ def test_subdivision_of_a_long_cycle_glues_over_integer_ids():
     assert time.perf_counter() - start <= 2.0
     assert len(out.vertices) == 100_000
     assert len(out.edges) == 200_000
+
+
+@pytest.mark.parametrize("kwargs, what", [
+    ({"contract": 2.5}, "contract="),
+    ({"contract": "e0"}, "contract="),
+    ({"delete": None}, "delete="),
+    ({"delete": "e0,e1"}, "delete="),
+])
+def test_graph_minor_rejects_a_string_or_non_iterable(kwargs, what):
+    with pytest.raises(DomainError) as err:
+        graph_minor(cycle_graph(5), **kwargs)
+    (bad,) = kwargs.values()
+    assert str(err.value) == f"{what} must be a collection of edge ids, got {bad!r}"
+
+
+def test_graph_minor_names_the_first_unknown_id_in_the_order_given():
+    c5 = cycle_graph(5)
+    known = sorted(c5.canonical_edges())[0]
+    unknown = ("zz", "aa", "mm", "qq", "bb", "yy")
+    for contract, delete, first in [
+        (unknown, (), "zz"),
+        ((known, "mm", "aa"), ("bb",), "mm"),
+        ((known,), unknown[::-1], "yy"),
+        (("qq",), ("aa",), "qq"),
+        (("zz",), ("zz",), "zz"),  # unknown is reported before contract/delete overlap
+    ]:
+        with pytest.raises(DomainError) as err:
+            graph_minor(c5, contract=contract, delete=delete)
+        assert str(err.value) == f"edge {first!r} is not a canonical edge of the graph"
+    # any iterable of ids will do, a generator included
+    assert len(graph_minor(c5, contract=(e for e in [known])).vertices) == 4

@@ -382,3 +382,25 @@ def test_json_round_trip_structural_identity():
         g = random_graph(rng, rng.randint(2, 6), p=0.5,
                          symmetric=rng.random() < 0.5, loops=True)
         assert Graph.from_json(g.to_json()).to_json() == g.to_json()
+
+
+def test_a_group_degree_of_true_is_one_json_error(tmp_path, capsys):
+    bad = dump(tmp_path, "bad.json", {"degree": True, "generators": []})
+    good = dump(tmp_path, "good.json", _graph())
+    assert main(["hom", "count", "--mode", "gamma", "--group", bad, "--source", good, "--target", good]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert json.loads(captured.err) == {
+        "error": "DomainError",
+        "message": f"{bad}: group 'degree' must be an integer, got True",
+    }
+
+
+def test_minor_names_the_first_unknown_edge_given(tmp_path, capsys):
+    fx = fixtures(tmp_path)
+    assert main(["catalog", "minor", "--graph", fx["c5"], "--contract", "zz,aa,mm,qq,bb", "--delete", "yy"]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "DomainError",
+        "message": "edge 'zz' is not a canonical edge of the graph",
+    }

@@ -228,3 +228,79 @@ def test_det_cyl_bases_trivial():
     d = deletion_cyl()
     assert d.eps() == {}
     assert isomorphic(d.base(), identity_cyl(1).base()) is not None
+
+
+# -- validation errors: type and message -------------------------------------
+
+
+def _looped_at_slot_1(k):
+    """Width-k cylinder whose rows carry one loop, at slot 1."""
+    g = Graph(symmetric=True)
+    ys, zs = [f"y{i}" for i in range(1, k + 1)], [f"z{i}" for i in range(1, k + 1)]
+    g.add_vertices(ys + zs)
+    g.add_sym_edge("y1", "y1")
+    g.add_sym_edge("z1", "z1")
+    return make_cylinder(g, ys, zs)
+
+
+def _parallel_rows(y_labels, z_labels):
+    """Directed width-2 graph with parallel edges y1 -> y2 and z1 -> z2."""
+    g = Graph()
+    g.add_vertices(["y1", "y2", "z1", "z2"])
+    for label in y_labels:
+        g.add_edge("y1", "y2", label)
+    for label in z_labels:
+        g.add_edge("z1", "z2", label)
+    return g
+
+
+def test_rows_that_are_not_slot_isomorphic_are_named():
+    g = Graph()
+    g.add_vertices(["y1", "y2", "z1", "z2"])
+    g.add_edge("y1", "y2")
+    g.add_edge("z2", "z1")
+    with pytest.raises(NotACylinder) as err:
+        make_cylinder(g, ["y1", "y2"], ["z1", "z2"])
+    assert str(err.value) == "slotwise map between the rows is not an isomorphism of the bases"
+    assert make_cylinder(g, ["y1", "y2"], ["z2", "z1"]).width == 2
+
+
+def test_row_bases_compare_parallel_labels_as_multisets():
+    with pytest.raises(NotACylinder) as err:
+        make_cylinder(_parallel_rows("aa", "ab"), ["y1", "y2"], ["z1", "z2"])
+    assert str(err.value) == "slotwise map between the rows is not an isomorphism of the bases"
+    with pytest.raises(NotACylinder):
+        make_cylinder(_parallel_rows("a", "aa"), ["y1", "y2"], ["z1", "z2"])
+    assert make_cylinder(_parallel_rows("ab", "ba"), ["y1", "y2"], ["z1", "z2"]).width == 2
+
+
+def test_a_cylinder_off_the_common_base_is_named():
+    with pytest.raises(NotACylinder) as err:
+        CylinderSet(PermGroup.trivial(2), {0: sqcap_cyl(), "rungs": identity_cyl(2, directed=False)})
+    assert str(err.value) == "cylinder 'rungs' does not share the common base"
+    aa = make_cylinder(_parallel_rows("aa", "aa"), ["y1", "y2"], ["z1", "z2"])
+    ab = make_cylinder(_parallel_rows("ab", "ab"), ["y1", "y2"], ["z1", "z2"])
+    with pytest.raises(NotACylinder) as err:
+        CylinderSet(PermGroup.trivial(2), {1: aa, 2: ab})
+    assert str(err.value) == "cylinder 2 does not share the common base"
+    ba = make_cylinder(_parallel_rows("ba", "ba"), ["y1", "y2"], ["z1", "z2"])
+    assert CylinderSet(PermGroup.trivial(2), {1: ab, 2: ba}).width == 2
+
+
+def test_the_first_group_element_off_the_base_is_named():
+    # S3 in element order: (), (2 3), (1 2), ...; (2 3) fixes the looped slot
+    with pytest.raises(NotATwist) as err:
+        CylinderSet(PermGroup.symmetric(3), {0: _looped_at_slot_1(3)})
+    assert str(err.value) == "group element Perm[3: (1 2)] is not an automorphism of the base"
+    assert len(CylinderSet(PermGroup.generated(3, [Perm((1, 3, 2))]), {0: _looped_at_slot_1(3)}).group) == 2
+
+
+def test_twist_names_the_base_it_breaks():
+    c, swap, ident = _looped_at_slot_1(2), Perm((2, 1)), Perm.identity(2)
+    with pytest.raises(NotATwist) as err:
+        twist(c, swap, ident)
+    assert str(err.value) == "Perm[2: (1 2)] is not an automorphism of the y-base"
+    with pytest.raises(NotATwist) as err:
+        twist(c, ident, swap)
+    assert str(err.value) == "Perm[2: (1 2)] is not an automorphism of the z-base"
+    assert twist(c, ident, ident) == c

@@ -94,3 +94,12 @@ def test_group_json_roundtrip():
     grp = PermGroup.generated(4, [Perm.from_cycles(4, (1, 2, 3, 4))])
     again = PermGroup.from_json(grp.to_json())
     assert again == grp
+
+
+def test_a_symmetric_group_over_its_limit_is_a_resource_limit_at_any_degree():
+    # 2000! has over 5,000 digits, more than int -> str converts by default
+    for k in (4, 2000):
+        with pytest.raises(ResourceLimit) as err:
+            PermGroup.symmetric(k, limit=6)
+        assert str(err.value) == f"symmetric group of degree {k} has more than 6 elements"
+    assert len(PermGroup.symmetric(3, limit=6)) == 6
