@@ -366,6 +366,31 @@ def test_isomorphic_node_count_is_pinned():
         isomorphic(petersen(), prism, budget=1519)
 
 
+def _loop_labelled_square(order):
+    """Four vertices in one refined class: 0 and 2 carry an ``a`` loop and
+    are joined by ``b`` both ways, 1 and 3 the other way round."""
+    g = Graph()
+    g.add_vertices(order)
+    for tail, head, lab in ((0, 0, "a"), (2, 2, "a"), (0, 2, "b"), (2, 0, "b"),
+                            (1, 1, "b"), (3, 3, "b"), (1, 3, "a"), (3, 1, "a")):
+        g.add_edge(tail, head, lab)
+    return g
+
+
+@pytest.mark.parametrize("order, vmap", [
+    ([1, 0, 3, 2], {0: 0, 2: 2, 1: 1, 3: 3}),
+    ([3, 2, 1, 0], {0: 2, 2: 0, 1: 3, 3: 1}),
+])
+def test_isomorphic_tells_candidates_apart_by_their_loop_labels(order, vmap):
+    g, h = _loop_labelled_square([0, 1, 2, 3]), _loop_labelled_square(order)
+    got = isomorphic(g, h, budget=7)
+    assert got["vertices"] == vmap
+    assert list(got["vertices"]) == list(vmap)
+    assert iso_error(g, h, got) is None
+    with pytest.raises(ResourceLimit):
+        isomorphic(g, h, budget=6)
+
+
 def test_isomorphic_reads_the_budget_from_the_environment(monkeypatch):
     monkeypatch.setenv("CYL_NODE_BUDGET", "0")
     with pytest.raises(ResourceLimit):

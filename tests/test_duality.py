@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from cylgraph.catalog import path_graph
 from cylgraph.construct import cyl_product, exponential, uniform_labels
 from cylgraph.core import GammaLabel, Graph
 from cylgraph.cylinder import CylinderSet, identity_cyl, path_cyl, sqcap_cyl, square_cyl
@@ -137,6 +138,33 @@ def test_product_functor_laws():
     assert check_hom(tr1.graph, tr2.graph, big_f, mode="labeled") is None
     assert product_map(identity_hom(g1), tr1, tr1) == identity_hom(tr1.graph)
     assert product_map(compose_homs(f, g), tr1, tr3) == compose_homs(big_f, big_g)
+
+
+def test_product_map_carries_a_reversed_edge_through_the_cylinder_reversal():
+    # f swaps the two ends of the base edge, so it sends e0 onto its twin e1
+    # and the copy of the path cylinder on e0 is carried end for end
+    cs = one_cyl(path_cyl(2), PermGroup.trivial(1))
+    g = uniform_labels(path_graph(1), 1)
+    tr = cyl_product(g, cs)
+    f = find_hom(g, g, mode="gamma", group=cs.group, pins={0: 1})
+    assert f.emap == {"e0": "e1", "e1": "e0"}
+    big = product_map(f, tr, tr)
+    assert big.vmap == {"0#1": "1#1", "1#1": "0#1", "e0@w1": "e0@w1"}
+    assert big.emap == {"e0@e0": "e0@e3", "e0@e1": "e0@e2", "e0@e2": "e0@e1", "e0@e3": "e0@e0"}
+    assert check_hom(tr.graph, tr.graph, big, mode="labeled") is None
+
+
+def test_product_map_needs_a_reversal_to_carry_a_reversed_edge():
+    cs = one_cyl(path_cyl(2, labels=[0, 1]), PermGroup.trivial(1))
+    g = uniform_labels(path_graph(1), 1)
+    tr = cyl_product(g, cs)
+    f = find_hom(g, g, mode="gamma", group=cs.group, pins={0: 1})
+    with pytest.raises(DomainError) as err:
+        product_map(f, tr, tr)
+    assert str(err.value) == (
+        "cylinder 1 has no end-for-end reversal; "
+        "cannot carry a pair-reversing base map across the product"
+    )
 
 
 def test_exponential_functor_laws():
