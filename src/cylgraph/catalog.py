@@ -20,6 +20,7 @@ from .core import GammaLabel, Graph, merge_parallel
 from .cylinder import (
     Cylinder,
     CylinderSet,
+    _bare_rows,
     deletion_cyl,
     identity_cyl,
     make_cylinder,
@@ -111,6 +112,7 @@ def walk_power(g: Graph, n: int, *, budget: int | None = None) -> Graph:
 def walk_power_direct(g: Graph, n: int) -> Graph:
     """The same graph read off the boolean n-th power of the adjacency
     matrix (isolated rows and columns dropped to match)."""
+    count_checked(n, "path length")
     vs = sorted(g.vertices, key=str)
     pos = {v: i for i, v in enumerate(vs)}
     m = len(vs)
@@ -178,10 +180,7 @@ def neps_cylinder(g: Graph, kind: str) -> Cylinder:
     vs = sorted(g.vertices, key=str)
     pos = {v: i + 1 for i, v in enumerate(vs)}
     k = len(vs)
-    cyl = Graph(symmetric=True)
-    ys = [f"y{i}" for i in range(1, k + 1)]
-    zs = [f"z{i}" for i in range(1, k + 1)]
-    cyl.add_vertices(ys + zs)
+    cyl, ys, zs = _bare_rows(k)
     if kind != "tensor":
         for eid in g.canonical_edges():
             e = g.edges[eid]
@@ -393,11 +392,7 @@ def replacement_cylinder(h: Graph) -> Cylinder:
     rung between the first vertices (tagged 1)."""
     vs = sorted(h.vertices, key=str)
     pos = {v: i + 1 for i, v in enumerate(vs)}
-    d = len(vs)
-    cyl = Graph(symmetric=True)
-    ys = [f"y{i}" for i in range(1, d + 1)]
-    zs = [f"z{i}" for i in range(1, d + 1)]
-    cyl.add_vertices(ys + zs)
+    cyl, ys, zs = _bare_rows(len(vs))
     for eid in h.canonical_edges():
         e = h.edges[eid]
         a, b = pos[e.tail], pos[e.head]
@@ -536,11 +531,12 @@ def graph_minor(g: Graph, contract=(), delete=()) -> Graph:
     for what, ids in (("contract=", contract), ("delete=", delete)):
         if isinstance(ids, str) or not isinstance(ids, Iterable):
             raise DomainError(f"{what} must be a collection of edge ids, got {ids!r}")
-    contract, delete = dict.fromkeys(contract), dict.fromkeys(delete)  # sets in the order given
+    contract, delete = tuple(contract), tuple(delete)
     canon = set(g.canonical_edges())
     for eid in (*contract, *delete):
-        if eid not in canon:
+        if not isinstance(eid, str) or eid not in canon:  # ids are strings: a list names no edge
             raise DomainError(f"edge {eid!r} is not a canonical edge of the graph")
+    contract, delete = dict.fromkeys(contract), dict.fromkeys(delete)  # sets in the order given
     overlap = contract.keys() & delete.keys()
     if overlap:
         raise DomainError(f"edges {sorted(overlap)} are both contracted and deleted")

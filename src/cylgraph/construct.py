@@ -25,7 +25,7 @@ import json
 import operator
 
 from .core import Edge, GammaLabel, Graph, label_sort_key, node_budget
-from .cylinder import CylinderSet, make_cylinder
+from .cylinder import CylinderSet, _bare_rows, make_cylinder
 from .errors import DomainError, LabelConflict, NotATwist, ResourceLimit, count_checked
 from .hom import iter_homs
 from .perm import Perm, PermGroup
@@ -543,12 +543,8 @@ def cylinders_from_surjection(g: Graph, h: Graph, vmap: dict) -> tuple[Graph, Cy
 
     cyls = {}
     for eid in canon:
-        cg = Graph(symmetric=g.symmetric)
+        cg, ys, zs = _bare_rows(k, g.symmetric)
         link = cg.add_sym_edge if g.symmetric else cg.add_edge
-        ys = [f"y{i}" for i in range(1, k + 1)]
-        zs = [f"z{i}" for i in range(1, k + 1)]
-        cg.add_vertices(ys)
-        cg.add_vertices(zs)
         for (i, j) in sorted(set(rungs[eid])):
             link(ys[i - 1], zs[j - 1])
         cyls[eid] = make_cylinder(cg, ys, zs)

@@ -267,17 +267,8 @@ class Graph:
         unknown = keep - set(self._vertices)
         if unknown:
             raise DomainError(f"unknown vertices {sorted(map(str, unknown))[:5]}")
-        g = Graph(self.symmetric)
-        for v in self._vertices:
-            if v in keep:
-                g.add_vertex(v)
-        for eid, e in self.edges.items():
-            if e.tail in keep and e.head in keep:
-                g.add_edge(e.tail, e.head, e.label, eid)
-        for eid, tw in self.pairing.items():
-            if eid in g.edges and tw in g.edges:
-                g.pairing[eid] = tw
-        return g
+        return self._filtered([v for v in self._vertices if v in keep],
+                              lambda e: e.tail in keep and e.head in keep)
 
     def reduced(self) -> Graph:
         """Drop isolated vertices."""
@@ -285,14 +276,16 @@ class Graph:
         return self.induced(v for v in self._vertices if v not in iso)
 
     def without_loops(self) -> Graph:
+        return self._filtered(self._vertices, lambda e: e.tail != e.head)
+
+    def _filtered(self, vertices: Iterable, keep_edge) -> Graph:
+        """A copy on ``vertices`` (which must hold every kept edge's ends)
+        with the edges ``keep_edge`` accepts, under their ids, and the twin
+        pairs both of whose edges are kept."""
         g = Graph(self.symmetric)
-        g.add_vertices(self._vertices)
-        for eid, e in self.edges.items():
-            if e.tail != e.head:
-                g.add_edge(e.tail, e.head, e.label, eid)
-        for eid, tw in self.pairing.items():
-            if eid in g.edges and tw in g.edges:
-                g.pairing[eid] = tw
+        g._vertices = dict.fromkeys(vertices)
+        g.edges = {eid: e for eid, e in self.edges.items() if keep_edge(e)}
+        g.pairing = {eid: tw for eid, tw in self.pairing.items() if eid in g.edges and tw in g.edges}
         return g
 
     def with_labels(self, labels: Mapping) -> Graph:
@@ -696,18 +689,14 @@ def _invariants(g: Graph, rounds: int = 2) -> dict:
     return inv
 
 
-def labels_between(g: Graph, u, v) -> Counter:
-    """The multiset of labels on the edges ``u -> v``."""
-    return Counter(g.edges[eid].label for eid in g.out_edges(u) if g.edges[eid].head == v)
-
-
 def _label_table(g: Graph) -> dict:
-    """vertex -> {(direction, other end): Counter of labels} over its
-    non-loop edges; direction ``"o"`` for out-edges, ``"i"`` for in-edges."""
+    """vertex -> {(direction, other end): Counter of labels} over its edges;
+    direction ``"o"`` for out-edges, ``"i"`` for in-edges.  A loop at ``v``
+    is kept once, under ``("o", v)``."""
     table: dict = {v: defaultdict(Counter) for v in g.vertices}
     for e in g.edges.values():
+        table[e.tail][("o", e.head)][e.label] += 1
         if e.tail != e.head:
-            table[e.tail][("o", e.head)][e.label] += 1
             table[e.head][("i", e.tail)][e.label] += 1
     return table
 
@@ -743,18 +732,16 @@ def isomorphic(g: Graph, h: Graph, budget: int | None = None) -> dict | None:
     ranked = sorted(g.vertices, key=lambda v: (len(by_inv[gi[v]]), str(v)))
     order = connected_order(ranked, g.neighbour_sets())
     gtab, htab = _label_table(g), _label_table(h)
-    gloops = {v: labels_between(g, v, v) for v in g.vertices}
-    hloops = {v: labels_between(h, v, v) for v in h.vertices}
 
     vmap: dict = {}
     used: set = set()
 
     def fits(u, w) -> bool:
-        if gloops[u] != hloops[w]:
+        tu, tw = gtab[u], htab[w]
+        if tu.get(("o", u)) != tw.get(("o", w)):
             return False
-        tw = htab[w]
         mapped = 0
-        for (d, x), labels in gtab[u].items():
+        for (d, x), labels in tu.items():
             if x in vmap:
                 if tw.get((d, vmap[x])) != labels:
                     return False

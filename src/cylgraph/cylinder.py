@@ -92,8 +92,9 @@ class Cylinder:
 
 
 def make_cylinder(graph: Graph, y, z, eps: Mapping[int, int] | None = None) -> Cylinder:
-    """Validated constructor.  If ``eps`` is given it is cross-checked against
-    the actual row overlap (both inclusions)."""
+    """Validated constructor, the only one: every cylinder is built here.  If
+    ``eps`` is given it is cross-checked against the actual row overlap (both
+    inclusions)."""
     cyl = Cylinder(graph, y, z)
     cyl.validate()
     if eps is not None:
@@ -106,11 +107,9 @@ def make_cylinder(graph: Graph, y, z, eps: Mapping[int, int] | None = None) -> C
 def base_automorphism(cyl: Cylinder, g: Perm, row: str = "y") -> bool:
     """Does slot permutation ``g`` preserve the base induced by the given row?"""
     vs = cyl.y if row == "y" else cyl.z
-    k = len(vs)
-    if g.degree != k:
+    if g.degree != len(vs):
         return False
-    moved = tuple(vs[g(i + 1) - 1] for i in range(k))
-    return _row_signature(cyl.graph, vs) == _row_signature(cyl.graph, moved)
+    return _row_signature(cyl.graph, vs) == _row_signature(cyl.graph, g.act(vs))
 
 
 def twist(cyl: Cylinder, g: Perm, l: Perm) -> Cylinder:
@@ -120,12 +119,7 @@ def twist(cyl: Cylinder, g: Perm, l: Perm) -> Cylinder:
         raise NotATwist(f"{g!r} is not an automorphism of the y-base")
     if not base_automorphism(cyl, l, "z"):
         raise NotATwist(f"{l!r} is not an automorphism of the z-base")
-    gi, li = g.inverse(), l.inverse()
-    new_y = gi.act(cyl.y)
-    new_z = li.act(cyl.z)
-    out = Cylinder(cyl.graph, new_y, new_z)
-    out.validate()
-    return out
+    return make_cylinder(cyl.graph, g.inverse().act(cyl.y), l.inverse().act(cyl.z))
 
 
 def cyl_sum(a: Cylinder, b: Cylinder) -> Cylinder:
@@ -144,9 +138,7 @@ def cyl_sum(a: Cylinder, b: Cylinder) -> Cylinder:
     g = merge_parallel(identify_vertices(u, cmap))
     y = tuple(cmap[f"{v}.a"] for v in a.y)
     z = tuple(cmap[f"{v}.a"] for v in a.z)
-    out = Cylinder(g, y, z)
-    out.validate()
-    return out
+    return make_cylinder(g, y, z)
 
 
 def cyl_disjoint(a: Cylinder, b: Cylinder) -> Cylinder:
@@ -154,9 +146,7 @@ def cyl_disjoint(a: Cylinder, b: Cylinder) -> Cylinder:
     g = disjoint_union(a.graph, b.graph, (".a", ".b"))
     y = tuple(f"{v}.a" for v in a.y) + tuple(f"{v}.b" for v in b.y)
     z = tuple(f"{v}.a" for v in a.z) + tuple(f"{v}.b" for v in b.z)
-    out = Cylinder(g, y, z)
-    out.validate()
-    return out
+    return make_cylinder(g, y, z)
 
 
 def generalized_loop(cyl: Cylinder, g: Perm, l: Perm) -> Cylinder:
@@ -188,9 +178,7 @@ def generalized_loop(cyl: Cylinder, g: Perm, l: Perm) -> Cylinder:
     # rename each class to its slot vertex where one is present
     slot_of_class = {cmap[s]: s for s in slots}
     final = {v: slot_of_class.get(rep, rep) for v, rep in cmap.items()}
-    out = Cylinder(merge_parallel(identify_vertices(cyl.graph, final)), slots, slots)
-    out.validate()
-    return out
+    return make_cylinder(merge_parallel(identify_vertices(cyl.graph, final)), slots, slots)
 
 
 class CylinderSet:
@@ -240,7 +228,7 @@ class CylinderSet:
                 if _row_signature(cyl.graph, cyl.y) != base:
                     raise NotACylinder(f"cylinder {key!r} does not share the common base")
         for g in self.group:
-            if not base_automorphism(first, g):
+            if _row_signature(first.graph, g.act(first.y)) != base:
                 raise NotATwist(f"group element {g!r} is not an automorphism of the base")
 
     @property
@@ -276,18 +264,24 @@ class CylinderSet:
 # -- builtin shapes -----------------------------------------------------------
 
 
+def _bare_rows(k: int, symmetric: bool = True) -> tuple[Graph, list, list]:
+    """An edgeless graph on ``y1..yk`` then ``z1..zk`` (hom search reads that
+    order), with the two rows."""
+    ys = [f"y{i}" for i in range(1, k + 1)]
+    zs = [f"z{i}" for i in range(1, k + 1)]
+    g = Graph(symmetric=symmetric)
+    g.add_vertices(ys + zs)
+    return g, ys, zs
+
+
 def identity_cyl(k: int, directed: bool = False) -> Cylinder:
     """Width-k matching: two disjoint empty rows joined by the rung y_i - z_i
     in each slot.  Gluing it reproduces the edge (slot by slot), so it is the
     unit of the gluing product; with a nontrivial slot group it builds lifts."""
-    g = Graph(symmetric=not directed)
-    ys = [f"y{i}" for i in range(1, count_checked(k, "k=") + 1)]
-    zs = [f"z{i}" for i in range(1, k + 1)]
-    g.add_vertices(ys)
-    g.add_vertices(zs)
+    g, ys, zs = _bare_rows(count_checked(k, "k="), not directed)
     link = g.add_edge if directed else g.add_sym_edge
-    for i in range(k):
-        link(ys[i], zs[i])
+    for y, z in zip(ys, zs):
+        link(y, z)
     return make_cylinder(g, ys, zs)
 
 
@@ -312,19 +306,16 @@ def contraction_cyl(directed: bool = False) -> Cylinder:
 
 def deletion_cyl(directed: bool = False) -> Cylinder:
     """Width-1, two isolated marked vertices: gluing it erases the edge."""
-    g = Graph(symmetric=not directed)
-    g.add_vertices(["y1", "z1"])
-    return make_cylinder(g, ["y1"], ["z1"])
+    return make_cylinder(*_bare_rows(1, not directed))
 
 
 def sqcap_cyl() -> Cylinder:
     """Width-2: an edge on each row plus one rung y1-z1."""
-    g = Graph(symmetric=True)
-    g.add_vertices(["y1", "y2", "z1", "z2"])
+    g, ys, zs = _bare_rows(2)
     g.add_sym_edge("y1", "y2")
     g.add_sym_edge("z1", "z2")
     g.add_sym_edge("y1", "z1")
-    return make_cylinder(g, ["y1", "y2"], ["z1", "z2"])
+    return make_cylinder(g, ys, zs)
 
 
 def wedge_cyl() -> Cylinder:
@@ -339,13 +330,12 @@ def wedge_cyl() -> Cylinder:
 
 def square_cyl() -> Cylinder:
     """Width-2 four-cycle: an edge on each row and both rungs."""
-    g = Graph(symmetric=True)
-    g.add_vertices(["y1", "y2", "z1", "z2"])
+    g, ys, zs = _bare_rows(2)
     g.add_sym_edge("y1", "y2")
     g.add_sym_edge("z1", "z2")
     g.add_sym_edge("y1", "z1")
     g.add_sym_edge("y2", "z2")
-    return make_cylinder(g, ["y1", "y2"], ["z1", "z2"])
+    return make_cylinder(g, ys, zs)
 
 
 _BUILTINS = {

@@ -173,28 +173,19 @@ def product_map(f: Homomorphism, tr1: ProductTrace, tr2: ProductTrace) -> Homomo
         for b in range(1, cset.width + 1):
             _put(vmap, tr1.slot[(v, b)], tr2.slot[(f.vmap[v], beta(b))])
 
-    by_copy: dict = {}
-    for (ee, x), name in tr1.copy.items():
-        by_copy.setdefault(ee, []).append((x, name))
-
     emap: dict = {}
-    for eid in _src_edges(g1):
-        img = f.emap[eid]
-        key = g1.edges[eid].label.key
-        if img in canon2 or not g2.symmetric:
-            carry_v = {x: x for x in cset[key].graph.vertices}
-            carry_e = {ce: ce for ce in cset[key].graph.edges}
-            target = img
-        else:
-            rho = reversal(key)
-            carry_v, carry_e = rho.vmap, rho.emap
-            target = g2.pairing[img]
-        for x, name in by_copy.get(eid, ()):
-            _put(vmap, name, tr2.copy[(target, carry_v[x])])
-        for ce in cset[key].graph.edges:
-            fid = tr1.src_edge[(eid, ce)]
-            if fid not in emap:
-                emap[fid] = tr2.src_edge[(target, carry_e[ce])]
+    at = None  # copies come grouped by source edge, in source edge order
+    for (eid, x), name in tr1.copy.items():
+        if eid != at:
+            at, img = eid, f.emap[eid]
+            key = g1.edges[eid].label.key
+            rho = None if img in canon2 or not g2.symmetric else reversal(key)
+            target = img if rho is None else g2.pairing[img]
+            for ce in cset[key].graph.edges:
+                fid = tr1.src_edge[(eid, ce)]
+                if fid not in emap:  # the first copy to reach a merged edge names its image
+                    emap[fid] = tr2.src_edge[(target, ce if rho is None else rho.emap[ce])]
+        _put(vmap, name, tr2.copy[(target, x if rho is None else rho.vmap[x])])
     return Homomorphism(vmap, emap)
 
 

@@ -15,7 +15,7 @@ import itertools
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
 
-from .errors import NotAPermutation, ResourceLimit, count_checked, json_checked
+from .errors import NotAPermutation, ResourceLimit, _is_int, count_checked, json_checked
 
 
 class Perm:
@@ -26,7 +26,7 @@ class Perm:
             images = tuple(images)
         except TypeError:
             raise NotAPermutation(f"images must be a list of integers, got {images!r}") from None
-        if not all(isinstance(i, int) and not isinstance(i, bool) for i in images):
+        if not all(map(_is_int, images)):
             raise NotAPermutation(f"images must be a list of integers, got {list(images)!r}")
         k = len(images)
         if sorted(images) != list(range(1, k + 1)):
@@ -107,8 +107,8 @@ class Perm:
         images = list(range(1, count_checked(k, "k=") + 1))
         for cyc in cycles:
             for a, b in zip(cyc, list(cyc[1:]) + [cyc[0]]):
-                if not 1 <= a <= k:
-                    raise NotAPermutation(f"cycle point {a} out of range 1..{k}")
+                if not (_is_int(a) and 1 <= a <= k):
+                    raise NotAPermutation(f"cycle point {a!r} out of range 1..{k}")
                 images[a - 1] = b
         return cls(images)
 

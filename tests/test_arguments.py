@@ -16,6 +16,7 @@ from cylgraph.catalog import (
     subdivision,
     voltage_lift,
     walk_power,
+    walk_power_direct,
 )
 from cylgraph.construct import exponential
 from cylgraph.core import isomorphic
@@ -67,6 +68,7 @@ CALLS = {
         lambda v: subdivision(P1, v),
         lambda v: fractional_power(P1, v, 1),
         lambda v: fractional_power(P1, 1, v),
+        lambda v: walk_power_direct(C3, v),
     ],
 }
 CASES = [(what, call) for what, calls in CALLS.items() for call in calls]
@@ -117,6 +119,9 @@ NOW_REJECTED = {
     "voltage_lift(C3, {}, -1)": (lambda: voltage_lift(C3, {}, -1), "k=", -1),
     "kneser_graph(5, -1)": (lambda: kneser_graph(5, -1), "k=", -1),
     "PermGroup.symmetric(None)": (lambda: PermGroup.symmetric(None), "k=", None),
+    "walk_power_direct(C3, -1)": (lambda: walk_power_direct(C3, -1), "path length", -1),
+    "walk_power_direct(C3, True)": (lambda: walk_power_direct(C3, True), "path length", True),
+    "walk_power_direct(C3, 2.0)": (lambda: walk_power_direct(C3, 2.0), "path length", 2.0),
 }
 
 

@@ -314,3 +314,11 @@ def test_graph_minor_names_the_first_unknown_id_in_the_order_given():
         assert str(err.value) == f"edge {first!r} is not a canonical edge of the graph"
     # any iterable of ids will do, a generator included
     assert len(graph_minor(c5, contract=(e for e in [known])).vertices) == 4
+
+
+def test_graph_minor_names_an_unhashable_id():
+    with pytest.raises(DomainError) as err:
+        graph_minor(cycle_graph(5), contract=[["e0"]])
+    assert str(err.value) == "edge ['e0'] is not a canonical edge of the graph"
+    # a generator is read once, for the check and the minor alike
+    assert len(graph_minor(cycle_graph(5), delete=(e for e in ["e0"])).canonical_edges()) == 4

@@ -103,3 +103,15 @@ def test_a_symmetric_group_over_its_limit_is_a_resource_limit_at_any_degree():
             PermGroup.symmetric(k, limit=6)
         assert str(err.value) == f"symmetric group of degree {k} has more than 6 elements"
     assert len(PermGroup.symmetric(3, limit=6)) == 6
+
+
+@pytest.mark.parametrize("cycle, message", [
+    (("a", 1), "cycle point 'a' out of range 1..3"),
+    ((1.0, 2), "cycle point 1.0 out of range 1..3"),
+    ((True, 2), "cycle point True out of range 1..3"),
+    ((1, 4), "cycle point 4 out of range 1..3"),
+])
+def test_a_cycle_point_that_is_not_an_integer_in_range_is_not_a_permutation(cycle, message):
+    with pytest.raises(NotAPermutation) as err:
+        Perm.from_cycles(3, cycle)
+    assert str(err.value) == message
