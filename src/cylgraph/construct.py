@@ -27,7 +27,7 @@ import operator
 from .core import Edge, GammaLabel, Graph, label_sort_key, node_budget
 from .cylinder import CylinderSet, _bare_rows, make_cylinder
 from .errors import DomainError, LabelConflict, NotATwist, ResourceLimit, count_checked
-from .hom import iter_homs
+from .hom import _emap_keys, _joined, _src_edges, _vertex_order, iter_homs
 from .perm import Perm, PermGroup
 
 MAX_PRODUCT_EDGES = 2_000_000
@@ -383,6 +383,35 @@ class ExpoTrace:
         return f"ExpoTrace({len(self.graph.vertices)} vertices, {len(self.graph.edges)} edges)"
 
 
+def _first_maps(cyl, h: Graph, budget: int | None):
+    """Each realized pair of rows ``y + z`` with its first map, in first-seen order.  No
+    component's search runs past its first map until every one has shown one, so a
+    component without maps ends the work before the others spend on edge picks."""
+    g, ends = cyl.graph, (*cyl.y, *cyl.z)
+    comp_of = {v: i for i, comp in enumerate(g.components()) for v in comp}
+    parts = [set(vs) for _, vs in itertools.groupby(_vertex_order(g, {}), comp_of.get)]
+    searches = []
+    for part in parts:
+        homs = iter_homs(g if len(parts) == 1 else g.induced(part), h, mode="labeled", budget=budget)
+        if (hom := next(homs, None)) is None:
+            return
+        names = [v for v in ends if v in part]  # itemgetter gives no tuple for one name or none
+        read = operator.itemgetter(*names) if len(names) > 1 else lambda m, ns=names: tuple(map(m.__getitem__, ns))
+        searches.append((homs, read, {read(hom.vmap): hom}))
+    for homs, read, first in searches:  # first: share of the rows -> its first map
+        for hom in homs:
+            first.setdefault(read(hom.vmap), hom)
+    tables = [first for _, _, first in searches]
+    if len(tables) == 1:
+        yield from tables[0].items()
+        return
+    spots = [i for part in parts for i, v in enumerate(ends) if v in part]  # the shares end to end
+    place = operator.itemgetter(*sorted(range(len(ends)), key=spots.__getitem__))
+    keys = _emap_keys(g, _src_edges(g))
+    for shares, homs in zip(itertools.product(*tables), itertools.product(*(t.values() for t in tables))):
+        yield place(sum(shares, ())), _joined(keys, homs)
+
+
 def exponential(
     cset: CylinderSet,
     h: Graph,
@@ -407,6 +436,11 @@ def exponential(
     from it.  A triple fixes ``p = R1 . d-`` and ``q = R2 . d+``, so every
     triple of a pair is realized by the pair's first hom.  Each hom costs one
     read of its boundary rows; triples are built once per realized pair.
+
+    A disconnected cylinder graph's homs are the product of its components'
+    (Lovász 1967), in ``iter_homs`` order the lexicographic one: each is searched
+    once, ``budget`` bounding each search, and a pair's witness joins its row
+    shares' first maps into, on first read, the whole graph's first hom for it.
     """
     if rep_choice not in ("min", "max"):
         raise DomainError(f"rep_choice must be 'min' or 'max', not {rep_choice!r}")
@@ -443,11 +477,7 @@ def exponential(
     for key in sorted(cset.keys(), key=str):
         cyl = cset[key]
         labels: dict = {}  # (d- images, d+ images) -> (label, its sort key, reversed label's sort key)
-        rows = operator.itemgetter(*cyl.y, *cyl.z)
-        first: dict = {}  # boundary rows y + z -> the first hom realizing them
-        for hom in iter_homs(cyl.graph, h, mode="labeled", budget=budget):
-            first.setdefault(rows(hom.vmap), hom)
-        for pq, hom in first.items():
+        for pq, hom in _first_maps(cyl, h, budget):
             r1, dm = orbits[pq[:k]]
             r2, dp = orbits[pq[k:]]
             n1, n2 = names[r1], names[r2]

@@ -185,7 +185,8 @@ class CylinderSet:
     """Keyed cylinders of one width plus a slot group.
 
     Every cylinder's rows must induce one common base (slotwise), and every
-    group element must be an automorphism of it.
+    group element must be an automorphism of it.  Only the group's
+    generators are tested, or every element when it has none.
     """
 
     __slots__ = ("group", "cyls")
@@ -227,9 +228,15 @@ class CylinderSet:
                     raise NotACylinder("cylinders mix symmetric and directed graphs")
                 if _row_signature(cyl.graph, cyl.y) != base:
                     raise NotACylinder(f"cylinder {key!r} does not share the common base")
-        for g in self.group:
-            if _row_signature(first.graph, g.act(first.y)) != base:
-                raise NotATwist(f"group element {g!r} is not an automorphism of the base")
+        def fixes_base(g) -> bool:
+            return _row_signature(first.graph, g.act(first.y)) == base
+
+        # the base automorphisms form a group, so passing generators pass
+        # their whole closure; a failure names the first element that fails
+        if not all(map(fixes_base, self.group.generators or self.group)):
+            for g in self.group:
+                if not fixes_base(g):
+                    raise NotATwist(f"group element {g!r} is not an automorphism of the base")
 
     @property
     def symmetric(self) -> bool:

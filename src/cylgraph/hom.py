@@ -86,7 +86,8 @@ class Homomorphism:
     per-vertex twists on edge-incident vertices.  A map that
     :func:`iter_homs` yields builds its edge map on first read of ``emap``
     from ``_picked``: the source edge ids, the images the search picked for
-    them, and the target's twin pairing when symmetric."""
+    them, and the target's twin pairing when symmetric; a :func:`_joined`
+    map builds both maps from its edge ids and parts."""
 
     __slots__ = ("vmap", "emap", "alphas", "_picked")
 
@@ -96,15 +97,21 @@ class Homomorphism:
         self.alphas = dict(alphas) if alphas is not None else None
 
     def __getattr__(self, name):
-        # reached only when a slot is unset, so once ``emap`` is built it
-        # reads as fast as an eagerly built map's
-        if name != "emap":
+        # reached only when a slot is unset, so once ``vmap`` and ``emap``
+        # are built they read as fast as an eagerly built map's
+        if name not in ("vmap", "emap"):
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        keys, pick, twins = self._picked
-        if twins is not None:
-            pick += tuple(map(twins.__getitem__, pick))
-        self.emap = dict(zip(keys, pick))
-        return self.emap
+        keys, *picked = self._picked
+        if len(picked) == 1:  # joined parts
+            self.vmap = {v: w for part in picked[0] for v, w in part.vmap.items()}
+            images = {e: f for part in picked[0] for e, f in part.emap.items()}
+            self.emap = {e: images[e] for e in keys}
+        else:
+            pick, twins = picked
+            if twins is not None:
+                pick += tuple(map(twins.__getitem__, pick))
+            self.emap = dict(zip(keys, pick))
+        return getattr(self, name)
 
     def vertex(self, v):
         return self.vmap[v]
@@ -201,6 +208,19 @@ def _checked_pins(g: Graph, h: Graph, pins: Mapping | None) -> dict:
 
 def _src_edges(g: Graph) -> list[str]:
     return sorted(g.canonical_edges())
+
+
+def _emap_keys(g: Graph, src: list[str]) -> list[str]:
+    """A yielded map's ``emap`` key order: ``src``, the source edges, then their twins."""
+    return src + [g.pairing[eid] for eid in src] if g.symmetric else src
+
+
+def _joined(keys: list, parts: tuple) -> Homomorphism:
+    """The plain or labeled map made of ``parts``, a map per component of a
+    graph in its search order, ``emap`` in ``keys`` (:func:`_emap_keys`) order."""
+    hom = object.__new__(Homomorphism)  # leaves ``vmap`` and ``emap`` unset
+    hom.alphas, hom._picked = None, (keys, parts)
+    return hom
 
 
 def _dedupe_classes(h: Graph, eids: list[str]) -> list[str]:
@@ -461,7 +481,7 @@ def _homs(g: Graph, h: Graph, mode: str, group: PermGroup | None, pins: dict,
           b: _Budget) -> Iterator[Homomorphism]:
     search = _Search(g, h, mode, group, pins)
     src, order, verts = search.src, search.order, search.verts
-    keys = src + [g.pairing[eid] for eid in src] if g.symmetric else src
+    keys = _emap_keys(g, src)
     twins = h.pairing if g.symmetric else None
     m, nv = len(src), len(order)
     spend, gamma, new = b.spend, mode == "gamma", object.__new__

@@ -106,7 +106,13 @@ class Perm:
     def from_cycles(cls, k: int, *cycles: Sequence[int]) -> Perm:
         images = list(range(1, count_checked(k, "k=") + 1))
         for cyc in cycles:
-            for a, b in zip(cyc, list(cyc[1:]) + [cyc[0]]):
+            try:
+                points = tuple(cyc)
+            except TypeError:
+                points = ()
+            if not points:
+                raise NotAPermutation(f"a cycle must be a non-empty sequence of points, got {cyc!r}")
+            for a, b in zip(points, points[1:] + points[:1]):
                 if not (_is_int(a) and 1 <= a <= k):
                     raise NotAPermutation(f"cycle point {a!r} out of range 1..{k}")
                 images[a - 1] = b
@@ -142,7 +148,8 @@ class PermGroup:
 
     Build with :meth:`generated` (BFS closure over generators) or one of the
     named constructors.  Elements are kept sorted by image tuple, which puts
-    the identity first.
+    the identity first.  Generators, when given, must generate the elements:
+    checks of a property closed under composition test only them.
     """
 
     __slots__ = ("degree", "elements", "generators", "_members")

@@ -295,6 +295,42 @@ def test_the_first_group_element_off_the_base_is_named():
     assert len(CylinderSet(PermGroup.generated(3, [Perm((1, 3, 2))]), {0: _looped_at_slot_1(3)}).group) == 2
 
 
+def test_a_failing_generator_names_the_first_failing_element_in_group_order():
+    # base: the edge y1 - y2.  The generator (1 2) fixes it and (1 2 3) does
+    # not; (2 3), no generator, comes first among the elements that fail.
+    g = Graph(symmetric=True)
+    g.add_vertices(["y1", "y2", "y3", "z1", "z2", "z3"])
+    g.add_sym_edge("y1", "y2")
+    g.add_sym_edge("z1", "z2")
+    c = make_cylinder(g, ["y1", "y2", "y3"], ["z1", "z2", "z3"])
+    s3 = PermGroup.symmetric(3)
+    assert s3.generators == (Perm((2, 1, 3)), Perm((2, 3, 1)))
+    for group in (s3, PermGroup(3, s3.elements)):  # the second has no generators: every element is tested
+        with pytest.raises(NotATwist) as err:
+            CylinderSet(group, {0: c})
+        assert str(err.value) == "group element Perm[3: (2 3)] is not an automorphism of the base"
+    ok = CylinderSet(PermGroup.generated(3, [Perm((2, 1, 3))]), {0: c})
+    assert len(ok.group) == 2
+
+
+def test_a_cylinder_set_tests_the_group_on_its_generators(monkeypatch):
+    import cylgraph.cylinder
+
+    calls = []
+    signature = cylgraph.cylinder._row_signature
+
+    def counted(*args):
+        calls.append(args)
+        return signature(*args)
+
+    c = identity_cyl(8)
+    s8 = PermGroup.symmetric(8)
+    monkeypatch.setattr(cylgraph.cylinder, "_row_signature", counted)
+    CylinderSet(s8, {1: c})
+    # the cylinder's two rows, the common base, then the two generators of S8, not its 40,320 elements
+    assert len(calls) == 5
+
+
 def test_twist_names_the_base_it_breaks():
     c, swap, ident = _looped_at_slot_1(2), Perm((2, 1)), Perm.identity(2)
     with pytest.raises(NotATwist) as err:

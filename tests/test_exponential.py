@@ -1,8 +1,10 @@
 """The exponential against frozen output: golden CLI files and a copy of its
 earlier triple loop, kept as a differential oracle."""
 
+import copy
 import itertools
 import json
+import pickle
 import random
 from itertools import combinations
 from pathlib import Path
@@ -26,7 +28,7 @@ from cylgraph.cylinder import (
     wedge_cyl,
 )
 from cylgraph.errors import CylError, LabelConflict
-from cylgraph.hom import count_homs, iter_homs
+from cylgraph.hom import Homomorphism, check_hom, count_homs, iter_homs
 from cylgraph.perm import PermGroup, act
 
 from util import outputs_under_hash_seeds, random_graph, random_multigraph
@@ -67,26 +69,40 @@ def test_cli_expo_matches_golden_file(tmp_path, name):
     assert out.read_bytes() == (GOLDEN / f"expo_{name}.json").read_bytes()
 
 
+def _signature(g):
+    return sorted(map(str, g.vertices)), sorted(g.edges)
+
+
 @pytest.mark.parametrize("name", sorted(golden_instances()))
 def test_exponential_takes_every_map_of_each_cylinder(monkeypatch, name):
-    # stopping early would change the ResourceLimit verdicts and the
+    # one search per connected component of each cylinder, each run to the
+    # end: stopping early would change the ResourceLimit verdicts and the
     # benchmark's counts of maps enumerated
     cset, h = golden_instances()[name]
-    key_of = {id(cset[key].graph): key for key in cset.keys()}
-    taken = dict.fromkeys(cset.keys(), 0)
-    calls = []
+    calls, taken = [], []
 
     def counted(g, *args, **kwargs):
-        calls.append(key_of[id(g)])
+        i = len(calls)
+        calls.append(g)
+        taken.append(0)
         for hom in iter_homs(g, *args, **kwargs):
-            taken[key_of[id(g)]] += 1
+            taken[i] += 1
             yield hom
 
     monkeypatch.setattr(cylgraph.construct, "iter_homs", counted)
     exponential(cset, h)
-    assert sorted(calls, key=str) == sorted(cset.keys(), key=str)
-    assert taken == {key: count_homs(cset[key].graph, h, mode="labeled") for key in cset.keys()}
-    assert all(taken.values())
+    want = []
+    for key in sorted(cset.keys(), key=str):
+        cg = cset[key].graph
+        comps = cg.components()
+        if len(comps) == 1:  # a connected cylinder is searched as it is
+            assert any(g is cg for g in calls)
+        want += [_signature(cg.induced(comp)) for comp in comps]
+    assert sorted(map(_signature, calls)) == sorted(want)
+    assert taken == [count_homs(g, h, mode="labeled") for g in calls]
+    assert all(taken)
+    # the tensor cylinder of a bipartite factor is the disconnected case
+    assert (len(calls) > len(cset.keys())) == (name == "tensor_power")
 
 
 TIED_NAMES_SCRIPT = """
@@ -278,27 +294,52 @@ def _outcome(build):
         return type(exc).__name__, str(exc)
 
 
+def _is_error(outcome):
+    return isinstance(outcome, tuple) and isinstance(outcome[0], str)
+
+
+def _assert_matches_oracle(got, want):
+    """``got`` is the oracle's ``want`` to the byte: graph, representatives,
+    witness keys and order, and the triple index; or the same error."""
+    if _is_error(want):
+        assert got == want
+        return
+    g, tuple_of, witnesses, edge_by_triple = want[:4]
+    assert json.dumps(got.graph.to_json()) == json.dumps(g.to_json())
+    assert list(got.tuple_of.items()) == list(tuple_of.items())
+    assert {e: w.key() for e, w in got.witnesses.items()} == {e: w.key() for e, w in witnesses.items()}
+    assert list(got.witnesses) == list(witnesses)
+    # a witness joined from component maps keeps the whole-graph map's key order
+    assert [(list(w.vmap), list(w.emap)) for w in got.witnesses.values()] == [
+        (list(w.vmap), list(w.emap)) for w in witnesses.values()
+    ]
+    by_sort_key = [((t, hd, label_sort_key(lab)), eid) for (t, hd, lab), eid in got.edge_by_triple.items()]
+    assert by_sort_key == list(edge_by_triple.items())
+    for name, r in tuple_of.items():
+        assert got.name(r) == name
+
+
 def test_exponential_matches_the_frozen_triple_loop():
+    # A disconnected cylinder is searched one component at a time, each
+    # search under its own budget, where the oracle searches the whole graph
+    # once: where the oracle runs out of budget, the exponential either does
+    # too or agrees with the oracle run without a budget.
     rng = random.Random(4004)
     skipped = conflicts = limits = twisted = compared = 0
     for _ in range(300):
         cset, h, rep_choice, budget = _random_instance(rng)
         want = _outcome(lambda: expo_oracle(cset, h, rep_choice, budget))
         got = _outcome(lambda: exponential(cset, h, rep_choice=rep_choice, budget=budget))
-        if isinstance(want, tuple) and isinstance(want[0], str):
-            assert got == want
+        if _is_error(want):
+            if want[0] == "ResourceLimit" and got != want:
+                _assert_matches_oracle(got, _outcome(lambda: expo_oracle(cset, h, rep_choice)))
+            else:
+                assert got == want
             conflicts += want[0] == "LabelConflict"
             limits += want[0] == "ResourceLimit"
             continue
-        g, tuple_of, witnesses, edge_by_triple, n_homs, n_pairs = want
-        assert json.dumps(got.graph.to_json()) == json.dumps(g.to_json())
-        assert list(got.tuple_of.items()) == list(tuple_of.items())
-        assert {e: w.key() for e, w in got.witnesses.items()} == {e: w.key() for e, w in witnesses.items()}
-        assert list(got.witnesses) == list(witnesses)
-        by_sort_key = [((t, hd, label_sort_key(lab)), eid) for (t, hd, lab), eid in got.edge_by_triple.items()]
-        assert by_sort_key == list(edge_by_triple.items())
-        for name, r in tuple_of.items():
-            assert got.name(r) == name
+        _assert_matches_oracle(got, want)
+        n_homs, n_pairs = want[4:]
         skipped += n_homs > n_pairs
         twisted += len(cset.group.elements) > 1
         compared += 1
@@ -328,15 +369,120 @@ def _boundary_read_instances():
 @pytest.mark.parametrize("name", sorted(_boundary_read_instances()))
 def test_exponential_matches_the_frozen_triple_loop_at_boundary_edge_cases(name):
     cset, h = _boundary_read_instances()[name]
-    g, tuple_of, witnesses, edge_by_triple, _, _ = expo_oracle(cset, h)
     got = exponential(cset, h)
     assert got.graph.edges
-    assert json.dumps(got.graph.to_json()) == json.dumps(g.to_json())
-    assert list(got.tuple_of.items()) == list(tuple_of.items())
-    assert {e: w.key() for e, w in got.witnesses.items()} == {e: w.key() for e, w in witnesses.items()}
-    assert list(got.witnesses) == list(witnesses)
-    by_sort_key = [((t, hd, label_sort_key(lab)), eid) for (t, hd, lab), eid in got.edge_by_triple.items()]
-    assert by_sort_key == list(edge_by_triple.items())
+    _assert_matches_oracle(got, expo_oracle(cset, h))
+
+
+def _disjoint_union(parts):
+    """The parts side by side, vertex ``v`` of part ``j`` renamed ``f"{j}:{v}"``."""
+    g = Graph(symmetric=parts[0].symmetric)
+    for j, part in enumerate(parts):
+        g.add_vertices(f"{j}:{v}" for v in part.vertices)
+        for eid in part.canonical_edges():
+            t, hd, lab = part.edges[eid]
+            (g.add_sym_edge if g.symmetric else g.add_edge)(f"{j}:{t}", f"{j}:{hd}", lab)
+    return g
+
+
+def test_iter_homs_orders_a_disconnected_source_as_the_product_of_its_components():
+    # the witness rule rests on this: the whole-graph search lays each
+    # component out contiguously, so its vertex maps are the lexicographic
+    # product of the components' own orders, and the first map with a given
+    # vertex map joins the components' first maps with their vertex maps
+    rng = random.Random(1907)
+    products = 0
+    for _ in range(80):
+        symmetric = rng.random() < 0.6
+        parts = [random_multigraph(rng, rng.randint(1, 3), rng.randint(0, 3), (None, "a"), symmetric)
+                 for _ in range(rng.randint(2, 3))]
+        g = _disjoint_union(parts)
+        h = random_multigraph(rng, 3, rng.randint(2, 6), (None, "a"), symmetric)
+        mode = rng.choice(["plain", "labeled"])
+        if count_homs(g, h, mode=mode) > 2000:
+            continue
+
+        def firsts(graph):
+            """vertex map items -> the first map with that vertex map, in search order"""
+            out = {}
+            for hom in iter_homs(graph, h, mode=mode):
+                out.setdefault(tuple(hom.vmap.items()), hom)
+            return out
+
+        whole = firsts(g)
+        comps = g.components()
+        if whole:
+            # components in the order the whole search places them, each contiguous
+            order = [v for v, _ in next(iter(whole))]
+            comps.sort(key=lambda comp: order.index(comp[0]))
+            assert sorted(order.index(v) for v in comps[0]) == list(range(len(comps[0])))
+        tables = [firsts(g.induced(comp)) for comp in comps]
+        assert list(whole) == [sum(vms, ()) for vms in itertools.product(*tables)]
+        for vms, homs in zip(itertools.product(*tables), itertools.product(*(t.values() for t in tables))):
+            joined = {e: f for hom in homs for e, f in hom.emap.items()}
+            assert whole[sum(vms, ())].emap == joined
+        products += len(whole) > 1 and len(comps) > 1
+    assert products >= 30
+
+
+def _interior_without_maps():
+    """Width 1: the rung y1 - z1 and, apart from it, a triangle on interior
+    vertices, which has no map into a bipartite target."""
+    cg = Graph(symmetric=True)
+    cg.add_vertices(["y1", "z1", "a", "b", "c"])
+    for u, v in (("y1", "z1"), ("a", "b"), ("b", "c"), ("c", "a")):
+        cg.add_sym_edge(u, v)
+    return make_cylinder(cg, ["y1"], ["z1"])
+
+
+def _split_instances():
+    """name -> (cylinder set, target); every set has a disconnected cylinder."""
+    multigraph = random_multigraph(random.Random(19), 4, 9, labels=(None, "a"), symmetric=True)
+    small = random_multigraph(random.Random(20), 3, 7, labels=(None, "a"), symmetric=True)
+    groups = {
+        2: {"trivial": PermGroup.trivial(2), "cyclic": PermGroup.cyclic(2), "symmetric": PermGroup.symmetric(2)},
+        3: {"trivial": PermGroup.trivial(3), "cyclic": PermGroup.cyclic(3), "symmetric": PermGroup.symmetric(3)},
+    }
+    out = {
+        f"identity{k}_{name}": (CylinderSet(group, {1: identity_cyl(k)}), multigraph if k == 2 else small)
+        for k, named in groups.items()
+        for name, group in named.items()
+    }
+    for name, factor in (("P2", path_graph(2)), ("P3", path_graph(3)), ("C4", cycle_graph(4))):
+        width = len(factor.vertices)
+        out[f"tensor_{name}"] = (
+            CylinderSet(PermGroup.trivial(width), {1: neps_cylinder(factor, "tensor")}),
+            complete_graph(3),
+        )
+    out["deletion"] = (CylinderSet(PermGroup.trivial(1), {1: deletion_cyl()}), multigraph)
+    out["interior_without_maps"] = (CylinderSet(PermGroup.trivial(1), {1: _interior_without_maps()}), cycle_graph(4))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(_split_instances()))
+def test_exponential_of_a_disconnected_cylinder_matches_the_frozen_triple_loop(name):
+    cset, h = _split_instances()[name]
+    assert any(len(cset[key].graph.components()) > 1 for key in cset.keys())
+    got = exponential(cset, h)
+    _assert_matches_oracle(got, expo_oracle(cset, h))
+    assert bool(got.graph.edges) == (name != "interior_without_maps")
+
+
+def test_a_joined_witness_copies_and_pickles_before_it_is_read():
+    cset, h = _split_instances()["identity2_symmetric"]
+    got = exponential(cset, h)
+    g = cset[1].graph
+    # one eid per witness: a pair's triples share their witness
+    firsts = {id(w): eid for eid, w in reversed(got.witnesses.items())}
+    for eid in list(firsts.values())[:20]:
+        with pytest.raises(AttributeError):  # the slot itself: nothing has built the maps yet
+            Homomorphism.vmap.__get__(got.witnesses[eid], Homomorphism)
+        copied = copy.copy(got.witnesses[eid])
+        pickled = pickle.loads(pickle.dumps(exponential(cset, h).witnesses[eid]))
+        w = got.witnesses[eid]
+        assert copied.key() == pickled.key() == w.key()
+        assert list(copied.emap) == list(pickled.emap) == list(w.emap)
+        assert check_hom(g, h, w) is None
 
 
 def test_resource_limit_verdicts_agree_at_every_budget():

@@ -115,3 +115,10 @@ def test_a_cycle_point_that_is_not_an_integer_in_range_is_not_a_permutation(cycl
     with pytest.raises(NotAPermutation) as err:
         Perm.from_cycles(3, cycle)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("cycle", [(), [], 5, None])
+def test_an_empty_or_non_sequence_cycle_is_not_a_permutation(cycle):
+    with pytest.raises(NotAPermutation) as err:
+        Perm.from_cycles(3, cycle)
+    assert str(err.value) == f"a cycle must be a non-empty sequence of points, got {cycle!r}"
