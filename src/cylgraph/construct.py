@@ -27,7 +27,7 @@ import operator
 from .core import Edge, GammaLabel, Graph, label_sort_key, node_budget
 from .cylinder import CylinderSet, _bare_rows, make_cylinder
 from .errors import DomainError, LabelConflict, NotATwist, ResourceLimit, count_checked
-from .hom import _emap_keys, _joined, _src_edges, _vertex_order, iter_homs
+from .hom import Homomorphism, _has_vertex_map, _src_edges, _vertex_order, iter_homs
 from .perm import Perm, PermGroup
 
 MAX_PRODUCT_EDGES = 2_000_000
@@ -383,33 +383,43 @@ class ExpoTrace:
         return f"ExpoTrace({len(self.graph.vertices)} vertices, {len(self.graph.edges)} edges)"
 
 
+def _tuple_getter(idx: list):  # operator.itemgetter(*idx), a tuple also for one index or none
+    return operator.itemgetter(*idx) if len(idx) > 1 else lambda s: tuple(map(s.__getitem__, idx))
+
+
 def _first_maps(cyl, h: Graph, budget: int | None):
-    """Each realized pair of rows ``y + z`` with its first map, in first-seen order.  No
-    component's search runs past its first map until every one has shown one, so a
-    component without maps ends the work before the others spend on edge picks."""
+    """Each realized pair of rows ``y + z`` with its first map, in first-seen order."""
     g, ends = cyl.graph, (*cyl.y, *cyl.z)
     comp_of = {v: i for i, comp in enumerate(g.components()) for v in comp}
-    parts = [set(vs) for _, vs in itertools.groupby(_vertex_order(g, {}), comp_of.get)]
-    searches = []
-    for part in parts:
-        homs = iter_homs(g if len(parts) == 1 else g.induced(part), h, mode="labeled", budget=budget)
-        if (hom := next(homs, None)) is None:
-            return
-        names = [v for v in ends if v in part]  # itemgetter gives no tuple for one name or none
-        read = operator.itemgetter(*names) if len(names) > 1 else lambda m, ns=names: tuple(map(m.__getitem__, ns))
-        searches.append((homs, read, {read(hom.vmap): hom}))
-    for homs, read, first in searches:  # first: share of the rows -> its first map
-        for hom in homs:
-            first.setdefault(read(hom.vmap), hom)
-    tables = [first for _, _, first in searches]
-    if len(tables) == 1:
-        yield from tables[0].items()
+    parts = [set(vs) for _, vs in itertools.groupby(_vertex_order(g, {}), comp_of.get)] or [set()]
+    graphs = [g.induced(part) for part in parts] if len(parts) > 1 else [g]
+    # as in the whole graph's search, no edge pick is charged before every part has a vertex map
+    if not all(_has_vertex_map(part, h, budget) for part in graphs[:-1]):
         return
-    spots = [i for part in parts for i, v in enumerate(ends) if v in part]  # the shares end to end
-    place = operator.itemgetter(*sorted(range(len(ends)), key=spots.__getitem__))
-    keys = _emap_keys(g, _src_edges(g))
-    for shares, homs in zip(itertools.product(*tables), itertools.product(*(t.values() for t in tables))):
-        yield place(sum(shares, ())), _joined(keys, homs)
+    tables: list = [{} for _ in parts]  # per part: its share of the rows -> the share's first map
+    for i in range(-1, len(parts) - 1):  # the last part first: the others have vertex maps
+        read, first = _tuple_getter([v for v in ends if v in parts[i]]), tables[i]
+        for hom in iter_homs(graphs[i], h, mode="labeled", budget=budget):
+            first.setdefault(read(hom.vmap), hom)
+        if not first:
+            return
+    if len(tables) == 1:
+        return (yield from tables[0].items())
+    # an entry: a part's edge picks, then vertex images; a product of entries is a joined map's values
+    labels = []  # what each place of such a product holds: (0, edge) or (1, vertex)
+    for graph, table in zip(graphs, tables):
+        labels += [(0, eid) for eid in _src_edges(graph)] + [(1, v) for v in next(iter(table.values())).vmap]
+    at, src, names = {label: i for i, label in enumerate(labels)}, _src_edges(g), [v for c, v in labels if c]
+    keys = src + [g.pairing[eid] for eid in src] if g.symmetric else src  # as ``iter_homs`` keys ``emap``
+    layout = (keys, h.pairing if g.symmetric else None, [at[0, e] for e in src], names,
+              [at[1, v] for v in names])
+    rows, flats = _tuple_getter([at[1, v] for v in ends]), [()]
+    for entries in ([hom._picked[1] + tuple(hom.vmap.values()) for hom in t.values()] for t in tables):
+        flats = [flat + entry for flat in flats for entry in entries]  # the first part outermost
+    for flat in flats:
+        hom = object.__new__(Homomorphism)  # the whole graph's first map with these shares
+        hom.alphas, hom._picked = None, (layout, flat)
+        yield rows(flat), hom
 
 
 def exponential(

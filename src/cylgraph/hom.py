@@ -85,9 +85,10 @@ class Homomorphism:
     """A vertex map plus an edge map; gamma-mode maps also carry the
     per-vertex twists on edge-incident vertices.  A map that
     :func:`iter_homs` yields builds its edge map on first read of ``emap``
-    from ``_picked``: the source edge ids, the images the search picked for
-    them, and the target's twin pairing when symmetric; a :func:`_joined`
-    map builds both maps from its edge ids and parts."""
+    from ``_picked = (layout, values)``.  The layout, shared by a search's maps, holds
+    the ``emap`` keys, a symmetric target's twin pairing and, for a map joined from one
+    map per component, the places of its edge and vertex images in ``values``, from
+    which it also builds ``vmap`` on first read; a searched map's values are its picks."""
 
     __slots__ = ("vmap", "emap", "alphas", "_picked")
 
@@ -97,21 +98,18 @@ class Homomorphism:
         self.alphas = dict(alphas) if alphas is not None else None
 
     def __getattr__(self, name):
-        # reached only when a slot is unset, so once ``vmap`` and ``emap``
-        # are built they read as fast as an eagerly built map's
+        # reached only when a slot is unset: a built map reads as fast as an eager one
         if name not in ("vmap", "emap"):
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        keys, *picked = self._picked
-        if len(picked) == 1:  # joined parts
-            self.vmap = {v: w for part in picked[0] for v, w in part.vmap.items()}
-            images = {e: f for part in picked[0] for e, f in part.emap.items()}
-            self.emap = {e: images[e] for e in keys}
-        else:
-            pick, twins = picked
-            if twins is not None:
-                pick += tuple(map(twins.__getitem__, pick))
-            self.emap = dict(zip(keys, pick))
-        return getattr(self, name)
+        (keys, twins, edges, names, verts), values = self._picked
+        if name == "vmap":
+            self.vmap = dict(zip(names, map(values.__getitem__, verts)))
+            return self.vmap
+        pick = values if edges is None else tuple(map(values.__getitem__, edges))
+        if twins is not None:
+            pick += tuple(map(twins.__getitem__, pick))
+        self.emap = dict(zip(keys, pick))
+        return self.emap
 
     def vertex(self, v):
         return self.vmap[v]
@@ -208,19 +206,6 @@ def _checked_pins(g: Graph, h: Graph, pins: Mapping | None) -> dict:
 
 def _src_edges(g: Graph) -> list[str]:
     return sorted(g.canonical_edges())
-
-
-def _emap_keys(g: Graph, src: list[str]) -> list[str]:
-    """A yielded map's ``emap`` key order: ``src``, the source edges, then their twins."""
-    return src + [g.pairing[eid] for eid in src] if g.symmetric else src
-
-
-def _joined(keys: list, parts: tuple) -> Homomorphism:
-    """The plain or labeled map made of ``parts``, a map per component of a
-    graph in its search order, ``emap`` in ``keys`` (:func:`_emap_keys`) order."""
-    hom = object.__new__(Homomorphism)  # leaves ``vmap`` and ``emap`` unset
-    hom.alphas, hom._picked = None, (keys, parts)
-    return hom
 
 
 def _dedupe_classes(h: Graph, eids: list[str]) -> list[str]:
@@ -481,8 +466,8 @@ def _homs(g: Graph, h: Graph, mode: str, group: PermGroup | None, pins: dict,
           b: _Budget) -> Iterator[Homomorphism]:
     search = _Search(g, h, mode, group, pins)
     src, order, verts = search.src, search.order, search.verts
-    keys = _emap_keys(g, src)
-    twins = h.pairing if g.symmetric else None
+    layout = (src + [g.pairing[eid] for eid in src] if g.symmetric else src, h.pairing if g.symmetric else None,
+              None, None, None)
     m, nv = len(src), len(order)
     spend, gamma, new = b.spend, mode == "gamma", object.__new__
     for vals, lists in search.values(b):
@@ -496,9 +481,14 @@ def _homs(g: Graph, h: Graph, mode: str, group: PermGroup | None, pins: dict,
                 k, moved = 0, True
             spend(m - k)
             hom = new(Homomorphism)  # owns its dicts and leaves ``emap`` unset
-            hom.vmap, hom._picked = dict(zip(order, vals)), (keys, pick, twins)
+            hom.vmap, hom._picked = dict(zip(order, vals)), (layout, pick)
             hom.alphas = dict(zip(verts, islice(vals, nv, None))) if gamma else None
             yield hom
+
+
+def _has_vertex_map(g: Graph, h: Graph, budget: int | None) -> bool:
+    """Whether the labeled search of ``g`` into ``h`` reaches a vertex map, charging no edge pick."""
+    return next(_Search(g, h, "labeled", None, {}).values(_Budget(budget)), None) is not None
 
 
 def find_hom(g: Graph, h: Graph, mode: str = "labeled", group: PermGroup | None = None,

@@ -148,16 +148,18 @@ class PermGroup:
 
     Build with :meth:`generated` (BFS closure over generators) or one of the
     named constructors.  Elements are kept sorted by image tuple, which puts
-    the identity first.  Generators, when given, must generate the elements:
-    checks of a property closed under composition test only them.
+    the identity first.  ``generators`` is set only by :meth:`generated` and
+    :meth:`symmetric`, which know that it generates the elements; a group built
+    from its element list has none.  Checks of a property closed under
+    composition test the generators, or every element when there are none.
     """
 
     __slots__ = ("degree", "elements", "generators", "_members")
 
-    def __init__(self, degree: int, elements: Iterable[Perm], generators: Sequence[Perm] = ()):
+    def __init__(self, degree: int, elements: Iterable[Perm]):
         self.degree = degree
         self.elements: tuple[Perm, ...] = tuple(sorted(set(elements)))
-        self.generators: tuple[Perm, ...] = tuple(generators)
+        self.generators: tuple[Perm, ...] = ()
         self._members = frozenset(self.elements)
         if not self.elements or not self.elements[0].is_identity():
             raise NotAPermutation("group must contain the identity")
@@ -182,7 +184,9 @@ class PermGroup:
                         if len(found) > limit:
                             raise ResourceLimit(f"group closure exceeded {limit} elements")
             frontier = nxt
-        return cls(k, found, gens)
+        group = cls(k, found)
+        group.generators = gens
+        return group
 
     @classmethod
     def trivial(cls, k: int) -> PermGroup:
@@ -202,7 +206,9 @@ class PermGroup:
             gens.append(Perm.from_cycles(k, (1, 2)))
         if k >= 3:
             gens.append(Perm.from_cycles(k, tuple(range(1, k + 1))))
-        return cls(k, elems, gens)
+        group = cls(k, elems)
+        group.generators = tuple(gens)
+        return group
 
     @classmethod
     def cyclic(cls, k: int) -> PermGroup:

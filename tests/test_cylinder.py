@@ -313,6 +313,18 @@ def test_a_failing_generator_names_the_first_failing_element_in_group_order():
     assert len(ok.group) == 2
 
 
+def test_a_group_built_from_its_elements_has_no_generators_to_trust():
+    # only generated() and symmetric() set generators; a hand-built S2 has
+    # none, so every element is tested and (1 2), which moves the loop, fails
+    s2 = PermGroup(2, PermGroup.symmetric(2).elements)
+    assert s2.generators == ()
+    with pytest.raises(TypeError):
+        PermGroup(2, s2.elements, [Perm.identity(2)])
+    with pytest.raises(NotATwist) as err:
+        CylinderSet(s2, {0: _looped_at_slot_1(2)})
+    assert str(err.value) == "group element Perm[2: (1 2)] is not an automorphism of the base"
+
+
 def test_a_cylinder_set_tests_the_group_on_its_generators(monkeypatch):
     import cylgraph.cylinder
 

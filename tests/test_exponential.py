@@ -468,21 +468,92 @@ def test_exponential_of_a_disconnected_cylinder_matches_the_frozen_triple_loop(n
     assert bool(got.graph.edges) == (name != "interior_without_maps")
 
 
-def test_a_joined_witness_copies_and_pickles_before_it_is_read():
-    cset, h = _split_instances()["identity2_symmetric"]
+@pytest.mark.parametrize("name", ["deletion", "identity2_symmetric", "tensor_P3"])
+def test_a_joined_witness_copies_and_pickles_before_it_is_read(name):
+    # deletion's cylinder has no edges, so its witnesses hold no edge images
+    cset, h = _split_instances()[name]
     got = exponential(cset, h)
     g = cset[1].graph
     # one eid per witness: a pair's triples share their witness
     firsts = {id(w): eid for eid, w in reversed(got.witnesses.items())}
     for eid in list(firsts.values())[:20]:
-        with pytest.raises(AttributeError):  # the slot itself: nothing has built the maps yet
-            Homomorphism.vmap.__get__(got.witnesses[eid], Homomorphism)
+        for slot in (Homomorphism.vmap, Homomorphism.emap):
+            with pytest.raises(AttributeError):  # the slot itself: nothing has built the maps yet
+                slot.__get__(got.witnesses[eid], Homomorphism)
         copied = copy.copy(got.witnesses[eid])
         pickled = pickle.loads(pickle.dumps(exponential(cset, h).witnesses[eid]))
         w = got.witnesses[eid]
         assert copied.key() == pickled.key() == w.key()
+        assert list(copied.vmap) == list(pickled.vmap) == list(w.vmap)
         assert list(copied.emap) == list(pickled.emap) == list(w.emap)
         assert check_hom(g, h, w) is None
+
+
+def _clique_beside_an_unmatched_edge():
+    """Width 1: a K5 through y1 and z1 and, apart from it, an interior edge
+    labelled "zz", which has no map into a target without that label."""
+    cg = Graph(symmetric=True)
+    clique = ["y1", "z1", "a", "b", "c"]
+    cg.add_vertices(clique + ["p", "q"])
+    for u, v in itertools.combinations(clique, 2):
+        cg.add_sym_edge(u, v)
+    cg.add_sym_edge("p", "q", "zz")
+    return make_cylinder(cg, ["y1"], ["z1"])
+
+
+def test_a_part_without_maps_lets_no_edge_pick_be_charged_at_any_budget():
+    # The whole-graph search finds no vertex map for the "zz" edge and so
+    # charges none of the clique's ten edge picks.  The split search must not
+    # either: wherever the oracle builds, the exponential builds the same.
+    cset = CylinderSet(PermGroup.trivial(1), {1: _clique_beside_an_unmatched_edge()})
+    h = Graph(symmetric=True)
+    h.add_vertices([0])
+    h.add_sym_edge(0, 0)
+    unbudgeted = _outcome(lambda: expo_oracle(cset, h))
+    assert not unbudgeted[0].edges
+    verdicts = set()
+    for budget in range(30):
+        want = _outcome(lambda: expo_oracle(cset, h, budget=budget))
+        got = _outcome(lambda: exponential(cset, h, budget=budget))
+        if _is_error(want) and got != want:
+            assert want[0] == "ResourceLimit"
+            want = unbudgeted
+        _assert_matches_oracle(got, want)
+        verdicts.add(want[0] if _is_error(want) else "built")
+    assert verdicts == {"ResourceLimit", "built"}
+
+
+def test_the_split_search_builds_at_every_budget_the_whole_graph_search_builds_at():
+    # random rungs beside one or two interior components, some of whose edges
+    # carry a label the target lacks, at budgets 0..39: where the oracle
+    # builds, so does the exponential, to the byte
+    rng = random.Random(4)
+    built = edgeless = limits = 0
+    for _ in range(100):
+        symmetric = rng.random() < 0.6
+        k = rng.choice([1, 2])
+        cyl = _random_cylinder(rng, k, symmetric, rng.random() < 0.5, (None, "a"))
+        g = cyl.graph
+        for j in range(rng.randint(1, 2)):
+            part = random_multigraph(rng, rng.randint(1, 5), rng.randint(0, 8), (None, "a", "zz"), symmetric)
+            g.add_vertices(f"c{j}:{v}" for v in part.vertices)
+            for eid in part.canonical_edges():
+                t, hd, lab = part.edges[eid]
+                (g.add_sym_edge if symmetric else g.add_edge)(f"c{j}:{t}", f"c{j}:{hd}", lab)
+        cset = CylinderSet(PermGroup.trivial(k), {1: make_cylinder(g, list(cyl.y), list(cyl.z))})
+        h = random_multigraph(rng, rng.randint(1, 3), rng.randint(1, 6), (None, "a"), symmetric)
+        unbudgeted = _outcome(lambda: expo_oracle(cset, h))
+        for budget in range(40):
+            want = _outcome(lambda: expo_oracle(cset, h, budget=budget))
+            got = _outcome(lambda: exponential(cset, h, budget=budget))
+            if _is_error(want) and got != want:
+                assert want[0] == "ResourceLimit"
+                want = unbudgeted
+            _assert_matches_oracle(got, want)
+            built += not _is_error(want)
+            edgeless += not _is_error(want) and not want[0].edges
+            limits += _is_error(got) and got[0] == "ResourceLimit"
+    assert built >= 3000 and edgeless >= 3000 and limits >= 400
 
 
 def test_resource_limit_verdicts_agree_at_every_budget():
