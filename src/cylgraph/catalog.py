@@ -30,7 +30,7 @@ from .cylinder import (
 )
 from .errors import DomainError, count_checked
 from .hom import iter_homs
-from .perm import Perm, PermGroup
+from .perm import Perm, PermGroup, _perm_checked
 
 # -- plain builders --------------------------------------------------------
 
@@ -279,7 +279,7 @@ def voltage_lift(base: Graph, voltages: dict, k: int) -> Graph:
     ident = Perm.identity(k)
     perms = {eid: voltages.get(eid, ident) for eid in sorted(base.canonical_edges())}
     for eid, rho in perms.items():
-        if rho.degree != k:
+        if _perm_checked(rho, f"voltage on {eid!r}").degree != k:
             raise DomainError(f"voltage on {eid!r} has degree {rho.degree}, expected {k}")
     labeled = base.with_labels({eid: GammaLabel(ident, "lift", rho) for eid, rho in perms.items()})
     group = PermGroup.generated(k, list(perms.values()))

@@ -24,7 +24,7 @@ import itertools
 import json
 import operator
 
-from .core import Edge, GammaLabel, Graph, label_sort_key, node_budget
+from .core import Edge, GammaLabel, Graph, _class_names, _union, label_sort_key, node_budget
 from .cylinder import CylinderSet, _bare_rows, make_cylinder
 from .errors import DomainError, LabelConflict, NotATwist, ResourceLimit, count_checked
 from .hom import Homomorphism, _has_vertex_map, _src_edges, _vertex_order, iter_homs
@@ -170,12 +170,6 @@ def _cylinder_shape(key, cg: Graph, verts: list, labels: dict) -> list:
 _ID_CLASH = "duplicate edge id {!r}"
 
 
-def _root(parent: list, x: int) -> int:
-    while parent[x] != x:
-        parent[x] = x = parent[parent[x]]  # path halving
-    return x
-
-
 def cyl_product(g: Graph, cset: CylinderSet) -> ProductTrace:
     """Glue one cylinder copy onto every edge of ``g``.
 
@@ -185,9 +179,9 @@ def cyl_product(g: Graph, cset: CylinderSet) -> ProductTrace:
 
     The gluing runs over dense integer ids: slot ``(v, i)`` is
     ``rank(v)·k + i − 1``, ranks in ``g.vertices`` order, and interior copy
-    vertices are numbered after the slots.  An array union-find welds slots,
-    and each class is named by its smallest member name (``str`` order) once
-    at the end.  Copies whose ends land on the same (tail, head, label) set
+    vertices are numbered after the slots.  ``core``'s array union-find welds
+    slots and names each class by its smallest member (``str`` order) once at
+    the end.  Copies whose ends land on the same (tail, head, label) set
     merge into the first copy's edges, which name the output edges.
     """
     if g.symmetric != cset.symmetric:
@@ -228,8 +222,7 @@ def cyl_product(g: Graph, cset: CylinderSet) -> ProductTrace:
                 if zb is not None:
                     if parent is None:
                         parent = list(range(n_slots))
-                    ra, rb = _root(parent, a), _root(parent, bh + post[zb])
-                    parent[max(ra, rb)] = min(ra, rb)
+                    _union(parent, a, bh + post[zb])
                 nodes.append(a)
             elif zb is not None:
                 nodes.append(bh + post[zb])
@@ -242,16 +235,10 @@ def cyl_product(g: Graph, cset: CylinderSet) -> ProductTrace:
     if not set(slot_names).isdisjoint(inner):
         raise DomainError("inner vertex names collide with slot names; rename the source vertices")
 
-    names = slot_names
-    if parent is not None:
-        root = [_root(parent, s) for s in range(n_slots)]
-        best: dict = {}
-        for s, r in enumerate(root):
-            if r not in best or slot_names[s] < best[r]:
-                best[r] = slot_names[s]
-        names = [best[r] for r in root]
+    if parent is not None:  # each slot takes its class's name
+        root, slot_names = _class_names(parent, slot_names)
         nodes = [root[x] if x < n_slots else x for x in nodes]
-    names = names + list(inner)  # node id -> final vertex name
+    names = slot_names + list(inner)  # node id -> final vertex name
 
     out = Graph(symmetric=g.symmetric)
     out._vertices = dict.fromkeys(sorted(set(names)))

@@ -438,40 +438,36 @@ class Graph:
 # -- quotients and gluing ----------------------------------------------------
 
 
-class UnionFind:
-    """Disjoint sets over arbitrary hashable items; representative is the
-    smallest member by string order, fixed at query time."""
+def _root(parent: list, x: int) -> int:
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]  # path halving
+    return x
 
-    def __init__(self):
-        self.parent: dict = {}
 
-    def find(self, x):
-        parent = self.parent
-        root = parent.setdefault(x, x)
-        while parent[root] != root:
-            root = parent[root]
-        while x != root:  # path compression
-            parent[x], x = root, parent[x]
-        return root
+def _union(parent: list, a: int, b: int) -> None:
+    """Weld the classes of ids ``a`` and ``b``; the smaller root stays root."""
+    ra, rb = _root(parent, a), _root(parent, b)
+    parent[max(ra, rb)] = min(ra, rb)
 
-    def union(self, a, b) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            if str(rb) < str(ra):
-                ra, rb = rb, ra
-            self.parent[rb] = ra
 
-    def canonical_map(self) -> dict:
-        """item -> smallest member of its class (by string order)."""
-        classes: dict = defaultdict(list)
-        for x in self.parent:
-            classes[self.find(x)].append(x)
-        out = {}
-        for members in classes.values():
-            rep = min(members, key=str)
-            for x in members:
-                out[x] = rep
-        return out
+def _class_names(parent: list, names: list) -> tuple[list, list]:
+    """The root and the class name of every id in ``parent``: its smallest
+    member name in ``str`` order, the earliest of names that tie."""
+    root = [_root(parent, x) for x in range(len(parent))]
+    best: dict = {}
+    for x, r in enumerate(root):
+        if r not in best or str(names[x]) < str(names[best[r]]):
+            best[r] = x
+    return root, [names[best[r]] for r in root]
+
+
+def _weld(names: list, pairs: Iterable) -> dict:
+    """name -> class name (see :func:`_class_names`) once each pair is welded."""
+    ids = {v: i for i, v in enumerate(names)}
+    parent = list(range(len(names)))
+    for a, b in pairs:
+        _union(parent, ids[a], ids[b])
+    return dict(zip(names, _class_names(parent, names)[1]))
 
 
 def identify_vertices(g: Graph, mapping: Mapping) -> Graph:
@@ -667,14 +663,14 @@ def connected_order(ranked: list, nbrs: Mapping, eligible: Iterable = ()) -> lis
     return order
 
 
-def _invariants(g: Graph, rounds: int = 2) -> dict:
+def _invariants(g: Graph) -> dict:
     inv: dict = {}
     for v in g.vertices:
         outs = Counter(g.edges[eid].label for eid in g.out_edges(v))
         ins = Counter(g.edges[eid].label for eid in g.in_edges(v))
         loops = sum(1 for eid in g.out_edges(v) if g.edges[eid].head == v)
         inv[v] = (frozenset(outs.items()), frozenset(ins.items()), loops)
-    for _ in range(rounds):
+    for _ in range(2):  # rounds of neighbourhood refinement
         nxt = {}
         for v in g.vertices:
             around = Counter()

@@ -16,9 +16,9 @@ from __future__ import annotations
 from collections import Counter
 from typing import Mapping
 
-from .core import Graph, UnionFind, disjoint_union, identify_vertices, merge_parallel
+from .core import Graph, _weld, disjoint_union, identify_vertices, merge_parallel
 from .errors import JSON_SCALAR, DomainError, EpsilonError, NotACylinder, NotATwist, count_checked, json_checked
-from .perm import Perm, PermGroup
+from .perm import Perm, PermGroup, _perm_checked
 
 
 def _row_signature(g: Graph, row) -> Counter:
@@ -115,9 +115,9 @@ def base_automorphism(cyl: Cylinder, g: Perm, row: str = "y") -> bool:
 def twist(cyl: Cylinder, g: Perm, l: Perm) -> Cylinder:
     """Re-mark the rows: the new slot i holds the old y_{g^-1(i)} / z_{l^-1(i)}.
     Both permutations must preserve their base."""
-    if not base_automorphism(cyl, g, "y"):
+    if not base_automorphism(cyl, _perm_checked(g, "g="), "y"):
         raise NotATwist(f"{g!r} is not an automorphism of the y-base")
-    if not base_automorphism(cyl, l, "z"):
+    if not base_automorphism(cyl, _perm_checked(l, "l="), "z"):
         raise NotATwist(f"{l!r} is not an automorphism of the z-base")
     return make_cylinder(cyl.graph, g.inverse().act(cyl.y), l.inverse().act(cyl.z))
 
@@ -128,16 +128,9 @@ def cyl_sum(a: Cylinder, b: Cylinder) -> Cylinder:
     if a.width != b.width:
         raise DomainError(f"cannot sum cylinders of widths {a.width} and {b.width}")
     u = disjoint_union(a.graph, b.graph, (".a", ".b"))
-    uf = UnionFind()
-    for v in u.vertices:
-        uf.find(v)
-    for i in range(a.width):
-        uf.union(f"{a.y[i]}.a", f"{b.y[i]}.b")
-        uf.union(f"{a.z[i]}.a", f"{b.z[i]}.b")
-    cmap = uf.canonical_map()
+    cmap = _weld(list(u.vertices), [(f"{v}.a", f"{w}.b") for v, w in zip(a.y + a.z, b.y + b.z)])
     g = merge_parallel(identify_vertices(u, cmap))
-    y = tuple(cmap[f"{v}.a"] for v in a.y)
-    z = tuple(cmap[f"{v}.a"] for v in a.z)
+    y, z = ([cmap[f"{v}.a"] for v in row] for row in (a.y, a.z))
     return make_cylinder(g, y, z)
 
 
@@ -155,7 +148,7 @@ def generalized_loop(cyl: Cylinder, g: Perm, l: Perm) -> Cylinder:
     both rows equal to the slot row.  Fails if the row overlap forces two
     slots together."""
     k = cyl.width
-    if g.degree != k or l.degree != k:
+    if _perm_checked(g, "g=").degree != k or _perm_checked(l, "l=").degree != k:
         raise DomainError("slot permutations must match the cylinder width")
     prefix = "s"
     names = set(map(str, cyl.graph.vertices))
@@ -163,20 +156,12 @@ def generalized_loop(cyl: Cylinder, g: Perm, l: Perm) -> Cylinder:
         prefix += "_"
     slots = [f"{prefix}{i}" for i in range(1, k + 1)]
 
-    uf = UnionFind()
-    for v in cyl.graph.vertices:
-        uf.find(v)
-    for s in slots:
-        uf.find(s)
-    for b in range(1, k + 1):
-        uf.union(slots[g(b) - 1], cyl.y[b - 1])
-        uf.union(slots[l(b) - 1], cyl.z[b - 1])
-    cmap = uf.canonical_map()
-    if len({cmap[s] for s in slots}) != k:
+    cmap = _weld([*cyl.graph.vertices, *slots], [*zip(g.act(slots), cyl.y), *zip(l.act(slots), cyl.z)])
+    slot_of_class = {cmap[s]: s for s in slots}
+    if len(slot_of_class) != k:
         raise EpsilonError("row overlap merges two slots; the closure is not a cylinder")
 
     # rename each class to its slot vertex where one is present
-    slot_of_class = {cmap[s]: s for s in slots}
     final = {v: slot_of_class.get(rep, rep) for v, rep in cmap.items()}
     return make_cylinder(merge_parallel(identify_vertices(cyl.graph, final)), slots, slots)
 

@@ -143,6 +143,13 @@ def act(x: Sequence, g: Perm) -> tuple:
     return g.act(x)
 
 
+def _perm_checked(value, what: str) -> Perm:
+    """``value`` when it is a :class:`Perm`; otherwise one :class:`NotAPermutation` naming ``what``."""
+    if not isinstance(value, Perm):
+        raise NotAPermutation(f"{what} must be a Perm, got {value!r}")
+    return value
+
+
 class PermGroup:
     """A concrete group of degree-k permutations, stored as its full element list.
 

@@ -1,7 +1,10 @@
 import os
 import sys
 
-sys.path.insert(0, os.path.dirname(__file__))
+HERE = os.path.dirname(os.path.abspath(__file__))
+# tests/ for the shared helpers, src/ so a bare `python -m pytest` from the
+# repository root imports the package without PYTHONPATH or an install
+sys.path[:0] = [HERE, os.path.join(os.path.dirname(HERE), "src")]
 
 import _criteria
 

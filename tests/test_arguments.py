@@ -1,6 +1,8 @@
 """Every public count argument follows one rule: a non-negative ``int`` that
 is not a ``bool``.  Anything else is one :class:`DomainError` naming the
-argument; no invalid value may end in a raw Python exception."""
+argument; no invalid value may end in a raw Python exception.  A slot
+permutation that is not a :class:`Perm` is one :class:`NotAPermutation`
+naming the argument."""
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -20,8 +22,8 @@ from cylgraph.catalog import (
 )
 from cylgraph.construct import exponential
 from cylgraph.core import isomorphic
-from cylgraph.cylinder import CylinderSet, builtin_cylinder, identity_cyl, path_cyl
-from cylgraph.errors import CylError, DomainError
+from cylgraph.cylinder import CylinderSet, builtin_cylinder, generalized_loop, identity_cyl, path_cyl, twist
+from cylgraph.errors import CylError, DomainError, NotAPermutation
 from cylgraph.hom import count_homs, find_hom, list_homs
 from cylgraph.perm import Perm, PermGroup
 
@@ -147,3 +149,22 @@ def test_a_json_degree_that_is_a_bool_is_no_integer(degree):
     with pytest.raises(DomainError) as err:
         PermGroup.from_json({"degree": degree, "generators": []})
     assert str(err.value) == f"group 'degree' must be an integer, got {degree!r}"
+
+
+E0 = sorted(C3.canonical_edges())[0]
+# each ended in a raw AttributeError before the check
+NOT_A_PERM = {
+    "generalized_loop g": (lambda: generalized_loop(path_cyl(1), "x", "y"), "g= must be a Perm, got 'x'"),
+    "generalized_loop l": (lambda: generalized_loop(path_cyl(1), Perm.identity(1), "y"), "l= must be a Perm, got 'y'"),
+    "twist g": (lambda: twist(identity_cyl(2), [2, 1], [2, 1]), "g= must be a Perm, got [2, 1]"),
+    "twist l": (lambda: twist(identity_cyl(2), Perm([2, 1]), [2, 1]), "l= must be a Perm, got [2, 1]"),
+    "voltage_lift": (lambda: voltage_lift(C3, {E0: [2, 1]}, 2), f"voltage on {E0!r} must be a Perm, got [2, 1]"),
+}
+
+
+@pytest.mark.parametrize("name", NOT_A_PERM)
+def test_a_slot_permutation_that_is_no_perm_is_named(name):
+    call, message = NOT_A_PERM[name]
+    with pytest.raises(NotAPermutation) as err:
+        call()
+    assert str(err.value) == message

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -16,10 +17,12 @@ from cylgraph.catalog import (
     function_power,
     function_power_direct,
     graph_minor,
+    join_cylinder,
     join_with,
     kneser_graph,
     line_graph_direct,
     looped_line_graph,
+    neps_cylinder,
     neps_direct,
     neps_product,
     path_graph,
@@ -27,6 +30,7 @@ from cylgraph.catalog import (
     petersen,
     petersen_dumbbell,
     replacement_product,
+    rotation_labels,
     subdivision,
     voltage_lift,
     voltage_lift_direct,
@@ -184,6 +188,68 @@ def test_voltage_lift_rejects_wrong_degree():
     volts = {eid: Perm.identity(4) for eid in base.canonical_edges()}
     with pytest.raises(DomainError):
         voltage_lift(base, volts, 5)
+
+
+def test_voltage_lift_of_a_directed_base_matches_direct():
+    """A loop and two parallel arcs; one sheet of the parallels coincides."""
+    base = Graph()
+    base.add_vertices("uvw")
+    for tail, head in ("uv", "vw", "wu", "uu", "uv"):
+        base.add_edge(tail, head)
+    volts = {"e0": Perm([2, 3, 1]), "e3": Perm([2, 1, 3]), "e4": Perm([3, 2, 1])}
+    a, b = voltage_lift(base, volts, 3), voltage_lift_direct(base, volts, 3)
+    assert set(a.vertices) == set(b.vertices) and len(a.vertices) == 9
+    ends = [Counter((e.tail, e.head) for e in g.edges.values()) for g in (a, b)]
+    assert ends[0] == ends[1] and sum(ends[0].values()) == 14
+
+
+def _digraph():
+    g = Graph()
+    g.add_vertices([1, 2])
+    g.add_edge(1, 2)
+    return g
+
+
+def _looped_edge():
+    g = complete_graph(2)
+    g.add_sym_edge(0, 0)
+    return g
+
+
+BUILDER_ERRORS = {
+    "cycle_graph(2)": (lambda: cycle_graph(2), "cycles need at least 3 vertices"),
+    "neps_cylinder directed": (
+        lambda: neps_cylinder(_digraph(), "cartesian"), "product cylinders are built from a symmetric factor"),
+    "neps_cylinder looped": (
+        lambda: neps_cylinder(_looped_edge(), "strong"), "product cylinders need a loop-free factor"),
+    "neps_cylinder unknown kind": (
+        lambda: neps_cylinder(complete_graph(2), "bogus"),
+        f"unknown product kind 'bogus'; pick one of {NEPS_KINDS}",
+    ),
+    "join_cylinder directed": (lambda: join_cylinder(_digraph()), "joins are taken with a symmetric graph"),
+    "line_graph_direct directed": (
+        lambda: line_graph_direct(_digraph()), "line graphs are taken of symmetric graphs"),
+    "rotation_labels directed outer": (
+        lambda: rotation_labels(_digraph(), complete_graph(2)), "replacement-style products take symmetric graphs"),
+    "rotation_labels directed inner": (
+        lambda: rotation_labels(complete_graph(3), _digraph()), "replacement-style products take symmetric graphs"),
+    "rotation_labels looped outer": (
+        lambda: rotation_labels(_looped_edge(), complete_graph(2)), "the outer graph must be loop-free"),
+    "rotation_labels non-regular outer": (
+        lambda: rotation_labels(path_graph(2), complete_graph(2)), "vertex 0 has degree 1, expected 2"),
+    "rotation_labels inner not vertex-transitive": (
+        lambda: rotation_labels(complete_graph(4), path_graph(2)),
+        "the inner template must look the same from every vertex (no symmetry carries 0 to 1)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BUILDER_ERRORS)
+def test_builders_name_what_they_cannot_build(case):
+    call, message = BUILDER_ERRORS[case]
+    with pytest.raises(DomainError) as err:
+        call()
+    assert str(err.value) == message
 
 
 def test_zigzag_of_k4_and_triangle():

@@ -11,7 +11,7 @@ import pytest
 from cylgraph import cli
 from cylgraph.catalog import complete_graph, cycle_graph, kneser_graph, path_graph
 from cylgraph.cli import main
-from cylgraph.construct import uniform_labels
+from cylgraph.construct import cyl_product, uniform_labels
 from cylgraph.core import Graph, isomorphic
 from cylgraph.cylinder import CylinderSet, identity_cyl, path_cyl
 from cylgraph.perm import PermGroup
@@ -139,6 +139,29 @@ def test_uniform_flag_labels_plain_graphs(tmp_path, capsys):
                  "--uniform", "7"]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "usage"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["closed", "upper", "--cylinders", "p2"], "closed upper needs --graph"),
+    (["closed", "tight", "--cylinders", "p2", "--graph", "c5"], "closed tight needs --graph and --target"),
+    (["hom", "count", "--mode", "bogus", "--source", "c5", "--target", "k3"],
+     "--mode must be one of plain, labeled, gamma"),
+], ids=["closed upper", "closed tight", "hom mode"])
+def test_missing_or_bad_flags_are_usage_errors(tmp_path, capsys, argv, message):
+    fx = fixtures(tmp_path)
+    assert main([fx.get(a, a) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "usage", "message": message}
+
+
+def test_uniform_key_that_is_not_json_is_a_string(tmp_path, capsys):
+    c5 = dump(tmp_path, "c5.json", cycle_graph(5).to_json())
+    cset = CylinderSet(PermGroup.trivial(1), {"a": path_cyl(2)})
+    cyls = dump(tmp_path, "a.json", cset.to_json())
+    assert main(["product", "--graph", c5, "--cylinders", cyls, "--uniform", "a"]) == 0
+    want = cyl_product(uniform_labels(cycle_graph(5), "a"), cset).graph.to_json()
+    assert json.loads(capsys.readouterr().out) == want
 
 
 def test_closed_and_tight_exit_codes(tmp_path, capsys):

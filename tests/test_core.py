@@ -8,7 +8,7 @@ from cylgraph.catalog import complete_graph, cycle_graph, neps_product, path_gra
 from cylgraph.core import (
     Graph,
     GammaLabel,
-    UnionFind,
+    _weld,
     alpha_shift,
     amalgam,
     connected_order,
@@ -131,14 +131,17 @@ def test_merge_parallel_keeps_twin_loops():
 
 
 def test_union_find_keeps_smallest_representative_on_deep_chains():
-    uf = UnionFind()
-    names = [f"v{5000 - i:04d}" for i in range(5000)]  # each union re-roots at the newcomer
-    for a, b in zip(names, names[1:]):
-        uf.union(a, b)
-    assert uf.find(names[0]) == min(names) == names[-1]
-    assert set(uf.canonical_map().values()) == {names[-1]}
-    uf.union("0", names[0])
-    assert uf.find(names[2500]) == "0"
+    names = [f"v{5000 - i:04d}" for i in range(5000)]  # the smallest name has the last id
+    chain = list(zip(names, names[1:]))[::-1]  # each weld hangs the chain under a new root
+    assert set(_weld(names, chain).values()) == {min(names)} == {names[-1]}
+    cmap = _weld([*names, "0"], [*chain, (names[0], "0")])  # a later weld to "0" renames the class
+    assert set(cmap.values()) == {"0"}
+
+
+def test_weld_names_a_tie_by_its_earliest_member():
+    assert _weld([1, "1", "2"], [(1, "1"), ("2", "1")]) == {1: 1, "1": 1, "2": 1}
+    assert _weld(["1", 1], [(1, "1")]) == {"1": "1", 1: "1"}
+    assert _weld(["b", "a"], []) == {"b": "b", "a": "a"}
 
 
 def test_identify_keeps_parallels():

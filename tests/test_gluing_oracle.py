@@ -1,23 +1,74 @@
 """The gluing product and ``merge_parallel`` against frozen copies of their
 earlier two-branch versions (one branch for directed graphs, one for twin
 pairs), kept as differential oracles: outputs, provenance maps and, for the
-product, the error raised first on each bad input."""
+product, the error raised first on each bad input.  ``cyl_sum`` and
+``generalized_loop`` are checked the same way against their versions built on
+the dict union-find the library once had, frozen here with them."""
 
+import itertools
 import json
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 from types import SimpleNamespace
 
 import pytest
 
 from cylgraph import construct
 from cylgraph.construct import MAX_PRODUCT_EDGES, _audit_product_labels, cyl_product
-from cylgraph.core import GammaLabel, Graph, UnionFind, label_to_json, merge_parallel
-from cylgraph.cylinder import CylinderSet, identity_cyl, make_cylinder, path_cyl, sqcap_cyl, square_cyl, wedge_cyl
-from cylgraph.errors import CylError, DomainError, ResourceLimit
+from cylgraph.catalog import NEPS_KINDS, complete_graph, neps_cylinder, path_graph
+from cylgraph.core import GammaLabel, Graph, disjoint_union, identify_vertices, label_to_json, merge_parallel
+from cylgraph.cylinder import (
+    CylinderSet,
+    cyl_sum,
+    generalized_loop,
+    identity_cyl,
+    make_cylinder,
+    path_cyl,
+    sqcap_cyl,
+    square_cyl,
+    twist,
+    wedge_cyl,
+)
+from cylgraph.errors import CylError, DomainError, EpsilonError, ResourceLimit
 from cylgraph.perm import Perm, PermGroup
 
 from util import random_gamma_labels, random_multigraph
+
+
+class UnionFind:
+    """Disjoint sets over arbitrary hashable items; representative is the
+    smallest member by string order, fixed at query time."""
+
+    def __init__(self):
+        self.parent: dict = {}
+
+    def find(self, x):
+        parent = self.parent
+        root = parent.setdefault(x, x)
+        while parent[root] != root:
+            root = parent[root]
+        while x != root:  # path compression
+            parent[x], x = root, parent[x]
+        return root
+
+    def union(self, a, b) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            if str(rb) < str(ra):
+                ra, rb = rb, ra
+            self.parent[rb] = ra
+
+    def canonical_map(self) -> dict:
+        """item -> smallest member of its class (by string order)."""
+        classes: dict = defaultdict(list)
+        for x in self.parent:
+            classes[self.find(x)].append(x)
+        out = {}
+        for members in classes.values():
+            rep = min(members, key=str)
+            for x in members:
+                out[x] = rep
+        return out
 
 
 def json_key(label) -> str:
@@ -384,3 +435,119 @@ def test_maps_survive_a_later_change_to_the_source():
             assert list(getattr(got, field).items()) == list(getattr(want, field).items()), field
         assert got.blowup(e.tail) == tuple(want.slot[(e.tail, i)] for i in range(1, cset.width + 1))
         checked += 1
+
+
+# -- the cylinder algebra against its dict union-find versions ----------------
+
+
+def sum_oracle(a, b):
+    """``cyl_sum`` as built on the dict union-find."""
+    if a.width != b.width:
+        raise DomainError(f"cannot sum cylinders of widths {a.width} and {b.width}")
+    u = disjoint_union(a.graph, b.graph, (".a", ".b"))
+    uf = UnionFind()
+    for v in u.vertices:
+        uf.find(v)
+    for i in range(a.width):
+        uf.union(f"{a.y[i]}.a", f"{b.y[i]}.b")
+        uf.union(f"{a.z[i]}.a", f"{b.z[i]}.b")
+    cmap = uf.canonical_map()
+    g = merge_parallel(identify_vertices(u, cmap))
+    y = tuple(cmap[f"{v}.a"] for v in a.y)
+    z = tuple(cmap[f"{v}.a"] for v in a.z)
+    return make_cylinder(g, y, z)
+
+
+def loop_oracle(cyl, g, l):
+    """``generalized_loop`` as built on the dict union-find."""
+    k = cyl.width
+    if g.degree != k or l.degree != k:
+        raise DomainError("slot permutations must match the cylinder width")
+    prefix = "s"
+    names = set(map(str, cyl.graph.vertices))
+    while any(f"{prefix}{i}" in names for i in range(1, k + 1)):
+        prefix += "_"
+    slots = [f"{prefix}{i}" for i in range(1, k + 1)]
+    uf = UnionFind()
+    for v in cyl.graph.vertices:
+        uf.find(v)
+    for s in slots:
+        uf.find(s)
+    for b in range(1, k + 1):
+        uf.union(slots[g(b) - 1], cyl.y[b - 1])
+        uf.union(slots[l(b) - 1], cyl.z[b - 1])
+    cmap = uf.canonical_map()
+    if len({cmap[s] for s in slots}) != k:
+        raise EpsilonError("row overlap merges two slots; the closure is not a cylinder")
+    slot_of_class = {cmap[s]: s for s in slots}
+    final = {v: slot_of_class.get(rep, rep) for v, rep in cmap.items()}
+    return make_cylinder(merge_parallel(identify_vertices(cyl.graph, final)), slots, slots)
+
+
+def _tied_cylinder():
+    """Width 2 over vertices 1 and "1" (and 2 and "2"), which tie under
+    ``str``, with an inner vertex "0" smaller than all of them."""
+    g = Graph(symmetric=True)
+    g.add_vertices([1, "1", 2, "2", "0"])
+    g.add_sym_edge(1, 2)
+    g.add_sym_edge("1", "2")
+    g.add_sym_edge(1, "0")
+    g.add_sym_edge("0", "1")
+    return make_cylinder(g, [1, 2], ["1", "2"])
+
+
+def _merging_cylinder():
+    """Width 2 with y2 = z1: the identity loop welds slots 1 and 2."""
+    g = Graph(symmetric=True)
+    g.add_vertices("abc")
+    return make_cylinder(g, ["a", "b"], ["b", "c"])
+
+
+def _algebra_cylinders():
+    cyls = [identity_cyl(k, directed) for k in (1, 2, 3) for directed in (False, True)]
+    cyls += [path_cyl(n, directed=directed) for n in (0, 1, 2) for directed in (False, True)]
+    cyls += [sqcap_cyl(), square_cyl(), wedge_cyl(), _tied_cylinder(), _merging_cylinder()]
+    cyls += [neps_cylinder(f, kind) for f in (complete_graph(2), path_graph(2)) for kind in NEPS_KINDS]
+    rng = random.Random(6009)
+    while len(cyls) < 60:
+        try:
+            cyls.append(_random_cylinder(rng, rng.choice([1, 2]), rng.random() < 0.5))
+        except CylError:
+            continue
+    return cyls
+
+
+def _cyl_outcome(build):
+    out = _outcome(build)
+    return out if isinstance(out, tuple) else json.dumps(out.to_json())
+
+
+def test_generalized_loop_matches_the_dict_union_find_on_every_slot_permutation_pair():
+    outcomes = Counter()
+    for cyl in _algebra_cylinders():
+        perms = list(PermGroup.symmetric(cyl.width).elements)
+        for g, l in itertools.product(perms, perms):
+            want = _cyl_outcome(lambda: loop_oracle(cyl, g, l))
+            assert _cyl_outcome(lambda: generalized_loop(cyl, g, l)) == want
+            outcomes[want[0] if isinstance(want, tuple) else "ok"] += 1
+    assert outcomes["ok"] >= 300 and outcomes["EpsilonError"] >= 5, outcomes
+
+
+def test_cyl_sum_matches_the_dict_union_find():
+    rng = random.Random(6010)
+    cyls = _algebra_cylinders()
+    by_width = defaultdict(list)
+    for cyl in cyls:
+        perms = list(PermGroup.symmetric(cyl.width).elements)
+        for g, l in itertools.product(perms, perms):  # every twist that is one
+            try:
+                by_width[cyl.width].append(twist(cyl, g, l))
+            except CylError:
+                pass
+    outcomes = Counter()
+    for a in cyls:
+        for b in rng.sample(by_width[a.width], min(12, len(by_width[a.width]))) + [rng.choice(cyls)]:
+            want = _cyl_outcome(lambda: sum_oracle(a, b))
+            assert _cyl_outcome(lambda: cyl_sum(a, b)) == want
+            outcomes[want[0] if isinstance(want, tuple) else "ok"] += 1
+    assert outcomes["ok"] >= 300 and outcomes["DomainError"] >= 10, outcomes
