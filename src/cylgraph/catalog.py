@@ -503,12 +503,6 @@ def join_cylinder(h: Graph) -> Cylinder:
     return make_cylinder(cyl, ["y1"] + shared, ["z1"] + shared)
 
 
-def universal_cylinder() -> Cylinder:
-    """Joining with a single vertex: gluing this over a connected graph adds
-    one apex adjacent to everything."""
-    return join_cylinder(empty_graph(1))
-
-
 def join_with(g: Graph, h: Graph) -> Graph:
     """Join of ``g`` (edge-connected) with ``h``: all of ``g``, one copy of
     ``h`` per component of ``g``, and every cross edge."""

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import JSON_SCALAR, DomainError, LabelConflict, ResourceLimit, count_checked, json_checked
-from .perm import Perm, compose
+from .perm import Perm
 
 
 @dataclass(frozen=True)
@@ -267,26 +267,16 @@ class Graph:
         unknown = keep - set(self._vertices)
         if unknown:
             raise DomainError(f"unknown vertices {sorted(map(str, unknown))[:5]}")
-        return self._filtered([v for v in self._vertices if v in keep],
-                              lambda e: e.tail in keep and e.head in keep)
+        g = Graph(self.symmetric)
+        g._vertices = dict.fromkeys(v for v in self._vertices if v in keep)
+        g.edges = {eid: e for eid, e in self.edges.items() if e.tail in keep and e.head in keep}
+        g.pairing = {eid: tw for eid, tw in self.pairing.items() if eid in g.edges and tw in g.edges}
+        return g
 
     def reduced(self) -> Graph:
         """Drop isolated vertices."""
         iso = set(self.isolated_vertices())
         return self.induced(v for v in self._vertices if v not in iso)
-
-    def without_loops(self) -> Graph:
-        return self._filtered(self._vertices, lambda e: e.tail != e.head)
-
-    def _filtered(self, vertices: Iterable, keep_edge) -> Graph:
-        """A copy on ``vertices`` (which must hold every kept edge's ends)
-        with the edges ``keep_edge`` accepts, under their ids, and the twin
-        pairs both of whose edges are kept."""
-        g = Graph(self.symmetric)
-        g._vertices = dict.fromkeys(vertices)
-        g.edges = {eid: e for eid, e in self.edges.items() if keep_edge(e)}
-        g.pairing = {eid: tw for eid, tw in self.pairing.items() if eid in g.edges and tw in g.edges}
-        return g
 
     def with_labels(self, labels: Mapping) -> Graph:
         """Copy with edge ``eid`` labeled ``labels[eid]``; vertices, edge ids
@@ -341,52 +331,6 @@ class Graph:
                         stack.append(y)
             comps.append(sorted(comp, key=str))
         return comps
-
-    def girth(self) -> int | None:
-        """Length of a shortest cycle in the undirected view (None if acyclic).
-        A loop gives 1; two parallel undirected edge classes give 2."""
-        classes: dict[frozenset, set] = defaultdict(set)
-        for eid in self.canonical_edges():
-            e = self.edges[eid]
-            if e.tail == e.head:
-                return 1
-            classes[frozenset((e.tail, e.head))].add(eid)
-        if any(len(s) > 1 for s in classes.values()):
-            return 2
-        nbrs: dict = {v: [] for v in self._vertices}
-        for pair in classes:
-            u, v = tuple(pair)
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        best = None
-        for start in self._vertices:
-            dist = {start: 0}
-            parent = {start: None}
-            queue = [start]
-            while queue:
-                nxt = []
-                for x in queue:
-                    for y in nbrs[x]:
-                        if y not in dist:
-                            dist[y] = dist[x] + 1
-                            parent[y] = x
-                            nxt.append(y)
-                        elif parent[x] != y and parent.get(y) != x:
-                            cyc = dist[x] + dist[y] + 1
-                            if best is None or cyc < best:
-                                best = cyc
-                queue = nxt
-        return best
-
-    def symmetrize(self) -> Graph:
-        """Return the symmetric graph obtained by twinning every edge."""
-        g = Graph(symmetric=True)
-        g.add_vertices(self._vertices)
-        for eid, e in self.edges.items():
-            a = g.add_edge(e.tail, e.head, e.label, eid)
-            b = g.add_edge(e.head, e.tail, _reversed(e.label), f"{eid}~")
-            g.pair_edges(a, b)
-        return g
 
     # -- serialisation -------------------------------------------------------
 
@@ -505,97 +449,26 @@ def merge_parallel(g: Graph) -> Graph:
 
 
 def disjoint_union(a: Graph, b: Graph, suffixes: tuple[str, str] = (".0", ".1")) -> Graph:
-    """Disjoint union; every vertex and edge id gets the side's suffix."""
+    """Disjoint union; every vertex and edge id gets the side's suffix.  Two
+    source vertices that would get one name (``1`` and ``"1"``, or ``"ax"``
+    and ``"a"`` under suffixes ``("", "x")``) raise :class:`DomainError`."""
     if a.symmetric != b.symmetric:
         raise DomainError("cannot union a symmetric with a non-symmetric graph")
     out = Graph(a.symmetric)
+    source: dict = {}  # new vertex name -> the source vertex that took it
     for g, sfx in ((a, suffixes[0]), (b, suffixes[1])):
         for v in g.vertices:
-            out.add_vertex(f"{v}{sfx}")
+            name = f"{v}{sfx}"
+            if name in source:
+                raise DomainError(f"vertex names collide after suffixing: {source[name]!r} and {v!r} both become "
+                                  f"{name!r}; rename the source vertices")
+            source[name] = v
+            out.add_vertex(name)
         for eid, e in g.edges.items():
             out.add_edge(f"{e.tail}{sfx}", f"{e.head}{sfx}", e.label, f"{eid}{sfx}")
         for eid, tw in g.pairing.items():
             out.pairing[f"{eid}{sfx}"] = f"{tw}{sfx}"
     return out
-
-
-def amalgam(a: Graph, b: Graph, shared: Graph) -> Graph:
-    """Glue ``a`` and ``b`` along the common subgraph ``shared``.
-
-    Vertices are identified by name: the vertex sets of ``a`` and ``b`` must
-    overlap exactly in the vertices of ``shared``.  Every edge of ``shared``
-    (by tail, head and label, with multiplicity) is matched against one edge
-    of ``a`` and one of ``b`` — lowest ids first — and those two become one.
-    Unmatched edges stay separate, so the gluing never merges extra parallels.
-    """
-    for g, side in ((a, "left"), (b, "right")):
-        for v in shared.vertices:
-            if not g.has_vertex(v):
-                raise DomainError(f"shared vertex {v!r} missing from {side} graph")
-    overlap = set(a.vertices) & set(b.vertices)
-    if overlap != set(shared.vertices):
-        extra = overlap - set(shared.vertices)
-        raise DomainError(f"vertex names collide outside the shared part: {sorted(map(str, extra))[:5]}")
-    if a.symmetric != b.symmetric or shared.symmetric != a.symmetric:
-        raise DomainError("amalgam parts must agree on symmetry")
-
-    def match(g: Graph, sig: tuple, taken: set) -> str:
-        for eid in sorted(g.edges):
-            if eid in taken:
-                continue
-            e = g.edges[eid]
-            if (e.tail, e.head, e.label) == sig:
-                return eid
-        raise LabelConflict(f"no unmatched edge {sig[0]!r}->{sig[1]!r} with the shared label")
-
-    taken_a: set = set()
-    drop_b: dict[str, str] = {}  # b edge id -> a edge id it folds into
-    sig_edges = shared.canonical_edges()
-    for seid in sorted(sig_edges):
-        se = shared.edges[seid]
-        sig = (se.tail, se.head, se.label)
-        ea = match(a, sig, taken_a)
-        eb = match(b, sig, set(drop_b))
-        taken_a.add(ea)
-        drop_b[eb] = ea
-        if shared.symmetric:
-            ta, tb = a.pairing[ea], b.pairing[eb]
-            taken_a.add(ta)
-            drop_b[tb] = ta
-
-    out = a.copy()
-    for v in b.vertices:
-        out.add_vertex(v)
-    rename: dict[str, str] = dict(drop_b)
-    for eid in sorted(b.edges):
-        if eid in drop_b:
-            continue
-        e = b.edges[eid]
-        new = eid if eid not in out.edges else None
-        rename[eid] = out.add_edge(e.tail, e.head, e.label, new)
-    for eid, tw in b.pairing.items():
-        e1, e2 = rename[eid], rename[tw]
-        if e1 in out.pairing:
-            continue
-        out.pairing[e1] = e2
-        out.pairing[e2] = e1
-    return out
-
-
-def alpha_shift(g: Graph, alphas: Mapping) -> Graph:
-    """Precompose both attachment permutations of every edge with per-vertex
-    permutations: the edge u->v labeled (pre, j, post) becomes
-    (alphas[u]*pre, j, alphas[v]*post).  Missing vertices act as identity."""
-    labels: dict = {}
-    for eid, e in g.edges.items():
-        if not isinstance(e.label, GammaLabel):
-            raise DomainError(f"edge {eid!r} does not carry an attachment label")
-        au = alphas.get(e.tail)
-        av = alphas.get(e.head)
-        pre = compose(au, e.label.pre) if au is not None else e.label.pre
-        post = compose(av, e.label.post) if av is not None else e.label.post
-        labels[eid] = GammaLabel(pre, e.label.key, post)
-    return g.with_labels(labels)
 
 
 # -- search order and isomorphism ---------------------------------------------

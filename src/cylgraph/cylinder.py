@@ -46,10 +46,6 @@ class Cylinder:
         pos = {v: j for j, v in enumerate(self.z, start=1)}
         return {i: pos[v] for i, v in enumerate(self.y, start=1) if v in pos}
 
-    def inner_vertices(self) -> list:
-        boundary = set(self.y) | set(self.z)
-        return [v for v in self.graph.vertices if v not in boundary]
-
     def base(self) -> Graph:
         return self.graph.induced(self.y)
 

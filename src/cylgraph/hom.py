@@ -111,12 +111,6 @@ class Homomorphism:
         self.emap = dict(zip(keys, pick))
         return self.emap
 
-    def vertex(self, v):
-        return self.vmap[v]
-
-    def edge(self, e):
-        return self.emap[e]
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Homomorphism)
@@ -167,14 +161,6 @@ def identity_hom(g: Graph) -> Homomorphism:
         k = next(iter(g.edges.values())).label.pre.degree
         alphas = dict.fromkeys(_alpha_vertices(g), Perm.identity(k))
     return Homomorphism({v: v for v in g.vertices}, {e: e for e in g.edges}, alphas)
-
-
-def label_difference(l1: GammaLabel, l2: GammaLabel, side1: str = "pre", side2: str = "pre") -> Perm:
-    """The twist carrying one attachment side onto another:
-    ``inverse(side of l1) * (side of l2)``."""
-    a = getattr(l1, side1)
-    b = getattr(l2, side2)
-    return compose(a.inverse(), b)
 
 
 # -- shared machinery ---------------------------------------------------------

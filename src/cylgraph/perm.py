@@ -246,13 +246,6 @@ class PermGroup:
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, order={len(self.elements)})"
 
-    def stabilizer(self, x: Sequence) -> list[Perm]:
-        """Elements whose right action fixes the tuple x."""
-        return [g for g in self.elements if g.act(x) == tuple(x)]
-
-    def orbit(self, x: Sequence) -> list[tuple]:
-        return sorted({g.act(x) for g in self.elements})
-
     def to_json(self) -> dict:
         return {
             "degree": self.degree,

@@ -8,12 +8,11 @@ oracle outputs; time budgets are asserted, not advisory.
 
 import random
 import time
-from collections import deque
 from contextlib import contextmanager
 from itertools import islice
 
 import _criteria
-from util import random_graph, random_gamma_labels
+from util import girth, random_graph, random_gamma_labels
 
 from cylgraph.catalog import (
     NEPS_KINDS,
@@ -87,32 +86,6 @@ def _star(n: int) -> Graph:
     return g
 
 
-def _girth(g: Graph) -> int | None:
-    """Length of a shortest cycle, by BFS from every root."""
-    adj: dict = {v: set() for v in g.vertices}
-    for e in g.edges.values():
-        if e.tail != e.head:
-            adj[e.tail].add(e.head)
-            adj[e.head].add(e.tail)
-    best = None
-    for root in g.vertices:
-        dist = {root: 0}
-        parent = {root: None}
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    parent[w] = u
-                    queue.append(w)
-                elif parent[u] != w:
-                    cyc = dist[u] + dist[w] + 1
-                    if best is None or cyc < best:
-                        best = cyc
-    return best
-
-
 # -- criterion 1: the one-slot identity cylinder is neutral on both sides ----
 
 def test_identity_cylinder_is_neutral():
@@ -151,7 +124,7 @@ def test_pentagon_lift_is_petersen():
         assert len(p.vertices) == 10
         assert len(list(p.canonical_edges())) == 15
         assert all(p.degree(v) == 3 for v in p.vertices)
-        assert _girth(p) == 5
+        assert girth(p) == 5
         assert isomorphic(p, kneser_graph(5, 2)) is not None
 
 

@@ -9,8 +9,6 @@ from cylgraph.core import (
     Graph,
     GammaLabel,
     _weld,
-    alpha_shift,
-    amalgam,
     connected_order,
     disjoint_union,
     identify_vertices,
@@ -20,7 +18,15 @@ from cylgraph.core import (
 from cylgraph.errors import DomainError, LabelConflict, ResourceLimit
 from cylgraph.perm import Perm
 
-from util import iso_error, pool_scan, random_graph, random_multigraph, shuffled_relabel, tied_names
+from util import (
+    girth,
+    iso_error,
+    pool_scan,
+    random_graph,
+    random_multigraph,
+    shuffled_relabel,
+    tied_names,
+)
 
 
 def path(n: int) -> Graph:
@@ -162,71 +168,26 @@ def test_disjoint_union():
     assert len(u.components()) == 2
 
 
-def test_amalgam_glues_along_shared_edge():
-    a = Graph()
-    a.add_vertices(["s", "t", "x"])
-    a.add_edge("s", "t", "base")
-    a.add_edge("t", "x")
-    b = Graph()
-    b.add_vertices(["s", "t", "y"])
-    b.add_edge("s", "t", "base")
-    b.add_edge("s", "y")
-    shared = Graph()
-    shared.add_vertices(["s", "t"])
-    shared.add_edge("s", "t", "base")
-    g = amalgam(a, b, shared)
-    assert sorted(g.vertices) == ["s", "t", "x", "y"]
-    assert len(g.edges) == 3  # shared edge identified once
+def _named(*vertices) -> Graph:
+    g = Graph(symmetric=True)
+    g.add_vertices(vertices)
+    return g
 
 
-def test_amalgam_does_not_merge_extra_parallels():
-    a = Graph()
-    a.add_vertices("st")
-    a.add_edge("s", "t", "m")
-    a.add_edge("s", "t", "m")
-    b = Graph()
-    b.add_vertices("st")
-    b.add_edge("s", "t", "m")
-    shared = Graph()
-    shared.add_vertices("st")
-    shared.add_edge("s", "t", "m")
-    g = amalgam(a, b, shared)
-    assert len(g.edges) == 2
-
-
-def test_amalgam_rejects_label_mismatch_and_capture():
-    a = Graph()
-    a.add_vertices("st")
-    a.add_edge("s", "t", "x")
-    b = Graph()
-    b.add_vertices("st")
-    b.add_edge("s", "t", "y")
-    shared = Graph()
-    shared.add_vertices("st")
-    shared.add_edge("s", "t", "x")
-    with pytest.raises(LabelConflict):
-        amalgam(a, b, shared)
-    c = Graph()
-    c.add_vertices(["s", "t", "u"])
-    d = Graph()
-    d.add_vertices(["s", "t", "u"])
-    shared2 = Graph()
-    shared2.add_vertices("st")
-    with pytest.raises(DomainError):
-        amalgam(c, d, shared2)
-
-
-def test_alpha_shift():
-    g = Graph()
-    g.add_vertices("uv")
-    tau = Perm((2, 1))
-    g.add_edge("u", "v", GammaLabel(Perm.identity(2), "c", tau))
-    shifted = alpha_shift(g, {"u": tau})
-    lab = next(iter(shifted.edges.values())).label
-    assert lab == GammaLabel(tau, "c", tau)
-    shifted2 = alpha_shift(g, {"v": tau})
-    lab2 = next(iter(shifted2.edges.values())).label
-    assert lab2 == GammaLabel(Perm.identity(2), "c", Perm.identity(2))
+def test_disjoint_union_refuses_vertex_names_that_collide():
+    tied = _named(1, "1")
+    tied.add_sym_edge(1, "1")
+    with pytest.raises(DomainError, match=r"^vertex names collide after suffixing: 1 and '1' both become '1\.0'; "
+                                          r"rename the source vertices$"):
+        disjoint_union(tied, tied)
+    # a suffix can make two names meet across the sides ...
+    with pytest.raises(DomainError, match=r"^vertex names collide after suffixing: 'ax' and 'a' both become 'ax';"):
+        disjoint_union(_named("ax"), _named("a"), ("", "x"))
+    # ... or fold the two sides into one copy
+    with pytest.raises(DomainError, match=r"^vertex names collide after suffixing: 0 and 0 both become '0\.s';"):
+        disjoint_union(cycle(3), cycle(3), (".s", ".s"))
+    u = disjoint_union(_named("a", "b"), _named("a"), ("", "x"))
+    assert list(u.vertices) == ["a", "b", "ax"]
 
 
 def test_with_labels_reverses_twin_labels_like_add_sym_edge():
@@ -268,18 +229,9 @@ def test_stripped_keeps_insertion_order():
 
 def test_components_and_girth():
     c5 = cycle(5)
-    assert c5.girth() == 5
+    assert girth(c5) == 5
     assert len(c5.components()) == 1
-    assert path(4).girth() is None
-    lg = Graph(symmetric=True)
-    lg.add_vertex(0)
-    lg.add_sym_edge(0, 0)
-    assert lg.girth() == 1
-    dd = Graph(symmetric=True)
-    dd.add_vertices((0, 1))
-    dd.add_sym_edge(0, 1, "a")
-    dd.add_sym_edge(0, 1, "b")
-    assert dd.girth() == 2
+    assert girth(path(4)) is None
 
 
 def test_isomorphic_finds_relabeling():
@@ -436,17 +388,6 @@ def test_dot_output():
     d.add_vertices("ab")
     d.add_edge("a", "b", "lbl")
     assert '->' in d.to_dot()
-
-
-def test_symmetrize_and_without_loops():
-    d = Graph()
-    d.add_vertices("ab")
-    d.add_edge("a", "b")
-    d.add_edge("a", "a")
-    s = d.symmetrize()
-    s.validate()
-    assert len(s.edges) == 4
-    assert len(s.without_loops().edges) == 2
 
 
 def test_relabel_requires_injective():

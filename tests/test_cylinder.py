@@ -22,12 +22,15 @@ from cylgraph.core import isomorphic
 from cylgraph.errors import DomainError, EpsilonError, NotACylinder, NotATwist
 from cylgraph.perm import Perm, PermGroup
 
+from util import girth
+
+TIED = "vertex names collide after suffixing: 1 and '1' both become '1\\.a'; rename the source vertices"
+
 
 def test_identity_cylinder_shape():
     c = identity_cyl(3)
     assert c.width == 3
     assert c.eps() == {}
-    assert c.inner_vertices() == []
     assert len(c.graph.vertices) == 6
     # one rung per slot, nothing within a row
     assert len(c.graph.canonical_edges()) == 3
@@ -42,7 +45,6 @@ def test_path_cylinder_shape():
     assert c.y != c.z
     assert c.eps() == {}
     assert len(c.graph.edges) == 6  # symmetric: twins
-    assert c.inner_vertices() == ["w1", "w2"]
     d = path_cyl(2, labels=[0, 1], directed=True)
     assert [d.graph.edges[e].label for e in sorted(d.graph.edges)] == [0, 1]
     assert path_cyl(0).eps() == {1: 1}
@@ -55,7 +57,7 @@ def test_sqcap_wedge_square_shapes():
     assert w.eps() == {1: 1}
     assert len(w.graph.vertices) == 3
     assert len(square_cyl().graph.edges) == 8
-    assert square_cyl().graph.girth() == 4
+    assert girth(square_cyl().graph) == 4
 
 
 def test_make_cylinder_rejects_repeated_row():
@@ -352,3 +354,14 @@ def test_twist_names_the_base_it_breaks():
         twist(c, ident, swap)
     assert str(err.value) == "Perm[2: (1 2)] is not an automorphism of the z-base"
     assert twist(c, ident, ident) == c
+
+
+def test_sum_and_juxtaposition_refuse_vertex_names_that_collide():
+    g = Graph(symmetric=True)
+    g.add_vertices([1, "1"])
+    g.add_sym_edge(1, "1")
+    c = make_cylinder(g, [1], ["1"])
+    with pytest.raises(DomainError, match=f"^{TIED}$"):
+        cyl_sum(c, c)
+    with pytest.raises(DomainError, match=f"^{TIED}$"):
+        cyl_disjoint(c, c)

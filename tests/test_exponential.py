@@ -157,8 +157,8 @@ def expo_oracle(cset, h, rep_choice="min", budget=None):
     for key in sorted(cset.keys(), key=str):
         cyl = cset[key]
         for hom in iter_homs(cyl.graph, h, mode="labeled", budget=budget):
-            p = tuple(hom.vertex(v) for v in cyl.y)
-            q = tuple(hom.vertex(v) for v in cyl.z)
+            p = tuple(hom.vmap[v] for v in cyl.y)
+            q = tuple(hom.vmap[v] for v in cyl.z)
             n_homs += 1
             pairs.add((key, p, q))
             r1, r2 = rep_of[p], rep_of[q]

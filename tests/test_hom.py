@@ -20,7 +20,6 @@ from cylgraph.hom import (
     find_hom,
     identity_hom,
     iter_homs,
-    label_difference,
     list_homs,
 )
 from cylgraph.perm import Perm, PermGroup
@@ -332,15 +331,6 @@ def test_check_hom_reports_failures():
     assert check_hom(g, h, bad) is not None
     partial = Homomorphism({0: 0}, {})
     assert "unmapped" in check_hom(g, h, partial)
-
-
-def test_label_difference():
-    tau = Perm((2, 1))
-    l1 = GammaLabel(Perm.identity(2), 0, tau)
-    l2 = GammaLabel(tau, 0, tau)
-    assert label_difference(l1, l2, "pre", "pre") == tau
-    assert label_difference(l1, l2, "post", "post") == Perm.identity(2)
-    assert label_difference(l1, l2, "post", "pre") == Perm.identity(2)
 
 
 def test_budget_limits():

@@ -1,14 +1,18 @@
 """Static checks on the package source, by ``ast`` alone: no module imports a
-name it never uses, and every private module-level function or class is
+name it never uses, every private module-level function or class is
 referenced somewhere in the package, so folding duplicates together leaves
-no dead helper behind."""
+no dead helper behind, and every public function, class and method is
+reached from outside the tests."""
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cylgraph"
+REPO = Path(__file__).resolve().parents[1]
+PACKAGE = REPO / "src" / "cylgraph"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -61,3 +65,64 @@ def test_private_helpers_are_referenced():
         and node.name not in used
     ]
     assert not dead, f"private helpers nobody references: {dead}"
+
+
+def _exported() -> set:
+    """The names in ``__all__``, read from ``__init__.py`` without importing it."""
+    for node in _tree(PACKAGE / "__init__.py").body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def _reads(node) -> Counter:
+    """How often each name, attribute and string constant is read under ``node``."""
+    reads = Counter()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            reads[child.id] += 1
+        elif isinstance(child, ast.Attribute):
+            reads[child.attr] += 1
+        elif isinstance(child, ast.Constant) and isinstance(child.value, str):
+            reads[child.value] += 1
+    return reads
+
+
+def _readme_code_names() -> set:
+    """Every identifier inside backticks in README.md: inline code spans and
+    fenced blocks, the blocks' ``#`` comments left out."""
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    spans = [re.sub(r"#.*", "", block) for block in re.findall(r"```.*?```", text, flags=re.S)]
+    spans += re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", text, flags=re.S))
+    return {name for span in spans for name in re.findall(r"[A-Za-z_]\w*", span)}
+
+
+def test_public_names_are_reached():
+    """Every public module-level function and class, and every public method,
+    is in ``__all__``, read somewhere else in the package (as a name, an
+    attribute or a string such as the CLI's ``cmd_*`` dispatch), read by the
+    benchmark, named in backticks in README.md, or a ``*_direct`` oracle."""
+    trees = {path: _tree(path) for path in MODULES}
+    package = sum(map(_reads, trees.values()), Counter())
+    bench = set().union(*(_reads(_tree(path)) for path in (REPO / "bench").glob("*.py")))
+    known = _exported() | bench | _readme_code_names()
+
+    def defs(tree):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        yield f"{node.name}.{item.name}", item
+
+    unreached = [
+        f"{path.name}:{qualname}"
+        for path, tree in trees.items()
+        for qualname, node in defs(tree)
+        if not node.name.startswith("_")
+        and not node.name.endswith("_direct")
+        and node.name not in known
+        and package[node.name] == _reads(node)[node.name]  # read nowhere but in its own body
+    ]
+    assert not unreached, f"public names nothing outside the tests reaches: {unreached}"

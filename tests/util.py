@@ -3,11 +3,51 @@
 import os
 import subprocess
 import sys
+from collections import deque
 from pathlib import Path
 
 from cylgraph.core import GammaLabel, Graph
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def girth(g: Graph) -> int | None:
+    """Length of a shortest cycle in the undirected view without loops or
+    parallel edges (None if acyclic), by BFS from every root."""
+    adj: dict = {v: set() for v in g.vertices}
+    for e in g.edges.values():
+        if e.tail != e.head:
+            adj[e.tail].add(e.head)
+            adj[e.head].add(e.tail)
+    best = None
+    for root in g.vertices:
+        dist = {root: 0}
+        parent = {root: None}
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for w in adj[u]:
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    parent[w] = u
+                    queue.append(w)
+                elif parent[u] != w:
+                    cyc = dist[u] + dist[w] + 1
+                    if best is None or cyc < best:
+                        best = cyc
+    return best
+
+
+def without_loops(g: Graph) -> Graph:
+    """A copy of ``g`` without its loops; every other edge keeps its id,
+    label and twin."""
+    out = Graph(g.symmetric)
+    out.add_vertices(g.vertices)
+    for eid, e in g.edges.items():
+        if e.tail != e.head:
+            out.add_edge(e.tail, e.head, e.label, eid)
+    out.pairing = {eid: tw for eid, tw in g.pairing.items() if eid in out.edges}
+    return out
 
 
 def cycle(n):
