@@ -21,6 +21,7 @@ from cylgraph.perm import Perm
 from util import (
     girth,
     iso_error,
+    outputs_under_hash_seeds,
     pool_scan,
     random_graph,
     random_multigraph,
@@ -188,6 +189,60 @@ def test_disjoint_union_refuses_vertex_names_that_collide():
         disjoint_union(cycle(3), cycle(3), (".s", ".s"))
     u = disjoint_union(_named("a", "b"), _named("a"), ("", "x"))
     assert list(u.vertices) == ["a", "b", "ax"]
+
+
+def test_disjoint_union_refuses_edge_ids_that_collide():
+    # the vertex names stay apart, but edge id "ex" meets "e" + "x": the
+    # union must refuse rather than drop one of the two edges
+    a = _named("p", "q")
+    a.add_edge("p", "q", eid="ex")
+    b = _named("r", "s")
+    b.add_edge("r", "s", eid="e")
+    with pytest.raises(DomainError, match=r"^duplicate edge id 'ex'$"):
+        disjoint_union(a, b, ("", "x"))
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_disjoint_union_keeps_the_output_of_names_that_stay_apart(symmetric):
+    rng = random.Random(21)
+    for suffixes in ((".0", ".1"), ("", "x"), ("l", "r")):
+        for _ in range(20):
+            a = random_multigraph(rng, rng.randint(0, 5), rng.randint(0, 8), symmetric=symmetric)
+            b = random_multigraph(rng, rng.randint(0, 5), rng.randint(0, 8), symmetric=symmetric)
+            b = b.relabel({v: f"b{v}" for v in b.vertices})  # "x" never ends a name of ``a``
+            u = disjoint_union(a, b, suffixes)
+            u.validate()
+            assert u.vertices == [f"{v}{s}" for g, s in zip((a, b), suffixes) for v in g.vertices]
+            assert {eid: (e.tail, e.head, e.label) for eid, e in u.edges.items()} == {
+                f"{eid}{s}": (f"{e.tail}{s}", f"{e.head}{s}", e.label)
+                for g, s in zip((a, b), suffixes) for eid, e in g.edges.items()
+            }
+            assert u.pairing == {f"{eid}{s}": f"{tw}{s}" for g, s in zip((a, b), suffixes)
+                                 for eid, tw in g.pairing.items()}
+
+
+COLLISION_SCRIPT = """
+from cylgraph.core import Graph, disjoint_union
+from cylgraph.cylinder import cyl_disjoint, cyl_sum, make_cylinder
+from cylgraph.errors import DomainError
+g = Graph(symmetric=True)
+g.add_vertices([1, "1"])
+g.add_sym_edge(1, "1")
+c = make_cylinder(g, [1], ["1"])
+for call in (lambda: disjoint_union(g, g), lambda: cyl_sum(c, c), lambda: cyl_disjoint(c, c)):
+    try:
+        call()
+    except DomainError as exc:
+        print(exc)
+"""
+
+
+def test_collision_messages_ignore_the_hash_seed():
+    outputs = outputs_under_hash_seeds(COLLISION_SCRIPT, seeds=(0, 12345))
+    assert len(outputs) == 1
+    lines = next(iter(outputs)).splitlines()
+    assert len(lines) == 3
+    assert all(line.startswith("vertex names collide after suffixing: 1 and '1' both become") for line in lines)
 
 
 def test_with_labels_reverses_twin_labels_like_add_sym_edge():

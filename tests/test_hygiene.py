@@ -88,24 +88,20 @@ def _reads(node) -> Counter:
     return reads
 
 
-def _readme_code_names() -> set:
-    """Every identifier inside backticks in README.md: inline code spans and
-    fenced blocks, the blocks' ``#`` comments left out."""
-    text = (REPO / "README.md").read_text(encoding="utf-8")
-    spans = [re.sub(r"#.*", "", block) for block in re.findall(r"```.*?```", text, flags=re.S)]
+def _readme_code_names(text: str) -> set:
+    """Every identifier inside backticks in the Markdown ``text``: inline code
+    spans and fenced blocks, the fences' info strings and ``#`` comments left
+    out."""
+    spans = [re.sub(r"#.*", "", block) for block in re.findall(r"```[^\n]*\n(.*?)```", text, flags=re.S)]
     spans += re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", text, flags=re.S))
     return {name for span in spans for name in re.findall(r"[A-Za-z_]\w*", span)}
 
 
-def test_public_names_are_reached():
-    """Every public module-level function and class, and every public method,
-    is in ``__all__``, read somewhere else in the package (as a name, an
-    attribute or a string such as the CLI's ``cmd_*`` dispatch), read by the
-    benchmark, named in backticks in README.md, or a ``*_direct`` oracle."""
-    trees = {path: _tree(path) for path in MODULES}
+def _unreached(trees: dict, known: set) -> list:
+    """``file:qualname`` of every public function, class and method in
+    ``trees`` (file name -> parsed module) that is not in ``known``, not a
+    ``*_direct`` oracle, and read nowhere in ``trees`` but in its own body."""
     package = sum(map(_reads, trees.values()), Counter())
-    bench = set().union(*(_reads(_tree(path)) for path in (REPO / "bench").glob("*.py")))
-    known = _exported() | bench | _readme_code_names()
 
     def defs(tree):
         for node in tree.body:
@@ -116,13 +112,54 @@ def test_public_names_are_reached():
                     if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                         yield f"{node.name}.{item.name}", item
 
-    unreached = [
-        f"{path.name}:{qualname}"
-        for path, tree in trees.items()
+    return [
+        f"{name}:{qualname}"
+        for name, tree in trees.items()
         for qualname, node in defs(tree)
         if not node.name.startswith("_")
         and not node.name.endswith("_direct")
         and node.name not in known
         and package[node.name] == _reads(node)[node.name]  # read nowhere but in its own body
     ]
+
+
+def test_public_names_are_reached():
+    """Every public module-level function and class, and every public method,
+    is in ``__all__``, read somewhere else in the package (as a name, an
+    attribute or a string such as the CLI's ``cmd_*`` dispatch), read by the
+    benchmark, named in backticks in README.md, or a ``*_direct`` oracle."""
+    trees = {path.name: _tree(path) for path in MODULES}
+    bench = set().union(*(_reads(_tree(path)) for path in (REPO / "bench").glob("*.py")))
+    known = _exported() | bench | _readme_code_names((REPO / "README.md").read_text(encoding="utf-8"))
+    unreached = _unreached(trees, known)
     assert not unreached, f"public names nothing outside the tests reaches: {unreached}"
+
+
+def test_reachability_rule_flags_what_only_tests_reach():
+    trees = {
+        "a.py": ast.parse(
+            "def kept(n):\n    return kept(n - 1) if n else helper()\n"  # recursion alone does not count
+            "def helper():\n    return Box().used()\n"
+            "def cmd_run():\n    pass\n"
+            "def table_direct():\n    pass\n"
+            "def listed():\n    pass\n"
+            "class Box:\n"
+            "    def used(self):\n        return self.lonely\n"
+            "    def lonely(self):\n        pass\n"
+            "    def dead(self):\n        return self.dead()\n"
+            "    def _private(self):\n        pass\n"
+        ),
+        "b.py": ast.parse("VERBS = {'run': 'cmd_run'}\n"),
+    }
+    assert _unreached(trees, {"listed"}) == ["a.py:kept", "a.py:Box.dead"]
+
+
+def test_readme_code_names_take_spans_and_fences_but_not_prose_or_comments():
+    text = (
+        "Prose names plain_word and `cyl_product(a, b)`.\n"
+        "```python\n"
+        "g = petersen()  # comment_word\n"
+        "```\n"
+        "More prose, then `twist`.\n"
+    )
+    assert _readme_code_names(text) == {"cyl_product", "a", "b", "g", "petersen", "twist"}
