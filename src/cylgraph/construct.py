@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import json
 import operator
+from collections.abc import Mapping
 
 from .core import Edge, GammaLabel, Graph, _class_names, _union, label_sort_key, node_budget
 from .cylinder import CylinderSet, _bare_rows, make_cylinder
@@ -294,19 +295,43 @@ def cyl_product(g: Graph, cset: CylinderSet) -> ProductTrace:
     return ProductTrace(out, g, cset, record)
 
 
-def _tuple_key(t) -> tuple:
-    return tuple(str(x) for x in t)
+class _Witnesses(Mapping):
+    """Read-only map, exponential edge id in edge order -> witness.  A read works the edge's pair out
+    from the edge (a triple fixes its pair) and joins the pair's shares of the component tables into
+    the witness, once per pair: a pair's edges share it."""
 
+    __slots__ = ("_graph", "_tuple_of", "_tables", "_read", "_pairs")
 
-def _tuple_name(t) -> str:
-    return json.dumps(list(t), separators=(",", ":"), default=str)
+    def __init__(self, graph, tuple_of, tables):
+        self._graph, self._tuple_of, self._tables = graph, tuple_of, tables  # tables: key -> _first_maps
+        self._read, self._pairs = {}, {}  # edge id -> witness, (cylinder key, p + q) -> witness
+
+    def __getitem__(self, fid) -> Homomorphism:
+        if fid not in self._read:
+            tail, head, lab = self._graph.edges[fid]
+            pair = (lab.key, lab.pre.act(self._tuple_of[tail]) + lab.post.act(self._tuple_of[head]))
+            if pair not in self._pairs:
+                layout, places, tables = self._tables[lab.key]
+                hom = self._pairs[pair] = object.__new__(Homomorphism)  # the graph's first map with the pair
+                shares = (t[tuple(map(pair[1].__getitem__, at))] for at, t in zip(places, tables))
+                hom.alphas, hom._picked = None, (layout, sum(shares, ()))
+            self._read[fid] = self._pairs[pair]
+        return self._read[fid]
+
+    def __iter__(self):
+        return iter(self._graph.edges)
+
+    def __len__(self) -> int:
+        return len(self._graph.edges)
 
 
 class ExpoTrace:
     """Result of :func:`exponential` plus everything the duality maps need.
 
     tuple_of       -- final vertex name -> representative tuple
-    witnesses      -- final edge id -> hom from that cylinder's graph into target
+    witnesses      -- read-only map, final edge id -> hom from that cylinder's
+                      graph into target, built on first read from the
+                      cylinder's per-component tables of first maps
     edge_by_triple -- (tail name, head name, GammaLabel) -> final edge id,
                       built from ``graph``'s edges on first read
     names          -- representative tuple -> vertex name (every orbit of
@@ -318,24 +343,15 @@ class ExpoTrace:
     permutations ``d``, in group order, with ``d.act(rep) == t``.
     """
 
-    __slots__ = (
-        "graph",
-        "cset",
-        "target",
-        "tuple_of",
-        "witnesses",
-        "_edge_by_triple",
-        "rep_choice",
-        "names",
-        "_reps",
-    )
+    __slots__ = ("graph", "cset", "target", "tuple_of", "witnesses", "_edge_by_triple", "rep_choice", "names",
+                 "_reps")
 
-    def __init__(self, graph, cset, target, tuple_of, witnesses, rep_choice, names, orbits):
+    def __init__(self, graph, cset, target, tuple_of, tables, rep_choice, names, orbits):
         self.graph = graph
         self.cset = cset
         self.target = target
         self.tuple_of = tuple_of
-        self.witnesses = witnesses
+        self.witnesses = _Witnesses(graph, tuple_of, tables)
         self._edge_by_triple = None
         self.rep_choice = rep_choice
         self.names = names
@@ -375,38 +391,34 @@ def _tuple_getter(idx: list):  # operator.itemgetter(*idx), a tuple also for one
 
 
 def _first_maps(cyl, h: Graph, budget: int | None):
-    """Each realized pair of rows ``y + z`` with its first map, in first-seen order."""
+    """The realized pairs of rows ``y + z`` factorised: one table per component, in the whole graph's
+    search order, from its share of the rows (its ``places`` in ``y + z``) to its first map's record.
+    Returns (layout, places, tables), None when some component has no map."""
     g, ends = cyl.graph, (*cyl.y, *cyl.z)
     comp_of = {v: i for i, comp in enumerate(g.components()) for v in comp}
     parts = [set(vs) for _, vs in itertools.groupby(_vertex_order(g, {}), comp_of.get)] or [set()]
     graphs = [g.induced(part) for part in parts] if len(parts) > 1 else [g]
     # as in the whole graph's search, no edge pick is charged before every part has a vertex map
     if not all(_has_vertex_map(part, h, budget) for part in graphs[:-1]):
-        return
-    tables: list = [{} for _ in parts]  # per part: its share of the rows -> the share's first map
+        return None
+    places = [[j for j, v in enumerate(ends) if v in part] for part in parts]
+    tables: list = [{} for _ in parts]
+    labels: list = [None] * len(parts)  # per part, what each place of a record holds: (0, edge) or (1, vertex)
     for i in range(-1, len(parts) - 1):  # the last part first: the others have vertex maps
-        read, first = _tuple_getter([v for v in ends if v in parts[i]]), tables[i]
+        read, first = _tuple_getter([ends[j] for j in places[i]]), tables[i]
         for hom in iter_homs(graphs[i], h, mode="labeled", budget=budget):
-            first.setdefault(read(hom.vmap), hom)
+            share = read(hom.vmap)
+            if share not in first:
+                first[share] = hom._picked[1] + tuple(hom.vmap.values())
         if not first:
-            return
-    if len(tables) == 1:
-        return (yield from tables[0].items())
-    # an entry: a part's edge picks, then vertex images; a product of entries is a joined map's values
-    labels = []  # what each place of such a product holds: (0, edge) or (1, vertex)
-    for graph, table in zip(graphs, tables):
-        labels += [(0, eid) for eid in _src_edges(graph)] + [(1, v) for v in next(iter(table.values())).vmap]
-    at, src, names = {label: i for i, label in enumerate(labels)}, _src_edges(g), [v for c, v in labels if c]
+            return None
+        # a record: the part's edge picks, then its vertex images, keyed as every map of the search
+        labels[i] = [(0, eid) for eid in _src_edges(graphs[i])] + [(1, v) for v in hom.vmap]
+    labels = list(itertools.chain(*labels))
+    at, src, names = {label: j for j, label in enumerate(labels)}, _src_edges(g), [v for c, v in labels if c]
     keys = src + [g.pairing[eid] for eid in src] if g.symmetric else src  # as ``iter_homs`` keys ``emap``
-    layout = (keys, h.pairing if g.symmetric else None, [at[0, e] for e in src], names,
-              [at[1, v] for v in names])
-    rows, flats = _tuple_getter([at[1, v] for v in ends]), [()]
-    for entries in ([hom._picked[1] + tuple(hom.vmap.values()) for hom in t.values()] for t in tables):
-        flats = [flat + entry for flat in flats for entry in entries]  # the first part outermost
-    for flat in flats:
-        hom = object.__new__(Homomorphism)  # the whole graph's first map with these shares
-        hom.alphas, hom._picked = None, (layout, flat)
-        yield rows(flat), hom
+    layout = (keys, h.pairing if g.symmetric else None, [at[0, e] for e in src], names, [at[1, v] for v in names])
+    return layout, places, tables
 
 
 def exponential(
@@ -427,17 +439,19 @@ def exponential(
     ``s(z_b) = R2[d+(b)]`` for every slot ``b``.  Vertices left isolated are
     dropped.
 
-    The witness stored for an edge is the first hom, in ``iter_homs`` order
-    over that cylinder's graph, whose boundary rows are the edge's pair
-    ``(p, q)``; :func:`~cylgraph.duality.section` fills cylinder interiors
-    from it.  A triple fixes ``p = R1 . d-`` and ``q = R2 . d+``, so every
-    triple of a pair is realized by the pair's first hom.  Each hom costs one
-    read of its boundary rows; triples are built once per realized pair.
+    The witness of an edge is the first hom, in ``iter_homs`` order over that
+    cylinder's graph, whose boundary rows are the edge's pair ``(p, q)``;
+    :func:`~cylgraph.duality.section` fills cylinder interiors from it.  A
+    triple fixes ``p = R1 . d-`` and ``q = R2 . d+``, so every triple of a
+    pair is realized by the pair's first hom.  Each hom costs one read of its
+    boundary rows; triples are built once per realized pair.
 
     A disconnected cylinder graph's homs are the product of its components'
-    (Lovász 1967), in ``iter_homs`` order the lexicographic one: each is searched
-    once, ``budget`` bounding each search, and a pair's witness joins its row
-    shares' first maps into, on first read, the whole graph's first hom for it.
+    (Lovász 1967), in ``iter_homs`` order the lexicographic one: each is
+    searched once, ``budget`` bounding each search, and the realized pairs are
+    the product of the components' tables of first maps, a factorised
+    representation (Olteanu & Závodný 2015).  The trace keeps the tables and
+    builds a witness from them on its first read.
     """
     if rep_choice not in ("min", "max"):
         raise DomainError(f"rep_choice must be 'min' or 'max', not {rep_choice!r}")
@@ -455,69 +469,77 @@ def exponential(
         raise ResourceLimit(f"tuple space {len(verts)}^{k} exceeds {MAX_TUPLE_SPACE}")
 
     orbits: dict = {}
-    reps: list = []
+    names: dict = {}  # representative -> vertex name, in first-seen order
     for t in itertools.product(verts, repeat=k):
         if t in orbits:
             continue
-        # ties under _tuple_key (names 1 and "1") go to the first in group order
-        r = pick([p.act(t) for p in group], key=_tuple_key)
+        # ties under ``str`` (names 1 and "1") go to the first in group order
+        r = pick([p.act(t) for p in group], key=lambda x: tuple(map(str, x)))
         for d in group:
             orbits.setdefault(d.act(r), (r, []))[1].append(d)
-        reps.append(r)
-        if len(reps) > max_vertices:
+        names[r] = json.dumps(list(r), separators=(",", ":"), default=str)
+        if len(names) > max_vertices:
             raise ResourceLimit(f"more than {max_vertices} orbit representatives; pass a larger max_vertices=")
-    names = {r: _tuple_name(r) for r in reps}
 
-    # (tail name, head name, label sort key) -> (label, witness, key of the reversed triple);
-    # the sort keys are cheap interned keys here and fix the edge numbering below
-    triples: dict = {}
-    for key in sorted(cset.keys(), key=str):
-        cyl = cset[key]
-        labels: dict = {}  # (d- images, d+ images) -> (label, its sort key, reversed label's sort key)
-        for pq, hom in _first_maps(cyl, h, budget):
+    # triple (tail, head, label) -> the integer (tail rank * N + head rank) * L + label rank: names are
+    # ranked by ``str`` and labels by sort key, ties sharing a rank; the first label seen keeps the triple
+    by_name = sorted(set(names.values()))
+    N, rank = len(by_name), {name: n for n, name in enumerate(by_name)}
+    rank = {r: rank[name] for r, name in names.items()}
+    keys = sorted(cset.keys(), key=str)
+    made = {(key, a.images, b.images): GammaLabel(a, key, b) for key in keys for a in group for b in group}
+    sort_key = {lk: label_sort_key(lab) for lk, lab in made.items()}
+    lrank = {sk: n for n, sk in enumerate(sorted(set(sort_key.values())))}
+    L = len(lrank)
+    # (key, d- images, d+ images) -> (label, its rank, its reversed label's rank)
+    labels = {(key, a, b): (lab, lrank[sort_key[key, a, b]], lrank[sort_key[key, b, a]])
+              for (key, a, b), lab in made.items()}
+    triples: dict = {}  # triple -> (label, its reversed label's rank)
+    tables: dict = {}  # cylinder key -> its _first_maps
+    for key in keys:
+        maps = tables[key] = _first_maps(cset[key], h, budget)
+        if maps is None:
+            continue
+        order = [j for at in maps[1] for j in at]  # the place in y + z of each value of a product of shares
+        rows = _tuple_getter(sorted(range(len(order)), key=order.__getitem__))
+        for shares in itertools.product(*maps[2]):
+            pq = rows(sum(shares, ()))
             r1, dm = orbits[pq[:k]]
             r2, dp = orbits[pq[k:]]
-            n1, n2 = names[r1], names[r2]
-            for a in dm:
-                for b in dp:
-                    ab = (a.images, b.images)
-                    lab = labels.get(ab)
-                    if lab is None:
-                        gl = GammaLabel(a, key, b)
-                        lab = labels[ab] = (gl, label_sort_key(gl), label_sort_key(gl.reversed()))
-                    tk = (n1, n2, lab[1])
-                    if tk not in triples:
-                        triples[tk] = (lab[0], hom, (n2, n1, lab[2]))
+            base = (rank[r1] * N + rank[r2]) * L
+            for a, b in itertools.product(dm, dp):
+                lab, lr, rl = labels[key, a.images, b.images]
+                if base + lr not in triples:
+                    triples[base + lr] = (lab, rl)
 
     # edge x<n> per triple in order, and when symmetric its twin x<n>t carrying the reverse
-    ends = {n for tk in triples for n in tk[:2]}
-    tuple_of = {names[r]: r for r in reps if names[r] in ends}
     g = Graph(symmetric=h.symmetric)
-    g._vertices = dict.fromkeys(tuple_of)
-    edges, pairing = g.edges, g.pairing
-    witnesses: dict = {}
-    n = 0
+    edges, pairing, new = g.edges, g.pairing, tuple.__new__
+    ends: set = set()  # ranks of the names edges meet
+    ids = itertools.count()
     for tk in sorted(triples):
-        lab, hom, rk = triples[tk]
+        lab, rl = triples[tk]
+        t, hd = divmod(tk // L, N)
         if h.symmetric:
+            rk = (hd * N + t) * L + rl
             if rk not in triples:
                 raise LabelConflict(
                     "exponential edge set is not reversal-closed; the cylinders are not genuinely symmetric"
                 )
             if rk < tk:
                 continue
-        fid = f"x{n}"
-        n += 1
-        edges[fid] = Edge(tk[0], tk[1], lab)
-        witnesses[fid] = hom
+        fid = f"x{next(ids)}"
+        ends.update((t, hd))
+        edges[fid] = new(Edge, (by_name[t], by_name[hd], lab))
         if h.symmetric:
             tid = fid + "t"
-            rlab, witnesses[tid], _ = triples[rk]
-            edges[tid] = Edge(rk[0], rk[1], rlab)
+            edges[tid] = new(Edge, (by_name[hd], by_name[t], triples[rk][0]))
             pairing[fid], pairing[tid] = tid, fid
 
+    tuple_of = {name: r for r, name in names.items() if rank[r] in ends}
+    g._vertices = dict.fromkeys(tuple_of)
     g.validate()
-    return ExpoTrace(g, cset, h, tuple_of, witnesses, rep_choice, names, orbits)
+    return ExpoTrace(g, cset, h, tuple_of, tables, rep_choice, names, orbits)
 
 
 def cylinders_from_surjection(g: Graph, h: Graph, vmap: dict) -> tuple[Graph, CylinderSet]:

@@ -293,9 +293,10 @@ class Graph:
 
         g = Graph(self.symmetric)
         g._vertices = dict(self._vertices)
+        new = tuple.__new__  # an Edge without NamedTuple's Python-level __new__
         g.edges = {
-            eid: Edge(e.tail, e.head, labels[eid] if eid in labels else from_twin(eid))
-            for eid, e in self.edges.items()
+            eid: new(Edge, (tail, head, labels[eid] if eid in labels else from_twin(eid)))
+            for eid, (tail, head, _) in self.edges.items()
         }
         g.pairing = dict(self.pairing)
         return g

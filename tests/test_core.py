@@ -6,6 +6,7 @@ import pytest
 
 from cylgraph.catalog import complete_graph, cycle_graph, neps_product, path_graph, petersen
 from cylgraph.core import (
+    Edge,
     Graph,
     GammaLabel,
     _weld,
@@ -254,6 +255,9 @@ def test_with_labels_reverses_twin_labels_like_add_sym_edge():
         built.add_sym_edge(t, h, lab)
     relabeled = built.stripped().with_labels(dict(zip(built.canonical_edges(), labels)))
     assert relabeled == built
+    # records built without NamedTuple's __new__ are still Edges, fields and all
+    assert all(type(e) is Edge for e in relabeled.edges.values())
+    assert [(e.tail, e.head, e.label) for e in relabeled.edges.values()] == list(map(tuple, built.edges.values()))
     assert list(relabeled.edges.items()) == list(built.edges.items())
     assert relabeled.edges["e1"].label == GammaLabel(swap, "a", ident)
     assert relabeled.edges["e3"].label == "x"
@@ -280,6 +284,7 @@ def test_stripped_keeps_insertion_order():
     assert list(bare.pairing.items()) == list(g.pairing.items())
     assert [e[:2] for e in bare.edges.values()] == [e[:2] for e in g.edges.values()]
     assert all(e.label is None for e in bare.edges.values())
+    assert all(type(e) is Edge and (e.tail, e.head) == e[:2] for e in bare.edges.values())
 
 
 def test_components_and_girth():

@@ -2,6 +2,7 @@
 earlier triple loop, kept as a differential oracle."""
 
 import copy
+import gc
 import itertools
 import json
 import pickle
@@ -14,8 +15,8 @@ import pytest
 import cylgraph.construct
 from cylgraph.catalog import complete_graph, cycle_graph, neps_cylinder, path_graph
 from cylgraph.cli import main
-from cylgraph.construct import exponential
-from cylgraph.core import GammaLabel, Graph, label_sort_key
+from cylgraph.construct import cyl_product, exponential, uniform_labels
+from cylgraph.core import Edge, GammaLabel, Graph, label_sort_key
 from cylgraph.cylinder import (
     CylinderSet,
     contraction_cyl,
@@ -27,6 +28,7 @@ from cylgraph.cylinder import (
     square_cyl,
     wedge_cyl,
 )
+from cylgraph.duality import section
 from cylgraph.errors import CylError, LabelConflict
 from cylgraph.hom import Homomorphism, check_hom, count_homs, iter_homs
 from cylgraph.perm import PermGroup, act
@@ -147,7 +149,7 @@ def expo_oracle(cset, h, rep_choice="min", budget=None):
     for t in itertools.product(verts, repeat=cset.width):
         if t in rep_of:
             continue
-        orbit = {p.act(t) for p in group}
+        orbit = [p.act(t) for p in group]  # names that tie under str go to the first in group order
         r = pick(orbit, key=tuple_key)
         for q in orbit:
             rep_of[q] = r
@@ -475,7 +477,7 @@ def test_a_joined_witness_copies_and_pickles_before_it_is_read(name):
     got = exponential(cset, h)
     g = cset[1].graph
     # one eid per witness: a pair's triples share their witness
-    firsts = {id(w): eid for eid, w in reversed(got.witnesses.items())}
+    firsts = {id(w): eid for eid, w in reversed(list(got.witnesses.items()))}
     for eid in list(firsts.values())[:20]:
         for slot in (Homomorphism.vmap, Homomorphism.emap):
             with pytest.raises(AttributeError):  # the slot itself: nothing has built the maps yet
@@ -487,6 +489,91 @@ def test_a_joined_witness_copies_and_pickles_before_it_is_read(name):
         assert list(copied.vmap) == list(pickled.vmap) == list(w.vmap)
         assert list(copied.emap) == list(pickled.emap) == list(w.emap)
         assert check_hom(g, h, w) is None
+
+
+def _homs_alive() -> int:
+    gc.collect()
+    return sum(type(o) is Homomorphism for o in gc.get_objects())
+
+
+@pytest.mark.parametrize("name", ["deletion", "identity2_symmetric", "tensor_P3"])
+def test_the_build_keeps_no_map_and_witnesses_are_built_on_first_read(name):
+    # the exponential keeps per-component records of first maps, not maps:
+    # a witness exists only once someone reads it, and then once per pair
+    cset, h = _split_instances()[name]
+    before = _homs_alive()
+    et = exponential(cset, h)
+    assert _homs_alive() == before
+    assert list(et.witnesses) == list(et.graph.edges)
+    assert len(et.witnesses) == len(et.graph.edges)
+    fid = next(iter(et.witnesses))
+    with pytest.raises(TypeError):
+        et.witnesses[fid] = et.witnesses[fid]
+    by_pair = {}
+    for fid, e in et.graph.edges.items():
+        assert type(e) is Edge and (e.tail, e.head, e.label) == tuple(e)
+        w = et.witnesses[fid]
+        assert et.witnesses[fid] is w
+        lab = e.label
+        pair = (lab.key, lab.pre.act(et.tuple_of[e.tail]), lab.post.act(et.tuple_of[e.head]))
+        assert by_pair.setdefault(pair, w) is w
+    assert len(by_pair) < len(et.graph.edges)  # some pair has more than one edge
+    assert _homs_alive() == before + len(by_pair)
+
+
+def _trace_copies(et):
+    return {
+        "copy": copy.copy(et),
+        "deepcopy": copy.deepcopy(et),
+        "pickle": pickle.loads(pickle.dumps(et)),
+    }
+
+
+@pytest.mark.parametrize("name", ["deletion", "identity2_symmetric", "tensor_P3"])
+def test_a_whole_trace_copies_and_pickles_before_and_after_reads(name):
+    cset, h = _split_instances()[name]
+    g = uniform_labels(path_graph(3), 1, width=cset.width)
+    tr = cyl_product(g, cset)
+
+    def witnesses(et):
+        return [(fid, w.key(), list(w.vmap), list(w.emap)) for fid, w in et.witnesses.items()]
+
+    for reads in (0, 5):
+        et = exponential(cset, h)
+        for fid in list(et.witnesses)[:reads]:
+            et.witnesses[fid].emap
+        want = witnesses(exponential(cset, h))
+        sp = next(iter_homs(g, et.graph, mode="gamma", group=cset.group))
+        assert witnesses(et) == want
+        for how, other in _trace_copies(et).items():
+            assert witnesses(other) == want, how
+            assert section(tr, other, sp) == section(tr, et, sp), how
+
+
+def _more_oracle_cases():
+    """name -> (cylinder set, target, rep_choice)."""
+    tied = Graph(symmetric=True)
+    tied.add_vertices([1, "1"])
+    tied.add_sym_edge(1, "1")
+    tied.add_sym_edge(1, 1)
+    identity_s2, multigraph = _split_instances()["identity2_symmetric"]
+    return {
+        "rep_choice_max": (identity_s2, multigraph, "max"),
+        "square_sqcap_s2": (
+            CylinderSet(PermGroup.symmetric(2), {1: square_cyl(), 2: sqcap_cyl()}),
+            random_multigraph(random.Random(7), 4, 9, symmetric=True),
+            "min",
+        ),
+        "tied_names": (CylinderSet(PermGroup.symmetric(2), {1: identity_cyl(2)}), tied, "min"),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_more_oracle_cases()))
+def test_witnesses_worked_out_from_their_edges_match_the_frozen_triple_loop(name):
+    cset, h, rep_choice = _more_oracle_cases()[name]
+    got = exponential(cset, h, rep_choice=rep_choice)
+    assert got.graph.edges
+    _assert_matches_oracle(got, expo_oracle(cset, h, rep_choice))
 
 
 def _clique_beside_an_unmatched_edge():
