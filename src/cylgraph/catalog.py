@@ -21,6 +21,7 @@ from .cylinder import (
     Cylinder,
     CylinderSet,
     _bare_rows,
+    contraction_cyl,
     deletion_cyl,
     identity_cyl,
     make_cylinder,
@@ -35,8 +36,8 @@ from .perm import Perm, PermGroup, _perm_checked
 # -- plain builders --------------------------------------------------------
 
 
-def empty_graph(n: int, symmetric: bool = True) -> Graph:
-    g = Graph(symmetric=symmetric)
+def empty_graph(n: int) -> Graph:
+    g = Graph(symmetric=True)
     g.add_vertices(range(count_checked(n, "n=")))
     return g
 
@@ -537,7 +538,7 @@ def graph_minor(g: Graph, contract=(), delete=()) -> Graph:
     directed = not g.symmetric
     cyls = {
         "keep": identity_cyl(1, directed=directed),
-        "cut": path_cyl(0, directed=directed),
+        "cut": contraction_cyl(directed),
         "drop": deletion_cyl(directed),
     }
     cs = CylinderSet(PermGroup.trivial(1), cyls)

@@ -343,17 +343,15 @@ class ExpoTrace:
     permutations ``d``, in group order, with ``d.act(rep) == t``.
     """
 
-    __slots__ = ("graph", "cset", "target", "tuple_of", "witnesses", "_edge_by_triple", "rep_choice", "names",
-                 "_reps")
+    __slots__ = ("graph", "cset", "target", "tuple_of", "witnesses", "_edge_by_triple", "names", "_reps")
 
-    def __init__(self, graph, cset, target, tuple_of, tables, rep_choice, names, orbits):
+    def __init__(self, graph, cset, target, tuple_of, tables, names, orbits):
         self.graph = graph
         self.cset = cset
         self.target = target
         self.tuple_of = tuple_of
         self.witnesses = _Witnesses(graph, tuple_of, tables)
         self._edge_by_triple = None
-        self.rep_choice = rep_choice
         self.names = names
         self._reps = orbits
 
@@ -375,12 +373,6 @@ class ExpoTrace:
     def shift(self, t: tuple) -> Perm:
         """The first slot permutation, in group order, carrying ``rep(t)`` to ``t``."""
         return self._reps[tuple(t)][1][0]
-
-    def name(self, t: tuple) -> str:
-        return self.names[self.rep(t)]
-
-    def find_edge(self, tail_name: str, head_name: str, label: GammaLabel):
-        return self.edge_by_triple.get((tail_name, head_name, label))
 
     def __repr__(self) -> str:
         return f"ExpoTrace({len(self.graph.vertices)} vertices, {len(self.graph.edges)} edges)"
@@ -425,15 +417,13 @@ def exponential(
     cset: CylinderSet,
     h: Graph,
     *,
-    rep_choice: str = "min",
     budget: int | None = None,
     max_vertices: int = 10_000,
 ) -> ExpoTrace:
     """Build the exponential of ``h`` by the cylinder set.
 
-    Vertices: one representative per orbit of ``V(h)^k`` under the slot group
-    (lexicographically smallest by default; ``rep_choice="max"`` picks the
-    largest, which must give an isomorphic answer).  Edges: ``(R1, R2)`` gets
+    Vertices: one representative per orbit of ``V(h)^k`` under the slot group,
+    the smallest in ``str``-lexicographic order.  Edges: ``(R1, R2)`` gets
     label ``(d-, key, d+)`` when some labeled homomorphism ``s`` from that
     cylinder's graph into ``h`` satisfies ``s(y_b) = R1[d-(b)]`` and
     ``s(z_b) = R2[d+(b)]`` for every slot ``b``.  Vertices left isolated are
@@ -453,8 +443,6 @@ def exponential(
     representation (Olteanu & Závodný 2015).  The trace keeps the tables and
     builds a witness from them on its first read.
     """
-    if rep_choice not in ("min", "max"):
-        raise DomainError(f"rep_choice must be 'min' or 'max', not {rep_choice!r}")
     count_checked(max_vertices, "max_vertices=")
     budget = node_budget(budget)
     if h.symmetric != cset.symmetric:
@@ -462,7 +450,6 @@ def exponential(
     h.validate()
     group = cset.group
     k = cset.width
-    pick = min if rep_choice == "min" else max
 
     verts = sorted(h.vertices, key=str)
     if verts and len(verts) ** k > MAX_TUPLE_SPACE:
@@ -474,7 +461,7 @@ def exponential(
         if t in orbits:
             continue
         # ties under ``str`` (names 1 and "1") go to the first in group order
-        r = pick([p.act(t) for p in group], key=lambda x: tuple(map(str, x)))
+        r = min((p.act(t) for p in group), key=lambda x: tuple(map(str, x)))
         for d in group:
             orbits.setdefault(d.act(r), (r, []))[1].append(d)
         names[r] = json.dumps(list(r), separators=(",", ":"), default=str)
@@ -539,7 +526,7 @@ def exponential(
     tuple_of = {name: r for r, name in names.items() if rank[r] in ends}
     g._vertices = dict.fromkeys(tuple_of)
     g.validate()
-    return ExpoTrace(g, cset, h, tuple_of, tables, rep_choice, names, orbits)
+    return ExpoTrace(g, cset, h, tuple_of, tables, names, orbits)
 
 
 def cylinders_from_surjection(g: Graph, h: Graph, vmap: dict) -> tuple[Graph, CylinderSet]:

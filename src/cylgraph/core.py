@@ -364,12 +364,12 @@ class Graph:
             g.validate()
         return g
 
-    def to_dot(self, name: str = "G") -> str:
+    def to_dot(self) -> str:
         def q(x) -> str:
             return '"' + str(x).replace('"', r"\"") + '"'
 
         kind, arrow = ("graph", "--") if self.symmetric else ("digraph", "->")
-        lines = [f"{kind} {q(name)} {{"]
+        lines = [f'{kind} "G" {{']
         for v in sorted(self._vertices, key=str):
             lines.append(f"  {q(v)};")
         for eid in sorted(self.canonical_edges()):

@@ -87,16 +87,10 @@ class Cylinder:
         return make_cylinder(Graph.from_json(data.get("graph")), *rows)
 
 
-def make_cylinder(graph: Graph, y, z, eps: Mapping[int, int] | None = None) -> Cylinder:
-    """Validated constructor, the only one: every cylinder is built here.  If
-    ``eps`` is given it is cross-checked against the actual row overlap (both
-    inclusions)."""
+def make_cylinder(graph: Graph, y, z) -> Cylinder:
+    """Validated constructor, the only one: every cylinder is built here."""
     cyl = Cylinder(graph, y, z)
     cyl.validate()
-    if eps is not None:
-        actual = cyl.eps()
-        if dict(eps) != actual:
-            raise EpsilonError(f"declared overlap {dict(eps)!r} but rows overlap as {actual!r}")
     return cyl
 
 
@@ -289,6 +283,7 @@ def path_cyl(n: int, labels=None, directed: bool = False) -> Cylinder:
 
 
 def contraction_cyl(directed: bool = False) -> Cylinder:
+    """Width-1, one vertex on both rows: gluing it contracts the edge."""
     return path_cyl(0, directed=directed)
 
 
@@ -324,20 +319,3 @@ def square_cyl() -> Cylinder:
     g.add_sym_edge("y1", "z1")
     g.add_sym_edge("y2", "z2")
     return make_cylinder(g, ys, zs)
-
-
-_BUILTINS = {
-    "identity": lambda k=1, directed=False: identity_cyl(k, directed),
-    "path": lambda n=1, labels=None, directed=False: path_cyl(n, labels, directed),
-    "contraction": lambda directed=False: contraction_cyl(directed),
-    "deletion": lambda directed=False: deletion_cyl(directed),
-    "sqcap": lambda: sqcap_cyl(),
-    "wedge": lambda: wedge_cyl(),
-    "square": lambda: square_cyl(),
-}
-
-
-def builtin_cylinder(name: str, **params) -> Cylinder:
-    if name not in _BUILTINS:
-        raise DomainError(f"unknown builtin cylinder {name!r} (have: {', '.join(sorted(_BUILTINS))})")
-    return _BUILTINS[name](**params)

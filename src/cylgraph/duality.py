@@ -17,7 +17,7 @@ small report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .construct import ExpoTrace, ProductTrace, cyl_product, exponential, uniform_labels
 from .core import GammaLabel, Graph
@@ -46,14 +46,17 @@ def _lift(g: Graph, et: ExpoTrace, rows, no_vertex: str, no_edge: str) -> Homomo
     edge no exponential edge realizes."""
     vmap: dict = {}
     shift: dict = {}  # v -> the slot permutation carrying its representative to its tuple
+    twist: dict = {}  # v -> its inverse, the twist at v
     for v, row in rows:
         name = et.names.get(et.rep(row))
         if name is None or not et.graph.has_vertex(name):
             raise DomainError(no_vertex.format(v=v))
         vmap[v] = name
         shift[v] = et.shift(row)
+        twist[v] = shift[v].inverse()
     emap: dict = {}
     alphas: dict = {}
+    by_triple = et.edge_by_triple
     for eid in _src_edges(g):
         e = g.edges[eid]
         want = GammaLabel(
@@ -61,12 +64,12 @@ def _lift(g: Graph, et: ExpoTrace, rows, no_vertex: str, no_edge: str) -> Homomo
             e.label.key,
             compose(shift[e.head], e.label.post),
         )
-        x = et.find_edge(vmap[e.tail], vmap[e.head], want)
+        x = by_triple.get((vmap[e.tail], vmap[e.head], want))
         if x is None:
             raise DomainError(no_edge.format(eid=eid))
         emap.update(zip(g.with_twin(eid), et.graph.with_twin(x)))
-        alphas[e.tail] = shift[e.tail].inverse()
-        alphas[e.head] = shift[e.head].inverse()
+        alphas[e.tail] = twist[e.tail]
+        alphas[e.head] = twist[e.head]
     return Homomorphism(vmap, emap, alphas)
 
 
@@ -242,15 +245,7 @@ class DualityReport:
     maps_checked: int
 
     def to_json(self) -> dict:
-        return {
-            "count_product_side": self.count_product_side,
-            "count_exponential_side": self.count_exponential_side,
-            "exists_equiv": self.exists_equiv,
-            "retraction_section_identity": self.retraction_section_identity,
-            "tight_on_G": self.tight_on_G,
-            "gamma_action_free": self.gamma_action_free,
-            "maps_checked": self.maps_checked,
-        }
+        return asdict(self)
 
 
 def check_duality(g: Graph, cset: CylinderSet, h: Graph, *,

@@ -22,7 +22,7 @@ from cylgraph.catalog import (
 )
 from cylgraph.construct import exponential
 from cylgraph.core import isomorphic
-from cylgraph.cylinder import CylinderSet, builtin_cylinder, generalized_loop, identity_cyl, path_cyl, twist
+from cylgraph.cylinder import CylinderSet, generalized_loop, identity_cyl, path_cyl, twist
 from cylgraph.errors import CylError, DomainError, NotAPermutation
 from cylgraph.hom import count_homs, find_hom, list_homs
 from cylgraph.perm import Perm, PermGroup
@@ -41,7 +41,6 @@ CALLS = {
     "k=": [
         lambda v: kneser_graph(5, v),
         identity_cyl,
-        lambda v: builtin_cylinder("identity", k=v),
         lambda v: voltage_lift(C3, {}, v),
         Perm.identity,
         Perm.from_cycles,
@@ -65,7 +64,6 @@ CALLS = {
     "max_vertices=": [lambda v: exponential(P2_SET, C3, max_vertices=v)],
     "path length": [
         path_cyl,
-        lambda v: builtin_cylinder("path", n=v),
         lambda v: walk_power(C3, v),
         lambda v: subdivision(P1, v),
         lambda v: fractional_power(P1, v, 1),
@@ -112,9 +110,9 @@ NOW_REJECTED = {
     "Perm.identity(-1)": (lambda: Perm.identity(-1), "k=", -1),
     "complete_graph(True)": (lambda: complete_graph(True), "n=", True),
     "identity_cyl(True)": (lambda: identity_cyl(True), "k=", True),
-    "builtin_cylinder('path', n='2')": (lambda: builtin_cylinder("path", n="2"), "path length", "2"),
-    "builtin_cylinder('path', n=2.7)": (lambda: builtin_cylinder("path", n=2.7), "path length", 2.7),
-    "builtin_cylinder('identity', k=2.9)": (lambda: builtin_cylinder("identity", k=2.9), "k=", 2.9),
+    "path_cyl('2')": (lambda: path_cyl("2"), "path length", "2"),
+    "path_cyl(2.7)": (lambda: path_cyl(2.7), "path length", 2.7),
+    "identity_cyl(2.9)": (lambda: identity_cyl(2.9), "k=", 2.9),
     "PermGroup.symmetric(-1)": (lambda: PermGroup.symmetric(-1), "k=", -1),
     "PermGroup.trivial(-1)": (lambda: PermGroup.trivial(-1), "k=", -1),
     "PermGroup.cyclic(-1)": (lambda: PermGroup.cyclic(-1), "k=", -1),
@@ -138,8 +136,8 @@ def test_inputs_once_accepted_or_raw_are_domain_errors(name):
 def test_valid_counts_still_build():
     assert len(complete_graph(0).vertices) == 0
     assert len(path_graph(0).vertices) == 1
-    assert builtin_cylinder("path", n=2) == path_cyl(2)
-    assert builtin_cylinder("identity", k=3) == identity_cyl(3)
+    assert path_cyl(2).width == 1 and len(path_cyl(2).graph.vertices) == 3
+    assert identity_cyl(3).width == 3
     assert len(PermGroup.cyclic(0)) == 1 and len(PermGroup.symmetric(3, limit=6)) == 6
     assert list_homs(C3, C3, limit=0) == []
 

@@ -270,20 +270,7 @@ def test_exponential_witnesses_are_valid():
         q = tuple(hom.vmap[v] for v in cs["w"].z)
         assert e.label.pre.act(et.tuple_of[e.tail]) == p
         assert e.label.post.act(et.tuple_of[e.head]) == q
-        found = et.find_edge(e.tail, e.head, e.label)
-        assert found in et.graph.pair_class(eid)
-
-
-def test_exponential_rep_choice_is_irrelevant():
-    cs = CylinderSet(PermGroup.symmetric(2), {"w": wedge_cyl()})
-    h = complete(3)
-    lo = exponential(cs, h, rep_choice="min")
-    hi = exponential(cs, h, rep_choice="max")
-    assert len(lo.graph.vertices) == len(hi.graph.vertices)
-    assert len(lo.graph.edges) == len(hi.graph.edges)
-    assert isomorphic(lo.graph.stripped(), hi.graph.stripped()) is not None
-    with pytest.raises(DomainError):
-        exponential(cs, h, rep_choice="median")
+        assert et.edge_by_triple[e.tail, e.head, e.label] in et.graph.pair_class(eid)
 
 
 def test_exponential_budget_and_degenerate_targets():

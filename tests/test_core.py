@@ -441,8 +441,8 @@ def test_json_roundtrip():
 
 def test_dot_output():
     g = cycle(3)
-    dot = g.to_dot("c3")
-    assert dot.startswith('graph "c3"')
+    dot = g.to_dot()
+    assert dot.startswith('graph "G" {')
     assert dot.count("--") == 3
     d = Graph()
     d.add_vertices("ab")

@@ -4,7 +4,6 @@ from cylgraph.core import Graph
 from cylgraph.cylinder import (
     Cylinder,
     CylinderSet,
-    builtin_cylinder,
     contraction_cyl,
     cyl_disjoint,
     cyl_sum,
@@ -50,6 +49,13 @@ def test_path_cylinder_shape():
     assert path_cyl(0).eps() == {1: 1}
 
 
+@pytest.mark.parametrize("directed", [False, True])
+def test_contraction_cylinder_is_the_empty_path(directed):
+    # the cylinder graph_minor glues in for a contracted edge: one vertex on both rows
+    assert contraction_cyl(directed) == path_cyl(0, directed=directed)
+    assert contraction_cyl(directed).eps() == {1: 1}
+
+
 def test_sqcap_wedge_square_shapes():
     assert sqcap_cyl().width == 2
     assert len(sqcap_cyl().graph.edges) == 6
@@ -80,15 +86,6 @@ def test_make_cylinder_rejects_base_mismatch():
     g.add_edge("y1", "y2")
     with pytest.raises(NotACylinder):
         make_cylinder(g, ["y1", "y2"], ["z1", "z2"])
-
-
-def test_make_cylinder_eps_crosscheck():
-    c = wedge_cyl()
-    assert make_cylinder(c.graph, c.y, c.z, eps={1: 1}) is not None
-    with pytest.raises(EpsilonError):
-        make_cylinder(c.graph, c.y, c.z, eps={})
-    with pytest.raises(EpsilonError):
-        make_cylinder(c.graph, c.y, c.z, eps={1: 1, 2: 2})
 
 
 def test_twist_moves_rows_and_eps():
@@ -217,13 +214,6 @@ def test_cylinder_set_rejects_a_repeated_key(second):
     data["cylinders"][1]["key"] = second
     with pytest.raises(DomainError, match=f"cylinder record #1 repeats the key {second!r}"):
         CylinderSet.from_json(data)
-
-
-def test_builtin_dispatcher():
-    assert builtin_cylinder("identity", k=2).width == 2
-    assert builtin_cylinder("sqcap") == sqcap_cyl()
-    with pytest.raises(DomainError):
-        builtin_cylinder("nope")
 
 
 def test_det_cyl_bases_trivial():

@@ -85,6 +85,20 @@ def test_nonfree_instance_keeps_existence_only():
     assert rep.to_json()["count_exponential_side"] == 2
 
 
+def test_retraction_inverts_each_vertex_shift_once(monkeypatch):
+    cs = one_cyl(sqcap_cyl(), PermGroup.symmetric(2))
+    g, h = pentagon_pentagram(), complete(3)
+    tr, et = cyl_product(g, cs), exponential(cs, h)
+    sigma = find_hom(tr.graph, h, mode="labeled")
+    shifts = {v: et.shift(tuple(sigma.vmap[s] for s in tr.blowup(v))) for v in g.vertices}
+    inverse, calls = Perm.inverse, []
+    monkeypatch.setattr(Perm, "inverse", lambda p: calls.append(p) or inverse(p))
+    sp = retraction(tr, et, sigma)
+    assert calls == list(shifts.values())  # one per vertex, not one per incident edge
+    assert sp.alphas == {v: inverse(d) for v, d in shifts.items()}
+    assert len(set(shifts.values())) == 2  # both slot orders occur
+
+
 def test_random_free_instances_roundtrip(seed=20240817):
     rng = random.Random(seed)
     cs = one_cyl(sqcap_cyl(), PermGroup.symmetric(2))

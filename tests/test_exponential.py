@@ -16,7 +16,7 @@ import cylgraph.construct
 from cylgraph.catalog import complete_graph, cycle_graph, neps_cylinder, path_graph
 from cylgraph.cli import main
 from cylgraph.construct import cyl_product, exponential, uniform_labels
-from cylgraph.core import Edge, GammaLabel, Graph, label_sort_key
+from cylgraph.core import Edge, GammaLabel, Graph, isomorphic, label_sort_key
 from cylgraph.cylinder import (
     CylinderSet,
     contraction_cyl,
@@ -284,9 +284,9 @@ def _random_instance(rng):
         h = random_multigraph(rng, n, rng.randint(n, 3 * n), labels=labels, symmetric=symmetric)
     else:
         h = random_graph(rng, n, p=0.6, symmetric=symmetric, loops=rng.random() < 0.3)
-    rep_choice = "max" if rng.random() < 0.3 else "min"
+    largest = rng.random() < 0.3  # also compare with the oracle on the largest representatives
     budget = rng.choice([None, None, None, rng.randint(1, 300)])
-    return cset, h, rep_choice, budget
+    return cset, h, largest, budget
 
 
 def _outcome(build):
@@ -318,7 +318,18 @@ def _assert_matches_oracle(got, want):
     by_sort_key = [((t, hd, label_sort_key(lab)), eid) for (t, hd, lab), eid in got.edge_by_triple.items()]
     assert by_sort_key == list(edge_by_triple.items())
     for name, r in tuple_of.items():
-        assert got.name(r) == name
+        assert got.names[got.rep(r)] == name
+
+
+def _assert_isomorphic_to_the_largest_representatives(got, cset, h):
+    """The exponential is one graph up to isomorphism whichever orbit
+    representative each vertex takes: ``got``, built on the smallest, is
+    isomorphic to the oracle's graph on the largest once each label is cut
+    down to its cylinder key (an edge's twists follow its ends' representatives)."""
+    def by_key(g):
+        return g.with_labels({eid: e.label.key for eid, e in g.edges.items()})
+
+    assert isomorphic(by_key(got.graph), by_key(expo_oracle(cset, h, "max")[0])) is not None
 
 
 def test_exponential_matches_the_frozen_triple_loop():
@@ -327,14 +338,17 @@ def test_exponential_matches_the_frozen_triple_loop():
     # once: where the oracle runs out of budget, the exponential either does
     # too or agrees with the oracle run without a budget.
     rng = random.Random(4004)
-    skipped = conflicts = limits = twisted = compared = 0
+    skipped = conflicts = limits = twisted = compared = largest_compared = 0
     for _ in range(300):
-        cset, h, rep_choice, budget = _random_instance(rng)
-        want = _outcome(lambda: expo_oracle(cset, h, rep_choice, budget))
-        got = _outcome(lambda: exponential(cset, h, rep_choice=rep_choice, budget=budget))
+        cset, h, largest, budget = _random_instance(rng)
+        want = _outcome(lambda: expo_oracle(cset, h, budget=budget))
+        got = _outcome(lambda: exponential(cset, h, budget=budget))
+        if largest and not _is_error(got):
+            _assert_isomorphic_to_the_largest_representatives(got, cset, h)
+            largest_compared += 1
         if _is_error(want):
             if want[0] == "ResourceLimit" and got != want:
-                _assert_matches_oracle(got, _outcome(lambda: expo_oracle(cset, h, rep_choice)))
+                _assert_matches_oracle(got, _outcome(lambda: expo_oracle(cset, h)))
             else:
                 assert got == want
             conflicts += want[0] == "LabelConflict"
@@ -346,7 +360,7 @@ def test_exponential_matches_the_frozen_triple_loop():
         twisted += len(cset.group.elements) > 1
         compared += 1
     # the battery reaches the cases the deduplication and the verdicts touch
-    assert compared >= 200
+    assert compared >= 200 and largest_compared >= 50
     assert skipped >= 50
     assert twisted >= 50
     assert conflicts >= 1 and limits >= 5
@@ -551,29 +565,43 @@ def test_a_whole_trace_copies_and_pickles_before_and_after_reads(name):
 
 
 def _more_oracle_cases():
-    """name -> (cylinder set, target, rep_choice)."""
+    """name -> (cylinder set, target)."""
     tied = Graph(symmetric=True)
     tied.add_vertices([1, "1"])
     tied.add_sym_edge(1, "1")
     tied.add_sym_edge(1, 1)
-    identity_s2, multigraph = _split_instances()["identity2_symmetric"]
     return {
-        "rep_choice_max": (identity_s2, multigraph, "max"),
         "square_sqcap_s2": (
             CylinderSet(PermGroup.symmetric(2), {1: square_cyl(), 2: sqcap_cyl()}),
             random_multigraph(random.Random(7), 4, 9, symmetric=True),
-            "min",
         ),
-        "tied_names": (CylinderSet(PermGroup.symmetric(2), {1: identity_cyl(2)}), tied, "min"),
+        "tied_names": (CylinderSet(PermGroup.symmetric(2), {1: identity_cyl(2)}), tied),
     }
 
 
 @pytest.mark.parametrize("name", sorted(_more_oracle_cases()))
 def test_witnesses_worked_out_from_their_edges_match_the_frozen_triple_loop(name):
-    cset, h, rep_choice = _more_oracle_cases()[name]
-    got = exponential(cset, h, rep_choice=rep_choice)
+    cset, h = _more_oracle_cases()[name]
+    got = exponential(cset, h)
     assert got.graph.edges
-    _assert_matches_oracle(got, expo_oracle(cset, h, rep_choice))
+    _assert_matches_oracle(got, expo_oracle(cset, h))
+
+
+def _largest_representative_cases():
+    """name -> (cylinder set, target), each under a slot group with orbits of two tuples."""
+    return {
+        "identity2_symmetric": _split_instances()["identity2_symmetric"],
+        "wedge_s2_k3": (CylinderSet(PermGroup.symmetric(2), {"w": wedge_cyl()}), complete_graph(3)),
+        **_more_oracle_cases(),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_largest_representative_cases()))
+def test_the_largest_representatives_give_an_isomorphic_exponential(name):
+    cset, h = _largest_representative_cases()[name]
+    got = exponential(cset, h)
+    assert got.graph.edges
+    _assert_isomorphic_to_the_largest_representatives(got, cset, h)
 
 
 def _clique_beside_an_unmatched_edge():
