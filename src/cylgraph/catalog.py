@@ -279,6 +279,8 @@ def voltage_lift(base: Graph, voltages: dict, k: int) -> Graph:
     the identity.  Coincident sheets collapse to a single edge."""
     ident = Perm.identity(k)
     perms = {eid: voltages.get(eid, ident) for eid in sorted(base.canonical_edges())}
+    if bad := [eid for eid in voltages if eid not in perms]:
+        raise DomainError(f"voltage key {bad[0]!r} is not an edge id of the base (a twin pair goes by its smaller id)")
     for eid, rho in perms.items():
         if _perm_checked(rho, f"voltage on {eid!r}").degree != k:
             raise DomainError(f"voltage on {eid!r} has degree {rho.degree}, expected {k}")
@@ -294,7 +296,9 @@ def voltage_lift_direct(base: Graph, voltages: dict, k: int) -> Graph:
     ident = Perm.identity(k)
     out = Graph(symmetric=base.symmetric)
     out.add_vertices(f"{v}#{b}" for v in base.vertices for b in range(1, k + 1))
-    canon = base.canonical_edges()
+    canon = set(base.canonical_edges())
+    if bad := [eid for eid in voltages if eid not in canon]:
+        raise DomainError(f"voltage key {bad[0]!r} is not an edge id of the base (a twin pair goes by its smaller id)")
     seen: set = set()
     for eid in sorted(canon):
         e = base.edges[eid]

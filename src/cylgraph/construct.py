@@ -130,8 +130,8 @@ def _audit_product_labels(g: Graph, cset: CylinderSet) -> None:
             raise LabelConflict(f"edge {eid!r} carries {lab!r}, not a slot-group label")
         if lab.key not in cset:
             raise DomainError(f"edge {eid!r} asks for cylinder {lab.key!r}, which the set lacks")
-        if lab.pre.degree != k or lab.post.degree != k:
-            raise DomainError(f"edge {eid!r} twists {lab.pre.degree} slots, cylinders have {k}")
+        if (d := lab.pre.degree) != k or (d := lab.post.degree) != k:
+            raise DomainError(f"edge {eid!r} twists {d} slots, cylinders have {k}")
         for p in (lab.pre, lab.post):
             if p.images not in inside:
                 if p not in group:
@@ -243,7 +243,7 @@ def cyl_product(g: Graph, cset: CylinderSet) -> ProductTrace:
 
     out = Graph(symmetric=g.symmetric)
     out._vertices = dict.fromkeys(sorted(set(names)))
-    edges, pairing = out.edges, out.pairing
+    edges, pairing, new = out.edges, out.pairing, tuple.__new__  # an Edge without NamedTuple's __new__
 
     # Each canonical cylinder edge travels with its twin when symmetric.  An
     # end (tail node, head node, label id) is the integer
@@ -279,12 +279,12 @@ def cyl_product(g: Graph, cset: CylinderSet) -> ProductTrace:
                 fid = f"{eid}@{ids[0]}"
                 if fid in edges:
                     raise DomainError(_ID_CLASH.format(fid))
-                edges[fid] = Edge(names[a], names[b], lab)
+                edges[fid] = new(Edge, (names[a], names[b], lab))
                 if symmetric:
                     tid = f"{eid}@{ids[1]}"
                     if tid in edges:
                         raise DomainError(_ID_CLASH.format(tid))
-                    edges[tid] = Edge(names[b], names[a], rlab)
+                    edges[tid] = new(Edge, (names[b], names[a], rlab))
                     pairing[fid] = tid
                     pairing[tid] = fid
             gids.append(2 * gid + first)
@@ -343,12 +343,11 @@ class ExpoTrace:
     permutations ``d``, in group order, with ``d.act(rep) == t``.
     """
 
-    __slots__ = ("graph", "cset", "target", "tuple_of", "witnesses", "_edge_by_triple", "names", "_reps")
+    __slots__ = ("graph", "cset", "tuple_of", "witnesses", "_edge_by_triple", "names", "_reps")
 
-    def __init__(self, graph, cset, target, tuple_of, tables, names, orbits):
+    def __init__(self, graph, cset, tuple_of, tables, names, orbits):
         self.graph = graph
         self.cset = cset
-        self.target = target
         self.tuple_of = tuple_of
         self.witnesses = _Witnesses(graph, tuple_of, tables)
         self._edge_by_triple = None
@@ -367,12 +366,17 @@ class ExpoTrace:
     def rep(self, t: tuple) -> tuple | None:
         """Canonical representative of the slot-group orbit of ``t``; None
         when ``t`` is not a width-long tuple over the target's vertices."""
-        hit = self._reps.get(tuple(t))
-        return None if hit is None else hit[0]
+        try:
+            return self._reps[tuple(t)][0]
+        except (KeyError, TypeError):  # not in the table, or not a tuple of vertex names
+            return None
 
     def shift(self, t: tuple) -> Perm:
         """The first slot permutation, in group order, carrying ``rep(t)`` to ``t``."""
-        return self._reps[tuple(t)][1][0]
+        try:
+            return self._reps[tuple(t)][1][0]
+        except (KeyError, TypeError):
+            raise DomainError(f"{t!r} is not a width-{self.cset.width} tuple over the target's vertices") from None
 
     def __repr__(self) -> str:
         return f"ExpoTrace({len(self.graph.vertices)} vertices, {len(self.graph.edges)} edges)"
@@ -526,7 +530,7 @@ def exponential(
     tuple_of = {name: r for r, name in names.items() if rank[r] in ends}
     g._vertices = dict.fromkeys(tuple_of)
     g.validate()
-    return ExpoTrace(g, cset, h, tuple_of, tables, names, orbits)
+    return ExpoTrace(g, cset, tuple_of, tables, names, orbits)
 
 
 def cylinders_from_surjection(g: Graph, h: Graph, vmap: dict) -> tuple[Graph, CylinderSet]:

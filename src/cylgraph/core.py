@@ -121,7 +121,7 @@ class Graph:
             eid = str(eid)
             if eid in self.edges:
                 raise DomainError(f"duplicate edge id {eid!r}")
-        self.edges[eid] = Edge(tail, head, label)
+        self.edges[eid] = tuple.__new__(Edge, (tail, head, label))  # skips NamedTuple's Python-level __new__
         self._adj = None
         return eid
 
@@ -176,11 +176,6 @@ class Graph:
 
     def in_edges(self, v) -> list[str]:
         return self._adjacency()[1][v]
-
-    def degree(self, v) -> int:
-        """Out-degree; for symmetric graphs this is the undirected degree
-        (a twin loop pair contributes 2)."""
-        return len(self.out_edges(v))
 
     def neighbour_sets(self) -> dict:
         """vertex -> set of vertices sharing an edge with it, in either
@@ -293,9 +288,8 @@ class Graph:
 
         g = Graph(self.symmetric)
         g._vertices = dict(self._vertices)
-        new = tuple.__new__  # an Edge without NamedTuple's Python-level __new__
         g.edges = {
-            eid: new(Edge, (tail, head, labels[eid] if eid in labels else from_twin(eid)))
+            eid: tuple.__new__(Edge, (tail, head, labels[eid] if eid in labels else from_twin(eid)))
             for eid, (tail, head, _) in self.edges.items()
         }
         g.pairing = dict(self.pairing)

@@ -46,9 +46,6 @@ class Cylinder:
         pos = {v: j for j, v in enumerate(self.z, start=1)}
         return {i: pos[v] for i, v in enumerate(self.y, start=1) if v in pos}
 
-    def base(self) -> Graph:
-        return self.graph.induced(self.y)
-
     def validate(self) -> None:
         self.graph.validate()
         if len(self.y) != len(self.z):
@@ -216,9 +213,6 @@ class CylinderSet:
     @property
     def symmetric(self) -> bool:
         return next(iter(self.cyls.values())).graph.symmetric
-
-    def base(self) -> Graph:
-        return next(iter(self.cyls.values())).base()
 
     def to_json(self) -> dict:
         return {

@@ -124,12 +124,6 @@ class Homomorphism:
     def __repr__(self) -> str:
         return f"Homomorphism({len(self.vmap)} vertices, {len(self.emap)} edges)"
 
-    def key(self) -> tuple:
-        return (
-            tuple(sorted(self.vmap.items(), key=str)),
-            tuple(sorted(self.emap.items(), key=str)),
-        )
-
     def to_json(self) -> dict:
         data = {
             "vertices": {str(v): self.vmap[v] for v in sorted(self.vmap, key=str)},
@@ -178,6 +172,8 @@ def _require_comparable(g: Graph, h: Graph, mode: str, group: PermGroup | None):
             for eid, e in graph.edges.items():
                 if not isinstance(e.label, GammaLabel):
                     raise DomainError(f"{side} edge {eid!r} lacks an attachment label")
+                if (d := e.label.pre.degree) != group.degree or (d := e.label.post.degree) != group.degree:
+                    raise DomainError(f"{side} edge {eid!r} twists {d} slots, the group acts on {group.degree}")
 
 
 def _checked_pins(g: Graph, h: Graph, pins: Mapping | None) -> dict:

@@ -4,9 +4,9 @@ A permutation is stored as its tuple of images: ``p(i) == images[i - 1]``,
 1-based throughout.  ``compose(g, h)`` applies ``h`` first, then ``g``.
 Length-k tuples are acted on from the right by slot lookup,
 
-    act(x, g)[i] = x[g(i)]
+    g.act(x)[i] = x[g(i)]
 
-so that ``act(act(x, g), h) == act(x, compose(g, h))``.
+so that ``h.act(g.act(x)) == compose(g, h).act(x)``.
 """
 
 from __future__ import annotations
@@ -137,10 +137,6 @@ def compose(g: Perm, h: Perm) -> Perm:
     if g.degree != h.degree:
         raise NotAPermutation(f"degree mismatch: {g.degree} vs {h.degree}")
     return Perm._wrap(_mul_images(g.images, h.images))
-
-
-def act(x: Sequence, g: Perm) -> tuple:
-    return g.act(x)
 
 
 def _perm_checked(value, what: str) -> Perm:

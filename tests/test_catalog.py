@@ -44,14 +44,14 @@ from cylgraph.cylinder import path_cyl
 from cylgraph.errors import DomainError
 from cylgraph.perm import Perm
 
-from util import girth, random_graph, without_loops
+from util import degree, girth, random_graph, without_loops
 
 
 def test_petersen_is_kneser_5_2():
     p = petersen()
     assert len(p.vertices) == 10
     assert len(p.canonical_edges()) == 15
-    assert all(p.degree(v) == 3 for v in p.vertices)
+    assert all(degree(p, v) == 3 for v in p.vertices)
     assert girth(p) == 5
     assert isomorphic(p, kneser_graph(5, 2)) is not None
 
@@ -190,6 +190,15 @@ def test_voltage_lift_rejects_wrong_degree():
         voltage_lift(base, volts, 5)
 
 
+@pytest.mark.parametrize("lift", [voltage_lift, voltage_lift_direct], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("key", ["nope", "e1", 0], ids=["unknown", "twin", "int"])
+def test_voltage_lift_rejects_a_key_that_is_no_canonical_edge_id(lift, key):
+    """A voltage on no edge, or on a twin (``e1`` is ``e0``'s), is an error
+    naming its key rather than a voltage silently left out of the lift."""
+    with pytest.raises(DomainError, match=f"^voltage key {key!r} is not an edge id of the base"):
+        lift(cycle_graph(3), {"e0": Perm([2, 1]), key: Perm([2, 1])}, 2)
+
+
 def test_voltage_lift_of_a_directed_base_matches_direct():
     """A loop and two parallel arcs; one sheet of the parallels coincides."""
     base = Graph()
@@ -255,7 +264,7 @@ def test_builders_name_what_they_cannot_build(case):
 def test_zigzag_of_k4_and_triangle():
     zz = zigzag_product(complete_graph(4), cycle_graph(3))
     assert len(zz.vertices) == 12
-    assert all(zz.degree(v) == 4 for v in zz.vertices)
+    assert all(degree(zz, v) == 4 for v in zz.vertices)
     via = zigzag_via_walks(complete_graph(4), cycle_graph(3))
     assert isomorphic(zz, via.stripped()) is not None
 
@@ -263,7 +272,7 @@ def test_zigzag_of_k4_and_triangle():
 def test_zigzag_of_square_and_edge():
     zz = zigzag_product(cycle_graph(4), complete_graph(2))
     assert len(zz.vertices) == 8
-    assert all(zz.degree(v) == 1 for v in zz.vertices)
+    assert all(degree(zz, v) == 1 for v in zz.vertices)
     via = zigzag_via_walks(cycle_graph(4), complete_graph(2))
     assert isomorphic(zz, via.stripped()) is not None
 
@@ -271,7 +280,7 @@ def test_zigzag_of_square_and_edge():
 def test_replacement_product_shape():
     rp, _ = replacement_product(complete_graph(4), cycle_graph(3))
     assert len(rp.vertices) == 12
-    assert all(rp.degree(v) == 3 for v in rp.vertices)
+    assert all(degree(rp, v) == 3 for v in rp.vertices)
 
 
 def test_looped_line_graph_matches_classic():
@@ -293,7 +302,7 @@ def test_looped_line_graph_matches_classic():
 def test_cones_and_joins():
     assert isomorphic(cone(complete_graph(3)), complete_graph(4)) is not None
     wheel = join_with(cycle_graph(4), complete_graph(1))
-    assert sorted(wheel.degree(v) for v in wheel.vertices) == [3, 3, 3, 3, 4]
+    assert sorted(degree(wheel, v) for v in wheel.vertices) == [3, 3, 3, 3, 4]
     assert isomorphic(join_with(complete_graph(2), complete_graph(2)), complete_graph(4)) is not None
     # a cone is a join with a single point
     for g in (cycle_graph(5), path_graph(3)):

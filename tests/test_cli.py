@@ -407,6 +407,38 @@ def test_json_round_trip_structural_identity():
         assert Graph.from_json(g.to_json()).to_json() == g.to_json()
 
 
+def _one_line_error(capsys) -> dict:
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    return json.loads(captured.err)
+
+
+def test_catalog_voltage_rejects_a_key_that_is_no_canonical_edge_id(tmp_path, capsys):
+    base = dump(tmp_path, "c3.json", cycle_graph(3).to_json())
+    for key in ("nope", "e1"):  # e1 is the twin of e0
+        volts = dump(tmp_path, "v.json", {key: [2, 1]})
+        assert main(["catalog", "voltage", "--base", base, "--voltages", volts, "-k", "2"]) == 1
+        assert _one_line_error(capsys) == {
+            "error": "DomainError",
+            "message": f"voltage key {key!r} is not an edge id of the base (a twin pair goes by its smaller id)",
+        }
+
+
+@pytest.mark.parametrize("action", ["count", "list", "exists"])
+def test_gamma_hom_verbs_reject_labels_of_another_degree_than_the_group(tmp_path, capsys, action):
+    group = dump(tmp_path, "s2.json", PermGroup.symmetric(2).to_json())
+    width2 = dump(tmp_path, "c5w2.json", uniform_labels(cycle_graph(5), key=1, width=2).to_json())
+    width3 = dump(tmp_path, "k3w3.json", uniform_labels(complete_graph(3), key=1, width=3).to_json())
+    for source, target, side in ((width3, width3, "source"), (width2, width3, "target")):
+        argv = ["hom", action, "--mode", "gamma", "--group", group, "--source", source, "--target", target]
+        assert main(argv) == 1
+        assert _one_line_error(capsys) == {
+            "error": "DomainError",
+            "message": f"{side} edge 'e0' twists 3 slots, the group acts on 2",
+        }
+
+
 def test_a_group_degree_of_true_is_one_json_error(tmp_path, capsys):
     bad = dump(tmp_path, "bad.json", {"degree": True, "generators": []})
     good = dump(tmp_path, "good.json", _graph())

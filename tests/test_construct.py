@@ -24,7 +24,7 @@ from cylgraph.errors import DomainError, LabelConflict, NotATwist, ResourceLimit
 from cylgraph.hom import check_hom
 from cylgraph.perm import Perm, PermGroup
 
-from util import girth, without_loops
+from util import degree, girth, without_loops
 
 
 def cycle(n):
@@ -100,7 +100,7 @@ def test_petersen_via_sqcap():
     pet = tr.graph
     assert len(pet.vertices) == 10
     assert len(pet.canonical_edges()) == 15
-    assert all(pet.degree(v) == 3 for v in pet.vertices)
+    assert all(degree(pet, v) == 3 for v in pet.vertices)
     assert girth(pet) == 5
     kneser = Graph(symmetric=True)
     pairs = list(combinations(range(5), 2))
@@ -166,6 +166,15 @@ def test_product_rejects_bad_labels():
         cyl_product(g3, cs2)
     with pytest.raises(DomainError):
         cyl_product(Graph(symmetric=True), CylinderSet(PermGroup.trivial(1), {1: identity_cyl(1, directed=True)}))
+
+
+@pytest.mark.parametrize("pre, post", [(3, 2), (2, 3)])
+def test_product_names_the_degree_of_the_twist_that_is_wrong(pre, post):
+    g = Graph()
+    g.add_vertices("uv")
+    g.add_edge("u", "v", GammaLabel(Perm.identity(pre), 1, Perm.identity(post)))
+    with pytest.raises(DomainError, match="^edge 'e0' twists 3 slots, cylinders have 2$"):
+        cyl_product(g, CylinderSet(PermGroup.trivial(2), {1: identity_cyl(2, directed=True)}))
 
 
 def _rung_cylinder(*labels):

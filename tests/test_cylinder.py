@@ -33,7 +33,7 @@ def test_identity_cylinder_shape():
     assert len(c.graph.vertices) == 6
     # one rung per slot, nothing within a row
     assert len(c.graph.canonical_edges()) == 3
-    assert len(c.base().edges) == 0
+    assert len(c.graph.induced(c.y).edges) == 0
     d = identity_cyl(2, directed=True)
     assert [(e.tail, e.head) for e in d.graph.edges.values()] == [("y1", "z1"), ("y2", "z2")]
 
@@ -219,7 +219,8 @@ def test_cylinder_set_rejects_a_repeated_key(second):
 def test_det_cyl_bases_trivial():
     d = deletion_cyl()
     assert d.eps() == {}
-    assert isomorphic(d.base(), identity_cyl(1).base()) is not None
+    i = identity_cyl(1)
+    assert isomorphic(d.graph.induced(d.y), i.graph.induced(i.y)) is not None
 
 
 # -- validation errors: type and message -------------------------------------

@@ -29,11 +29,11 @@ from cylgraph.cylinder import (
     wedge_cyl,
 )
 from cylgraph.duality import section
-from cylgraph.errors import CylError, LabelConflict
+from cylgraph.errors import CylError, DomainError, LabelConflict
 from cylgraph.hom import Homomorphism, check_hom, count_homs, iter_homs
-from cylgraph.perm import PermGroup, act
+from cylgraph.perm import Perm, PermGroup
 
-from util import outputs_under_hash_seeds, random_graph, random_multigraph
+from util import act, hom_key, outputs_under_hash_seeds, random_graph, random_multigraph
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -127,6 +127,19 @@ def test_representatives_of_tied_names_ignore_the_hash_seed():
     # in group order must win, not the first in set order
     outputs = outputs_under_hash_seeds(TIED_NAMES_SCRIPT)
     assert len(outputs) == 1
+
+
+def test_rep_and_shift_answer_only_width_long_tuples_over_the_target():
+    """``rep`` is None and ``shift`` a DomainError for a vertex outside the
+    target, a tuple of the wrong width, unhashable entries and a value that
+    is no sequence at all; valid tuples read as before, lists included."""
+    et = exponential(CylinderSet(PermGroup.symmetric(2), {1: identity_cyl(2)}), complete_graph(3))
+    assert (et.rep((1, 0)), et.shift((1, 0))) == ((0, 1), Perm([2, 1]))
+    assert (et.rep([0, 1]), et.shift([0, 1])) == ((0, 1), Perm.identity(2))
+    for t in [(0, 9), (0,), (0, 1, 2), [[1], [2]], 5, None]:
+        assert et.rep(t) is None
+        with pytest.raises(DomainError, match="is not a width-2 tuple over the target's vertices"):
+            et.shift(t)
 
 
 # -- differential oracle ------------------------------------------------------
@@ -309,7 +322,7 @@ def _assert_matches_oracle(got, want):
     g, tuple_of, witnesses, edge_by_triple = want[:4]
     assert json.dumps(got.graph.to_json()) == json.dumps(g.to_json())
     assert list(got.tuple_of.items()) == list(tuple_of.items())
-    assert {e: w.key() for e, w in got.witnesses.items()} == {e: w.key() for e, w in witnesses.items()}
+    assert {e: hom_key(w) for e, w in got.witnesses.items()} == {e: hom_key(w) for e, w in witnesses.items()}
     assert list(got.witnesses) == list(witnesses)
     # a witness joined from component maps keeps the whole-graph map's key order
     assert [(list(w.vmap), list(w.emap)) for w in got.witnesses.values()] == [
@@ -499,7 +512,7 @@ def test_a_joined_witness_copies_and_pickles_before_it_is_read(name):
         copied = copy.copy(got.witnesses[eid])
         pickled = pickle.loads(pickle.dumps(exponential(cset, h).witnesses[eid]))
         w = got.witnesses[eid]
-        assert copied.key() == pickled.key() == w.key()
+        assert hom_key(copied) == hom_key(pickled) == hom_key(w)
         assert list(copied.vmap) == list(pickled.vmap) == list(w.vmap)
         assert list(copied.emap) == list(pickled.emap) == list(w.emap)
         assert check_hom(g, h, w) is None
@@ -550,7 +563,7 @@ def test_a_whole_trace_copies_and_pickles_before_and_after_reads(name):
     tr = cyl_product(g, cset)
 
     def witnesses(et):
-        return [(fid, w.key(), list(w.vmap), list(w.emap)) for fid, w in et.witnesses.items()]
+        return [(fid, hom_key(w), list(w.vmap), list(w.emap)) for fid, w in et.witnesses.items()]
 
     for reads in (0, 5):
         et = exponential(cset, h)

@@ -24,7 +24,7 @@ from cylgraph.hom import (
 )
 from cylgraph.perm import Perm, PermGroup
 
-from util import outputs_under_hash_seeds, pool_scan, random_graph, random_multigraph, tied_names
+from util import hom_key, outputs_under_hash_seeds, pool_scan, random_graph, random_multigraph, tied_names
 
 
 def sym_cycle(n):
@@ -279,14 +279,14 @@ def _multigraph_pairs(mode, symmetric):
 def test_edge_maps_read_after_listing_match_eager_maps(mode, symmetric):
     moved = 0
     for g, h, group in _multigraph_pairs(mode, symmetric):
-        read = [(dict(s.vmap), dict(s.emap), s.alphas, s.key(), s.to_json(), hash(s))
+        read = [(dict(s.vmap), dict(s.emap), s.alphas, hom_key(s), s.to_json(), hash(s))
                 for s in iter_homs(g, h, mode=mode, group=group)]
         homs = list(iter_homs(g, h, mode=mode, group=group))
         assert len(homs) == len(read) == count_homs(g, h, mode=mode, group=group)
         for s, (vmap, emap, alphas, key, data, hashed) in zip(homs, read):
             eager = Homomorphism(vmap, emap, alphas)
             assert s.emap == emap and list(s.emap) == list(emap)
-            assert (s.key(), s.to_json(), hash(s)) == (key, data, hashed) == (eager.key(), eager.to_json(), hash(eager))
+            assert (hom_key(s), s.to_json(), hash(s)) == (key, data, hashed) == (hom_key(eager), eager.to_json(), hash(eager))
             assert s == eager and eager == s
             assert check_hom(g, h, s, mode=mode, group=group) is None
         moved += sum(a.vmap == b.vmap and a.alphas == b.alphas for a, b in zip(homs, homs[1:]))
@@ -309,6 +309,37 @@ def test_gamma_requires_group_and_labels():
     p.add_edge("u", "v", "plain")
     with pytest.raises(DomainError):
         find_hom(p, p, mode="gamma", group=PermGroup.trivial(1))
+
+
+def _twisted(pre_degree, post_degree):
+    """One arc u -> v labeled by identity twists of the given degrees."""
+    return gamma_edge(GammaLabel(Perm.identity(pre_degree), 0, Perm.identity(post_degree)))
+
+
+GAMMA_VERBS = {
+    "iter_homs": lambda g, h, group: iter_homs(g, h, mode="gamma", group=group),
+    "find_hom": lambda g, h, group: find_hom(g, h, mode="gamma", group=group),
+    "list_homs": lambda g, h, group: list_homs(g, h, mode="gamma", group=group),
+    "count_homs": lambda g, h, group: count_homs(g, h, mode="gamma", group=group),
+    "check_hom": lambda g, h, group: check_hom(g, h, Homomorphism({}, {}), mode="gamma", group=group),
+}
+
+
+@pytest.mark.parametrize("verb", sorted(GAMMA_VERBS))
+def test_gamma_labels_of_another_degree_than_the_group_name_their_edge(verb):
+    """A label whose pre or post twist acts on another number of slots than
+    the group is an error naming its side, its edge and that twist's degree,
+    not an answer of "no maps" or a degree mismatch naming no edge."""
+    group = PermGroup.trivial(2)
+    cases = [
+        (_twisted(3, 3), _twisted(2, 2), "source edge 'e0' twists 3 slots, the group acts on 2"),
+        (_twisted(2, 2), _twisted(3, 3), "target edge 'e0' twists 3 slots, the group acts on 2"),
+        (_twisted(2, 2), _twisted(2, 3), "target edge 'e0' twists 3 slots, the group acts on 2"),
+    ]
+    for g, h, message in cases:
+        with pytest.raises(DomainError) as err:
+            GAMMA_VERBS[verb](g, h, group)
+        assert str(err.value) == message
 
 
 def test_identity_hom_and_compose():

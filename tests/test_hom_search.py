@@ -27,7 +27,7 @@ from cylgraph.hom import (
 )
 from cylgraph.perm import Perm, PermGroup
 
-from util import random_gamma_labels, random_multigraph
+from util import hom_key, random_gamma_labels, random_multigraph
 
 
 def brute_homs(g, h, mode, group=None, pins=None):
@@ -76,7 +76,7 @@ def brute_homs(g, h, mode, group=None, pins=None):
 
 def fingerprint(hom):
     twists = None if hom.alphas is None else sorted((str(v), a.images) for v, a in hom.alphas.items())
-    return hom.key(), twists
+    return hom_key(hom), twists
 
 
 def random_labelled(rng, n, m, symmetric, perms):

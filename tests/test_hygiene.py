@@ -1,8 +1,9 @@
 """Static checks on the package source, by ``ast`` alone: no module imports a
 name it never uses, every private module-level function or class is
 referenced somewhere in the package, so folding duplicates together leaves
-no dead helper behind, and every public function, class and method is
-reached from outside the tests."""
+no dead helper behind, every public function, class and method is reached
+from outside the tests, and no public function shares its name with a
+public method, which would hide either one from that rule."""
 
 import ast
 import re
@@ -152,6 +153,45 @@ def test_reachability_rule_flags_what_only_tests_reach():
         "b.py": ast.parse("VERBS = {'run': 'cmd_run'}\n"),
     }
     assert _unreached(trees, {"listed"}) == ["a.py:kept", "a.py:Box.dead"]
+
+
+def _shadowed(trees: dict) -> list:
+    """``file:Class.method`` of every method in ``trees`` (file name -> parsed
+    module) that has the name of a public module-level function."""
+    functions = {
+        node.name
+        for tree in trees.values()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_")
+    }
+    return [
+        f"{name}:{node.name}.{item.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and item.name in functions
+    ]
+
+
+def test_no_public_function_shares_its_name_with_a_public_method():
+    """The reachability rule matches by name, so a function and a method of
+    one name each pass on the other's reads."""
+    shadowed = _shadowed({path.name: _tree(path) for path in MODULES})
+    assert not shadowed, f"public methods named as a public module-level function: {shadowed}"
+
+
+def test_name_sharing_rule_flags_a_method_named_as_a_public_function():
+    trees = {
+        "a.py": ast.parse("def act(x, g):\n    return g.act(x)\ndef _helper():\n    pass\n"),
+        "b.py": ast.parse(
+            "class Perm:\n"
+            "    def act(self, x):\n        pass\n"
+            "    def _helper(self):\n        pass\n"
+            "    def other(self):\n        pass\n"
+        ),
+    }
+    assert _shadowed(trees) == ["b.py:Perm.act"]
 
 
 def test_readme_code_names_take_spans_and_fences_but_not_prose_or_comments():

@@ -3,7 +3,9 @@ import random
 import pytest
 
 from cylgraph.errors import NotAPermutation, ResourceLimit
-from cylgraph.perm import Perm, PermGroup, act, compose
+from cylgraph.perm import Perm, PermGroup, compose
+
+from util import act
 
 
 def test_act_is_slot_lookup():

@@ -50,6 +50,27 @@ def without_loops(g: Graph) -> Graph:
     return out
 
 
+def degree(g: Graph, v) -> int:
+    """Out-degree; for symmetric graphs this is the undirected degree (a twin
+    loop pair contributes 2)."""
+    return len(g.out_edges(v))
+
+
+def hom_key(h) -> tuple:
+    """A homomorphism's vertex and edge maps as sorted item tuples, for
+    comparing maps whatever order their dicts were filled in."""
+    return (
+        tuple(sorted(h.vmap.items(), key=str)),
+        tuple(sorted(h.emap.items(), key=str)),
+    )
+
+
+def act(x, g):
+    """The right action of permutation ``g`` on the length-k sequence ``x``:
+    ``act(x, g)[i] == x[g(i)]``."""
+    return g.act(x)
+
+
 def cycle(n):
     g = Graph(symmetric=True)
     g.add_vertices(range(n))
