@@ -123,7 +123,7 @@ def _provenance(verts, k, names, src_eids, keys, rows, nodes, shapes, gids, fids
 def _audit_product_labels(g: Graph, cset: CylinderSet) -> None:
     group = cset.group
     k = cset.width
-    inside: set = set()  # images of the twists already found in the group
+    inside: set = set()  # the twists already found in the group
     for eid, e in g.edges.items():
         lab = e.label
         if not isinstance(lab, GammaLabel):
@@ -133,10 +133,10 @@ def _audit_product_labels(g: Graph, cset: CylinderSet) -> None:
         if (d := lab.pre.degree) != k or (d := lab.post.degree) != k:
             raise DomainError(f"edge {eid!r} twists {d} slots, cylinders have {k}")
         for p in (lab.pre, lab.post):
-            if p.images not in inside:
+            if p not in inside:
                 if p not in group:
                     raise NotATwist(f"edge {eid!r} twists by a permutation outside the slot group")
-                inside.add(p.images)
+                inside.add(p)
 
 
 def _cylinder_rows(cyl) -> tuple:
@@ -216,7 +216,7 @@ def cyl_product(g: Graph, cset: CylinderSet) -> ProductTrace:
             raise ResourceLimit(f"product would exceed {MAX_PRODUCT_EDGES} edges before merging")
         keys.append(key)
         bt, bh = base[e.tail], base[e.head]
-        pre, post = lab.pre.images, lab.post.images
+        pre, post = lab.pre, lab.post
         for x, yb, zb in row[2]:
             if yb is not None:
                 a = bt + pre[yb]
@@ -290,7 +290,6 @@ def cyl_product(g: Graph, cset: CylinderSet) -> ProductTrace:
             gids.append(2 * gid + first)
         off += len(rows[key][1])
 
-    out.validate()
     record = (verts, k, names, src_eids, keys, rows, nodes, shapes, gids, list(edges), 2 if symmetric else 1)
     return ProductTrace(out, g, cset, record)
 
@@ -478,11 +477,11 @@ def exponential(
     N, rank = len(by_name), {name: n for n, name in enumerate(by_name)}
     rank = {r: rank[name] for r, name in names.items()}
     keys = sorted(cset.keys(), key=str)
-    made = {(key, a.images, b.images): GammaLabel(a, key, b) for key in keys for a in group for b in group}
+    made = {(key, a, b): GammaLabel(a, key, b) for key in keys for a in group for b in group}
     sort_key = {lk: label_sort_key(lab) for lk, lab in made.items()}
     lrank = {sk: n for n, sk in enumerate(sorted(set(sort_key.values())))}
     L = len(lrank)
-    # (key, d- images, d+ images) -> (label, its rank, its reversed label's rank)
+    # (key, d-, d+) -> (label, its rank, its reversed label's rank)
     labels = {(key, a, b): (lab, lrank[sort_key[key, a, b]], lrank[sort_key[key, b, a]])
               for (key, a, b), lab in made.items()}
     triples: dict = {}  # triple -> (label, its reversed label's rank)
@@ -499,7 +498,7 @@ def exponential(
             r2, dp = orbits[pq[k:]]
             base = (rank[r1] * N + rank[r2]) * L
             for a, b in itertools.product(dm, dp):
-                lab, lr, rl = labels[key, a.images, b.images]
+                lab, lr, rl = labels[key, a, b]
                 if base + lr not in triples:
                     triples[base + lr] = (lab, rl)
 
@@ -529,7 +528,6 @@ def exponential(
 
     tuple_of = {name: r for r, name in names.items() if rank[r] in ends}
     g._vertices = dict.fromkeys(tuple_of)
-    g.validate()
     return ExpoTrace(g, cset, tuple_of, tables, names, orbits)
 
 

@@ -39,7 +39,7 @@ class GammaLabel:
         return f"({_perm_str(self.pre)}|{self.key}|{_perm_str(self.post)})"
 
     def to_json(self) -> dict:
-        return {"pre": list(self.pre.images), "cyl": self.key, "post": list(self.post.images)}
+        return {"pre": list(self.pre), "cyl": self.key, "post": list(self.post)}
 
     @classmethod
     def from_json(cls, data: dict) -> GammaLabel:
@@ -354,8 +354,7 @@ class Graph:
             g.add_edge(tail, head, label_from_json(rec.get("label")), rec.get("id"))
         for eid, tw in json_checked(data.get("pairing", {}), dict, "'pairing'").items():
             g.pair_edges(eid, json_checked(tw, JSON_SCALAR, "'pairing' twin"))
-        if g.symmetric:
-            g.validate()
+        g.validate()
         return g
 
     def to_dot(self) -> str:

@@ -115,13 +115,11 @@ def section(tr: ProductTrace, et: ExpoTrace, sp: Homomorphism) -> Homomorphism:
     if alphas is None:
         alphas = extract_alphas(g, et.graph, sp, group)
 
-    sp_vmap, sp_emap, slot, edge_src, witnesses = sp.vmap, sp.emap, tr.slot, tr.edge_src, et.witnesses
+    sp_vmap, sp_emap, edge_src, witnesses = sp.vmap, sp.emap, tr.edge_src, et.witnesses
     vmap: dict = {}
-    for v in g.vertices:
-        row = et.tuple_of[sp_vmap[v]]
-        beta = alphas.get(v, ident).inverse()
-        for b in range(1, tr.cset.width + 1):
-            _put(vmap, slot[(v, b)], row[beta(b) - 1])
+    for v in g.vertices:  # slot alpha(b) of v takes entry b of its row
+        for name, x in zip(alphas.get(v, ident).act(tr.blowup(v)), et.tuple_of[sp_vmap[v]]):
+            _put(vmap, name, x)
     wmaps, at = {}, None  # source edge -> witness edge map; copies come grouped by source edge
     for (eid, x), name in tr.copy.items():
         if eid != at:
@@ -171,10 +169,9 @@ def product_map(f: Homomorphism, tr1: ProductTrace, tr2: ProductTrace) -> Homomo
         return reversals[key]
 
     vmap: dict = {}
-    for v in g1.vertices:
-        beta = alphas.get(v, ident).inverse()
-        for b in range(1, cset.width + 1):
-            _put(vmap, tr1.slot[(v, b)], tr2.slot[(f.vmap[v], beta(b))])
+    for v in g1.vertices:  # slot alpha(b) of v goes to slot b of its image
+        for name, w in zip(alphas.get(v, ident).act(tr1.blowup(v)), tr2.blowup(f.vmap[v])):
+            _put(vmap, name, w)
 
     emap: dict = {}
     at = None  # copies come grouped by source edge, in source edge order

@@ -131,7 +131,7 @@ class Homomorphism:
         }
         if self.alphas is not None:
             data["twists"] = {
-                str(v): list(self.alphas[v].images) for v in sorted(self.alphas, key=str)
+                str(v): list(self.alphas[v]) for v in sorted(self.alphas, key=str)
             }
         return data
 
@@ -234,9 +234,9 @@ class _Matcher:
     target edge ``f`` induces the tail twist ``pre * inverse(f.pre)`` and
     the head twist ``post * inverse(f.post)``, and is a candidate when both
     lie in the group; the table groups the candidates by that pair of
-    twists (as image tuples), one per twin pair within each group.  Each
-    distinct (source, target) permutation pair is composed and its twist
-    tested for membership once."""
+    twists, one per twin pair within each group.  Each distinct (source,
+    target) permutation pair is composed and its twist tested for
+    membership once."""
 
     def __init__(self, g: Graph, h: Graph, mode: str, group: PermGroup | None):
         self.g = g
@@ -247,7 +247,7 @@ class _Matcher:
         for eid in sorted(h.edges):
             self.idx[h.edges[eid][:2]].append(eid)
         self._tables: dict = {}
-        self._induced: dict = {}  # (source images, target images) -> twist images, or None
+        self._induced: dict = {}  # (source perm, target perm) -> twist, or None
 
     def table(self, eid: str, a, b) -> list[str] | dict:
         hit = self._tables.get((eid, a, b))
@@ -256,12 +256,12 @@ class _Matcher:
         return hit
 
     def _twist(self, src: Perm, tgt: Perm):
-        """Images of ``src * inverse(tgt)``, or None outside the group."""
-        key = (src.images, tgt.images)
+        """``src * inverse(tgt)``, or None outside the group."""
+        key = (src, tgt)
         t = self._induced.get(key, _MISSING)
         if t is _MISSING:
             p = compose(src, tgt.inverse())
-            t = self._induced[key] = p.images if p in self.group else None
+            t = self._induced[key] = p if p in self.group else None
         return t
 
     def _build(self, eid: str, a, b) -> list[str] | dict:
@@ -410,7 +410,7 @@ class _Search:
             elif ends_at is None:
                 yield vals, tabs
             else:
-                yield vals, [tab[vals[t].images, vals[hd].images] for tab, (t, hd) in zip(tabs, ends_at)]
+                yield vals, [tab[vals[t], vals[hd]] for tab, (t, hd) in zip(tabs, ends_at)]
 
     def _twists(self, i: int, tabs: list, vals: list) -> list:
         """The candidates at twist position ``i``: the group's elements, as
@@ -424,12 +424,12 @@ class _Search:
             elif j is None:
                 got = {ts[side] for ts in tab}
             else:
-                want, other = vals[j].images, 1 - side
+                want, other = vals[j], 1 - side
                 got = {ts[side] for ts in tab if ts[other] == want}
             acc = got if acc is None else acc & got
             if not acc:
                 return []
-        return [(r, a) for r, a in self.elements if a.images in acc]
+        return [(r, a) for r, a in self.elements if a in acc]
 
 
 # -- public API ----------------------------------------------------------------
@@ -515,7 +515,7 @@ def _count_by_elimination(g: Graph, h: Graph, matcher: _Matcher, pins: Mapping, 
             if tail == head and a != b:
                 continue
             hit = matcher.table(eid, a, b)
-            if gamma:  # values are (target vertex, twist images)
+            if gamma:  # values are (target vertex, twist)
                 cells = [((a, t), (b, s), len(fs)) for (t, s), fs in hit.items()]
             else:
                 cells = [(a, b, len(hit))]
@@ -527,7 +527,7 @@ def _count_by_elimination(g: Graph, h: Graph, matcher: _Matcher, pins: Mapping, 
         factors.append(((tail,) if tail == head else (tail, head), table))
     for v, w in pins.items():
         if gamma and (g.out_edges(v) or g.in_edges(v)):
-            factors.append(((v,), {((w, a.images),): 1 for a in matcher.group}))
+            factors.append(((v,), {((w, a),): 1 for a in matcher.group}))
         else:
             factors.append(((v,), {(w,): 1}))
     return _eliminate(dict.fromkeys(g.vertices, len(h.vertices)), factors, budget)

@@ -1,8 +1,10 @@
 """Permutations of {1..k} and the finite groups they generate.
 
-A permutation is stored as its tuple of images: ``p(i) == images[i - 1]``,
-1-based throughout.  ``compose(g, h)`` applies ``h`` first, then ``g``.
-Length-k tuples are acted on from the right by slot lookup,
+A :class:`Perm` is the tuple of its images, ``p(i) == p[i - 1]``, 1-based
+throughout: it equals, hashes and sorts as that tuple, so ``Perm((2, 1)) ==
+(2, 1)`` and ``json.dumps`` writes it as a list.  ``compose(g, h)`` applies
+``h`` first, then ``g``.  Length-k tuples are acted on from the right by slot
+lookup,
 
     g.act(x)[i] = x[g(i)]
 
@@ -18,10 +20,10 @@ from functools import lru_cache
 from .errors import NotAPermutation, ResourceLimit, _is_int, count_checked, json_checked
 
 
-class Perm:
-    __slots__ = ("images",)
+class Perm(tuple):
+    __slots__ = ()
 
-    def __init__(self, images: Iterable[int]):
+    def __new__(cls, images: Iterable[int]):
         try:
             images = tuple(images)
         except TypeError:
@@ -31,53 +33,37 @@ class Perm:
         k = len(images)
         if sorted(images) != list(range(1, k + 1)):
             raise NotAPermutation(f"not a bijection on 1..{k}: {images!r}")
-        self.images = images
+        return tuple.__new__(cls, images)
 
     @property
     def degree(self) -> int:
-        return len(self.images)
+        return len(self)
 
     def __call__(self, i: int) -> int:
-        if not 1 <= i <= len(self.images):
-            raise NotAPermutation(f"point {i} out of range 1..{len(self.images)}")
-        return self.images[i - 1]
+        if not 1 <= i <= len(self):
+            raise NotAPermutation(f"point {i} out of range 1..{len(self)}")
+        return self[i - 1]
 
     def act(self, x: Sequence) -> tuple:
         """Right action on a length-k sequence: result[i] = x[self(i)]."""
-        if len(x) != len(self.images):
+        if len(x) != len(self):
             raise NotAPermutation(f"cannot act on length-{len(x)} sequence with degree-{self.degree} permutation")
-        return tuple(x[j - 1] for j in self.images)
-
-    @classmethod
-    def _wrap(cls, images: tuple) -> Perm:
-        """Adopt an already-validated image tuple without rechecking it."""
-        p = object.__new__(cls)
-        p.images = images
-        return p
+        return tuple(x[j - 1] for j in self)
 
     def inverse(self) -> Perm:
-        return Perm._wrap(_inv_images(self.images))
+        return _inverse(self)
 
     def __mul__(self, other: Perm) -> Perm:
         return compose(self, other)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Perm) and self.images == other.images
-
-    def __hash__(self) -> int:
-        return hash(self.images)
-
-    def __lt__(self, other: Perm) -> bool:
-        return self.images < other.images
-
     def is_identity(self) -> bool:
-        return all(j == i for i, j in enumerate(self.images, start=1))
+        return all(j == i for i, j in enumerate(self, start=1))
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each starting at its smallest point."""
         seen: set[int] = set()
         out = []
-        for start in range(1, len(self.images) + 1):
+        for start in range(1, len(self) + 1):
             if start in seen:
                 continue
             cyc = [start]
@@ -119,24 +105,27 @@ class Perm:
         return cls(images)
 
 
+# the checks in ``Perm.__new__`` hold by construction for these results
 @lru_cache(maxsize=65536)
-def _inv_images(images: tuple) -> tuple:
-    inv = [0] * len(images)
-    for i, j in enumerate(images, start=1):
+def _inverse(p: Perm) -> Perm:
+    inv = [0] * len(p)
+    for i, j in enumerate(p, start=1):
         inv[j - 1] = i
-    return tuple(inv)
+    return tuple.__new__(Perm, inv)
 
 
 @lru_cache(maxsize=65536)
-def _mul_images(a: tuple, b: tuple) -> tuple:
-    return tuple(a[j - 1] for j in b)
+def _compose(g: Perm, h: Perm) -> Perm:
+    return tuple.__new__(Perm, [g[j - 1] for j in h])
 
 
 def compose(g: Perm, h: Perm) -> Perm:
     """g after h: compose(g, h)(i) == g(h(i))."""
-    if g.degree != h.degree:
+    if not (isinstance(g, Perm) and isinstance(h, Perm)):  # a plain tuple is no checked bijection
+        raise NotAPermutation(f"compose takes two Perms, got {g!r} and {h!r}")
+    if len(g) != len(h):
         raise NotAPermutation(f"degree mismatch: {g.degree} vs {h.degree}")
-    return Perm._wrap(_mul_images(g.images, h.images))
+    return _compose(g, h)
 
 
 def _perm_checked(value, what: str) -> Perm:
@@ -245,7 +234,7 @@ class PermGroup:
     def to_json(self) -> dict:
         return {
             "degree": self.degree,
-            "generators": [list(g.images) for g in (self.generators or self.elements)],
+            "generators": [list(g) for g in (self.generators or self.elements)],
         }
 
     @classmethod

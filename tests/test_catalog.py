@@ -235,6 +235,10 @@ BUILDER_ERRORS = {
         lambda: neps_cylinder(complete_graph(2), "bogus"),
         f"unknown product kind 'bogus'; pick one of {NEPS_KINDS}",
     ),
+    "neps_direct unknown kind": (
+        lambda: neps_direct(complete_graph(2), complete_graph(2), "bogus"),
+        f"unknown product kind 'bogus'; pick one of {NEPS_KINDS}",
+    ),
     "join_cylinder directed": (lambda: join_cylinder(_digraph()), "joins are taken with a symmetric graph"),
     "line_graph_direct directed": (
         lambda: line_graph_direct(_digraph()), "line graphs are taken of symmetric graphs"),

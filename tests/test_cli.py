@@ -459,3 +459,26 @@ def test_minor_names_the_first_unknown_edge_given(tmp_path, capsys):
         "error": "DomainError",
         "message": "edge 'zz' is not a canonical edge of the graph",
     }
+
+
+def test_every_verb_rejects_a_directed_graph_that_carries_a_pairing(tmp_path, capsys):
+    bad = dump(tmp_path, "paired.json", {
+        "symmetric": False,
+        "vertices": [0, 1],
+        "edges": [{"id": "e0", "tail": 0, "head": 1}, {"id": "e1", "tail": 1, "head": 0}],
+        "pairing": {"e0": "e1", "e1": "e0"},
+    })
+    directed = CylinderSet(PermGroup.trivial(1), {1: identity_cyl(1, directed=True)})
+    cylinders = dump(tmp_path, "ident.json", directed.to_json())
+    for argv in (
+        ["hom", "count", "--source", bad, "--target", bad],
+        ["iso", "--left", bad, "--right", bad],
+        ["export-dot", "--graph", bad],
+        ["product", "--graph", bad, "--cylinders", cylinders],
+        ["expo", "--cylinders", cylinders, "--target", bad],
+    ):
+        assert main(argv) == 1, argv
+        assert _one_line_error(capsys) == {
+            "error": "DomainError",
+            "message": f"{bad}: non-symmetric graph must not carry a pairing",
+        }

@@ -50,7 +50,7 @@ def _dumbbell():
     e2, _ = g.add_sym_edge("w", "w")
     g.add_sym_edge("u", "w")
     rho = Perm.from_cycles(5, (1, 2, 3, 4, 5))
-    return g, {e1: list(rho.images), e2: list((rho * rho).images)}
+    return g, {e1: list(rho), e2: list(rho * rho)}
 
 
 # cases whose verb answers "no" (exit code 2)

@@ -1,10 +1,12 @@
 """Gluing product and exponential against small frozen oracles."""
 
+import math
 from itertools import combinations
 
 import pytest
 
 from cylgraph.construct import (
+    MAX_TUPLE_SPACE,
     ProductTrace,
     cyl_product,
     cylinders_from_surjection,
@@ -291,6 +293,18 @@ def test_exponential_budget_and_degenerate_targets():
     assert len(et.graph.vertices) == 0 and len(et.graph.edges) == 0
 
 
+def test_exponential_refuses_a_target_of_the_other_kind_and_a_huge_tuple_space():
+    cs = CylinderSet(PermGroup.trivial(2), {1: identity_cyl(2)})
+    with pytest.raises(DomainError, match="^target graph and cylinders disagree about being symmetric$"):
+        exponential(cs, Graph())
+    n = math.isqrt(MAX_TUPLE_SPACE) + 1
+    wide = Graph(symmetric=True)
+    wide.add_vertices(range(n))
+    with pytest.raises(ResourceLimit) as err:
+        exponential(cs, wide)
+    assert str(err.value) == f"tuple space {n}^2 exceeds {MAX_TUPLE_SPACE}"
+
+
 @pytest.mark.parametrize("bad", ["x", "10", 1.5, True, False, None, -1, [3]], ids=repr)
 def test_exponential_max_vertices_must_be_a_non_negative_int(bad):
     cs = CylinderSet(PermGroup.trivial(2), {1: identity_cyl(2)})
@@ -340,6 +354,16 @@ def test_surjection_cylinders_reject_bad_maps():
         cylinders_from_surjection(g, complete(3), {0: 0, 1: 1, 2: 0, 3: 1})  # misses a vertex
     with pytest.raises(DomainError):
         cylinders_from_surjection(complete(3), complete(2), {0: 0, 1: 1, 2: 0})  # not a hom
+    directed = Graph()
+    directed.add_vertices([0, 1])
+    for target, vmap, message in (
+        (directed, {0: 0, 1: 1, 2: 0, 3: 1}, "graphs disagree about being symmetric"),
+        (complete(2), {0: 0, 1: 1, 2: 0}, "vertex 3 is not mapped into the target"),
+        (complete(2), {0: 0, 1: 1, 2: 0, 3: 7}, "vertex 3 is not mapped into the target"),
+    ):
+        with pytest.raises(DomainError) as err:
+            cylinders_from_surjection(g, target, vmap)
+        assert str(err.value) == message
 
 
 def test_uniform_labels_roundtrip():

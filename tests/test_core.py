@@ -118,6 +118,59 @@ def test_twin_labels_must_be_reverses(label, twin_label, ok):
             g.validate()
 
 
+def _ab(symmetric=False, edges=(), pairing=()):
+    """Vertices a and b, the edges ``(id, tail, head)`` written straight
+    into the edge dict and the pairing into the pairing dict, so no check
+    of ``add_edge`` or ``pair_edges`` runs."""
+    g = Graph(symmetric=symmetric)
+    g.add_vertices("ab")
+    g.edges.update((eid, Edge(tail, head, None)) for eid, tail, head in edges)
+    g.pairing.update(pairing)
+    return g
+
+
+STRUCTURE_ERRORS = {
+    "unknown tail": (lambda: _ab().add_edge("x", "a"), "unknown tail vertex 'x'"),
+    "unknown head": (lambda: _ab().add_edge("a", "x"), "unknown head vertex 'x'"),
+    "add_sym_edge on a directed graph": (lambda: _ab().add_sym_edge("a", "b"), "add_sym_edge on a non-symmetric graph"),
+    "pair non-reverses": (
+        lambda: _ab(True, [("e", "a", "b"), ("f", "a", "b")]).pair_edges("e", "f"),
+        "edges 'e', 'f' are not mutual reverses",
+    ),
+    "pair a loop with itself": (
+        lambda: _ab(True, [("e", "a", "a")]).pair_edges("e", "e"), "an edge cannot be its own twin"),
+    "missing endpoint": (lambda: _ab(edges=[("e", "a", "x")]).validate(), "edge 'e' has a missing endpoint"),
+    "unpaired": (lambda: _ab(True, [("e", "a", "b")]).validate(), "symmetric graph with unpaired edges: ['e']"),
+    "self-twin": (
+        lambda: _ab(True, [("e", "a", "a")], {"e": "e"}).validate(),
+        "pairing is not a fixed-point-free involution at 'e'",
+    ),
+    "twins that are not reverses": (
+        lambda: _ab(True, [("e", "a", "b"), ("f", "a", "b")], {"e": "f", "f": "e"}).validate(),
+        "paired edges 'e'/'f' are not mutual reverses",
+    ),
+    "directed with a pairing": (
+        lambda: _ab(False, [("e", "a", "b"), ("f", "b", "a")], {"e": "f", "f": "e"}).validate(),
+        "non-symmetric graph must not carry a pairing",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", STRUCTURE_ERRORS)
+def test_structural_errors_are_named(case):
+    call, message = STRUCTURE_ERRORS[case]
+    with pytest.raises(DomainError) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_graphs_are_unhashable_and_a_symmetric_graph_is_no_directed_one():
+    with pytest.raises(TypeError, match="^graphs are not hashable$"):
+        hash(Graph())
+    assert isomorphic(Graph(symmetric=True), Graph()) is None
+    assert isomorphic(_ab(True), _ab()) is None
+
+
 def test_merge_parallel_directed():
     g = Graph()
     g.add_vertices("ab")

@@ -4,6 +4,7 @@ from cylgraph.core import Graph
 from cylgraph.cylinder import (
     Cylinder,
     CylinderSet,
+    base_automorphism,
     contraction_cyl,
     cyl_disjoint,
     cyl_sum,
@@ -71,6 +72,23 @@ def test_make_cylinder_rejects_repeated_row():
     g.add_vertices("ab")
     with pytest.raises(EpsilonError):
         make_cylinder(g, ["a", "a"], ["a", "b"])
+
+
+@pytest.mark.parametrize("y, z, message", [
+    (["a"], [], "row lengths differ: 1 vs 0"),
+    ([], [], "cylinder width must be at least 1"),
+])
+def test_make_cylinder_rejects_rows_of_no_common_width(y, z, message):
+    g = Graph()
+    g.add_vertices("ab")
+    with pytest.raises(NotACylinder) as err:
+        make_cylinder(g, y, z)
+    assert str(err.value) == message
+
+
+def test_path_cylinder_wants_one_label_per_edge():
+    with pytest.raises(DomainError, match="^need 2 labels, got 1$"):
+        path_cyl(2, labels=["a"])
 
 
 def test_make_cylinder_rejects_missing_vertex():
@@ -166,6 +184,28 @@ def test_generalized_loop_rejects_slot_collapse():
         generalized_loop(wedge_cyl(), Perm.identity(2), Perm((2, 1)))
 
 
+def test_generalized_loop_checks_both_degrees():
+    for g, l in ((Perm.identity(2), Perm.identity(1)), (Perm.identity(1), Perm.identity(2))):
+        with pytest.raises(DomainError, match="^slot permutations must match the cylinder width$"):
+            generalized_loop(identity_cyl(1), g, l)
+
+
+def test_generalized_loop_names_its_slots_past_the_cylinder_vertices():
+    g = Graph(symmetric=True)
+    g.add_vertices(["s1", "s_1", "z"])
+    g.add_sym_edge("s1", "s_1")
+    g.add_sym_edge("s_1", "z")
+    lp = generalized_loop(make_cylinder(g, ["s1"], ["z"]), Perm.identity(1), Perm.identity(1))
+    assert lp.y == lp.z == ("s__1",)
+    assert sorted(lp.graph.vertices) == ["s_1", "s__1"]
+
+
+def test_base_automorphism_refuses_a_permutation_of_another_degree():
+    assert base_automorphism(identity_cyl(2), Perm((2, 1)))
+    assert not base_automorphism(identity_cyl(2), Perm.identity(3))
+    assert not base_automorphism(identity_cyl(2), Perm.identity(1), "z")
+
+
 def test_generalized_loop_identity_merges_rows():
     lp = generalized_loop(identity_cyl(2), Perm.identity(2), Perm.identity(2))
     assert lp.width == 2
@@ -185,6 +225,10 @@ def test_cylinder_set_validation():
         CylinderSet(s2, {0: identity_cyl(3)})
     with pytest.raises(NotACylinder):
         CylinderSet(PermGroup.trivial(2), {0: sqcap_cyl(), 1: identity_cyl(2)})  # bases differ
+    with pytest.raises(NotACylinder, match="^cylinders mix symmetric and directed graphs$"):
+        CylinderSet(PermGroup.trivial(1), {0: identity_cyl(1), 1: identity_cyl(1, directed=True)})
+    with pytest.raises(DomainError, match="^no cylinder with key 1$"):
+        CylinderSet(s2, {0: sqcap_cyl()})[1]
 
 
 def test_cylinder_set_group_must_fix_base():

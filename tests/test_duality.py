@@ -270,6 +270,52 @@ def test_retraction_rejects_non_homomorphisms():
     bad = Homomorphism({v: "[0]" for v in tr.graph.vertices}, {})
     with pytest.raises(DomainError):
         retraction(tr, et, bad)
+    # every row lands on the exponential vertex [0], which carries no loop
+    collapsed = Homomorphism(dict.fromkeys(tr.graph.vertices, 0), {})
+    with pytest.raises(DomainError) as err:
+        retraction(tr, et, collapsed)
+    assert str(err.value) == (
+        "no exponential edge realizes the image of 'e0'; the given map does not respect the product structure"
+    )
+
+
+def test_maps_without_twists_expand_as_with_them():
+    """``section`` and ``product_map`` work the twists out from the edge map
+    when the map does not carry them."""
+    ident, pi = Perm.identity(2), Perm((2, 1))
+    grp = PermGroup.symmetric(2)
+    cs = one_cyl(identity_cyl(2, directed=True), grp)
+    g1 = directed_edge("a", GammaLabel(ident, 1, ident))
+    g2 = directed_edge("b", GammaLabel(pi, 1, ident))
+    tr1, tr2 = cyl_product(g1, cs), cyl_product(g2, cs)
+    f = find_hom(g1, g2, mode="gamma", group=grp)
+    assert any(not a.is_identity() for a in f.alphas.values())
+    assert product_map(Homomorphism(f.vmap, f.emap), tr1, tr2) == product_map(f, tr1, tr2)
+    et = exponential(cs, _directed_k2())
+    n = 0
+    for sp in iter_homs(g2, et.graph, mode="gamma", group=grp):
+        assert section(tr2, et, Homomorphism(sp.vmap, sp.emap)) == section(tr2, et, sp)
+        n += any(not a.is_identity() for a in sp.alphas.values())
+    assert n > 0
+
+
+def _directed_k2():
+    h = Graph()
+    h.add_vertices("pq")
+    h.add_edge("p", "q")
+    h.add_edge("q", "p")
+    return h
+
+
+def test_maps_between_two_cylinder_sets_are_refused():
+    one, two = (one_cyl(identity_cyl(k, directed=True), PermGroup.trivial(k)) for k in (1, 2))
+    g1 = directed_edge("a", GammaLabel(Perm.identity(1), 1, Perm.identity(1)))
+    g2 = directed_edge("a", GammaLabel(Perm.identity(2), 1, Perm.identity(2)))
+    with pytest.raises(DomainError, match="^the two products use different cylinder sets$"):
+        product_map(identity_hom(g1), cyl_product(g1, one), cyl_product(g2, two))
+    h = _directed_k2()
+    with pytest.raises(DomainError, match="^the two exponential graphs use different cylinder sets$"):
+        exponential_map(identity_hom(h), exponential(one, h), exponential(two, h))
 
 
 def test_section_rejects_inconsistent_input():

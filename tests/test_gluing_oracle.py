@@ -366,6 +366,21 @@ def _duplicate_edge_id():
     return _directed_source("uvw", [("u", "v", "p"), ("v", "w", "p@q")]), cset
 
 
+def _duplicate_twin_id():
+    """The second copy's first edge id is new, but its twin's id ``u@v@w``
+    is the first copy's ``u`` + ``@`` + ``v@w``."""
+    cg = Graph(symmetric=True)
+    cg.add_vertices(["y1", "z1", "m"])
+    cg.add_sym_edge("y1", "z1", None, "a", "w")
+    cg.add_sym_edge("y1", "m", None, "b", "v@w")
+    cg.add_sym_edge("m", "z1", None, "c", "d")
+    g = Graph(symmetric=True)
+    g.add_vertices("xyz")
+    g.add_sym_edge("x", "y", GammaLabel(ID1, 1, ID1), "u", "u~")
+    g.add_sym_edge("y", "z", GammaLabel(ID1, 1, ID1), "u@v", "u@v~")
+    return g, CylinderSet(PermGroup.trivial(1), {1: make_cylinder(cg, ["y1"], ["z1"])})
+
+
 def _duplicate_id_before_unhashable_label():
     g, cset = _duplicate_edge_id()
     cg = Graph()
@@ -382,6 +397,7 @@ ERROR_CASES = {
     "inner collision": (_inner_collision, DomainError, "inner vertex name 'p@q@r' collides"),
     "inner vs slot collision": (_inner_slot_collision, DomainError, "inner vertex names collide with slot names"),
     "duplicate edge id": (_duplicate_edge_id, DomainError, "duplicate edge id 'p@q@r'"),
+    "duplicate twin id": (_duplicate_twin_id, DomainError, "duplicate edge id 'u@v@w'"),
     "duplicate id before unhashable label": (_duplicate_id_before_unhashable_label, DomainError, "duplicate edge id"),
 }
 

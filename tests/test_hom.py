@@ -362,6 +362,20 @@ def test_check_hom_reports_failures():
     assert check_hom(g, h, bad) is not None
     partial = Homomorphism({0: 0}, {})
     assert "unmapped" in check_hom(g, h, partial)
+    # g and h have edges e0: 0 -> 1 and its twin e1: 1 -> 0
+    ident = {0: 0, 1: 1}
+    cases = [
+        ({"e1": "e1"}, "edge 'e0' unmapped"),
+        ({"e0": "zz", "e1": "e1"}, "edge 'e0' maps to unknown edge 'zz'"),
+        ({"e0": "e1", "e1": "e0"}, "edge 'e0' image has wrong endpoints"),
+    ]
+    for emap, message in cases:
+        assert check_hom(g, h, Homomorphism(ident, emap)) == message
+    # two parallel edges 0 - 1: e0 may map to either, but its twin must follow
+    h2 = sym_path(1)
+    h2.add_sym_edge(0, 1, eid="f0", twin_eid="f1")
+    crossed = Homomorphism(ident, {"e0": "e0", "e1": "f1"})
+    assert check_hom(g, h2, crossed) == "edge map does not respect the twin pairing at 'e0'"
 
 
 def test_budget_limits():
@@ -395,7 +409,7 @@ h.add_edge("u", "v", GammaLabel(ident, 0, tau))
 h.add_edge("v", "u", GammaLabel(ident, 0, ident))
 for m in list_homs(g, h, mode="gamma", group=PermGroup.symmetric(2)):
     print([(repr(v), w) for v, w in m.vmap.items()], m.emap,
-          [(repr(v), a.images) for v, a in m.alphas.items()])
+          [(repr(v), tuple(a)) for v, a in m.alphas.items()])
 """
 
 

@@ -116,7 +116,7 @@ class OracleSearch:
             acc = got if acc is None else acc & got
             if not acc:
                 break
-        return {a.images for a in self.elements} if acc is None else acc
+        return {tuple(a) for a in self.elements} if acc is None else acc
 
     def twist_vectors(self, tabs, budget):
         n = len(self.verts)
@@ -131,8 +131,8 @@ class OracleSearch:
             i = len(stack) - 1
             for a in stack[i]:
                 budget.spend()
-                if a.images in allowed[i]:
-                    chosen[i], imgs[i] = a, a.images
+                if tuple(a) in allowed[i]:
+                    chosen[i], imgs[i] = a, tuple(a)
                     break
             else:
                 stack.pop()
@@ -180,12 +180,12 @@ def oracle_homs(g, h, mode, group, pins, budget):
                 emap = dict(zip(src, pick))
                 for tw, f in zip(twins, pick):
                     emap[tw] = h.pairing[f]
-                alphas = None if chosen is None else [(v, a.images) for v, a in zip(verts, chosen)]
+                alphas = None if chosen is None else [(v, tuple(a)) for v, a in zip(verts, chosen)]
                 yield list(vmap.items()), list(emap.items()), alphas
 
 
 def fingerprint(x):
-    alphas = None if x.alphas is None else [(v, a.images) for v, a in x.alphas.items()]
+    alphas = None if x.alphas is None else [(v, tuple(a)) for v, a in x.alphas.items()]
     return list(x.vmap.items()), list(x.emap.items()), alphas
 
 

@@ -75,7 +75,7 @@ def brute_homs(g, h, mode, group=None, pins=None):
 
 
 def fingerprint(hom):
-    twists = None if hom.alphas is None else sorted((str(v), a.images) for v, a in hom.alphas.items())
+    twists = None if hom.alphas is None else sorted((str(v), tuple(a)) for v, a in hom.alphas.items())
     return hom_key(hom), twists
 
 

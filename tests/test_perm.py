@@ -1,3 +1,6 @@
+import copy
+import json
+import pickle
 import random
 
 import pytest
@@ -11,7 +14,7 @@ from util import act
 def test_act_is_slot_lookup():
     x = ("p", "q", "r")
     g = Perm.from_cycles(3, (1, 2, 3))
-    assert g.images == (2, 3, 1)
+    assert tuple(g) == (2, 3, 1)
     assert act(x, g) == ("q", "r", "p")
 
 
@@ -37,7 +40,7 @@ def test_inverse_and_identity():
     g = Perm((3, 1, 4, 2))
     assert compose(g, g.inverse()).is_identity()
     assert compose(g.inverse(), g).is_identity()
-    assert Perm.identity(4).images == (1, 2, 3, 4)
+    assert tuple(Perm.identity(4)) == (1, 2, 3, 4)
     assert act(("a", "b"), Perm.identity(2)) == ("a", "b")
 
 
@@ -117,3 +120,39 @@ def test_an_empty_or_non_sequence_cycle_is_not_a_permutation(cycle):
     with pytest.raises(NotAPermutation) as err:
         Perm.from_cycles(3, cycle)
     assert str(err.value) == f"a cycle must be a non-empty sequence of points, got {cycle!r}"
+
+
+def test_a_perm_is_the_tuple_of_its_images():
+    p = Perm((2, 3, 1))
+    assert isinstance(p, tuple) and p == (2, 3, 1) and (2, 3, 1) == p
+    assert hash(p) == hash((2, 3, 1))
+    assert {(2, 3, 1): "found"}[p] == "found"
+    assert {p: "found"}[(2, 3, 1)] == "found"
+    assert (len(p), p[0], list(p)) == (3, 2, [2, 3, 1])
+    assert json.dumps(p) == "[2, 3, 1]"
+    assert sorted([Perm((2, 1)), Perm((1, 2))]) == [(1, 2), (2, 1)]
+    assert not hasattr(p, "images")
+    for q in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p), copy.copy(p), p.inverse(), p * p):
+        assert type(q) is Perm
+    assert pickle.loads(pickle.dumps(p)) == p and p.inverse() == (3, 1, 2)
+
+
+def test_compose_refuses_permutations_of_two_degrees_and_plain_tuples():
+    with pytest.raises(NotAPermutation, match=r"^degree mismatch: 2 vs 3$"):
+        compose(Perm.identity(2), Perm.identity(3))
+    # a tuple equals a Perm, but only a Perm is a checked bijection
+    with pytest.raises(NotAPermutation, match=r"^compose takes two Perms, got Perm\[2: \(1 2\)\] and \(1, 1\)$"):
+        Perm((2, 1)) * (1, 1)
+    with pytest.raises(NotAPermutation, match=r"^compose takes two Perms, got \(1, 2\) and Perm.identity\(2\)$"):
+        compose((1, 2), Perm.identity(2))
+
+
+@pytest.mark.parametrize("elements, message", [
+    ([], "group must contain the identity"),
+    ([Perm((2, 1))], "group must contain the identity"),
+    ([Perm.identity(2), Perm.identity(3)], "element degree 3 != group degree 2"),
+])
+def test_a_group_built_from_its_elements_checks_them(elements, message):
+    with pytest.raises(NotAPermutation) as err:
+        PermGroup(2, elements)
+    assert str(err.value) == message
