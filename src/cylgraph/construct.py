@@ -28,7 +28,7 @@ from collections.abc import Mapping
 from .core import Edge, GammaLabel, Graph, _class_names, _union, label_sort_key, node_budget
 from .cylinder import CylinderSet, _bare_rows, make_cylinder
 from .errors import DomainError, LabelConflict, NotATwist, ResourceLimit, count_checked
-from .hom import Homomorphism, _has_vertex_map, _src_edges, _vertex_order, iter_homs
+from .hom import Homomorphism, _emap_keys, _has_vertex_map, _src_edges, _vertex_order, iter_homs
 from .perm import Perm, PermGroup
 
 MAX_PRODUCT_EDGES = 2_000_000
@@ -150,9 +150,10 @@ def _cylinder_rows(cyl) -> tuple:
 
 def _cylinder_shape(key, cg: Graph, verts: list, labels: dict) -> list:
     """One entry per canonical edge of a cylinder graph, in ``str`` order of
-    edge id: (the edge id and its twin's, tail and head positions in
-    ``verts``, the ids ``labels`` interns the label and twin label under, the
-    label, the twin label).  Labels that compare equal share an id."""
+    edge id: (``with_twin`` of the edge, its twin or None, tail and head
+    positions in ``verts``, the ids ``labels`` interns the label and twin
+    label under, the label, the twin label).  Without a twin, the twin label
+    is the label; labels that compare equal share an id."""
     pos = {x: j for j, x in enumerate(verts)}
     shape = []
     for ce in sorted(cg.canonical_edges(), key=str):
@@ -164,7 +165,7 @@ def _cylinder_shape(key, cg: Graph, verts: list, labels: dict) -> list:
             rlid = labels.setdefault(twin_label, len(labels))
         except TypeError:
             raise LabelConflict(f"cylinder {key!r} edge {ce!r} carries an unhashable label") from None
-        shape.append((ids, pos[e.tail], pos[e.head], lid, rlid, e.label, twin_label))
+        shape.append((ids, cg.pairing.get(ce), pos[e.tail], pos[e.head], lid, rlid, e.label, twin_label))
     return shape
 
 
@@ -245,13 +246,12 @@ def cyl_product(g: Graph, cset: CylinderSet) -> ProductTrace:
     out._vertices = dict.fromkeys(sorted(set(names)))
     edges, pairing, new = out.edges, out.pairing, tuple.__new__  # an Edge without NamedTuple's __new__
 
-    # Each canonical cylinder edge travels with its twin when symmetric.  An
+    # Each canonical cylinder edge travels with its twin when it has one.  An
     # end (tail node, head node, label id) is the integer
     # (tail * len(names) + head) * n_labels + label id, and a copy's group key
     # is its ends in sorted order.  A copy whose first end is not the group's
     # first end lies the other way round; ``gids`` keeps 2 * group + (first
     # end is the smaller).  No cylinder interns more labels than it has edges.
-    symmetric = g.symmetric
     n_labels = 1 + sum(row[0] for row in rows.values())
     nl = len(names) * n_labels
     span = len(names) * nl
@@ -264,15 +264,15 @@ def cyl_product(g: Graph, cset: CylinderSet) -> ProductTrace:
         shape = shapes.get(key)
         if shape is None:
             shape = shapes[key] = _cylinder_shape(key, cset[key].graph, rows[key][1], labels)
-        for ids, ti, hi, lid, rlid, lab, rlab in shape:
+        for ids, tw, ti, hi, lid, rlid, lab, rlab in shape:
             a, b = nodes[off + ti], nodes[off + hi]
             end = a * nl + b * n_labels + lid
-            if symmetric:
+            if tw is None:
+                gk, first = end, True
+            else:
                 back = b * nl + a * n_labels + rlid
                 first = end <= back
                 gk = end * span + back if first else back * span + end
-            else:
-                gk, first = end, True
             gid = groups.get(gk)
             if gid is None:
                 gid = groups[gk] = len(groups)
@@ -280,17 +280,16 @@ def cyl_product(g: Graph, cset: CylinderSet) -> ProductTrace:
                 if fid in edges:
                     raise DomainError(_ID_CLASH.format(fid))
                 edges[fid] = new(Edge, (names[a], names[b], lab))
-                if symmetric:
-                    tid = f"{eid}@{ids[1]}"
+                if tw is not None:
+                    tid = f"{eid}@{tw}"
                     if tid in edges:
                         raise DomainError(_ID_CLASH.format(tid))
                     edges[tid] = new(Edge, (names[b], names[a], rlab))
-                    pairing[fid] = tid
-                    pairing[tid] = fid
+                    pairing[fid], pairing[tid] = tid, fid
             gids.append(2 * gid + first)
         off += len(rows[key][1])
 
-    record = (verts, k, names, src_eids, keys, rows, nodes, shapes, gids, list(edges), 2 if symmetric else 1)
+    record = (verts, k, names, src_eids, keys, rows, nodes, shapes, gids, list(edges), 2 if pairing else 1)
     return ProductTrace(out, g, cset, record)
 
 
@@ -411,8 +410,7 @@ def _first_maps(cyl, h: Graph, budget: int | None):
         labels[i] = [(0, eid) for eid in _src_edges(graphs[i])] + [(1, v) for v in hom.vmap]
     labels = list(itertools.chain(*labels))
     at, src, names = {label: j for j, label in enumerate(labels)}, _src_edges(g), [v for c, v in labels if c]
-    keys = src + [g.pairing[eid] for eid in src] if g.symmetric else src  # as ``iter_homs`` keys ``emap``
-    layout = (keys, h.pairing if g.symmetric else None, [at[0, e] for e in src], names, [at[1, v] for v in names])
+    layout = (*_emap_keys(g, h, src), [at[0, e] for e in src], names, [at[1, v] for v in names])
     return layout, places, tables
 
 
@@ -503,14 +501,15 @@ def exponential(
                     triples[base + lr] = (lab, rl)
 
     # edge x<n> per triple in order, and when symmetric its twin x<n>t carrying the reverse
-    g = Graph(symmetric=h.symmetric)
+    symmetric = h.symmetric
+    g = Graph(symmetric=symmetric)
     edges, pairing, new = g.edges, g.pairing, tuple.__new__
     ends: set = set()  # ranks of the names edges meet
     ids = itertools.count()
     for tk in sorted(triples):
         lab, rl = triples[tk]
         t, hd = divmod(tk // L, N)
-        if h.symmetric:
+        if symmetric:
             rk = (hd * N + t) * L + rl
             if rk not in triples:
                 raise LabelConflict(
@@ -521,7 +520,7 @@ def exponential(
         fid = f"x{next(ids)}"
         ends.update((t, hd))
         edges[fid] = new(Edge, (by_name[t], by_name[hd], lab))
-        if h.symmetric:
+        if symmetric:
             tid = fid + "t"
             edges[tid] = new(Edge, (by_name[hd], by_name[t], triples[rk][0]))
             pairing[fid], pairing[tid] = tid, fid
@@ -582,7 +581,7 @@ def cylinders_from_surjection(g: Graph, h: Graph, vmap: dict) -> tuple[Graph, Cy
     cyls = {}
     for eid in canon:
         cg, ys, zs = _bare_rows(k, g.symmetric)
-        link = cg.add_sym_edge if g.symmetric else cg.add_edge
+        link = cg._linker()
         for (i, j) in sorted(set(rungs[eid])):
             link(ys[i - 1], zs[j - 1])
         cyls[eid] = make_cylinder(cg, ys, zs)

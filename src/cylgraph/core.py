@@ -5,7 +5,8 @@ Labels are arbitrary hashable values; the gluing constructions use
 :class:`GammaLabel` triples.  A *symmetric* graph is a directed graph together
 with a fixed-point-free involution pairing every edge with a reverse twin —
 an undirected edge is such a pair, and an undirected loop is a pair of twin
-directed loops.
+directed loops.  The pairing alone decides twins: an edge has one exactly
+when it is a key of ``pairing`` (every edge of a symmetric graph, none of a directed one).
 
 Graphs are built by mutation and then treated as immutable.
 """
@@ -190,17 +191,16 @@ class Graph:
         return [v for v in self._vertices if not self.out_edges(v) and not self.in_edges(v)]
 
     def canonical_edges(self) -> list[str]:
-        """All edge ids, one per twin pair in symmetric mode."""
-        if not self.symmetric:
-            return list(self.edges)
+        """All edge ids, one per twin pair (the pair's smaller id)."""
         return [eid for eid in self.edges if eid <= self.pairing.get(eid, eid)]
 
     def with_twin(self, eid: str) -> tuple:
-        """``(eid, its twin)`` in symmetric mode, ``(eid,)`` otherwise."""
-        return (eid, self.pairing[eid]) if self.symmetric else (eid,)
+        """``(eid, its twin)``, or ``(eid,)`` when it has none."""
+        return (eid, self.pairing[eid]) if eid in self.pairing else (eid,)
 
-    def pair_class(self, eid: str) -> frozenset:
-        return frozenset({eid, self.pairing.get(eid, eid)})
+    def _linker(self):
+        """How a builder joins two vertices: ``add_sym_edge``, or ``add_edge`` on a directed graph."""
+        return self.add_sym_edge if self.symmetric else self.add_edge
 
     def has_gamma_labels(self) -> bool:
         return all(isinstance(e.label, GammaLabel) for e in self.edges.values())
@@ -424,8 +424,8 @@ def identify_vertices(g: Graph, mapping: Mapping) -> Graph:
 
 def merge_parallel(g: Graph) -> Graph:
     """Collapse same-label parallel edges, keeping the lowest edge id of each
-    bundle.  In symmetric mode the merge works on twin pairs, so a loop keeps
-    its twin (one undirected loop survives as two paired directed loops)."""
+    bundle.  The merge works on twin pairs, so a loop keeps its twin (one
+    undirected loop survives as two paired directed loops)."""
     out = Graph(g.symmetric)
     out.add_vertices(g.vertices)
     seen: set = set()
@@ -437,7 +437,7 @@ def merge_parallel(g: Graph) -> Graph:
             seen.add(key)
             for x, e in zip(ids, edges):
                 out.add_edge(e.tail, e.head, e.label, x)
-            if g.symmetric:
+            if len(ids) == 2:
                 out.pair_edges(*ids)
     return out
 

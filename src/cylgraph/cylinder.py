@@ -255,7 +255,7 @@ def identity_cyl(k: int, directed: bool = False) -> Cylinder:
     in each slot.  Gluing it reproduces the edge (slot by slot), so it is the
     unit of the gluing product; with a nontrivial slot group it builds lifts."""
     g, ys, zs = _bare_rows(count_checked(k, "k="), not directed)
-    link = g.add_edge if directed else g.add_sym_edge
+    link = g._linker()
     for y, z in zip(ys, zs):
         link(y, z)
     return make_cylinder(g, ys, zs)
@@ -270,7 +270,7 @@ def path_cyl(n: int, labels=None, directed: bool = False) -> Cylinder:
     g = Graph(symmetric=not directed)
     vs = [f"w{i}" for i in range(n + 1)]
     g.add_vertices(vs)
-    link = g.add_edge if directed else g.add_sym_edge
+    link = g._linker()
     for i in range(n):
         link(vs[i], vs[i + 1], None if labels is None else labels[i])
     return make_cylinder(g, [vs[0]], [vs[-1]])

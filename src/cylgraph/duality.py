@@ -179,7 +179,7 @@ def product_map(f: Homomorphism, tr1: ProductTrace, tr2: ProductTrace) -> Homomo
         if eid != at:
             at, img = eid, f.emap[eid]
             key = g1.edges[eid].label.key
-            rho = None if img in canon2 or not g2.symmetric else reversal(key)
+            rho = None if img in canon2 else reversal(key)
             target = img if rho is None else g2.pairing[img]
             for ce in cset[key].graph.edges:
                 fid = tr1.src_edge[(eid, ce)]

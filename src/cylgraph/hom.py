@@ -82,13 +82,12 @@ MODES = ("plain", "labeled", "gamma")
 
 
 class Homomorphism:
-    """A vertex map plus an edge map; gamma-mode maps also carry the
-    per-vertex twists on edge-incident vertices.  A map that
-    :func:`iter_homs` yields builds its edge map on first read of ``emap``
-    from ``_picked = (layout, values)``.  The layout, shared by a search's maps, holds
-    the ``emap`` keys, a symmetric target's twin pairing and, for a map joined from one
-    map per component, the places of its edge and vertex images in ``values``, from
-    which it also builds ``vmap`` on first read; a searched map's values are its picks."""
+    """A vertex map plus an edge map; gamma-mode maps also carry the per-vertex twists on edge-incident
+    vertices.  A map that :func:`iter_homs` yields builds its edge map on first read of ``emap`` from
+    ``_picked = (layout, values)``.  The layout, shared by a search's maps, holds the ``emap`` keys,
+    the target's pairing (which decides the twin images; None when the source has no twins) and, for
+    a map joined from one map per component, the places of its edge and vertex images in ``values``,
+    from which it also builds ``vmap`` on first read; a searched map's values are its picks."""
 
     __slots__ = ("vmap", "emap", "alphas", "_picked")
 
@@ -191,17 +190,17 @@ def _src_edges(g: Graph) -> list[str]:
 
 
 def _dedupe_classes(h: Graph, eids: list[str]) -> list[str]:
-    """In symmetric targets keep one directed representative per twin pair."""
-    if not h.symmetric:
-        return eids
-    seen: set = set()
-    out = []
+    """One directed representative per twin pair of ``h.pairing``: ``eids`` less each edge whose twin comes earlier."""
+    kept: dict = {}  # an ordered set
     for f in eids:
-        cls = h.pair_class(f)
-        if cls not in seen:
-            seen.add(cls)
-            out.append(f)
-    return out
+        if h.pairing.get(f) not in kept:
+            kept[f] = None
+    return list(kept)
+
+
+def _emap_keys(g: Graph, h: Graph, src: list[str]) -> tuple:
+    """A map's ``emap`` keys (``src``, then their twins in ``g``) and the pairing its twin images come from."""
+    return (src + [g.pairing[eid] for eid in src], h.pairing) if g.pairing else (src, None)
 
 
 def _vertex_order(g: Graph, pins: Mapping) -> list:
@@ -448,8 +447,7 @@ def _homs(g: Graph, h: Graph, mode: str, group: PermGroup | None, pins: dict,
           b: _Budget) -> Iterator[Homomorphism]:
     search = _Search(g, h, mode, group, pins)
     src, order, verts = search.src, search.order, search.verts
-    layout = (src + [g.pairing[eid] for eid in src] if g.symmetric else src, h.pairing if g.symmetric else None,
-              None, None, None)
+    layout = (*_emap_keys(g, h, src), None, None, None)
     m, nv = len(src), len(order)
     spend, gamma, new = b.spend, mode == "gamma", object.__new__
     for vals, lists in search.values(b):
@@ -666,10 +664,9 @@ def check_hom(g: Graph, h: Graph, hom: Homomorphism, mode: str = "labeled",
             return f"edge {eid!r} image changes the label"
         if mode == "gamma" and te.label.key != e.label.key:
             return f"edge {eid!r} image changes the cylinder key"
-    if g.symmetric:
-        for eid in g.edges:
-            if emap[g.pairing[eid]] != h.pairing[emap[eid]]:
-                return f"edge map does not respect the twin pairing at {eid!r}"
+    for eid, tw in g.pairing.items():
+        if emap[tw] != h.pairing.get(emap[eid]):
+            return f"edge map does not respect the twin pairing at {eid!r}"
     if mode == "gamma":
         try:
             alphas = extract_alphas(g, h, hom, group)

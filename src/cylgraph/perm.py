@@ -162,6 +162,8 @@ class PermGroup:
     @classmethod
     def generated(cls, k: int, gens: Iterable[Perm], limit: int = 1_000_000) -> PermGroup:
         gens = tuple(gens)
+        if bad := [h for h in gens if _perm_checked(h, "generator").degree != k]:  # a huge k overflows Perm.identity(k)
+            raise NotAPermutation(f"generator degree {bad[0].degree} != group degree {k}")
         found = {Perm.identity(k)}
         count_checked(limit, "limit=")
         frontier = list(found)

@@ -482,3 +482,13 @@ def test_every_verb_rejects_a_directed_graph_that_carries_a_pairing(tmp_path, ca
             "error": "DomainError",
             "message": f"{bad}: non-symmetric graph must not carry a pairing",
         }
+
+
+def test_a_huge_group_degree_with_a_small_generator_is_a_typed_error(tmp_path, capsys):
+    fx = fixtures(tmp_path)
+    cylinders = dump(tmp_path, "huge.json", _cylinders(group={"degree": 10**30, "generators": [[2, 1]]}))
+    assert main(["product", "--graph", fx["c5lab"], "--cylinders", cylinders]) == 1
+    assert _one_line_error(capsys) == {
+        "error": "NotAPermutation",
+        "message": f"generator degree 2 != group degree {10**30}",
+    }

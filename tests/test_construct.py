@@ -26,7 +26,7 @@ from cylgraph.errors import DomainError, LabelConflict, NotATwist, ResourceLimit
 from cylgraph.hom import check_hom
 from cylgraph.perm import Perm, PermGroup
 
-from util import degree, girth, without_loops
+from util import degree, girth, pair_class, without_loops
 
 
 def cycle(n):
@@ -281,7 +281,7 @@ def test_exponential_witnesses_are_valid():
         q = tuple(hom.vmap[v] for v in cs["w"].z)
         assert e.label.pre.act(et.tuple_of[e.tail]) == p
         assert e.label.post.act(et.tuple_of[e.head]) == q
-        assert et.edge_by_triple[e.tail, e.head, e.label] in et.graph.pair_class(eid)
+        assert et.edge_by_triple[e.tail, e.head, e.label] in pair_class(et.graph, eid)
 
 
 def test_exponential_budget_and_degenerate_targets():

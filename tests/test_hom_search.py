@@ -27,7 +27,7 @@ from cylgraph.hom import (
 )
 from cylgraph.perm import Perm, PermGroup
 
-from util import hom_key, random_gamma_labels, random_multigraph
+from util import hom_key, pair_class, random_gamma_labels, random_multigraph
 
 
 def brute_homs(g, h, mode, group=None, pins=None):
@@ -67,7 +67,7 @@ def brute_homs(g, h, mode, group=None, pins=None):
                     continue
                 if alphas is not None and extract_alphas(g, h, hom, group) != alphas:
                     continue
-                classes = tuple(h.pair_class(f) for f in pick)
+                classes = tuple(pair_class(h, f) for f in pick)
                 if classes not in seen:
                     seen.add(classes)
                     out.append(hom)

@@ -3,7 +3,9 @@ name it never uses, every private module-level function or class is
 referenced somewhere in the package, so folding duplicates together leaves
 no dead helper behind, every public function, class and method is reached
 from outside the tests, and no public function shares its name with a
-public method, which would hide either one from that rule."""
+public method, which would hide either one from that rule.  The graph kind
+(``.symmetric``) is read only where a listed function needs the kind itself;
+everywhere else the twin pairing says whether an edge has a twin."""
 
 import ast
 import re
@@ -203,3 +205,75 @@ def test_readme_code_names_take_spans_and_fences_but_not_prose_or_comments():
         "More prose, then `twist`.\n"
     )
     assert _readme_code_names(text) == {"cyl_product", "a", "b", "g", "petersen", "twist"}
+
+
+# The functions that may read the graph kind, ``.symmetric`` not called
+# (``PermGroup.symmetric(k)`` builds a group).  Anywhere else an edge has a
+# twin exactly when it is in ``pairing``, so a branch on the kind is a second
+# code path for one behaviour.
+KIND_READERS = {
+    # the kind itself, and the forms that compare, print or check it
+    "core.py:Graph.__eq__", "core.py:Graph.__repr__", "core.py:Graph.to_json", "core.py:Graph.to_dot",
+    "core.py:Graph.validate", "cylinder.py:CylinderSet.symmetric",
+    # refusals of a graph of the wrong kind
+    "core.py:Graph.add_sym_edge", "core.py:disjoint_union", "core.py:isomorphic", "hom.py:_require_comparable",
+    "cylinder.py:CylinderSet.validate", "catalog.py:neps_cylinder", "catalog.py:rotation_labels",
+    "catalog.py:join_cylinder",
+    # outputs that take their input's kind; the exponential's twin emission
+    # decides its output's kind, and ``Graph._linker`` picks how a builder
+    # joins two vertices
+    "core.py:Graph.copy", "core.py:Graph.induced", "core.py:Graph.with_labels", "core.py:identify_vertices",
+    "core.py:merge_parallel", "core.py:Graph._linker", "construct.py:cyl_product", "construct.py:exponential",
+    "construct.py:cylinders_from_surjection", "catalog.py:walk_power", "catalog.py:subdivision",
+    "catalog.py:voltage_lift", "catalog.py:graph_minor",
+    # the oracles the tests compare against
+    "catalog.py:walk_power_direct", "catalog.py:voltage_lift_direct", "catalog.py:line_graph_direct",
+}
+
+
+def _kind_readers(trees: dict) -> set:
+    """``file:qualname`` of every module-level function or class, and every
+    method, in ``trees`` (file name -> parsed module) that reads an attribute
+    ``symmetric`` other than to call it; ``file:<module>`` for a read outside
+    them.  A nested function counts as the function it is defined in."""
+
+    def owners(tree):
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    method = isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    yield (f"{node.name}.{item.name}" if method else node.name), item
+            else:
+                yield getattr(node, "name", "<module>"), node
+
+    found = set()
+    for name, tree in trees.items():
+        called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        for qualname, node in owners(tree):
+            if any(isinstance(x, ast.Attribute) and x.attr == "symmetric" and isinstance(x.ctx, ast.Load)
+                   and id(x) not in called for x in ast.walk(node)):
+                found.add(f"{name}:{qualname}")
+    return found
+
+
+def test_only_the_listed_functions_read_the_graph_kind():
+    readers = _kind_readers({path.name: _tree(path) for path in MODULES})
+    new, stale = sorted(readers - KIND_READERS), sorted(KIND_READERS - readers)
+    assert not new, f"these read the graph kind; ask the pairing whether an edge has a twin instead: {new}"
+    assert not stale, f"listed as reading the graph kind, but no longer do: {stale}"
+
+
+def test_kind_rule_flags_a_read_but_not_a_call_or_a_store():
+    trees = {
+        "a.py": ast.parse(
+            "def fork(g):\n    return 2 if g.symmetric else 1\n"
+            "def group(k):\n    return PermGroup.symmetric(k)\n"  # a call builds a group
+            "class Graph:\n"
+            "    def __init__(self, symmetric):\n        self.symmetric = symmetric\n"  # a store
+            "    def twins(self):\n        def inner():\n            return self.symmetric\n        return inner()\n"
+            "    def plain(self):\n        return self.pairing\n"
+            "KIND = G.symmetric\n"
+        ),
+        "b.py": ast.parse("def oracle_direct(g):\n    return Graph(symmetric=g.symmetric)\n"),
+    }
+    assert _kind_readers(trees) == {"a.py:fork", "a.py:Graph.twins", "a.py:<module>", "b.py:oracle_direct"}

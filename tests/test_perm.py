@@ -156,3 +156,14 @@ def test_a_group_built_from_its_elements_checks_them(elements, message):
     with pytest.raises(NotAPermutation) as err:
         PermGroup(2, elements)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("k", [3, 10**30])
+def test_a_generator_of_another_degree_is_refused_before_the_group_is_built(k):
+    # a degree of 10**30 would overflow building the identity, so the degrees are compared first
+    with pytest.raises(NotAPermutation) as err:
+        PermGroup.generated(k, [Perm((2, 1))])
+    assert str(err.value) == f"generator degree 2 != group degree {k}"
+    with pytest.raises(NotAPermutation) as err:
+        PermGroup.generated(2, [(2, 1)])
+    assert str(err.value) == "generator must be a Perm, got (2, 1)"

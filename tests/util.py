@@ -56,6 +56,11 @@ def degree(g: Graph, v) -> int:
     return len(g.out_edges(v))
 
 
+def pair_class(g: Graph, eid: str) -> frozenset:
+    """The edge ``eid`` with its twin, if it has one."""
+    return frozenset({eid, g.pairing.get(eid, eid)})
+
+
 def hom_key(h) -> tuple:
     """A homomorphism's vertex and edge maps as sorted item tuples, for
     comparing maps whatever order their dicts were filled in."""
@@ -123,8 +128,7 @@ def random_gamma_labels(rng, g, cset):
     out.add_vertices(g.vertices)
     keys = sorted(cset.keys(), key=str)
     elems = list(cset.group)
-    canon = g.canonical_edges() if g.symmetric else list(g.edges)
-    for eid in sorted(canon):
+    for eid in sorted(g.canonical_edges()):
         e = g.edges[eid]
         lab = GammaLabel(rng.choice(elems), rng.choice(keys), rng.choice(elems))
         if g.symmetric:
