@@ -6,8 +6,8 @@ that familiar constructions (graph powers, subdivisions, the standard
 two-factor products, permutation-voltage lifts, replacement and zig-zag
 products, line graphs, cones, minors) all arise from one gluing mechanism
 with the right cylinder in hand.  Each recipe that has a classical direct
-description also ships that description (``*_direct``) so the two routes
-can be compared on concrete graphs.
+description also ships it (``*_direct``) so the two routes can be compared
+on concrete graphs.  Products of unlabeled cylinders are returned as glued.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from itertools import combinations
 
-from .construct import cyl_product, exponential, uniform_labels
+from .construct import _uniform, cyl_product, exponential
 from .core import GammaLabel, Graph, merge_parallel
 from .cylinder import (
     Cylinder,
@@ -96,7 +96,7 @@ def pentagon_pentagram() -> Graph:
 
 def petersen() -> Graph:
     cs = CylinderSet(PermGroup.symmetric(2), {1: sqcap_cyl()})
-    return cyl_product(pentagon_pentagram(), cs).graph.stripped()
+    return cyl_product(pentagon_pentagram(), cs).graph
 
 
 # -- walk powers and subdivisions ------------------------------------------
@@ -151,7 +151,7 @@ def subdivision(g: Graph, n: int) -> Graph:
     if n < 1:
         raise DomainError("subdivision needs n >= 1")
     cs = CylinderSet(PermGroup.trivial(1), {1: cyl})
-    return cyl_product(uniform_labels(g, key=1), cs).graph.stripped()
+    return cyl_product(_uniform(g, key=1, width=1), cs).graph
 
 
 def fractional_power(g: Graph, m: int, n: int, *, budget: int | None = None) -> Graph:
@@ -206,7 +206,7 @@ def neps_product(h: Graph, g: Graph, kind: str) -> Graph:
     Isolated vertices of ``h`` contribute bare slot rows (no copy of ``g``)."""
     cyl = neps_cylinder(g, kind)
     cs = CylinderSet(PermGroup.trivial(cyl.width), {kind: cyl})
-    return cyl_product(uniform_labels(h, key=kind, width=cyl.width), cs).graph.stripped()
+    return cyl_product(_uniform(h, key=kind, width=cyl.width), cs).graph
 
 
 def neps_direct(h: Graph, g: Graph, kind: str) -> Graph:
@@ -288,7 +288,7 @@ def voltage_lift(base: Graph, voltages: dict, k: int) -> Graph:
     group = PermGroup.generated(k, list(perms.values()))
     cyl = identity_cyl(k, directed=not base.symmetric)
     cs = CylinderSet(group, {"lift": cyl})
-    return cyl_product(labeled, cs).graph.stripped()
+    return cyl_product(labeled, cs).graph
 
 
 def voltage_lift_direct(base: Graph, voltages: dict, k: int) -> Graph:
@@ -513,7 +513,7 @@ def join_with(g: Graph, h: Graph) -> Graph:
     ``h`` per component of ``g``, and every cross edge."""
     cyl = join_cylinder(h)
     cs = CylinderSet(PermGroup.trivial(cyl.width), {"join": cyl})
-    return cyl_product(uniform_labels(g, key="join", width=cyl.width), cs).graph.stripped()
+    return cyl_product(_uniform(g, key="join", width=cyl.width), cs).graph
 
 
 def cone(g: Graph) -> Graph:
@@ -551,4 +551,4 @@ def graph_minor(g: Graph, contract=(), delete=()) -> Graph:
         eid: GammaLabel(ident, "cut" if eid in contract else ("drop" if eid in delete else "keep"), ident)
         for eid in canon
     })
-    return cyl_product(labeled, cs).graph.stripped()
+    return cyl_product(labeled, cs).graph

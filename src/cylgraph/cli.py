@@ -32,13 +32,15 @@ from .catalog import (
     walk_power,
     zigzag_product,
 )
-from .construct import cyl_product, exponential, uniform_labels
+from .construct import _uniform, cyl_product, exponential
 from .core import Graph, isomorphic
 from .cylinder import CylinderSet
 from .duality import check_duality, is_lower_closed, is_upper_closed
 from .errors import CylError, DomainError, json_checked
 from .hom import MODES, count_homs, find_hom, list_homs
 from .perm import Perm, PermGroup
+
+_SCALARS, _STR, _DICT = frozenset((str, int, float, bool, type(None))), frozenset((str,)), frozenset((dict,))
 
 
 class UsageError(CylError):
@@ -66,13 +68,12 @@ def _load_json(path: str):
 
 
 def _read(path: str, build):
-    """``build`` applied to a JSON file's content; a DomainError it raises
-    for a malformed document names the file."""
+    """``build`` applied to a JSON file's content; an error it raises keeps its type and names the file."""
     data = _load_json(path)
     try:
         return build(data)
-    except DomainError as exc:
-        raise DomainError(f"{path}: {exc}") from None
+    except CylError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def load_graph(path: str) -> Graph:
@@ -94,7 +95,36 @@ def load_group(path: str) -> PermGroup:
 
 
 def _emit(data: dict, out: str | None) -> None:
-    _emit_text(json.dumps(data, indent=2, sort_keys=True, default=str) + "\n", out)
+    _emit_text(_dumps(data) + "\n", out)
+
+
+@functools.cache
+def _flat(depth: int) -> tuple:  # (C encoder putting each item but the first on a new line depth levels in, that break)
+    ind = "\n" + "  " * depth
+    return json.encoder.c_make_encoder(None, str, json.encoder.encode_basestring_ascii, None, ": ", "," + ind,
+                                       True, False, True), ind
+
+
+def _dumps(x, depth: int = 0) -> str:
+    """``json.dumps(x, indent=2, sort_keys=True, default=str)`` indented ``depth`` levels more.  Stdlib's ``indent=``
+    runs in Python; here C writes scalars, lists and objects of them and lists of such objects, stdlib the rest."""
+    t = type(x)
+    if json.encoder.c_make_encoder is not None and (t in _SCALARS or (t is list or t is dict) and x):
+        enc, ind = _flat(depth + 1)
+        if t in _SCALARS or _SCALARS.issuperset(map(type, x.values() if t is dict else x)):
+            s = "".join(enc(x, 0))
+            return s if t in _SCALARS else f"{s[0]}{ind}{s[1:-1]}{ind[:-2]}{s[-1]}"
+        if t is list and _DICT.issuperset(map(type, x)) and all(x) and \
+                _SCALARS.issuperset({type(v) for d in x for v in d.values()}):
+            # one call at depth + 2; "}," ends objects only (no scalar ends in "}"): those breaks move out
+            s = "".join(_flat(depth + 2)[0](x, 0))[2:-2].replace(f"}},{ind}  {{", f"{ind}}},{ind}{{{ind}  ")
+            return f"[{ind}{{{ind}  {s}{ind}}}{ind[:-2]}]"
+        if t is list:
+            return f"[{ind}" + f",{ind}".join([_dumps(v, depth + 1) for v in x]) + f"{ind[:-2]}]"
+        if _STR.issuperset(map(type, x)):
+            items = [f"{json.encoder.encode_basestring_ascii(k)}: {_dumps(x[k], depth + 1)}" for k in sorted(x)]
+            return f"{{{ind}" + f",{ind}".join(items) + f"{ind[:-2]}}}"
+    return json.dumps(x, indent=2, sort_keys=True, default=str).replace("\n", "\n" + "  " * depth)
 
 
 def _emit_text(text: str, out: str | None) -> None:
@@ -124,7 +154,7 @@ def _maybe_uniform(g: Graph, cset: CylinderSet, flag: str | None) -> Graph:
         key = flag
     if key not in cset.keys():
         raise UsageError(f"--uniform {flag!r} is not a key of the cylinder set")
-    return uniform_labels(g, key, width=cset.width)
+    return _uniform(g, key, cset.width)  # load_graph validated g; one label on every edge keeps it valid
 
 
 def cmd_product(args) -> int:

@@ -39,10 +39,15 @@ def uniform_labels(g: Graph, key, width: int = 1) -> Graph:
     """Copy of ``g`` with every edge labeled ``(id, key, id)`` at the given
     width.  This is how a plain graph enters the product or a homomorphism
     against a labeled one."""
-    ident = Perm.identity(width)
-    out = g.with_labels(dict.fromkeys(g.edges, GammaLabel(ident, key, ident)))
+    out = _uniform(g, key, width)
     out.validate()
     return out
+
+
+def _uniform(g: Graph, key, width: int) -> Graph:
+    """:func:`uniform_labels` unvalidated (one label object on every edge), for :func:`cyl_product` to check."""
+    ident = Perm.identity(width)
+    return g.with_labels(dict.fromkeys(g.edges, GammaLabel(ident, key, ident)))
 
 
 class ProductTrace:
@@ -124,8 +129,10 @@ def _audit_product_labels(g: Graph, cset: CylinderSet) -> None:
     group = cset.group
     k = cset.width
     inside: set = set()  # the twists already found in the group
+    first: dict = {}  # label id -> the first edge carrying it; a later one passes as that edge did
     for eid, e in g.edges.items():
-        lab = e.label
+        if first.setdefault(id(lab := e.label), eid) != eid:
+            continue
         if not isinstance(lab, GammaLabel):
             raise LabelConflict(f"edge {eid!r} carries {lab!r}, not a slot-group label")
         if lab.key not in cset:
@@ -186,9 +193,9 @@ def cyl_product(g: Graph, cset: CylinderSet) -> ProductTrace:
     the end.  Copies whose ends land on the same (tail, head, label) set
     merge into the first copy's edges, which name the output edges.
     """
+    g.validate()
     if g.symmetric != cset.symmetric:
         raise DomainError("source graph and cylinders disagree about being symmetric")
-    g.validate()
     _audit_product_labels(g, cset)
     k = cset.width
     verts = g.vertices

@@ -14,6 +14,7 @@ so that ``h.act(g.act(x)) == compose(g, h).act(x)``.
 from __future__ import annotations
 
 import itertools
+import sys
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
 
@@ -86,11 +87,13 @@ class Perm(tuple):
 
     @classmethod
     def identity(cls, k: int) -> Perm:
-        return cls(range(1, count_checked(k, "k=") + 1))
+        if count_checked(k, "k=") > sys.maxsize:  # checked before a tuple of k images is asked for
+            raise ResourceLimit(f"degree {k} is more points than a permutation can hold (at most {sys.maxsize})")
+        return cls(range(1, k + 1))
 
     @classmethod
     def from_cycles(cls, k: int, *cycles: Sequence[int]) -> Perm:
-        images = list(range(1, count_checked(k, "k=") + 1))
+        images = list(cls.identity(k))
         for cyc in cycles:
             try:
                 points = tuple(cyc)
@@ -162,7 +165,7 @@ class PermGroup:
     @classmethod
     def generated(cls, k: int, gens: Iterable[Perm], limit: int = 1_000_000) -> PermGroup:
         gens = tuple(gens)
-        if bad := [h for h in gens if _perm_checked(h, "generator").degree != k]:  # a huge k overflows Perm.identity(k)
+        if bad := [h for h in gens if _perm_checked(h, "generator").degree != k]:
             raise NotAPermutation(f"generator degree {bad[0].degree} != group degree {k}")
         found = {Perm.identity(k)}
         count_checked(limit, "limit=")
@@ -208,7 +211,7 @@ class PermGroup:
     def cyclic(cls, k: int) -> PermGroup:
         if count_checked(k, "k=") == 0:
             return cls.trivial(0)
-        rot = Perm.from_cycles(k, tuple(range(1, k + 1)))
+        rot = Perm.from_cycles(k, range(1, k + 1))
         return cls.generated(k, [rot])
 
     def __contains__(self, g: Perm) -> bool:

@@ -39,7 +39,7 @@ from cylgraph.catalog import (
     zigzag_product,
     zigzag_via_walks,
 )
-from cylgraph.core import Graph, disjoint_union, isomorphic
+from cylgraph.core import Edge, Graph, disjoint_union, isomorphic
 from cylgraph.cylinder import path_cyl
 from cylgraph.errors import DomainError
 from cylgraph.perm import Perm
@@ -362,6 +362,54 @@ def test_subdivision_of_a_long_cycle_glues_over_integer_ids():
     assert time.perf_counter() - start <= 2.0
     assert len(out.vertices) == 100_000
     assert len(out.edges) == 200_000
+
+
+def test_the_product_builders_return_the_glued_graph_unlabeled():
+    # their cylinders carry no edge labels, so the product needs no stripped copy
+    c5 = cycle_graph(5)
+    built = {
+        "petersen": petersen(),
+        "subdivision": subdivision(c5, 3),
+        "neps_product": neps_product(c5, complete_graph(3), "strong"),
+        "voltage_lift": voltage_lift(c5, {"e0": Perm((2, 1))}, 2),
+        "join_with": join_with(c5, path_graph(2)),
+        "graph_minor": graph_minor(c5, contract=("e0",), delete=("e2",)),
+    }
+    for name, g in built.items():
+        assert g.edges and all(e.label is None for e in g.edges.values()), name
+        assert g == g.stripped(), name
+
+
+def _malformed_graphs() -> dict:
+    unpaired = Graph(symmetric=True)
+    unpaired.add_vertices([0, 1])
+    unpaired.add_edge(0, 1)
+    dangling = cycle_graph(3)
+    dangling.edges["x"] = Edge(0, 5, None)
+    dangling_directed = Graph()
+    dangling_directed.add_vertices([0, 1])
+    dangling_directed.add_edge(0, 1)
+    dangling_directed.edges["x"] = Edge(0, 5, None)
+    return {
+        "unpaired": (unpaired, "symmetric graph with unpaired edges: ['e0']"),
+        "dangling": (dangling, "edge 'x' has a missing endpoint"),
+        # neps_product and join_with glue symmetric cylinders: the graph's defect is still named first
+        "dangling directed": (dangling_directed, "edge 'x' has a missing endpoint"),
+    }
+
+
+@pytest.mark.parametrize("graph", sorted(_malformed_graphs()))
+@pytest.mark.parametrize("build", [
+    lambda g: subdivision(g, 2),
+    lambda g: neps_product(g, complete_graph(2), "cartesian"),
+    lambda g: join_with(g, path_graph(1)),
+], ids=["subdivision", "neps_product", "join_with"])
+def test_a_builder_validating_once_names_the_defect_of_a_malformed_graph(graph, build):
+    g, message = _malformed_graphs()[graph]
+    with pytest.raises(DomainError) as err:
+        build(g)
+    assert type(err.value) is DomainError
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("kwargs, what", [

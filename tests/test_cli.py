@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import sys
 import time
 
 import pytest
@@ -490,5 +491,30 @@ def test_a_huge_group_degree_with_a_small_generator_is_a_typed_error(tmp_path, c
     assert main(["product", "--graph", fx["c5lab"], "--cylinders", cylinders]) == 1
     assert _one_line_error(capsys) == {
         "error": "NotAPermutation",
-        "message": f"generator degree 2 != group degree {10**30}",
+        "message": f"{cylinders}: generator degree 2 != group degree {10**30}",
+    }
+
+
+def test_a_group_degree_no_tuple_can_hold_is_a_resource_limit_naming_the_file(tmp_path, capsys):
+    fx = fixtures(tmp_path)
+    cylinders = dump(tmp_path, "huge.json", _cylinders(group={"degree": 10**30, "generators": []}))
+    assert main(["product", "--graph", fx["c5lab"], "--cylinders", cylinders]) == 1
+    assert _one_line_error(capsys) == {
+        "error": "ResourceLimit",
+        "message": f"{cylinders}: degree {10**30} is more points than a permutation can hold (at most {sys.maxsize})",
+    }
+
+
+def test_a_label_conflict_in_a_graph_file_names_the_file(tmp_path, capsys):
+    fx = fixtures(tmp_path)
+    bad = dump(tmp_path, "twins.json", {
+        "symmetric": True,
+        "vertices": [0, 1],
+        "edges": [{"id": "e0", "tail": 0, "head": 1, "label": 1}, {"id": "e1", "tail": 1, "head": 0, "label": 2}],
+        "pairing": {"e0": "e1", "e1": "e0"},
+    })
+    assert main(["product", "--graph", bad, "--cylinders", fx["p2"]]) == 1
+    assert _one_line_error(capsys) == {
+        "error": "LabelConflict",
+        "message": f"{bad}: paired edges 'e0'/'e1' carry incompatible labels",
     }

@@ -170,6 +170,31 @@ def test_product_rejects_bad_labels():
         cyl_product(Graph(symmetric=True), CylinderSet(PermGroup.trivial(1), {1: identity_cyl(1, directed=True)}))
 
 
+def test_product_audits_a_shared_label_once_and_names_the_first_bad_edge():
+    ok = GammaLabel(Perm.identity(1), 1, Perm.identity(1))
+    lacking = GammaLabel(Perm.identity(1), 2, Perm.identity(1))
+    g = Graph()
+    g.add_vertices(range(6))
+    for i, lab in enumerate([ok, ok, lacking, ok, lacking]):
+        g.add_edge(i, i + 1, lab)
+    cs = CylinderSet(PermGroup.trivial(1), {1: identity_cyl(1, directed=True)})
+    with pytest.raises(DomainError, match="^edge 'e2' asks for cylinder 2, which the set lacks$"):
+        cyl_product(g, cs)
+    g.edges["e1"] = g.edges["e1"]._replace(label=None)
+    with pytest.raises(LabelConflict, match="^edge 'e1' carries None, not a slot-group label$"):
+        cyl_product(g, cs)
+
+
+def test_product_reports_a_malformed_graph_before_a_kind_mismatch():
+    g = uniform_labels(path_graph(1), 1)
+    cs = CylinderSet(PermGroup.trivial(1), {1: identity_cyl(1, directed=True)})
+    with pytest.raises(DomainError, match="^source graph and cylinders disagree about being symmetric$"):
+        cyl_product(g, cs)
+    del g.pairing["e1"]
+    with pytest.raises(DomainError, match=r"^symmetric graph with unpaired edges: \['e1'\]$"):
+        cyl_product(g, cs)
+
+
 @pytest.mark.parametrize("pre, post", [(3, 2), (2, 3)])
 def test_product_names_the_degree_of_the_twist_that_is_wrong(pre, post):
     g = Graph()

@@ -2,6 +2,7 @@ import copy
 import json
 import pickle
 import random
+import sys
 
 import pytest
 
@@ -156,6 +157,14 @@ def test_a_group_built_from_its_elements_checks_them(elements, message):
     with pytest.raises(NotAPermutation) as err:
         PermGroup(2, elements)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("build", [Perm.identity, Perm.from_cycles, PermGroup.trivial, PermGroup.cyclic,
+                                   lambda k: PermGroup.generated(k, [])])
+def test_a_degree_no_tuple_can_hold_is_a_resource_limit_before_anything_is_allocated(build):
+    with pytest.raises(ResourceLimit) as err:
+        build(10**30)
+    assert str(err.value) == f"degree {10**30} is more points than a permutation can hold (at most {sys.maxsize})"
 
 
 @pytest.mark.parametrize("k", [3, 10**30])
