@@ -393,8 +393,9 @@ def _tuple_getter(idx: list):  # operator.itemgetter(*idx), a tuple also for one
 
 def _first_maps(cyl, h: Graph, budget: int | None):
     """The realized pairs of rows ``y + z`` factorised: one table per component, in the whole graph's
-    search order, from its share of the rows (its ``places`` in ``y + z``) to its first map's record.
-    Returns (layout, places, tables), None when some component has no map."""
+    search order, from its share of the rows (its ``places`` in ``y + z``) to its first map's record,
+    the share read off the records :func:`iter_homs` yields, no ``vmap`` built.  Returns (layout,
+    places, tables), None when some component has no map."""
     g, ends = cyl.graph, (*cyl.y, *cyl.z)
     comp_of = {v: i for i, comp in enumerate(g.components()) for v in comp}
     parts = [set(vs) for _, vs in itertools.groupby(_vertex_order(g, {}), comp_of.get)] or [set()]
@@ -406,15 +407,18 @@ def _first_maps(cyl, h: Graph, budget: int | None):
     tables: list = [{} for _ in parts]
     labels: list = [None] * len(parts)  # per part, what each place of a record holds: (0, edge) or (1, vertex)
     for i in range(-1, len(parts) - 1):  # the last part first: the others have vertex maps
-        read, first = _tuple_getter([ends[j] for j in places[i]]), tables[i]
+        first, read = tables[i], None
         for hom in iter_homs(graphs[i], h, mode="labeled", budget=budget):
-            share = read(hom.vmap)
+            record = hom._picked[1]
+            if read is None:  # the places in a record of the part's boundary vertices
+                keys, _, picks, order, spots = hom._picked[0]
+                read = _tuple_getter([spots[order.index(ends[j])] for j in places[i]])
+            share = read(record)
             if share not in first:
-                first[share] = hom._picked[1] + tuple(hom.vmap.values())
+                first[share] = record
         if not first:
             return None
-        # a record: the part's edge picks, then its vertex images, keyed as every map of the search
-        labels[i] = [(0, eid) for eid in _src_edges(graphs[i])] + [(1, v) for v in hom.vmap]
+        labels[i] = [(0, eid) for eid in keys[:len(picks)]] + [(1, v) for v in order]
     labels = list(itertools.chain(*labels))
     at, src, names = {label: j for j, label in enumerate(labels)}, _src_edges(g), [v for c, v in labels if c]
     layout = (*_emap_keys(g, h, src), [at[0, e] for e in src], names, [at[1, v] for v in names])

@@ -347,11 +347,17 @@ class Graph:
         g = cls(bool(json_checked(data, dict, "graph").get("symmetric", False)))
         vertices = json_checked(data.get("vertices"), list, "'vertices'")
         g.add_vertices(json_checked(v, JSON_SCALAR, "vertex name") for v in vertices)
+        # one object per distinct GammaLabel, which label audits memoise by; keys that compare equal but
+        # write other JSON (1 and 1.0, 0.0 and -0.0) differ under ``str`` and stay apart
+        interned: dict = {}
         for i, rec in enumerate(json_checked(data.get("edges"), list, "'edges'")):
             if not isinstance(rec, dict) or "tail" not in rec or "head" not in rec:
                 raise DomainError(f"edge #{i} needs 'tail' and 'head'")
             tail, head = (json_checked(rec[end], JSON_SCALAR, f"edge #{i} {end!r}") for end in ("tail", "head"))
-            g.add_edge(tail, head, label_from_json(rec.get("label")), rec.get("id"))
+            label = label_from_json(rec.get("label"))
+            if isinstance(label, GammaLabel):
+                label = interned.setdefault((label, str(label.key)), label)
+            g.add_edge(tail, head, label, rec.get("id"))
         for eid, tw in json_checked(data.get("pairing", {}), dict, "'pairing'").items():
             g.pair_edges(eid, json_checked(tw, JSON_SCALAR, "'pairing' twin"))
         g.validate()

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-from .construct import ExpoTrace, ProductTrace, cyl_product, exponential, uniform_labels
+from .construct import ExpoTrace, ProductTrace, _uniform, cyl_product, exponential
 from .core import GammaLabel, Graph
 from .cylinder import CylinderSet
 from .errors import DomainError
@@ -294,8 +294,8 @@ def is_lower_closed(cset: CylinderSet, h: Graph, *, budget: int | None = None) -
     """Can the exponential of the target's own product be mapped back onto
     the target (as structured maps over the uniform labeling)?"""
     key = _single_key(cset)
-    hl = uniform_labels(h, key, width=cset.width)
-    tr = cyl_product(hl, cset)
+    hl = _uniform(h, key, cset.width)
+    tr = cyl_product(hl, cset)  # validates ``hl``, as ``uniform_labels`` would
     et = exponential(cset, tr.graph, budget=budget)
     return find_hom(et.graph, hl, mode="gamma", group=cset.group, budget=budget) is not None
 

@@ -63,8 +63,9 @@ the search leaves, one per source edge, the last edge turning fastest.  They
 charge what depth-first search over the edges would: a leaf's first pick
 ``m`` nodes, ``m`` the number of source edges, and each later pick ``m - k``,
 ``k`` the index of the leftmost edge whose image moved, one node per image
-taken from edge ``k`` on.  A yielded map keeps its pick and builds its edge
-map, twins included, on first read of ``emap``.
+taken from edge ``k`` on.  A yielded map keeps one flat record, its edge
+picks then its vertex images, and builds its edge map, twins included, from
+it on first read; outside gamma mode its vertex map too.
 """
 
 from __future__ import annotations
@@ -83,11 +84,11 @@ MODES = ("plain", "labeled", "gamma")
 
 class Homomorphism:
     """A vertex map plus an edge map; gamma-mode maps also carry the per-vertex twists on edge-incident
-    vertices.  A map that :func:`iter_homs` yields builds its edge map on first read of ``emap`` from
-    ``_picked = (layout, values)``.  The layout, shared by a search's maps, holds the ``emap`` keys,
-    the target's pairing (which decides the twin images; None when the source has no twins) and, for
-    a map joined from one map per component, the places of its edge and vertex images in ``values``,
-    from which it also builds ``vmap`` on first read; a searched map's values are its picks."""
+    vertices.  A map that :func:`iter_homs` yields, or that the exponential joins from one per component,
+    builds ``emap``, and ``vmap`` when unset, on first read from one flat record ``_picked = (layout,
+    values)``.  The layout holds the ``emap`` keys, the target's pairing (the twin images; None without
+    twins), the places in ``values`` of the edge images, the vertex names and their images' places.  A
+    searched map's values are its edge picks, then its vertex images; a joined map's, its parts' in turn."""
 
     __slots__ = ("vmap", "emap", "alphas", "_picked")
 
@@ -104,7 +105,7 @@ class Homomorphism:
         if name == "vmap":
             self.vmap = dict(zip(names, map(values.__getitem__, verts)))
             return self.vmap
-        pick = values if edges is None else tuple(map(values.__getitem__, edges))
+        pick = tuple(map(values.__getitem__, edges))
         if twins is not None:
             pick += tuple(map(twins.__getitem__, pick))
         self.emap = dict(zip(keys, pick))
@@ -371,7 +372,7 @@ class _Search:
         order and tries only those its edges allow.  The stack is explicit,
         so depth is not bounded by the recursion limit."""
         cands, draw, back, top, ends_at = self.cands, self.draw, self.back, self.top, self.ends_at
-        table = self.matcher.table
+        tables, build = self.matcher._tables, self.matcher._build  # ``_Matcher.table``, inlined
         n = len(self.order)
         vals: list = [None] * len(top)
         tabs: list = [None] * len(self.src)
@@ -386,16 +387,22 @@ class _Search:
             for r, w in stack[i]:
                 vals[i] = w
                 for k, eid, tail, head in back[i]:
-                    tab = table(eid, vals[tail], vals[head])
+                    tab = tables.get(key := (eid, vals[tail], vals[head]))
+                    if tab is None:
+                        tab = tables[key] = build(*key)
                     if not tab:
                         break
                     tabs[k] = tab
-                else:
-                    budget.spend(r - taken[i])
+                else:  # ``budget.spend(r - taken[i])`` inlined, as below; ``spend(0)`` raises when overdrawn
+                    budget.left -= r - taken[i]
+                    if budget.left < 0:
+                        budget.spend(0)
                     taken[i] = r
                     break
             else:
-                budget.spend(top[i] - taken[i])
+                budget.left -= top[i] - taken[i]
+                if budget.left < 0:
+                    budget.spend(0)
                 stack.pop()
                 continue
             if i < last:
@@ -447,10 +454,11 @@ def _homs(g: Graph, h: Graph, mode: str, group: PermGroup | None, pins: dict,
           b: _Budget) -> Iterator[Homomorphism]:
     search = _Search(g, h, mode, group, pins)
     src, order, verts = search.src, search.order, search.verts
-    layout = (*_emap_keys(g, h, src), None, None, None)
     m, nv = len(src), len(order)
-    spend, gamma, new = b.spend, mode == "gamma", object.__new__
+    layout = (*_emap_keys(g, h, src), range(m), order, range(m, m + nv))
+    gamma, new = mode == "gamma", object.__new__
     for vals, lists in search.values(b):
+        images = tuple(islice(vals, nv))  # ``vals`` changes only once the picks below are all taken
         moved = False
         for pick in product(*lists):
             if moved:  # product moved edge k: the last edge not at its first candidate
@@ -459,10 +467,13 @@ def _homs(g: Graph, h: Graph, mode: str, group: PermGroup | None, pins: dict,
                     k -= 1
             else:
                 k, moved = 0, True
-            spend(m - k)
-            hom = new(Homomorphism)  # owns its dicts and leaves ``emap`` unset
-            hom.vmap, hom._picked = dict(zip(order, vals)), (layout, pick)
-            hom.alphas = dict(zip(verts, islice(vals, nv, None))) if gamma else None
+            b.left -= m - k  # ``b.spend(m - k)`` inlined, as in ``_Search.values``
+            if b.left < 0:
+                b.spend(0)
+            hom = new(Homomorphism)  # leaves ``emap`` unset, and ``vmap`` but in gamma mode
+            hom._picked, hom.alphas = (layout, pick + images), None
+            if gamma:  # every reader of a gamma map reads it whole: eager is faster there
+                hom.vmap, hom.alphas = dict(zip(order, images)), dict(zip(verts, islice(vals, nv, None)))
             yield hom
 
 

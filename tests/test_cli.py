@@ -518,3 +518,26 @@ def test_a_label_conflict_in_a_graph_file_names_the_file(tmp_path, capsys):
         "error": "LabelConflict",
         "message": f"{bad}: paired edges 'e0'/'e1' carry incompatible labels",
     }
+
+
+GOOD_LABEL = {"pre": [1], "cyl": 1, "post": [1]}
+# a malformed attachment label after a well-formed one -> (error type, message after the file name)
+MALFORMED_LABELS = {
+    "cyl list": ({"pre": [1], "cyl": [1], "post": [1]}, "DomainError", "label 'cyl' must be a JSON scalar, got [1]"),
+    "cyl object": ({"pre": [1], "cyl": {"k": 1}, "post": [1]}, "DomainError",
+                   "label 'cyl' must be a JSON scalar, got {'k': 1}"),
+    "pre nested": ({"pre": [[1]], "cyl": 1, "post": [1]}, "NotAPermutation",
+                   "images must be a list of integers, got [[1]]"),
+    "post number": ({"pre": [1], "cyl": 1, "post": 5}, "NotAPermutation", "images must be a list of integers, got 5"),
+    "pre repeats": ({"pre": [1, 1], "cyl": 1, "post": [1, 2]}, "NotAPermutation", "not a bijection on 1..2: (1, 1)"),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_LABELS)
+def test_a_malformed_attachment_label_is_one_typed_error(tmp_path, capsys, name):
+    # labels are interned once validated, so a malformed one never reaches a dict as a key
+    label, error, message = MALFORMED_LABELS[name]
+    edges = [{"id": "e0", "tail": 0, "head": 1, "label": GOOD_LABEL}, {"id": "e1", "tail": 1, "head": 0, "label": label}]
+    bad = dump(tmp_path, "bad.json", _graph(edges=edges))
+    assert main(["hom", "count", "--source", bad, "--target", bad]) == 1
+    assert _one_line_error(capsys) == {"error": error, "message": f"{bad}: {message}"}

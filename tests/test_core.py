@@ -517,3 +517,20 @@ def test_induced():
     assert len(sub.edges) == 2
     with pytest.raises(DomainError):
         g.induced(["nope"])
+
+
+def test_from_json_shares_one_object_per_distinct_attachment_label():
+    # the product's label audit memoises by label object, so a graph read back from JSON
+    # must carry one object per distinct label, as the graph it was written from did
+    ident = Perm.identity(2)
+    g = cycle_graph(40).with_labels(dict.fromkeys(cycle_graph(40).edges, GammaLabel(ident, "k", ident)))
+    back = Graph.from_json(g.to_json())
+    assert back == g and len({id(e.label) for e in back.edges.values()}) == 1
+    # keys equal as values but written apart in JSON stay apart
+    h = Graph()
+    h.add_vertices("ab")
+    for key in (1, 1.0, True, 0.0, -0.0, 1, "1"):
+        h.add_edge("a", "b", GammaLabel(ident, key, ident))
+    back = Graph.from_json(h.to_json())
+    assert [repr(e.label.key) for e in back.edges.values()] == ["1", "1.0", "True", "0.0", "-0.0", "1", "'1'"]
+    assert len({id(e.label) for e in back.edges.values()}) == 6

@@ -262,6 +262,34 @@ def test_closedness_verdicts():
         is_lower_closed(two, complete(3))
 
 
+def _malformed_targets():
+    """name -> (target, the error type and message its uniform labeling's validation raises)."""
+    dangling = complete(3)
+    dangling.edges["e1"] = dangling.edges["e1"]._replace(head=9)
+    unpaired = complete(3)
+    del unpaired.pairing["e1"], unpaired.pairing["e2"]
+    loose = complete(3)
+    loose.pairing["e1"] = "e3"
+    return {
+        "dangling": (dangling, DomainError, "edge 'e1' has a missing endpoint"),
+        "unpaired": (unpaired, DomainError, "symmetric graph with unpaired edges: ['e1', 'e2']"),
+        "loose": (loose, DomainError, "pairing is not a fixed-point-free involution at 'e0'"),
+        "directed": (random_graph(random.Random(1), 3, symmetric=False), DomainError,
+                     "source graph and cylinders disagree about being symmetric"),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_malformed_targets()))
+def test_is_lower_closed_refuses_a_malformed_target_as_the_labeling_did(name):
+    # the target is labeled without a check of its own: the product's one validation raises what
+    # ``uniform_labels`` raised before it, type and message alike
+    h, kind, message = _malformed_targets()[name]
+    p3 = one_cyl(path_cyl(3), PermGroup.trivial(1))
+    with pytest.raises(kind) as err:
+        is_lower_closed(p3, h)
+    assert type(err.value) is kind and str(err.value) == message
+
+
 def test_retraction_rejects_non_homomorphisms():
     g = uniform_labels(cycle(3), key=1)
     cs = one_cyl(identity_cyl(1), PermGroup.trivial(1))

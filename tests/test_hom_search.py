@@ -11,7 +11,7 @@ import pytest
 
 from cylgraph.catalog import complete_graph, cycle_graph, path_graph, petersen
 from cylgraph.construct import cyl_product, exponential, uniform_labels
-from cylgraph.core import GammaLabel, Graph
+from cylgraph.core import GammaLabel, Graph, _Budget
 from cylgraph.cylinder import CylinderSet, square_cyl, wedge_cyl
 from cylgraph.errors import ResourceLimit
 from cylgraph.hom import (
@@ -171,6 +171,33 @@ def test_plain_and_labeled_search_spend_pinned_node_counts(name):
     assert len(list_homs(g, h, mode=mode, budget=list_budget)) == homs
     with pytest.raises(ResourceLimit):
         list_homs(g, h, mode=mode, budget=list_budget - 1)
+
+
+def pinned_multigraph_instance(mode):
+    """A pinned source into a symmetric multigraph target whose parallel edges give leaves several picks."""
+    rng = random.Random(4)
+    labels = (GammaLabel(Perm.identity(2), 0, Perm.identity(2)), GammaLabel(Perm.identity(2), 0, Perm((2, 1))))
+    labels = labels if mode == "gamma" else ("a", "a", "b")
+    g = random_multigraph(rng, 4, 4, labels=labels, symmetric=True)
+    h = random_multigraph(rng, 3, 14, labels=labels, symmetric=True)
+    return g, h, PermGroup.symmetric(2) if mode == "gamma" else None, {0: 1}
+
+
+# mode -> (maps, smallest budget at which the whole enumeration completes), found by bisection
+# before the search charged its budget inline; the charge must stay the same to the node
+ENUMERATION_NODE_PINS = {"plain": (530, 930), "labeled": (97, 290), "gamma": (36, 335)}
+
+
+@pytest.mark.parametrize("mode", sorted(ENUMERATION_NODE_PINS))
+def test_inline_node_charges_keep_budget_and_message(mode):
+    g, h, group, pins = pinned_multigraph_instance(mode)
+    maps, budget = ENUMERATION_NODE_PINS[mode]
+    assert len(list(iter_homs(g, h, mode, group, pins, budget))) == maps
+    with pytest.raises(ResourceLimit) as err:
+        list(iter_homs(g, h, mode, group, pins, budget - 1))
+    with pytest.raises(ResourceLimit) as spent:  # the message has one home, ``_Budget.spend``
+        _Budget(budget - 1).spend(budget)
+    assert str(err.value) == str(spent.value)
 
 
 def test_gamma_search_has_no_recursion_limit():

@@ -5,7 +5,9 @@ no dead helper behind, every public function, class and method is reached
 from outside the tests, and no public function shares its name with a
 public method, which would hide either one from that rule.  The graph kind
 (``.symmetric``) is read only where a listed function needs the kind itself;
-everywhere else the twin pairing says whether an edge has a twin."""
+everywhere else the twin pairing says whether an edge has a twin.  A
+homomorphism's flat record (``_picked``) is touched only by the listed
+functions of ``hom`` and ``construct``."""
 
 import ast
 import re
@@ -231,25 +233,27 @@ KIND_READERS = {
 }
 
 
+def _owners(tree):
+    """(qualname, node) of every module-level function or class and every
+    method in ``tree``; ``<module>`` for a statement outside them.  A nested
+    function belongs to the function it is defined in."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                method = isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                yield (f"{node.name}.{item.name}" if method else node.name), item
+        else:
+            yield getattr(node, "name", "<module>"), node
+
+
 def _kind_readers(trees: dict) -> set:
-    """``file:qualname`` of every module-level function or class, and every
-    method, in ``trees`` (file name -> parsed module) that reads an attribute
-    ``symmetric`` other than to call it; ``file:<module>`` for a read outside
-    them.  A nested function counts as the function it is defined in."""
-
-    def owners(tree):
-        for node in tree.body:
-            if isinstance(node, ast.ClassDef):
-                for item in node.body:
-                    method = isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    yield (f"{node.name}.{item.name}" if method else node.name), item
-            else:
-                yield getattr(node, "name", "<module>"), node
-
+    """``file:qualname`` of every owner (see :func:`_owners`) in ``trees``
+    (file name -> parsed module) that reads an attribute ``symmetric`` other
+    than to call it."""
     found = set()
     for name, tree in trees.items():
         called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
-        for qualname, node in owners(tree):
+        for qualname, node in _owners(tree):
             if any(isinstance(x, ast.Attribute) and x.attr == "symmetric" and isinstance(x.ctx, ast.Load)
                    and id(x) not in called for x in ast.walk(node)):
                 found.add(f"{name}:{qualname}")
@@ -277,3 +281,45 @@ def test_kind_rule_flags_a_read_but_not_a_call_or_a_store():
         "b.py": ast.parse("def oracle_direct(g):\n    return Graph(symmetric=g.symmetric)\n"),
     }
     assert _kind_readers(trees) == {"a.py:fork", "a.py:Graph.twins", "a.py:<module>", "b.py:oracle_direct"}
+
+
+# The functions that may read or write a map's flat record, ``_picked``: the
+# search that makes it, the lazy read that unpacks it, and the exponential's
+# tables that keep and join records.  The record layout stays private to
+# ``hom`` and ``construct``; the test oracles are not package code.
+RECORD_USERS = {
+    "hom.py:_homs", "hom.py:Homomorphism.__getattr__", "construct.py:_first_maps",
+    "construct.py:_Witnesses.__getitem__",
+}
+
+
+def _record_users(trees: dict) -> set:
+    """``file:qualname`` of every owner (see :func:`_owners`) in ``trees``
+    that reads, writes or deletes an attribute ``_picked``."""
+    return {
+        f"{name}:{qualname}"
+        for name, tree in trees.items()
+        for qualname, node in _owners(tree)
+        if any(isinstance(x, ast.Attribute) and x.attr == "_picked" for x in ast.walk(node))
+    }
+
+
+def test_only_the_listed_functions_touch_a_maps_record():
+    users = _record_users({path.name: _tree(path) for path in MODULES})
+    new, stale = sorted(users - RECORD_USERS), sorted(RECORD_USERS - users)
+    assert not new, f"these touch a map's flat record; read its vmap and emap instead: {new}"
+    assert not stale, f"listed as touching a map's flat record, but no longer do: {stale}"
+
+
+def test_record_rule_flags_reads_and_writes_but_not_the_slot_name():
+    trees = {
+        "a.py": ast.parse(
+            "class Hom:\n"
+            "    __slots__ = ('_picked',)\n"  # naming the slot touches no record
+            "    def read(self):\n        return self._picked[1]\n"
+            "def make():\n    def inner(hom):\n        hom._picked = ()\n    return inner\n"
+            "def other(hom):\n    return hom.vmap\n"
+        ),
+        "b.py": ast.parse("del HOM._picked\n"),
+    }
+    assert _record_users(trees) == {"a.py:Hom.read", "a.py:make", "b.py:<module>"}

@@ -43,9 +43,11 @@ def emap_layout_oracle(g, h, src):
 
 def built_emap(keys_and_twins, pick) -> list:
     """The edge map, in insertion order, that a searched map with edge picks
-    ``pick`` builds from this layout on first read."""
+    ``pick`` builds from this layout on first read.  Its vertex images, which
+    follow the picks in its record, play no part in the edge map, so the
+    record here holds the picks alone."""
     hom = object.__new__(Homomorphism)
-    hom._picked = ((*keys_and_twins, None, None, None), pick)
+    hom._picked = ((*keys_and_twins, range(len(pick)), [], []), pick)
     return list(hom.emap.items())
 
 
