@@ -12,7 +12,6 @@ import argparse
 import functools
 import json
 import os
-import random
 import stat
 import sys
 from collections.abc import Sequence
@@ -380,7 +379,6 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
-        random.seed(args.seed)
         return globals()[args.func](args)
     except UsageError as exc:
         return _fail("usage", str(exc))

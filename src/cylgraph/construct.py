@@ -27,12 +27,13 @@ from collections.abc import Mapping
 
 from .core import Edge, GammaLabel, Graph, _class_names, _union, label_sort_key, node_budget
 from .cylinder import CylinderSet, _bare_rows, make_cylinder
-from .errors import DomainError, LabelConflict, NotATwist, ResourceLimit, count_checked
+from .errors import DomainError, LabelConflict, NotATwist, ResourceLimit
 from .hom import Homomorphism, _emap_keys, _has_vertex_map, _src_edges, _vertex_order, iter_homs
 from .perm import Perm, PermGroup
 
 MAX_PRODUCT_EDGES = 2_000_000
 MAX_TUPLE_SPACE = 400_000
+MAX_EXPO_VERTICES = 10_000
 
 
 def uniform_labels(g: Graph, key, width: int = 1) -> Graph:
@@ -85,8 +86,8 @@ class ProductTrace:
     src_edge = property(lambda self: self._built()[3])
 
     def blowup(self, v) -> tuple:
-        k = self.cset.width
-        return tuple(self.slot[(v, i)] for i in range(1, k + 1))
+        slot = self.slot
+        return tuple(slot[(v, i)] for i in range(1, self.cset.width + 1))
 
     def __repr__(self) -> str:
         return (
@@ -425,13 +426,7 @@ def _first_maps(cyl, h: Graph, budget: int | None):
     return layout, places, tables
 
 
-def exponential(
-    cset: CylinderSet,
-    h: Graph,
-    *,
-    budget: int | None = None,
-    max_vertices: int = 10_000,
-) -> ExpoTrace:
+def exponential(cset: CylinderSet, h: Graph, *, budget: int | None = None) -> ExpoTrace:
     """Build the exponential of ``h`` by the cylinder set.
 
     Vertices: one representative per orbit of ``V(h)^k`` under the slot group,
@@ -455,7 +450,6 @@ def exponential(
     representation (Olteanu & Závodný 2015).  The trace keeps the tables and
     builds a witness from them on its first read.
     """
-    count_checked(max_vertices, "max_vertices=")
     budget = node_budget(budget)
     if h.symmetric != cset.symmetric:
         raise DomainError("target graph and cylinders disagree about being symmetric")
@@ -477,8 +471,8 @@ def exponential(
         for d in group:
             orbits.setdefault(d.act(r), (r, []))[1].append(d)
         names[r] = json.dumps(list(r), separators=(",", ":"), default=str)
-        if len(names) > max_vertices:
-            raise ResourceLimit(f"more than {max_vertices} orbit representatives; pass a larger max_vertices=")
+        if len(names) > MAX_EXPO_VERTICES:
+            raise ResourceLimit(f"more than {MAX_EXPO_VERTICES} orbit representatives, the exponential's vertex cap")
 
     # triple (tail, head, label) -> the integer (tail rank * N + head rank) * L + label rank: names are
     # ranked by ``str`` and labels by sort key, ties sharing a rank; the first label seen keeps the triple

@@ -83,6 +83,25 @@ def _put(vmap: dict, name, value) -> None:
         )
 
 
+def _expand_rows(f: Homomorphism, tr: ProductTrace, target: Graph, row_of) -> dict:
+    """The product vertices of ``tr``'s slot rows mapped along the structured
+    map ``f`` from ``tr.source`` into ``target``: slot ``alpha(b)`` of each
+    base vertex ``v`` takes entry ``b`` of ``row_of(f.vmap[v])``, ``alpha``
+    the twist of ``f`` at ``v`` (read off the two graphs when ``f`` keeps
+    none)."""
+    g = tr.source
+    alphas = f.alphas
+    if alphas is None:
+        alphas = extract_alphas(g, target, f, tr.cset.group)
+    ident = Perm.identity(tr.cset.width)
+    vmap: dict = {}
+    image = f.vmap
+    for v in g.vertices:
+        for name, x in zip(alphas.get(v, ident).act(tr.blowup(v)), row_of(image[v])):
+            _put(vmap, name, x)
+    return vmap
+
+
 def retraction(tr: ProductTrace, et: ExpoTrace, sigma: Homomorphism) -> Homomorphism:
     """Fold a map off the product down to a structured map on the base.
 
@@ -108,18 +127,8 @@ def section(tr: ProductTrace, et: ExpoTrace, sp: Homomorphism) -> Homomorphism:
     agree where rows overlap; a disagreement means ``sp`` was not a valid
     structured map and raises :class:`DomainError`.
     """
-    g = tr.source
-    group = tr.cset.group
-    ident = Perm.identity(tr.cset.width)
-    alphas = sp.alphas
-    if alphas is None:
-        alphas = extract_alphas(g, et.graph, sp, group)
-
-    sp_vmap, sp_emap, edge_src, witnesses = sp.vmap, sp.emap, tr.edge_src, et.witnesses
-    vmap: dict = {}
-    for v in g.vertices:  # slot alpha(b) of v takes entry b of its row
-        for name, x in zip(alphas.get(v, ident).act(tr.blowup(v)), et.tuple_of[sp_vmap[v]]):
-            _put(vmap, name, x)
+    vmap = _expand_rows(sp, tr, et.graph, et.tuple_of.__getitem__)
+    sp_emap, edge_src, witnesses = sp.emap, tr.edge_src, et.witnesses
     wmaps, at = {}, None  # source edge -> witness edge map; copies come grouped by source edge
     for (eid, x), name in tr.copy.items():
         if eid != at:
@@ -145,10 +154,7 @@ def product_map(f: Homomorphism, tr1: ProductTrace, tr2: ProductTrace) -> Homomo
     cset = tr1.cset
     if tr2.cset.width != cset.width or tr2.cset.group != cset.group:
         raise DomainError("the two products use different cylinder sets")
-    alphas = f.alphas
-    if alphas is None:
-        alphas = extract_alphas(g1, g2, f, cset.group)
-    ident = Perm.identity(cset.width)
+    vmap = _expand_rows(f, tr1, g2, tr2.blowup)
     canon2 = set(_src_edges(g2))
     reversals: dict = {}
 
@@ -167,11 +173,6 @@ def product_map(f: Homomorphism, tr1: ProductTrace, tr2: ProductTrace) -> Homomo
                 )
             reversals[key] = rho
         return reversals[key]
-
-    vmap: dict = {}
-    for v in g1.vertices:  # slot alpha(b) of v goes to slot b of its image
-        for name, w in zip(alphas.get(v, ident).act(tr1.blowup(v)), tr2.blowup(f.vmap[v])):
-            _put(vmap, name, w)
 
     emap: dict = {}
     at = None  # copies come grouped by source edge, in source edge order

@@ -13,12 +13,13 @@ so that ``h.act(g.act(x)) == compose(g, h).act(x)``.
 
 from __future__ import annotations
 
-import itertools
 import sys
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
 
 from .errors import NotAPermutation, ResourceLimit, _is_int, count_checked, json_checked
+
+MAX_GROUP_ORDER = 1_000_000
 
 
 class Perm(tuple):
@@ -142,11 +143,12 @@ class PermGroup:
     """A concrete group of degree-k permutations, stored as its full element list.
 
     Build with :meth:`generated` (BFS closure over generators) or one of the
-    named constructors.  Elements are kept sorted by image tuple, which puts
-    the identity first.  ``generators`` is set only by :meth:`generated` and
-    :meth:`symmetric`, which know that it generates the elements; a group built
-    from its element list has none.  Checks of a property closed under
-    composition test the generators, or every element when there are none.
+    named constructors, which all close their generators through it.  Elements
+    are kept sorted by image tuple, which puts the identity first.
+    ``generators`` is set only by :meth:`generated`, which knows that it
+    generates the elements; a group built from its element list has none.
+    Checks of a property closed under composition test the generators, or
+    every element when there are none.
     """
 
     __slots__ = ("degree", "elements", "generators", "_members")
@@ -163,23 +165,22 @@ class PermGroup:
                 raise NotAPermutation(f"element degree {g.degree} != group degree {degree}")
 
     @classmethod
-    def generated(cls, k: int, gens: Iterable[Perm], limit: int = 1_000_000) -> PermGroup:
+    def generated(cls, k: int, gens: Iterable[Perm]) -> PermGroup:
         gens = tuple(gens)
         if bad := [h for h in gens if _perm_checked(h, "generator").degree != k]:
             raise NotAPermutation(f"generator degree {bad[0].degree} != group degree {k}")
         found = {Perm.identity(k)}
-        count_checked(limit, "limit=")
         frontier = list(found)
         while frontier:
             nxt = []
             for g in frontier:
                 for h in gens:
-                    gh = compose(g, h)
+                    gh = _compose.__wrapped__(g, h)  # uncached: a large closure would flush compose's cache
                     if gh not in found:
                         found.add(gh)
                         nxt.append(gh)
-                        if len(found) > limit:
-                            raise ResourceLimit(f"group closure exceeded {limit} elements")
+                        if len(found) > MAX_GROUP_ORDER:
+                            raise ResourceLimit(f"group closure exceeded {MAX_GROUP_ORDER} elements")
             frontier = nxt
         group = cls(k, found)
         group.generators = gens
@@ -187,25 +188,19 @@ class PermGroup:
 
     @classmethod
     def trivial(cls, k: int) -> PermGroup:
-        return cls(k, [Perm.identity(k)])
+        return cls.generated(k, [])
 
     @classmethod
-    def symmetric(cls, k: int, limit: int = 1_000_000) -> PermGroup:
-        k, limit = count_checked(k, "k="), count_checked(limit, "limit=")
+    def symmetric(cls, k: int) -> PermGroup:
         size = 1
-        for i in range(2, k + 1):
-            size *= i  # stop at the limit: a large k! is slow to build and too long to print
-            if size > limit:
-                raise ResourceLimit(f"symmetric group of degree {k} has more than {limit} elements")
-        elems = [Perm(p) for p in itertools.permutations(range(1, k + 1))]
-        gens = []
-        if k >= 2:
-            gens.append(Perm.from_cycles(k, (1, 2)))
+        for i in range(2, count_checked(k, "k=") + 1):
+            size *= i  # stop at the cap: a large k! is slow to build and too long to print
+            if size > MAX_GROUP_ORDER:
+                raise ResourceLimit(f"symmetric group of degree {k} has more than {MAX_GROUP_ORDER} elements")
+        gens = [Perm.from_cycles(k, (1, 2))] if k >= 2 else []
         if k >= 3:
             gens.append(Perm.from_cycles(k, tuple(range(1, k + 1))))
-        group = cls(k, elems)
-        group.generators = tuple(gens)
-        return group
+        return cls.generated(k, gens)
 
     @classmethod
     def cyclic(cls, k: int) -> PermGroup:

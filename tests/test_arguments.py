@@ -49,11 +49,7 @@ CALLS = {
         PermGroup.cyclic,
         PermGroup.trivial,
     ],
-    "limit=": [
-        lambda v: PermGroup.generated(2, [], limit=v),
-        lambda v: PermGroup.symmetric(2, limit=v),
-        list_limit,
-    ],
+    "limit=": [list_limit],
     "budget=": [
         lambda v: count_homs(C3, C3, budget=v),
         lambda v: find_hom(C3, C3, budget=v),
@@ -61,7 +57,6 @@ CALLS = {
         lambda v: exponential(P2_SET, C3, budget=v),
         lambda v: walk_power(C3, 2, budget=v),
     ],
-    "max_vertices=": [lambda v: exponential(P2_SET, C3, max_vertices=v)],
     "path length": [
         path_cyl,
         lambda v: walk_power(C3, v),
@@ -138,7 +133,7 @@ def test_valid_counts_still_build():
     assert len(path_graph(0).vertices) == 1
     assert path_cyl(2).width == 1 and len(path_cyl(2).graph.vertices) == 3
     assert identity_cyl(3).width == 3
-    assert len(PermGroup.cyclic(0)) == 1 and len(PermGroup.symmetric(3, limit=6)) == 6
+    assert len(PermGroup.cyclic(0)) == 1 and len(PermGroup.symmetric(3)) == 6
     assert list_homs(C3, C3, limit=0) == []
 
 

@@ -400,6 +400,24 @@ def test_seed_flag_is_accepted(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_main_leaves_the_global_rng_alone(capsys):
+    random.seed(12345)
+    state = random.getstate()
+    assert main(["--seed", "7", "catalog", "petersen"]) == 0
+    assert main(["catalog", "petersen"]) == 0
+    assert random.getstate() == state
+    capsys.readouterr()
+
+
+def test_catalog_power_over_the_orbit_cap_is_one_resource_limit_naming_the_cap(tmp_path, capsys):
+    ring = dump(tmp_path, "c10001.json", cycle_graph(10_001).to_json())
+    assert main(["catalog", "power", "--graph", ring, "-n", "1"]) == 1
+    err = _one_line_error(capsys)
+    assert err == {"error": "ResourceLimit",
+                   "message": "more than 10000 orbit representatives, the exponential's vertex cap"}
+    assert "max_vertices" not in err["message"]
+
+
 def test_json_round_trip_structural_identity():
     rng = random.Random(99)
     for _ in range(8):

@@ -5,7 +5,9 @@ from itertools import combinations
 
 import pytest
 
+from cylgraph import construct
 from cylgraph.construct import (
+    MAX_EXPO_VERTICES,
     MAX_TUPLE_SPACE,
     ProductTrace,
     cyl_product,
@@ -309,10 +311,11 @@ def test_exponential_witnesses_are_valid():
         assert et.edge_by_triple[e.tail, e.head, e.label] in pair_class(et.graph, eid)
 
 
-def test_exponential_budget_and_degenerate_targets():
+def test_exponential_budget_and_degenerate_targets(monkeypatch):
     cs = CylinderSet(PermGroup.trivial(2), {1: identity_cyl(2)})
+    monkeypatch.setattr(construct, "MAX_EXPO_VERTICES", 10)
     with pytest.raises(ResourceLimit):
-        exponential(cs, complete(5), max_vertices=10)
+        exponential(cs, complete(5))
     empty = Graph(symmetric=True)
     et = exponential(cs, empty)
     assert len(et.graph.vertices) == 0 and len(et.graph.edges) == 0
@@ -330,30 +333,32 @@ def test_exponential_refuses_a_target_of_the_other_kind_and_a_huge_tuple_space()
     assert str(err.value) == f"tuple space {n}^2 exceeds {MAX_TUPLE_SPACE}"
 
 
-@pytest.mark.parametrize("bad", ["x", "10", 1.5, True, False, None, -1, [3]], ids=repr)
-def test_exponential_max_vertices_must_be_a_non_negative_int(bad):
+def test_exponential_takes_no_size_option():
     cs = CylinderSet(PermGroup.trivial(2), {1: identity_cyl(2)})
-    with pytest.raises(DomainError) as err:
-        exponential(cs, complete(3), max_vertices=bad)
-    assert str(err.value) == f"max_vertices= must be a non-negative integer, got {bad!r}"
+    with pytest.raises(TypeError):
+        exponential(cs, complete(3), max_vertices=MAX_EXPO_VERTICES)
 
 
 @pytest.mark.parametrize("bad", ["5", 2.5, True, -1], ids=repr)
-def test_exponential_checks_budget_before_building_orbits(bad):
+def test_exponential_checks_budget_before_building_orbits(monkeypatch, bad):
     cs = CylinderSet(PermGroup.trivial(2), {1: identity_cyl(2)})
+    monkeypatch.setattr(construct, "MAX_EXPO_VERTICES", 0)
     with pytest.raises(DomainError) as err:
-        exponential(cs, complete(5), budget=bad, max_vertices=0)
+        exponential(cs, complete(5), budget=bad)
     assert str(err.value) == f"budget= must be a non-negative integer, got {bad!r}"
 
 
-def test_exponential_orbit_limit_names_max_vertices():
+def test_exponential_orbit_cap_names_the_cap(monkeypatch):
+    assert MAX_EXPO_VERTICES == 10_000
     cs = CylinderSet(PermGroup.trivial(2), {1: identity_cyl(2)})
-    assert len(exponential(cs, complete(3), max_vertices=9).names) == 9  # 3^2 orbits
-    assert len(exponential(cs, Graph(symmetric=True), max_vertices=0).names) == 0
-    for limit, target in ((8, complete(3)), (0, complete(1))):
+    monkeypatch.setattr(construct, "MAX_EXPO_VERTICES", 9)
+    assert len(exponential(cs, complete(3)).names) == 9  # 3^2 orbits
+    for cap, target in ((8, complete(3)), (0, complete(1))):
+        monkeypatch.setattr(construct, "MAX_EXPO_VERTICES", cap)
         with pytest.raises(ResourceLimit) as err:
-            exponential(cs, target, max_vertices=limit)
-        assert str(err.value) == f"more than {limit} orbit representatives; pass a larger max_vertices="
+            exponential(cs, target)
+        assert str(err.value) == f"more than {cap} orbit representatives, the exponential's vertex cap"
+    assert len(exponential(cs, Graph(symmetric=True)).names) == 0
 
 
 def test_surjection_cylinders_roundtrip():

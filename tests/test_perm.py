@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import pickle
 import random
@@ -6,8 +7,9 @@ import sys
 
 import pytest
 
+from cylgraph import perm
 from cylgraph.errors import NotAPermutation, ResourceLimit
-from cylgraph.perm import Perm, PermGroup, compose
+from cylgraph.perm import MAX_GROUP_ORDER, Perm, PermGroup, compose
 
 from util import act
 
@@ -84,9 +86,11 @@ def test_identity_is_first_element():
         assert grp.elements[0].is_identity()
 
 
-def test_closure_limit():
-    with pytest.raises(ResourceLimit):
-        PermGroup.generated(8, [Perm.from_cycles(8, (1, 2)), Perm.from_cycles(8, tuple(range(1, 9)))], limit=100)
+def test_closure_limit(monkeypatch):
+    monkeypatch.setattr(perm, "MAX_GROUP_ORDER", 100)
+    with pytest.raises(ResourceLimit) as err:
+        PermGroup.generated(8, [Perm.from_cycles(8, (1, 2)), Perm.from_cycles(8, tuple(range(1, 9)))])
+    assert str(err.value) == "group closure exceeded 100 elements"
 
 
 def test_group_json_roundtrip():
@@ -95,13 +99,59 @@ def test_group_json_roundtrip():
     assert again == grp
 
 
-def test_a_symmetric_group_over_its_limit_is_a_resource_limit_at_any_degree():
+def test_a_symmetric_group_over_its_limit_is_a_resource_limit_at_any_degree(monkeypatch):
+    assert MAX_GROUP_ORDER == 1_000_000
+    with pytest.raises(ResourceLimit) as err:
+        PermGroup.symmetric(10)  # 10! = 3,628,800
+    assert str(err.value) == "symmetric group of degree 10 has more than 1000000 elements"
+    monkeypatch.setattr(perm, "MAX_GROUP_ORDER", 6)
     # 2000! has over 5,000 digits, more than int -> str converts by default
     for k in (4, 2000):
         with pytest.raises(ResourceLimit) as err:
-            PermGroup.symmetric(k, limit=6)
+            PermGroup.symmetric(k)
         assert str(err.value) == f"symmetric group of degree {k} has more than 6 elements"
-    assert len(PermGroup.symmetric(3, limit=6)) == 6
+    assert len(PermGroup.symmetric(3)) == 6
+
+
+def test_the_group_builders_take_no_size_option():
+    with pytest.raises(TypeError):
+        PermGroup.generated(2, [], limit=MAX_GROUP_ORDER)
+    with pytest.raises(TypeError):
+        PermGroup.symmetric(2, limit=MAX_GROUP_ORDER)
+
+
+# k -> (order, sha256 of the compact JSON list of the elements' images, generators),
+# as the element-list builders of symmetric(k) and trivial(k) made them
+SYMMETRIC = {
+    0: (1, "cf1cbb66a638b486", []),
+    1: (1, "043f347c2cdc0d8c", []),
+    2: (2, "328bc989b58fc287", [[2, 1]]),
+    3: (6, "e7fcf02522d9ec1f", [[2, 1, 3], [2, 3, 1]]),
+    4: (24, "2697e6511750ab80", [[2, 1, 3, 4], [2, 3, 4, 1]]),
+    5: (120, "c32569b45fb94834", [[2, 1, 3, 4, 5], [2, 3, 4, 5, 1]]),
+    6: (720, "81a29dc7b3d75d99", [[2, 1, 3, 4, 5, 6], [2, 3, 4, 5, 6, 1]]),
+    7: (5040, "154bf42820b19b0a", [[2, 1, 3, 4, 5, 6, 7], [2, 3, 4, 5, 6, 7, 1]]),
+}
+TRIVIAL = {
+    0: "cf1cbb66a638b486", 1: "043f347c2cdc0d8c", 2: "12849a365ef01811", 3: "918c7b1214a69dae",
+    4: "b60b3d509fe2effb", 5: "a17cf10e145cfdfd", 6: "3b80163ed979c04f", 7: "6f7d7b71137ab91e",
+}
+
+
+def _digest(group: PermGroup) -> str:
+    text = json.dumps([list(g) for g in group.elements], separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("k", range(8))
+def test_the_named_groups_keep_their_elements_generators_and_json(k):
+    order, digest, gens = SYMMETRIC[k]
+    sym = PermGroup.symmetric(k)
+    assert (len(sym), _digest(sym), [list(g) for g in sym.generators]) == (order, digest, gens)
+    assert sym.to_json() == {"degree": k, "generators": gens or [list(range(1, k + 1))]}
+    triv = PermGroup.trivial(k)
+    assert (len(triv), _digest(triv), triv.generators) == (1, TRIVIAL[k], ())
+    assert triv.to_json() == {"degree": k, "generators": [list(range(1, k + 1))]}
 
 
 @pytest.mark.parametrize("cycle, message", [
