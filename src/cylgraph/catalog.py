@@ -102,12 +102,12 @@ def petersen() -> Graph:
 # -- walk powers and subdivisions ------------------------------------------
 
 
-def walk_power(g: Graph, n: int, *, budget: int | None = None) -> Graph:
+def walk_power(g: Graph, n: int) -> Graph:
     """Vertices of ``g``, with an edge wherever a walk of length n runs.
     Vertices on no walk of length n drop out."""
     cyl = path_cyl(n, directed=not g.symmetric)
     cs = CylinderSet(PermGroup.trivial(1), {1: cyl})
-    return exponential(cs, g, budget=budget).graph.stripped()
+    return exponential(cs, g).graph.stripped()
 
 
 def walk_power_direct(g: Graph, n: int) -> Graph:
@@ -154,9 +154,9 @@ def subdivision(g: Graph, n: int) -> Graph:
     return cyl_product(_uniform(g, key=1, width=1), cs).graph
 
 
-def fractional_power(g: Graph, m: int, n: int, *, budget: int | None = None) -> Graph:
+def fractional_power(g: Graph, m: int, n: int) -> Graph:
     """Length-m walks on the n-fold subdivision."""
-    return walk_power(subdivision(g, n), m, budget=budget)
+    return walk_power(subdivision(g, n), m)
 
 
 # -- the standard two-factor products as cylinders --------------------------
@@ -241,12 +241,12 @@ def neps_direct(h: Graph, g: Graph, kind: str) -> Graph:
 # -- map graphs --------------------------------------------------------------
 
 
-def function_power(g: Graph, h: Graph, *, budget: int | None = None) -> Graph:
+def function_power(g: Graph, h: Graph) -> Graph:
     """All maps V(g) -> V(h) as vertices, adjacent when they respect every
     edge of ``g`` crosswise; maps with no partner drop out."""
     cyl = neps_cylinder(g, "tensor")
     cs = CylinderSet(PermGroup.trivial(cyl.width), {"tensor": cyl})
-    return exponential(cs, h, budget=budget).graph.stripped()
+    return exponential(cs, h).graph.stripped()
 
 
 def function_power_direct(g: Graph, h: Graph) -> Graph:
@@ -450,23 +450,23 @@ def zigzag_product(g: Graph, h: Graph) -> Graph:
     return out
 
 
-def zigzag_via_walks(g: Graph, h: Graph, *, budget: int | None = None) -> Graph:
+def zigzag_via_walks(g: Graph, h: Graph) -> Graph:
     """The same graph extracted from the replacement product by taking all
     walks that go cloud-step, rung, cloud-step."""
     fat, _ = replacement_product(g, h)
     zcyl = path_cyl(3, labels=[0, 1, 0])
     cs = CylinderSet(PermGroup.trivial(1), {"walk": zcyl})
-    return exponential(cs, fat, budget=budget).graph.stripped()
+    return exponential(cs, fat).graph.stripped()
 
 
 # -- line graphs --------------------------------------------------------------
 
 
-def looped_line_graph(h: Graph, *, budget: int | None = None) -> Graph:
+def looped_line_graph(h: Graph) -> Graph:
     """Edges of ``h`` as vertices, adjacent when they share an endpoint —
     which every edge does with itself, so every vertex carries a loop."""
     cs = CylinderSet(PermGroup.symmetric(2), {"w": wedge_cyl()})
-    raw = exponential(cs, h, budget=budget).graph.stripped()
+    raw = exponential(cs, h).graph.stripped()
     return merge_parallel(raw)
 
 

@@ -392,7 +392,7 @@ def _tuple_getter(idx: list):  # operator.itemgetter(*idx), a tuple also for one
     return operator.itemgetter(*idx) if len(idx) > 1 else lambda s: tuple(map(s.__getitem__, idx))
 
 
-def _first_maps(cyl, h: Graph, budget: int | None):
+def _first_maps(cyl, h: Graph):
     """The realized pairs of rows ``y + z`` factorised: one table per component, in the whole graph's
     search order, from its share of the rows (its ``places`` in ``y + z``) to its first map's record,
     the share read off the records :func:`iter_homs` yields, no ``vmap`` built.  Returns (layout,
@@ -402,14 +402,14 @@ def _first_maps(cyl, h: Graph, budget: int | None):
     parts = [set(vs) for _, vs in itertools.groupby(_vertex_order(g, {}), comp_of.get)] or [set()]
     graphs = [g.induced(part) for part in parts] if len(parts) > 1 else [g]
     # as in the whole graph's search, no edge pick is charged before every part has a vertex map
-    if not all(_has_vertex_map(part, h, budget) for part in graphs[:-1]):
+    if not all(_has_vertex_map(part, h) for part in graphs[:-1]):
         return None
     places = [[j for j, v in enumerate(ends) if v in part] for part in parts]
     tables: list = [{} for _ in parts]
     labels: list = [None] * len(parts)  # per part, what each place of a record holds: (0, edge) or (1, vertex)
     for i in range(-1, len(parts) - 1):  # the last part first: the others have vertex maps
         first, read = tables[i], None
-        for hom in iter_homs(graphs[i], h, mode="labeled", budget=budget):
+        for hom in iter_homs(graphs[i], h, mode="labeled"):
             record = hom._picked[1]
             if read is None:  # the places in a record of the part's boundary vertices
                 keys, _, picks, order, spots = hom._picked[0]
@@ -426,7 +426,7 @@ def _first_maps(cyl, h: Graph, budget: int | None):
     return layout, places, tables
 
 
-def exponential(cset: CylinderSet, h: Graph, *, budget: int | None = None) -> ExpoTrace:
+def exponential(cset: CylinderSet, h: Graph) -> ExpoTrace:
     """Build the exponential of ``h`` by the cylinder set.
 
     Vertices: one representative per orbit of ``V(h)^k`` under the slot group,
@@ -445,12 +445,13 @@ def exponential(cset: CylinderSet, h: Graph, *, budget: int | None = None) -> Ex
 
     A disconnected cylinder graph's homs are the product of its components'
     (Lovász 1967), in ``iter_homs`` order the lexicographic one: each is
-    searched once, ``budget`` bounding each search, and the realized pairs are
-    the product of the components' tables of first maps, a factorised
-    representation (Olteanu & Závodný 2015).  The trace keeps the tables and
-    builds a witness from them on its first read.
+    searched once, each search under its own ``CYL_NODE_BUDGET`` nodes, and
+    the realized pairs are the product of the components' tables of first
+    maps, a factorised representation (Olteanu & Závodný 2015).  The trace
+    keeps the tables and builds a witness from them on its first read.  A bad
+    ``CYL_NODE_BUDGET`` raises :class:`DomainError` before any orbit work.
     """
-    budget = node_budget(budget)
+    node_budget()
     if h.symmetric != cset.symmetric:
         raise DomainError("target graph and cylinders disagree about being symmetric")
     h.validate()
@@ -490,7 +491,7 @@ def exponential(cset: CylinderSet, h: Graph, *, budget: int | None = None) -> Ex
     triples: dict = {}  # triple -> (label, its reversed label's rank)
     tables: dict = {}  # cylinder key -> its _first_maps
     for key in keys:
-        maps = tables[key] = _first_maps(cset[key], h, budget)
+        maps = tables[key] = _first_maps(cset[key], h)
         if maps is None:
             continue
         order = [j for at in maps[1] for j in at]  # the place in y + z of each value of a product of shares

@@ -20,7 +20,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
-from .errors import JSON_SCALAR, DomainError, LabelConflict, ResourceLimit, count_checked, json_checked
+from .errors import JSON_SCALAR, DomainError, LabelConflict, ResourceLimit, json_checked
 from .perm import Perm
 
 
@@ -474,13 +474,10 @@ def disjoint_union(a: Graph, b: Graph, suffixes: tuple[str, str] = (".0", ".1"))
 # -- search order and isomorphism ---------------------------------------------
 
 
-def node_budget(budget: int | None = None) -> int:
-    """A search's node budget: ``budget``, or when it is None the value of
-    ``CYL_NODE_BUDGET`` (default 20,000,000).  Either must be a non-negative
-    integer (``bool`` is not one); anything else raises :class:`DomainError`
-    naming the knob."""
-    if budget is not None:
-        return count_checked(budget, "budget=")
+def node_budget() -> int:
+    """A search's node budget, read from ``CYL_NODE_BUDGET`` (default
+    20,000,000) when the search starts.  It must be a non-negative integer;
+    anything else raises :class:`DomainError` naming the variable."""
     raw = os.environ.get("CYL_NODE_BUDGET", "20000000")
     try:
         n = int(raw)
@@ -493,19 +490,19 @@ def node_budget(budget: int | None = None) -> int:
 
 class _Budget:
     """One search's or count's nodes: ``spend`` raises :class:`ResourceLimit`,
-    naming ``what``, once more than ``node_budget(n)`` have gone."""
+    naming ``what``, once more than ``node_budget()`` have gone."""
 
     __slots__ = ("left", "limit", "what")
 
-    def __init__(self, n: int | None, what: str = "homomorphism search"):
-        self.left = self.limit = node_budget(n)
+    def __init__(self, what: str = "homomorphism search"):
+        self.left = self.limit = node_budget()
         self.what = what
 
     def spend(self, n: int = 1) -> None:
         self.left -= n
         if self.left < 0:
             raise ResourceLimit(f"{self.what} exceeded its node budget of {self.limit} nodes; "
-                                "pass a larger budget= or set CYL_NODE_BUDGET")
+                                "raise CYL_NODE_BUDGET")
 
 
 def connected_order(ranked: list, nbrs: Mapping, eligible: Iterable = ()) -> list:
@@ -570,7 +567,7 @@ def _label_table(g: Graph) -> dict:
     return table
 
 
-def isomorphic(g: Graph, h: Graph, budget: int | None = None) -> dict | None:
+def isomorphic(g: Graph, h: Graph) -> dict | None:
     """Search for a label-preserving digraph isomorphism.
 
     Returns ``{"vertices": vmap, "edges": emap}`` or None.  Refined
@@ -582,10 +579,9 @@ def isomorphic(g: Graph, h: Graph, budget: int | None = None) -> dict | None:
     ``w``, and ``w`` has no other neighbours among the used images.  The
     search keeps an explicit stack, so any size avoids the recursion limit.
     Each candidate tried (used images skipped) costs one node; past
-    ``budget`` nodes, by default ``CYL_NODE_BUDGET``, it raises
-    :class:`ResourceLimit`.
+    ``CYL_NODE_BUDGET`` nodes it raises :class:`ResourceLimit`.
     """
-    spend = _Budget(budget, "isomorphism search").spend
+    spend = _Budget("isomorphism search").spend
     if g.symmetric != h.symmetric:
         return None
     if len(g.vertices) != len(h.vertices) or len(g.edges) != len(h.edges):

@@ -207,18 +207,18 @@ def exponential_map(f: Homomorphism, et1: ExpoTrace, et2: ExpoTrace) -> Homomorp
                  "no edge of the image exponential graph realizes the image of {eid!r}")
 
 
-def unit_map(g: Graph, cset: CylinderSet, *, budget: int | None = None):
+def unit_map(g: Graph, cset: CylinderSet):
     """The canonical structured map from a labeled base graph into the
     exponential of its own product.  Returns (map, product trace, expo trace)."""
     tr = cyl_product(g, cset)
-    et = exponential(cset, tr.graph, budget=budget)
+    et = exponential(cset, tr.graph)
     return retraction(tr, et, identity_hom(tr.graph)), tr, et
 
 
-def counit_map(cset: CylinderSet, h: Graph, *, budget: int | None = None):
+def counit_map(cset: CylinderSet, h: Graph):
     """The canonical evaluation map from the product of an exponential graph
     back onto the original target.  Returns (map, product trace, expo trace)."""
-    et = exponential(cset, h, budget=budget)
+    et = exponential(cset, h)
     tr = cyl_product(et.graph, cset)
     return section(tr, et, identity_hom(et.graph)), tr, et
 
@@ -246,8 +246,7 @@ class DualityReport:
         return asdict(self)
 
 
-def check_duality(g: Graph, cset: CylinderSet, h: Graph, *,
-                  budget: int | None = None) -> DualityReport:
+def check_duality(g: Graph, cset: CylinderSet, h: Graph) -> DualityReport:
     """Compare the two sides of the correspondence for one triple.
 
     Counts maps out of the product against structured maps into the
@@ -257,13 +256,13 @@ def check_duality(g: Graph, cset: CylinderSet, h: Graph, *,
     are only promised under freeness.
     """
     tr = cyl_product(g, cset)
-    et = exponential(cset, h, budget=budget)
-    n_product = count_homs(tr.graph, h, mode="labeled", budget=budget)
-    n_expo = count_homs(g, et.graph, mode="gamma", group=cset.group, budget=budget)
+    et = exponential(cset, h)
+    n_product = count_homs(tr.graph, h, mode="labeled")
+    n_expo = count_homs(g, et.graph, mode="gamma", group=cset.group)
 
     roundtrip_ok = True
     checked = 0
-    for sp in iter_homs(g, et.graph, mode="gamma", group=cset.group, budget=budget):
+    for sp in iter_homs(g, et.graph, mode="gamma", group=cset.group):
         sigma = section(tr, et, sp)
         if check_hom(tr.graph, h, sigma, mode="labeled") is not None:
             roundtrip_ok = False
@@ -291,19 +290,19 @@ def _single_key(cset: CylinderSet):
     return keys[0]
 
 
-def is_lower_closed(cset: CylinderSet, h: Graph, *, budget: int | None = None) -> bool:
+def is_lower_closed(cset: CylinderSet, h: Graph) -> bool:
     """Can the exponential of the target's own product be mapped back onto
     the target (as structured maps over the uniform labeling)?"""
     key = _single_key(cset)
     hl = _uniform(h, key, cset.width)
     tr = cyl_product(hl, cset)  # validates ``hl``, as ``uniform_labels`` would
-    et = exponential(cset, tr.graph, budget=budget)
-    return find_hom(et.graph, hl, mode="gamma", group=cset.group, budget=budget) is not None
+    et = exponential(cset, tr.graph)
+    return find_hom(et.graph, hl, mode="gamma", group=cset.group) is not None
 
 
-def is_upper_closed(cset: CylinderSet, g: Graph, *, budget: int | None = None) -> bool:
+def is_upper_closed(cset: CylinderSet, g: Graph) -> bool:
     """Can the base graph be mapped into the product of its own exponential?"""
     _single_key(cset)
-    et = exponential(cset, g, budget=budget)
+    et = exponential(cset, g)
     tr = cyl_product(et.graph, cset)
-    return find_hom(g, tr.graph, mode="labeled", budget=budget) is not None
+    return find_hom(g, tr.graph, mode="labeled") is not None

@@ -442,12 +442,12 @@ class _Search:
 
 
 def iter_homs(g: Graph, h: Graph, mode: str = "labeled", group: PermGroup | None = None,
-              pins: Mapping | None = None, budget: int | None = None) -> Iterator[Homomorphism]:
+              pins: Mapping | None = None) -> Iterator[Homomorphism]:
     """All homomorphisms, deterministically ordered.  ``pins`` fixes chosen
     source vertices to chosen target vertices.  The arguments are checked at
     the call; the search starts at the first ``next()``."""
     _require_comparable(g, h, mode, group)
-    return _homs(g, h, mode, group, _checked_pins(g, h, pins), _Budget(budget))
+    return _homs(g, h, mode, group, _checked_pins(g, h, pins), _Budget())
 
 
 def _homs(g: Graph, h: Graph, mode: str, group: PermGroup | None, pins: dict,
@@ -477,28 +477,27 @@ def _homs(g: Graph, h: Graph, mode: str, group: PermGroup | None, pins: dict,
             yield hom
 
 
-def _has_vertex_map(g: Graph, h: Graph, budget: int | None) -> bool:
+def _has_vertex_map(g: Graph, h: Graph) -> bool:
     """Whether the labeled search of ``g`` into ``h`` reaches a vertex map, charging no edge pick."""
-    return next(_Search(g, h, "labeled", None, {}).values(_Budget(budget)), None) is not None
+    return next(_Search(g, h, "labeled", None, {}).values(_Budget()), None) is not None
 
 
 def find_hom(g: Graph, h: Graph, mode: str = "labeled", group: PermGroup | None = None,
-             pins: Mapping | None = None, budget: int | None = None) -> Homomorphism | None:
-    return next(iter_homs(g, h, mode, group, pins, budget), None)
+             pins: Mapping | None = None) -> Homomorphism | None:
+    return next(iter_homs(g, h, mode, group, pins), None)
 
 
 def list_homs(g: Graph, h: Graph, mode: str = "labeled", group: PermGroup | None = None,
-              pins: Mapping | None = None, budget: int | None = None,
-              limit: int | None = None) -> list[Homomorphism]:
+              pins: Mapping | None = None, limit: int | None = None) -> list[Homomorphism]:
     """The first ``limit`` homomorphisms of ``iter_homs``, all when None;
     ``limit=0`` starts no search but still checks the arguments."""
     if limit is not None:
         count_checked(limit, "limit=")
-    return list(islice(iter_homs(g, h, mode, group, pins, budget), limit))
+    return list(islice(iter_homs(g, h, mode, group, pins), limit))
 
 
 def count_homs(g: Graph, h: Graph, mode: str = "labeled", group: PermGroup | None = None,
-               pins: Mapping | None = None, budget: int | None = None) -> int:
+               pins: Mapping | None = None) -> int:
     """Exact number of homomorphisms (pair-level between symmetric graphs),
     by variable elimination in every mode: one factor per source edge (one
     per twin pair) weighing its ends' values by their candidate images, one
@@ -506,7 +505,7 @@ def count_homs(g: Graph, h: Graph, mode: str = "labeled", group: PermGroup | Non
     vertex, twist) values."""
     _require_comparable(g, h, mode, group)
     pins = _checked_pins(g, h, pins)
-    b = _Budget(budget, "homomorphism count")
+    b = _Budget("homomorphism count")
     return _count_by_elimination(g, h, _Matcher(g, h, mode, group), pins, b)
 
 

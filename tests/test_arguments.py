@@ -20,15 +20,12 @@ from cylgraph.catalog import (
     walk_power,
     walk_power_direct,
 )
-from cylgraph.construct import exponential
-from cylgraph.core import isomorphic
-from cylgraph.cylinder import CylinderSet, generalized_loop, identity_cyl, path_cyl, twist
+from cylgraph.cylinder import generalized_loop, identity_cyl, path_cyl, twist
 from cylgraph.errors import CylError, DomainError, NotAPermutation
-from cylgraph.hom import count_homs, find_hom, list_homs
+from cylgraph.hom import list_homs
 from cylgraph.perm import Perm, PermGroup
 
 C3, P1 = cycle_graph(3), path_graph(1)
-P2_SET = CylinderSet(PermGroup.trivial(1), {1: path_cyl(2)})
 
 
 def list_limit(v):
@@ -50,13 +47,6 @@ CALLS = {
         PermGroup.trivial,
     ],
     "limit=": [list_limit],
-    "budget=": [
-        lambda v: count_homs(C3, C3, budget=v),
-        lambda v: find_hom(C3, C3, budget=v),
-        lambda v: isomorphic(C3, C3, budget=v),
-        lambda v: exponential(P2_SET, C3, budget=v),
-        lambda v: walk_power(C3, 2, budget=v),
-    ],
     "path length": [
         path_cyl,
         lambda v: walk_power(C3, v),
@@ -67,7 +57,7 @@ CALLS = {
     ],
 }
 CASES = [(what, call) for what, calls in CALLS.items() for call in calls]
-NONE_MEANS_DEFAULT = {*CALLS["budget="], list_limit}
+NONE_MEANS_DEFAULT = {list_limit}
 
 # invalid counts only: a valid large one (complete_graph(10**9)) would run away
 INVALID = st.one_of(

@@ -339,13 +339,14 @@ def test_exponential_takes_no_size_option():
         exponential(cs, complete(3), max_vertices=MAX_EXPO_VERTICES)
 
 
-@pytest.mark.parametrize("bad", ["5", 2.5, True, -1], ids=repr)
+@pytest.mark.parametrize("bad", ["5x", "2.5", "True", "-1"], ids=repr)
 def test_exponential_checks_budget_before_building_orbits(monkeypatch, bad):
     cs = CylinderSet(PermGroup.trivial(2), {1: identity_cyl(2)})
     monkeypatch.setattr(construct, "MAX_EXPO_VERTICES", 0)
+    monkeypatch.setenv("CYL_NODE_BUDGET", bad)
     with pytest.raises(DomainError) as err:
-        exponential(cs, complete(5), budget=bad)
-    assert str(err.value) == f"budget= must be a non-negative integer, got {bad!r}"
+        exponential(cs, complete(5))
+    assert str(err.value) == f"CYL_NODE_BUDGET must be a non-negative integer, got {bad!r}"
 
 
 def test_exponential_orbit_cap_names_the_cap(monkeypatch):

@@ -426,13 +426,15 @@ def test_isomorphic_agrees_with_networkx():
     assert found >= 150
 
 
-def test_isomorphic_node_count_is_pinned():
+def test_isomorphic_node_count_is_pinned(monkeypatch):
     # Petersen and the pentagonal prism are both cubic on 10 vertices, so the
     # invariants cannot tell them apart; refuting a match takes 1520 nodes
     prism = neps_product(cycle_graph(5), complete_graph(2), "cartesian")
-    assert isomorphic(petersen(), prism, budget=1520) is None
+    monkeypatch.setenv("CYL_NODE_BUDGET", "1520")
+    assert isomorphic(petersen(), prism) is None
+    monkeypatch.setenv("CYL_NODE_BUDGET", "1519")
     with pytest.raises(ResourceLimit):
-        isomorphic(petersen(), prism, budget=1519)
+        isomorphic(petersen(), prism)
 
 
 def _loop_labelled_square(order):
@@ -450,21 +452,24 @@ def _loop_labelled_square(order):
     ([1, 0, 3, 2], {0: 0, 2: 2, 1: 1, 3: 3}),
     ([3, 2, 1, 0], {0: 2, 2: 0, 1: 3, 3: 1}),
 ])
-def test_isomorphic_tells_candidates_apart_by_their_loop_labels(order, vmap):
+def test_isomorphic_tells_candidates_apart_by_their_loop_labels(monkeypatch, order, vmap):
     g, h = _loop_labelled_square([0, 1, 2, 3]), _loop_labelled_square(order)
-    got = isomorphic(g, h, budget=7)
+    monkeypatch.setenv("CYL_NODE_BUDGET", "7")
+    got = isomorphic(g, h)
     assert got["vertices"] == vmap
     assert list(got["vertices"]) == list(vmap)
     assert iso_error(g, h, got) is None
+    monkeypatch.setenv("CYL_NODE_BUDGET", "6")
     with pytest.raises(ResourceLimit):
-        isomorphic(g, h, budget=6)
+        isomorphic(g, h)
 
 
 def test_isomorphic_reads_the_budget_from_the_environment(monkeypatch):
     monkeypatch.setenv("CYL_NODE_BUDGET", "0")
     with pytest.raises(ResourceLimit):
         isomorphic(cycle(6), cycle(6))
-    assert isomorphic(cycle(6), cycle(6), budget=6) is not None
+    monkeypatch.setenv("CYL_NODE_BUDGET", "6")
+    assert isomorphic(cycle(6), cycle(6)) is not None
     monkeypatch.setenv("CYL_NODE_BUDGET", "many")
     with pytest.raises(DomainError):
         isomorphic(cycle(6), cycle(6))

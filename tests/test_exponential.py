@@ -145,7 +145,7 @@ def test_rep_and_shift_answer_only_width_long_tuples_over_the_target():
 # -- differential oracle ------------------------------------------------------
 
 
-def expo_oracle(cset, h, rep_choice="min", budget=None):
+def expo_oracle(cset, h, rep_choice="min"):
     """The exponential as built before boundary pairs were deduplicated: every
     hom's boundary rows are re-keyed by JSON text.  Returns (graph, tuple_of,
     witnesses, edge_by_triple, homs seen, distinct boundary pairs)."""
@@ -171,7 +171,7 @@ def expo_oracle(cset, h, rep_choice="min", budget=None):
     triples, order, n_homs, pairs = {}, [], 0, set()
     for key in sorted(cset.keys(), key=str):
         cyl = cset[key]
-        for hom in iter_homs(cyl.graph, h, mode="labeled", budget=budget):
+        for hom in iter_homs(cyl.graph, h, mode="labeled"):
             p = tuple(hom.vmap[v] for v in cyl.y)
             q = tuple(hom.vmap[v] for v in cyl.z)
             n_homs += 1
@@ -309,6 +309,14 @@ def _outcome(build):
         return type(exc).__name__, str(exc)
 
 
+def _outcome_at(monkeypatch, budget, build):
+    """``_outcome(build)`` with ``CYL_NODE_BUDGET`` set to ``budget``, left unset when None."""
+    with monkeypatch.context() as m:
+        if budget is not None:
+            m.setenv("CYL_NODE_BUDGET", str(budget))
+        return _outcome(build)
+
+
 def _is_error(outcome):
     return isinstance(outcome, tuple) and isinstance(outcome[0], str)
 
@@ -345,7 +353,7 @@ def _assert_isomorphic_to_the_largest_representatives(got, cset, h):
     assert isomorphic(by_key(got.graph), by_key(expo_oracle(cset, h, "max")[0])) is not None
 
 
-def test_exponential_matches_the_frozen_triple_loop():
+def test_exponential_matches_the_frozen_triple_loop(monkeypatch):
     # A disconnected cylinder is searched one component at a time, each
     # search under its own budget, where the oracle searches the whole graph
     # once: where the oracle runs out of budget, the exponential either does
@@ -354,8 +362,8 @@ def test_exponential_matches_the_frozen_triple_loop():
     skipped = conflicts = limits = twisted = compared = largest_compared = 0
     for _ in range(300):
         cset, h, largest, budget = _random_instance(rng)
-        want = _outcome(lambda: expo_oracle(cset, h, budget=budget))
-        got = _outcome(lambda: exponential(cset, h, budget=budget))
+        want = _outcome_at(monkeypatch, budget, lambda: expo_oracle(cset, h))
+        got = _outcome_at(monkeypatch, budget, lambda: exponential(cset, h))
         if largest and not _is_error(got):
             _assert_isomorphic_to_the_largest_representatives(got, cset, h)
             largest_compared += 1
@@ -629,7 +637,7 @@ def _clique_beside_an_unmatched_edge():
     return make_cylinder(cg, ["y1"], ["z1"])
 
 
-def test_a_part_without_maps_lets_no_edge_pick_be_charged_at_any_budget():
+def test_a_part_without_maps_lets_no_edge_pick_be_charged_at_any_budget(monkeypatch):
     # The whole-graph search finds no vertex map for the "zz" edge and so
     # charges none of the clique's ten edge picks.  The split search must not
     # either: wherever the oracle builds, the exponential builds the same.
@@ -641,8 +649,8 @@ def test_a_part_without_maps_lets_no_edge_pick_be_charged_at_any_budget():
     assert not unbudgeted[0].edges
     verdicts = set()
     for budget in range(30):
-        want = _outcome(lambda: expo_oracle(cset, h, budget=budget))
-        got = _outcome(lambda: exponential(cset, h, budget=budget))
+        want = _outcome_at(monkeypatch, budget, lambda: expo_oracle(cset, h))
+        got = _outcome_at(monkeypatch, budget, lambda: exponential(cset, h))
         if _is_error(want) and got != want:
             assert want[0] == "ResourceLimit"
             want = unbudgeted
@@ -651,7 +659,7 @@ def test_a_part_without_maps_lets_no_edge_pick_be_charged_at_any_budget():
     assert verdicts == {"ResourceLimit", "built"}
 
 
-def test_the_split_search_builds_at_every_budget_the_whole_graph_search_builds_at():
+def test_the_split_search_builds_at_every_budget_the_whole_graph_search_builds_at(monkeypatch):
     # random rungs beside one or two interior components, some of whose edges
     # carry a label the target lacks, at budgets 0..39: where the oracle
     # builds, so does the exponential, to the byte
@@ -672,8 +680,8 @@ def test_the_split_search_builds_at_every_budget_the_whole_graph_search_builds_a
         h = random_multigraph(rng, rng.randint(1, 3), rng.randint(1, 6), (None, "a"), symmetric)
         unbudgeted = _outcome(lambda: expo_oracle(cset, h))
         for budget in range(40):
-            want = _outcome(lambda: expo_oracle(cset, h, budget=budget))
-            got = _outcome(lambda: exponential(cset, h, budget=budget))
+            want = _outcome_at(monkeypatch, budget, lambda: expo_oracle(cset, h))
+            got = _outcome_at(monkeypatch, budget, lambda: exponential(cset, h))
             if _is_error(want) and got != want:
                 assert want[0] == "ResourceLimit"
                 want = unbudgeted
@@ -684,13 +692,13 @@ def test_the_split_search_builds_at_every_budget_the_whole_graph_search_builds_a
     assert built >= 3000 and edgeless >= 3000 and limits >= 400
 
 
-def test_resource_limit_verdicts_agree_at_every_budget():
+def test_resource_limit_verdicts_agree_at_every_budget(monkeypatch):
     cset = CylinderSet(PermGroup.symmetric(2), {1: square_cyl(), 2: sqcap_cyl()})
     h = random_multigraph(random.Random(7), 4, 9, symmetric=True)
     verdicts = set()
     for budget in range(200):
-        want = _outcome(lambda: expo_oracle(cset, h, budget=budget))
-        got = _outcome(lambda: exponential(cset, h, budget=budget))
+        want = _outcome_at(monkeypatch, budget, lambda: expo_oracle(cset, h))
+        got = _outcome_at(monkeypatch, budget, lambda: exponential(cset, h))
         if isinstance(want[0], str):
             assert got == want
         else:

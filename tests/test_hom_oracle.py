@@ -200,7 +200,8 @@ def library_run(monkeypatch, g, h, mode, group, pins, budget):
 
     with monkeypatch.context() as m:
         m.setattr(hom, "_Budget", Recording)
-        maps = [fingerprint(x) for x in iter_homs(g, h, mode=mode, group=group, pins=pins, budget=budget)]
+        m.setenv("CYL_NODE_BUDGET", str(budget))
+        maps = [fingerprint(x) for x in iter_homs(g, h, mode=mode, group=group, pins=pins)]
     (spent,) = made
     return maps, spent.left
 
@@ -292,8 +293,10 @@ def test_random_instances_match_the_frozen_kernel(monkeypatch):
         assert got == want
         assert left == oracle_budget.left
         for budget in range(14):
-            assert (first_or_limit(iter(fingerprint(x) for x in iter_homs(g, h, mode, group, pins, budget)))
-                    == first_or_limit(oracle_homs(g, h, mode, group, pins, Nodes(budget))))
+            with monkeypatch.context() as m:
+                m.setenv("CYL_NODE_BUDGET", str(budget))
+                mine = first_or_limit(iter(fingerprint(x) for x in iter_homs(g, h, mode, group, pins)))
+            assert mine == first_or_limit(oracle_homs(g, h, mode, group, pins, Nodes(budget)))
         ends = [frozenset(g.edges[eid][:2]) for eid in g.canonical_edges()]
         seen.update([mode, "symmetric" if g.symmetric else "directed"])
         seen.update(nonzero=bool(want), pinned=bool(pins), loops=any(len(e) == 1 for e in ends),
@@ -312,8 +315,9 @@ def test_catalog_instances_match_the_frozen_kernel(monkeypatch, name):
     assert want and got == want
     assert left == oracle_budget.left
     for budget in range(14):
+        monkeypatch.setenv("CYL_NODE_BUDGET", str(budget))
         try:
-            mine = find_hom(g, h, mode=mode, group=group, pins=pins, budget=budget)
+            mine = find_hom(g, h, mode=mode, group=group, pins=pins)
             mine = None if mine is None else fingerprint(mine)
         except ResourceLimit:
             mine = "ResourceLimit"
@@ -341,7 +345,7 @@ def prefix_before_limit(run):
 
 
 @pytest.mark.parametrize("name", sorted(catalog_instances()))
-def test_maps_before_a_resource_limit_match_the_frozen_kernel(name):
+def test_maps_before_a_resource_limit_match_the_frozen_kernel(monkeypatch, name):
     g, h, mode, group, pins = catalog_instances()[name]
     full = Nodes(BIG)
     for _ in oracle_homs(g, h, mode, group, pins, full):
@@ -349,7 +353,8 @@ def test_maps_before_a_resource_limit_match_the_frozen_kernel(name):
     total = BIG - full.left
     for k in range(1, 12):
         budget = total * k // 12
-        mine = prefix_before_limit(fingerprint(x) for x in iter_homs(g, h, mode, group, pins, budget))
+        monkeypatch.setenv("CYL_NODE_BUDGET", str(budget))
+        mine = prefix_before_limit(fingerprint(x) for x in iter_homs(g, h, mode, group, pins))
         want = prefix_before_limit(oracle_homs(g, h, mode, group, pins, Nodes(budget)))
         assert mine == want, (name, budget)
         assert mine[1], (name, budget)

@@ -138,15 +138,19 @@ GAMMA_NODE_PINS = {"wedge": (80, 1360, 155), "twisted": (48, 882, 47)}
 
 
 @pytest.mark.parametrize("name", sorted(GAMMA_NODE_PINS))
-def test_gamma_search_spends_pinned_node_counts(name):
+def test_gamma_search_spends_pinned_node_counts(monkeypatch, name):
     g, h, group = gamma_instances()[name]
     homs, list_budget, count_budget = GAMMA_NODE_PINS[name]
-    assert len(list_homs(g, h, mode="gamma", group=group, budget=list_budget)) == homs
+    monkeypatch.setenv("CYL_NODE_BUDGET", str(list_budget))
+    assert len(list_homs(g, h, mode="gamma", group=group)) == homs
+    monkeypatch.setenv("CYL_NODE_BUDGET", str(list_budget - 1))
     with pytest.raises(ResourceLimit):
-        list_homs(g, h, mode="gamma", group=group, budget=list_budget - 1)
-    assert count_homs(g, h, mode="gamma", group=group, budget=count_budget) == homs
+        list_homs(g, h, mode="gamma", group=group)
+    monkeypatch.setenv("CYL_NODE_BUDGET", str(count_budget))
+    assert count_homs(g, h, mode="gamma", group=group) == homs
+    monkeypatch.setenv("CYL_NODE_BUDGET", str(count_budget - 1))
     with pytest.raises(ResourceLimit):
-        count_homs(g, h, mode="gamma", group=group, budget=count_budget - 1)
+        count_homs(g, h, mode="gamma", group=group)
 
 
 def list_instances():
@@ -165,12 +169,14 @@ LIST_NODE_PINS = {"petersen_k3_plain": (120, 3288), "labeled_multigraph": (1320,
 
 
 @pytest.mark.parametrize("name", sorted(LIST_NODE_PINS))
-def test_plain_and_labeled_search_spend_pinned_node_counts(name):
+def test_plain_and_labeled_search_spend_pinned_node_counts(monkeypatch, name):
     g, h, mode = list_instances()[name]
     homs, list_budget = LIST_NODE_PINS[name]
-    assert len(list_homs(g, h, mode=mode, budget=list_budget)) == homs
+    monkeypatch.setenv("CYL_NODE_BUDGET", str(list_budget))
+    assert len(list_homs(g, h, mode=mode)) == homs
+    monkeypatch.setenv("CYL_NODE_BUDGET", str(list_budget - 1))
     with pytest.raises(ResourceLimit):
-        list_homs(g, h, mode=mode, budget=list_budget - 1)
+        list_homs(g, h, mode=mode)
 
 
 def pinned_multigraph_instance(mode):
@@ -189,14 +195,16 @@ ENUMERATION_NODE_PINS = {"plain": (530, 930), "labeled": (97, 290), "gamma": (36
 
 
 @pytest.mark.parametrize("mode", sorted(ENUMERATION_NODE_PINS))
-def test_inline_node_charges_keep_budget_and_message(mode):
+def test_inline_node_charges_keep_budget_and_message(monkeypatch, mode):
     g, h, group, pins = pinned_multigraph_instance(mode)
     maps, budget = ENUMERATION_NODE_PINS[mode]
-    assert len(list(iter_homs(g, h, mode, group, pins, budget))) == maps
+    monkeypatch.setenv("CYL_NODE_BUDGET", str(budget))
+    assert len(list(iter_homs(g, h, mode, group, pins))) == maps
+    monkeypatch.setenv("CYL_NODE_BUDGET", str(budget - 1))
     with pytest.raises(ResourceLimit) as err:
-        list(iter_homs(g, h, mode, group, pins, budget - 1))
+        list(iter_homs(g, h, mode, group, pins))
     with pytest.raises(ResourceLimit) as spent:  # the message has one home, ``_Budget.spend``
-        _Budget(budget - 1).spend(budget)
+        _Budget().spend(budget)
     assert str(err.value) == str(spent.value)
 
 

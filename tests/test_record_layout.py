@@ -64,7 +64,7 @@ def test_a_searched_map_reads_as_the_eager_map_of_its_record(mode):
     assert several_picks >= 10  # leaves with more than one edge pick are covered
 
 
-def first_maps_reading_vmap(cyl, h, budget):
+def first_maps_reading_vmap(cyl, h):
     """``construct._first_maps`` as it was when it read every map's vertex map:
     a share is read from ``vmap``, a record is its edge picks, then its vertex
     images, and each part's record labels come from the map's dicts."""
@@ -72,7 +72,7 @@ def first_maps_reading_vmap(cyl, h, budget):
     comp_of = {v: i for i, comp in enumerate(g.components()) for v in comp}
     parts = [set(vs) for _, vs in itertools.groupby(_vertex_order(g, {}), comp_of.get)] or [set()]
     graphs = [g.induced(part) for part in parts] if len(parts) > 1 else [g]
-    if not all(_has_vertex_map(part, h, budget) for part in graphs[:-1]):
+    if not all(_has_vertex_map(part, h) for part in graphs[:-1]):
         return None
     places = [[j for j, v in enumerate(ends) if v in part] for part in parts]
     tables: list = [{} for _ in parts]
@@ -80,7 +80,7 @@ def first_maps_reading_vmap(cyl, h, budget):
     for i in range(-1, len(parts) - 1):
         read, first = _tuple_getter([ends[j] for j in places[i]]), tables[i]
         src = _src_edges(graphs[i])
-        for hom in iter_homs(graphs[i], h, mode="labeled", budget=budget):
+        for hom in iter_homs(graphs[i], h, mode="labeled"):
             share = read(hom.vmap)
             if share not in first:
                 first[share] = tuple(hom.emap[e] for e in src) + tuple(hom.vmap.values())
@@ -104,7 +104,7 @@ def test_first_maps_match_the_version_that_read_vmap(symmetric):
         width = rng.randint(1, 2)
         cyl = SimpleNamespace(graph=g, y=tuple(rng.choices(g.vertices, k=width)),
                               z=tuple(rng.choices(g.vertices, k=width)))
-        got, want = _first_maps(cyl, h, None), first_maps_reading_vmap(cyl, h, None)
+        got, want = _first_maps(cyl, h), first_maps_reading_vmap(cyl, h)
         assert got == want
         if got is not None and len(got[2]) > 1:
             joined += 1
