@@ -352,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     :func:`main` looks it up in this module when it runs, so a parser built
     once serves every call."""
     p = _Parser(prog="cyl", description="Cylinder products, exponentials and map queries over JSON graph files.")
-    p.add_argument("--seed", type=int, default=0, help="seed for any randomized choices (fixed default keeps runs reproducible)")
+    p.add_argument("--seed", type=int, default=0, help="accepted and has no effect: every command is deterministic")
     sub = p.add_subparsers(dest="command", required=True)
     for verb, (help_text, flags, func) in _VERBS.items():
         sp = sub.add_parser(verb, help=help_text)
