@@ -74,12 +74,20 @@ def _run(fn, args, **kwargs):
 
 
 @pytest.mark.parametrize("fn", CASES, ids=lambda fn: fn.__name__)
-def test_every_search_reads_the_one_node_budget(monkeypatch, fn):
-    args = CASES[fn]()
+def test_no_search_takes_a_budget_keyword(fn):
     assert "budget" not in inspect.signature(fn).parameters
     with pytest.raises(TypeError):
-        _run(fn, args, budget=10**9)
-    _run(fn, args)  # returns with the variable unset
+        _run(fn, CASES[fn](), budget=10**9)
+
+
+@pytest.mark.parametrize("fn", CASES, ids=lambda fn: fn.__name__)
+def test_every_search_returns_with_the_budget_unset(fn):
+    _run(fn, CASES[fn]())
+
+
+@pytest.mark.parametrize("fn", CASES, ids=lambda fn: fn.__name__)
+def test_every_search_stops_at_a_zero_budget(monkeypatch, fn):
+    args = CASES[fn]()
     monkeypatch.setenv("CYL_NODE_BUDGET", "0")
     with pytest.raises(ResourceLimit, match="exceeded its node budget of 0 nodes; raise CYL_NODE_BUDGET$"):
         _run(fn, args)
