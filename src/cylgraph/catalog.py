@@ -16,7 +16,7 @@ from collections.abc import Iterable
 from itertools import combinations
 
 from .construct import _uniform, cyl_product, exponential
-from .core import GammaLabel, Graph, merge_parallel
+from .core import Edge, GammaLabel, Graph, merge_parallel
 from .cylinder import (
     Cylinder,
     CylinderSet,
@@ -102,12 +102,18 @@ def petersen() -> Graph:
 # -- walk powers and subdivisions ------------------------------------------
 
 
+def _power(h: Graph, key, cyl: Cylinder, group: PermGroup | None = None) -> Graph:
+    """The exponential of ``h`` by ``cyl`` alone (trivial slot group by default), its graph
+    unlabeled in place: the graph is new and the trace dropped, so no copy is needed."""
+    g = exponential(CylinderSet(group or PermGroup.trivial(cyl.width), {key: cyl}), h).graph
+    g.edges = {eid: tuple.__new__(Edge, (tail, head, None)) for eid, (tail, head, _) in g.edges.items()}
+    return g
+
+
 def walk_power(g: Graph, n: int) -> Graph:
     """Vertices of ``g``, with an edge wherever a walk of length n runs.
     Vertices on no walk of length n drop out."""
-    cyl = path_cyl(n, directed=not g.symmetric)
-    cs = CylinderSet(PermGroup.trivial(1), {1: cyl})
-    return exponential(cs, g).graph.stripped()
+    return _power(g, 1, path_cyl(n, directed=not g.symmetric))
 
 
 def walk_power_direct(g: Graph, n: int) -> Graph:
@@ -244,9 +250,7 @@ def neps_direct(h: Graph, g: Graph, kind: str) -> Graph:
 def function_power(g: Graph, h: Graph) -> Graph:
     """All maps V(g) -> V(h) as vertices, adjacent when they respect every
     edge of ``g`` crosswise; maps with no partner drop out."""
-    cyl = neps_cylinder(g, "tensor")
-    cs = CylinderSet(PermGroup.trivial(cyl.width), {"tensor": cyl})
-    return exponential(cs, h).graph.stripped()
+    return _power(h, "tensor", neps_cylinder(g, "tensor"))
 
 
 def function_power_direct(g: Graph, h: Graph) -> Graph:
@@ -454,9 +458,7 @@ def zigzag_via_walks(g: Graph, h: Graph) -> Graph:
     """The same graph extracted from the replacement product by taking all
     walks that go cloud-step, rung, cloud-step."""
     fat, _ = replacement_product(g, h)
-    zcyl = path_cyl(3, labels=[0, 1, 0])
-    cs = CylinderSet(PermGroup.trivial(1), {"walk": zcyl})
-    return exponential(cs, fat).graph.stripped()
+    return _power(fat, "walk", path_cyl(3, labels=[0, 1, 0]))
 
 
 # -- line graphs --------------------------------------------------------------
@@ -465,9 +467,7 @@ def zigzag_via_walks(g: Graph, h: Graph) -> Graph:
 def looped_line_graph(h: Graph) -> Graph:
     """Edges of ``h`` as vertices, adjacent when they share an endpoint —
     which every edge does with itself, so every vertex carries a loop."""
-    cs = CylinderSet(PermGroup.symmetric(2), {"w": wedge_cyl()})
-    raw = exponential(cs, h).graph.stripped()
-    return merge_parallel(raw)
+    return merge_parallel(_power(h, "w", wedge_cyl(), PermGroup.symmetric(2)))
 
 
 def line_graph_direct(h: Graph) -> Graph:

@@ -398,8 +398,11 @@ def _first_maps(cyl, h: Graph):
     the share read off the records :func:`iter_homs` yields, no ``vmap`` built.  Returns (layout,
     places, tables), None when some component has no map."""
     g, ends = cyl.graph, (*cyl.y, *cyl.z)
-    comp_of = {v: i for i, comp in enumerate(g.components()) for v in comp}
-    parts = [set(vs) for _, vs in itertools.groupby(_vertex_order(g, {}), comp_of.get)] or [set()]
+    nbrs, parts = g.neighbour_sets(), [set()]
+    for v in _vertex_order(g, {}):  # one run per component (see connected_order)
+        if parts[-1] and nbrs[v].isdisjoint(parts[-1]):
+            parts.append(set())
+        parts[-1].add(v)
     graphs = [g.induced(part) for part in parts] if len(parts) > 1 else [g]
     # as in the whole graph's search, no edge pick is charged before every part has a vertex map
     if not all(_has_vertex_map(part, h) for part in graphs[:-1]):

@@ -306,27 +306,6 @@ class Graph:
             raise DomainError("relabel mapping is not injective")
         return identify_vertices(self, tr)
 
-    def components(self) -> list[list]:
-        """Weakly connected components, each sorted, in first-seen order."""
-        seen: set = set()
-        nbrs = self.neighbour_sets()
-        comps = []
-        for v in self._vertices:
-            if v in seen:
-                continue
-            comp = []
-            stack = [v]
-            seen.add(v)
-            while stack:
-                x = stack.pop()
-                comp.append(x)
-                for y in nbrs[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-            comps.append(sorted(comp, key=str))
-        return comps
-
     # -- serialisation -------------------------------------------------------
 
     def to_json(self) -> dict:
@@ -508,8 +487,10 @@ class _Budget:
 def connected_order(ranked: list, nbrs: Mapping, eligible: Iterable = ()) -> list:
     """Repeatedly take the first remaining vertex of ``ranked`` that is
     ``eligible`` or adjacent (by ``nbrs``) to a placed one, else the first
-    remaining vertex.  Qualifying ranks wait on a heap and go stale lazily
-    once placed: O((V + E) log V), and names are never compared."""
+    remaining vertex.  With none ``eligible``, each weakly connected component
+    is one run, starting exactly at a vertex with no earlier neighbour.
+    Qualifying ranks wait on a heap and go stale lazily once placed:
+    O((V + E) log V), and names are never compared."""
     rank = {v: i for i, v in enumerate(ranked)}
     ready = sorted({rank[v] for v in eligible if v in rank})
     placed = [False] * len(ranked)

@@ -6,9 +6,6 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 # tests/ for the shared helpers, src/ so a bare `python -m pytest` from the
 # repository root imports the package without PYTHONPATH or an install
 sys.path[:0] = [HERE, os.path.join(os.path.dirname(HERE), "src")]
-# every search reads CYL_NODE_BUDGET, so an exported value would change the
-# verdicts of tests that never set it; a test that needs one sets its own
-os.environ.pop("CYL_NODE_BUDGET", None)
 
 import pytest
 

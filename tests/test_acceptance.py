@@ -12,7 +12,7 @@ from contextlib import contextmanager
 from itertools import islice
 
 import _criteria
-from util import degree, girth, random_graph, random_gamma_labels
+from util import components, degree, girth, random_graph, random_gamma_labels
 
 from cylgraph.catalog import (
     NEPS_KINDS,
@@ -276,7 +276,7 @@ def test_count_tightness_and_gaps():
             g = parts[0]
             for extra in parts[1:]:
                 g = disjoint_union(g, extra)
-            c = len(g.components())
+            c = len(components(g))
             gl = uniform_labels(g, 1)
             tr = cyl_product(gl, p2)
             assert count_homs(tr.graph, k2, mode="labeled") == 2 ** c
@@ -371,7 +371,7 @@ def test_voltage_lifts():
         volts = {eid: Perm.identity(3) for eid in base.canonical_edges()}
         lifted = voltage_lift(base, volts, 3)
         copies = disjoint_union(base, disjoint_union(cycle_graph(4), cycle_graph(4)))
-        assert len(lifted.components()) == 3
+        assert len(components(lifted)) == 3
         assert isomorphic(lifted, copies) is not None
 
 

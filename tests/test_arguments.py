@@ -72,7 +72,8 @@ INVALID = st.one_of(
 )
 
 
-@pytest.mark.parametrize("what, call", CASES, ids=[f"{what}{i}" for i, (what, _) in enumerate(CASES)])
+# ids count within each argument name, so deleting one case renames only its later siblings
+@pytest.mark.parametrize("what, call", CASES, ids=[f"{what}{i}" for what, calls in CALLS.items() for i in range(len(calls))])
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(bad=INVALID)
 def test_an_invalid_count_is_one_domain_error_naming_it(what, call, bad):

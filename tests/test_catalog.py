@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import sys
 import time
 from collections import Counter
 
@@ -378,6 +379,30 @@ def test_the_product_builders_return_the_glued_graph_unlabeled():
     for name, g in built.items():
         assert g.edges and all(e.label is None for e in g.edges.values()), name
         assert g == g.stripped(), name
+
+
+def test_the_powers_return_the_exponentials_own_graph(monkeypatch):
+    # the exponential's graph is new, so its labels are cleared in place and
+    # no relabeled copy is made; zigzag_via_walks still labels its outer graph
+    callers = []
+    with_labels = Graph.with_labels
+
+    def counted(self, labels):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return with_labels(self, labels)
+
+    monkeypatch.setattr(Graph, "with_labels", counted)
+    c4 = cycle_graph(4)
+    built = {
+        "walk_power": (walk_power(c4, 2), []),
+        "function_power": (function_power(path_graph(1), complete_graph(3)), []),
+        "looped_line_graph": (looped_line_graph(c4), []),
+        "zigzag_via_walks": (zigzag_via_walks(complete_graph(4), cycle_graph(3)), ["rotation_labels"]),
+    }
+    assert callers == [call for _, calls in built.values() for call in calls]
+    for name, (g, _) in built.items():
+        assert g.edges and all(type(e) is Edge and e.label is None for e in g.edges.values()), name
+        g.validate()
 
 
 def _malformed_graphs() -> dict:

@@ -20,6 +20,7 @@ from cylgraph.errors import DomainError, LabelConflict, ResourceLimit
 from cylgraph.perm import Perm
 
 from util import (
+    components,
     degree,
     girth,
     iso_error,
@@ -221,7 +222,7 @@ def test_disjoint_union():
     u.validate()
     assert len(u.vertices) == 6
     assert len(u.edges) == 12
-    assert len(u.components()) == 2
+    assert len(components(u)) == 2
 
 
 def _named(*vertices) -> Graph:
@@ -344,7 +345,7 @@ def test_stripped_keeps_insertion_order():
 def test_components_and_girth():
     c5 = cycle(5)
     assert girth(c5) == 5
-    assert len(c5.components()) == 1
+    assert len(components(c5)) == 1
     assert girth(path(4)) is None
 
 
@@ -394,6 +395,30 @@ def test_connected_order_matches_the_pool_scan():
         pinned = set(rng.sample(ranked, rng.randint(0, min(3, len(ranked)))))
         for eligible in ((), pinned):
             assert connected_order(ranked, nbrs, eligible) == pool_scan(ranked, nbrs, eligible)
+
+
+@pytest.mark.parametrize("symmetric", [False, True], ids=["directed", "symmetric"])
+def test_connected_order_places_each_component_as_one_run(symmetric):
+    # construct._first_maps splits its search order into components at the
+    # vertices with no earlier neighbour; this is the property it relies on
+    rng = random.Random(31 + symmetric)
+    several = 0
+    for _ in range(300):
+        n = rng.randint(0, 12)
+        g = random_multigraph(rng, n, rng.randint(0, n), symmetric=symmetric)  # sparse: isolated vertices
+        nbrs = g.neighbour_sets()
+        ranked = g.vertices
+        rng.shuffle(ranked)
+        order = connected_order(ranked, nbrs)
+        assert sorted(order) == sorted(ranked)
+        at = {v: i for i, v in enumerate(order)}
+        comps = sorted(components(g), key=lambda comp: min(map(at.get, comp)))
+        starts = [min(map(at.get, comp)) for comp in comps]
+        for comp, start in zip(comps, starts):
+            assert sorted(map(at.get, comp)) == list(range(start, start + len(comp)))
+        assert starts == [i for i, v in enumerate(order) if not any(at[u] < i for u in nbrs[v])]
+        several += len(comps) > 1
+    assert several >= 100
 
 
 def test_isomorphic_agrees_with_networkx():

@@ -18,7 +18,7 @@ from cylgraph.core import GammaLabel
 from cylgraph.hom import Homomorphism, _emap_keys, _has_vertex_map, _src_edges, _vertex_order, iter_homs
 from cylgraph.perm import PermGroup
 
-from util import random_multigraph
+from util import components, random_multigraph
 
 S2 = PermGroup.symmetric(2)
 GAMMA_LABELS = tuple(GammaLabel(a, 0, b) for a in S2 for b in S2)
@@ -69,7 +69,7 @@ def first_maps_reading_vmap(cyl, h):
     a share is read from ``vmap``, a record is its edge picks, then its vertex
     images, and each part's record labels come from the map's dicts."""
     g, ends = cyl.graph, (*cyl.y, *cyl.z)
-    comp_of = {v: i for i, comp in enumerate(g.components()) for v in comp}
+    comp_of = {v: i for i, comp in enumerate(components(g)) for v in comp}
     parts = [set(vs) for _, vs in itertools.groupby(_vertex_order(g, {}), comp_of.get)] or [set()]
     graphs = [g.induced(part) for part in parts] if len(parts) > 1 else [g]
     if not all(_has_vertex_map(part, h) for part in graphs[:-1]):

@@ -38,6 +38,27 @@ def girth(g: Graph) -> int | None:
     return best
 
 
+def components(g: Graph) -> list[list]:
+    """Weakly connected components, each sorted by ``str``, in the order of
+    their first vertex, by depth-first search."""
+    nbrs = g.neighbour_sets()
+    seen: set = set()
+    comps = []
+    for v in g.vertices:
+        if v in seen:
+            continue
+        seen.add(v)
+        comp, stack = [], [v]
+        while stack:
+            x = stack.pop()
+            comp.append(x)
+            for y in nbrs[x] - seen:
+                seen.add(y)
+                stack.append(y)
+        comps.append(sorted(comp, key=str))
+    return comps
+
+
 def without_loops(g: Graph) -> Graph:
     """A copy of ``g`` without its loops; every other edge keeps its id,
     label and twin."""
