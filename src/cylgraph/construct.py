@@ -28,12 +28,15 @@ from collections.abc import Mapping
 from .core import Edge, GammaLabel, Graph, _class_names, _union, label_sort_key, node_budget
 from .cylinder import CylinderSet, _bare_rows, make_cylinder
 from .errors import DomainError, LabelConflict, NotATwist, ResourceLimit
-from .hom import Homomorphism, _emap_keys, _has_vertex_map, _src_edges, _vertex_order, iter_homs
+from .hom import (Homomorphism, _emap_keys, _first_record, _has_vertex_map, _Matcher, _project, _Search,
+                  _src_edges, _vertex_order, iter_homs)
 from .perm import Perm, PermGroup
 
 MAX_PRODUCT_EDGES = 2_000_000
 MAX_TUPLE_SPACE = 400_000
 MAX_EXPO_VERTICES = 10_000
+
+_name = json.JSONEncoder(separators=(",", ":"), default=str).encode  # one encoder for every vertex name
 
 
 def uniform_labels(g: Graph, key, width: int = 1) -> Graph:
@@ -337,7 +340,9 @@ class ExpoTrace:
     tuple_of       -- final vertex name -> representative tuple
     witnesses      -- read-only map, final edge id -> hom from that cylinder's
                       graph into target, built on first read from the
-                      cylinder's per-component tables of first maps
+                      cylinder's per-component tables of first maps; a
+                      projected component's record is found by a search
+                      with its share fixed, on the first read that needs it
     edge_by_triple -- (tail name, head name, GammaLabel) -> final edge id,
                       built from ``graph``'s edges on first read
     names          -- representative tuple -> vertex name (every orbit of
@@ -392,38 +397,68 @@ def _tuple_getter(idx: list):  # operator.itemgetter(*idx), a tuple also for one
     return operator.itemgetter(*idx) if len(idx) > 1 else lambda s: tuple(map(s.__getitem__, idx))
 
 
+class _Projected(dict):
+    """A projected component's table: share -> the record of the component's first map with that share,
+    None until read.  The shares come from eliminating the component's other vertices; a read fills its
+    record by one search with the share's vertices fixed, under its own budget.  The search is built on
+    the first read, over the candidate tables the elimination built, and serves every later one."""
+
+    __slots__ = ("_at", "_matcher", "_search")
+
+    def __init__(self, graph: Graph, h: Graph, names: list, at: list):
+        matcher = _Matcher(graph, h, "labeled", None)
+        kept, counts = _project(matcher, set(names))
+        super().__init__(dict.fromkeys(map(_tuple_getter([kept.index(v) for v in names]), counts)))
+        self._at, self._matcher, self._search = at, matcher, None  # at: the search positions of names
+
+    def __getitem__(self, share) -> tuple:
+        record = super().__getitem__(share)
+        if record is None:
+            if self._search is None:
+                self._search = _Search(self._matcher, {})
+            record = self[share] = _first_record(self._search, dict(zip(self._at, share)))
+        return record
+
+
 def _first_maps(cyl, h: Graph):
     """The realized pairs of rows ``y + z`` factorised: one table per component, in the whole graph's
-    search order, from its share of the rows (its ``places`` in ``y + z``) to its first map's record,
-    the share read off the records :func:`iter_homs` yields, no ``vmap`` built.  Returns (layout,
-    places, tables), None when some component has no map."""
+    search order, from its share of the rows (its ``places`` in ``y + z``) to the record of its first
+    map with that share.  A component with a vertex off the rows is projected onto its share (a
+    :class:`_Projected` table, records found on first read); one whose vertices all lie on the rows has
+    its pairs as its maps (up to edge picks), so :func:`iter_homs` enumerates it and its table keeps the
+    first record per share.  Returns (layout, places, tables), None when some component has no map."""
     g, ends = cyl.graph, (*cyl.y, *cyl.z)
-    nbrs, parts = g.neighbour_sets(), [set()]
-    for v in _vertex_order(g, {}):  # one run per component (see connected_order)
-        if parts[-1] and nbrs[v].isdisjoint(parts[-1]):
-            parts.append(set())
-        parts[-1].add(v)
+    nbrs, runs, placed = g.neighbour_sets(), [], set()
+    for v in _vertex_order(g, {}):  # one run per component, in the component's own search order
+        if nbrs[v].isdisjoint(placed):  # see connected_order
+            runs.append([])
+        runs[-1].append(v)
+        placed.add(v)
+    parts = [set(run) for run in runs]
     graphs = [g.induced(part) for part in parts] if len(parts) > 1 else [g]
     # as in the whole graph's search, no edge pick is charged before every part has a vertex map
     if not all(_has_vertex_map(part, h) for part in graphs[:-1]):
         return None
     places = [[j for j, v in enumerate(ends) if v in part] for part in parts]
-    tables: list = [{} for _ in parts]
-    labels: list = [None] * len(parts)  # per part, what each place of a record holds: (0, edge) or (1, vertex)
+    srcs = [_src_edges(part) for part in graphs]
+    tables: list = [None] * len(parts)
+    on_rows = set(ends)
     for i in range(-1, len(parts) - 1):  # the last part first: the others have vertex maps
-        first, read = tables[i], None
-        for hom in iter_homs(graphs[i], h, mode="labeled"):
-            record = hom._picked[1]
-            if read is None:  # the places in a record of the part's boundary vertices
-                keys, _, picks, order, spots = hom._picked[0]
-                read = _tuple_getter([spots[order.index(ends[j])] for j in places[i]])
-            share = read(record)
-            if share not in first:
-                first[share] = record
+        names = [ends[j] for j in places[i]]
+        at = [runs[i].index(v) for v in names]  # a name's place in the search order
+        if not parts[i] <= on_rows:
+            first = _Projected(graphs[i], h, names, at)
+        else:
+            first, read = {}, _tuple_getter([len(srcs[i]) + a for a in at])  # a record: picks, then images
+            for hom in iter_homs(graphs[i], h, mode="labeled"):
+                record = hom._picked[1]
+                share = read(record)
+                if share not in first:
+                    first[share] = record
         if not first:
             return None
-        labels[i] = [(0, eid) for eid in keys[:len(picks)]] + [(1, v) for v in order]
-    labels = list(itertools.chain(*labels))
+        tables[i] = first
+    labels = [x for src, run in zip(srcs, runs) for x in [(0, e) for e in src] + [(1, v) for v in run]]
     at, src, names = {label: j for j, label in enumerate(labels)}, _src_edges(g), [v for c, v in labels if c]
     layout = (*_emap_keys(g, h, src), [at[0, e] for e in src], names, [at[1, v] for v in names])
     return layout, places, tables
@@ -443,15 +478,21 @@ def exponential(cset: CylinderSet, h: Graph) -> ExpoTrace:
     cylinder's graph, whose boundary rows are the edge's pair ``(p, q)``;
     :func:`~cylgraph.duality.section` fills cylinder interiors from it.  A
     triple fixes ``p = R1 . d-`` and ``q = R2 . d+``, so every triple of a
-    pair is realized by the pair's first hom.  Each hom costs one read of its
-    boundary rows; triples are built once per realized pair.
+    pair is realized by the pair's first hom.  Triples are built once per
+    realized pair.
 
-    A disconnected cylinder graph's homs are the product of its components'
-    (Lovász 1967), in ``iter_homs`` order the lexicographic one: each is
-    searched once, each search under its own ``CYL_NODE_BUDGET`` nodes, and
-    the realized pairs are the product of the components' tables of first
-    maps, a factorised representation (Olteanu & Závodný 2015).  The trace
-    keeps the tables and builds a witness from them on its first read.  A bad
+    A cylinder graph's homs are the product of its components' (Lovász
+    1967), in ``iter_homs`` order the lexicographic one, and the realized
+    pairs are the product of the components' shares of the rows, a
+    factorised representation (Olteanu & Závodný 2015).  Only the realized
+    shares matter, so a component with a vertex off the rows is projected
+    onto them by bucket elimination (Dechter 1999), its other vertices summed
+    out of the per-edge tables that :func:`~cylgraph.hom.count_homs` uses; a
+    component whose vertices all lie on the rows has its maps as its shares,
+    up to edge images, and is enumerated.  Each projection or search runs
+    under its own ``CYL_NODE_BUDGET`` nodes.  The trace keeps the tables and
+    builds a witness from them on its first read; a projected component finds
+    its part of the witness then, by its own search.  A bad
     ``CYL_NODE_BUDGET`` raises :class:`DomainError` before any orbit work.
     """
     node_budget()
@@ -474,7 +515,7 @@ def exponential(cset: CylinderSet, h: Graph) -> ExpoTrace:
         r = min((p.act(t) for p in group), key=lambda x: tuple(map(str, x)))
         for d in group:
             orbits.setdefault(d.act(r), (r, []))[1].append(d)
-        names[r] = json.dumps(list(r), separators=(",", ":"), default=str)
+        names[r] = _name(r)
         if len(names) > MAX_EXPO_VERTICES:
             raise ResourceLimit(f"more than {MAX_EXPO_VERTICES} orbit representatives, the exponential's vertex cap")
 

@@ -26,6 +26,9 @@ the eliminated vertex.  The cost therefore grows with the source's width
 along that order (the size of the largest joined table, at most ``|V(h)|``,
 times the group order in gamma mode, to the power of the largest
 neighbourhood plus one), times the source's size, not with its size cubed.
+The same elimination, with chosen source vertices kept out of the heap,
+projects the maps onto those vertices' images: the exponential's realized
+boundary rows, with no map enumerated.
 
 Vertex-map search maps pinned vertices first, then the others by falling
 degree (ties broken by ``str`` of the name), except that each next vertex is
@@ -43,6 +46,8 @@ map, twist vectors, lexicographic over the edge-incident source vertices
 sorted by ``str``, each running through the group's elements in order; then
 edge images, lexicographic over the source edges (one per twin pair, sorted
 by id), each over its candidate target edges sorted by id, one per twin pair.
+A search with chosen vertices fixed to one value each keeps that order, so
+it yields exactly the maps with those values, in the same order.
 
 One search fills the vertex images and the twists: its positions are the
 vertex order followed, in gamma mode, by the edge-incident vertices sorted
@@ -322,8 +327,9 @@ class _Search:
       None); ``ends_at[k]``, the positions of the twists at the ends of
       ``src[k]``."""
 
-    def __init__(self, g: Graph, h: Graph, mode: str, group: PermGroup | None, pins: Mapping):
-        self.matcher = _Matcher(g, h, mode, group)
+    def __init__(self, matcher: _Matcher, pins: Mapping):
+        g, h, mode, group = matcher.g, matcher.h, matcher.mode, matcher.group
+        self.matcher = matcher
         self.src = _src_edges(g)
         ends = [g.edges[eid][:2] for eid in self.src]
         ranked = list(enumerate(sorted(h.vertices, key=str)))
@@ -357,11 +363,16 @@ class _Search:
                     self.twist_checks[i].append((k, 0, j if j < i else None))
                     self.twist_checks[j].append((k, 1, i if i < j else None))
 
-    def values(self, budget: _Budget) -> Iterator[tuple[list, list]]:
+    def values(self, budget: _Budget, fixed: Mapping | None = None) -> Iterator[tuple[list, list]]:
         """Every assignment of the positions in search order, as one list of
         values by position updated in place, with the candidate list it
         leaves each source edge: the edge's table, or in gamma mode the
         table's entry for the twists at its ends.
+
+        ``fixed`` restricts vertex positions to one value each, tried as a
+        pin's is; the order stays as it is, so the assignments yielded are
+        exactly those of the unrestricted search that hold those values, in
+        the same order.
 
         A position tries its candidates as ``(rank, value)`` pairs and
         charges by rank: taking rank ``r`` charges the ranks since the last
@@ -372,6 +383,10 @@ class _Search:
         order and tries only those its edges allow.  The stack is explicit,
         so depth is not bounded by the recursion limit."""
         cands, draw, back, top, ends_at = self.cands, self.draw, self.back, self.top, self.ends_at
+        if fixed:
+            cands, draw, top = cands[:], draw[:], top[:]
+            for i, w in fixed.items():
+                cands[i], draw[i], top[i] = [(0, w)], (), 0
         tables, build = self.matcher._tables, self.matcher._build  # ``_Matcher.table``, inlined
         n = len(self.order)
         vals: list = [None] * len(top)
@@ -452,7 +467,7 @@ def iter_homs(g: Graph, h: Graph, mode: str = "labeled", group: PermGroup | None
 
 def _homs(g: Graph, h: Graph, mode: str, group: PermGroup | None, pins: dict,
           b: _Budget) -> Iterator[Homomorphism]:
-    search = _Search(g, h, mode, group, pins)
+    search = _Search(_Matcher(g, h, mode, group), pins)
     src, order, verts = search.src, search.order, search.verts
     m, nv = len(src), len(order)
     layout = (*_emap_keys(g, h, src), range(m), order, range(m, m + nv))
@@ -477,9 +492,20 @@ def _homs(g: Graph, h: Graph, mode: str, group: PermGroup | None, pins: dict,
             yield hom
 
 
+def _first_record(search: _Search, fixed: Mapping) -> tuple:
+    """The record of the first map ``search`` yields with the vertex positions
+    ``fixed`` holding their values, which must be realized: its first edge
+    picks, then its vertex images.  One budget, charged as :func:`_homs`
+    charges a first map."""
+    b = _Budget()
+    vals, lists = next(search.values(b, fixed))
+    b.spend(len(lists))
+    return next(product(*lists)) + tuple(islice(vals, len(search.order)))
+
+
 def _has_vertex_map(g: Graph, h: Graph) -> bool:
     """Whether the labeled search of ``g`` into ``h`` reaches a vertex map, charging no edge pick."""
-    return next(_Search(g, h, "labeled", None, {}).values(_Budget()), None) is not None
+    return next(_Search(_Matcher(g, h, "labeled", None), {}).values(_Budget()), None) is not None
 
 
 def find_hom(g: Graph, h: Graph, mode: str = "labeled", group: PermGroup | None = None,
@@ -514,6 +540,22 @@ def _count_by_elimination(g: Graph, h: Graph, matcher: _Matcher, pins: Mapping, 
         return 1
     if not h.vertices:
         return 0
+    domains = dict.fromkeys(g.vertices, len(h.vertices))
+    return _eliminate(domains, _factors(g, matcher, pins), budget)[1].get((), 0)
+
+
+def _project(matcher: _Matcher, keep: set) -> tuple[tuple, dict]:
+    """The homs of ``matcher``'s query by their images of ``keep``: (the
+    kept vertices, a table from their images to the number of homs with
+    them), every other vertex eliminated under one budget.  Each kept vertex
+    must lie on an edge.  Every candidate table gets built."""
+    g, n = matcher.g, len(matcher.h.vertices)
+    return _eliminate(dict.fromkeys(g.vertices, n), _factors(g, matcher, {}), _Budget(), keep)
+
+
+def _factors(g: Graph, matcher: _Matcher, pins: Mapping) -> list[tuple[tuple, dict]]:
+    """One factor per source edge (one per twin pair), weighing its ends'
+    values by their candidate images, and one per pin."""
     gamma = matcher.mode == "gamma"
     factors: list[tuple[tuple, dict]] = []
     for eid in _src_edges(g):
@@ -538,7 +580,7 @@ def _count_by_elimination(g: Graph, h: Graph, matcher: _Matcher, pins: Mapping, 
             factors.append(((v,), {((w, a),): 1 for a in matcher.group}))
         else:
             factors.append(((v,), {(w,): 1}))
-    return _eliminate(dict.fromkeys(g.vertices, len(h.vertices)), factors, budget)
+    return factors
 
 
 def _join(f1: tuple[tuple, dict], f2: tuple[tuple, dict], budget: _Budget) -> tuple[tuple, dict]:
@@ -561,21 +603,26 @@ def _join(f1: tuple[tuple, dict], f2: tuple[tuple, dict], budget: _Budget) -> tu
     return out_vars, out
 
 
-def _eliminate(domains: dict, factors: list[tuple[tuple, dict]], budget: _Budget) -> int:
-    """Sum out every variable, always the remaining one of least
-    ``(degree, str(name))``, where the degree counts the other variables that
-    share a factor with it.  Factors are numbered in creation order; each
-    variable indexes its factors by number and counts the factors it shares
-    with each neighbour, so one step touches only the eliminated
-    neighbourhood.  Heap entries go stale lazily: an entry counts only while
-    its variable is uneliminated and its degree is current."""
+def _eliminate(domains: dict, factors: list[tuple[tuple, dict]], budget: _Budget,
+               keep: set = frozenset()) -> tuple[tuple, dict]:
+    """Sum out every variable but those in ``keep``, always the remaining one
+    of least ``(degree, str(name))``, where the degree counts the other
+    variables that share a factor with it; then join the factors left into
+    one table over the kept variables, each of which must be in some factor.
+    Returns (its variables, the table), which holds only nonzero weights:
+    with nothing kept, ``{(): total}`` or empty.  Factors are numbered in
+    creation order; each variable indexes its factors by number and counts
+    the factors it shares with each neighbour, so one step touches only the
+    eliminated neighbourhood.  Heap entries go stale lazily: an entry counts
+    only while its variable is uneliminated and its degree is current."""
     var_factors: dict = defaultdict(dict)  # variable -> {factor number: factor}, in creation order
     nbrs: dict = defaultdict(lambda: defaultdict(int))  # variable -> {neighbour: shared factors}
     heap: list = []
     seq = count()
 
     def push(v) -> None:
-        heapq.heappush(heap, (len(nbrs[v]), str(v), next(seq), v))
+        if v not in keep:
+            heapq.heappush(heap, (len(nbrs[v]), str(v), next(seq), v))
 
     def add(f: tuple[tuple, dict]) -> None:
         i = next(seq)
@@ -595,6 +642,12 @@ def _eliminate(domains: dict, factors: list[tuple[tuple, dict]], budget: _Budget
                         del nbrs[u][w]
         return f
 
+    def joined(touching: list) -> tuple[tuple, dict]:
+        out = touching[0]
+        for f in touching[1:]:
+            out = _join(f, out, budget)
+        return out
+
     for f in factors:
         add(f)
     for v in domains:
@@ -610,10 +663,7 @@ def _eliminate(domains: dict, factors: list[tuple[tuple, dict]], budget: _Budget
         if not touching:
             result *= domains[v]
             continue
-        joined = touching[0]
-        for f in touching[1:]:
-            joined = _join(f, joined, budget)
-        jvars, jtable = joined
+        jvars, jtable = joined(touching)
         idx = jvars.index(v)
         out_vars = jvars[:idx] + jvars[idx + 1 :]
         summed: dict = defaultdict(int)
@@ -626,7 +676,9 @@ def _eliminate(domains: dict, factors: list[tuple[tuple, dict]], budget: _Budget
             result *= summed.get((), 0)
         for u in out_vars:  # only v's neighbours changed degree
             push(u)
-    return result
+    left = sorted({i: f for u in keep for i, f in var_factors[u].items()}.items())
+    jvars, jtable = joined([f for _, f in left]) if left else ((), {(): 1})
+    return jvars, {assign: w * result for assign, w in jtable.items() if result}
 
 
 # -- validation ----------------------------------------------------------------

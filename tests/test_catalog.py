@@ -77,6 +77,24 @@ def test_walk_powers_match_matrix_oracle():
         assert isomorphic(walk_power(g, n), walk_power_direct(g, n)) is not None
 
 
+def test_long_walk_powers_project_their_paths_instead_of_enumerating_walks():
+    """The exponential eliminates a path cylinder's interior vertices.  When it
+    enumerated every walk, walk_power(K6, 7) alone took 1.43 s on a 2-CPU host."""
+    k6 = complete_graph(6)
+    start = time.perf_counter()
+    got = {n: walk_power(k6, n) for n in (8, 16)}
+    assert time.perf_counter() - start < 1.0
+    for n, g in got.items():
+        assert isomorphic(g, walk_power_direct(k6, n)) is not None
+
+
+def test_a_walk_power_longer_than_the_recursion_limit_builds():
+    n = 2001
+    assert n > sys.getrecursionlimit()
+    c5 = cycle_graph(5)
+    assert isomorphic(walk_power(c5, n), walk_power_direct(c5, n)) is not None
+
+
 def test_walk_power_of_odd_cycle_completes():
     # Walks of every length up to the diameter mix an odd cycle completely.
     assert isomorphic(walk_power(cycle_graph(5), 3), complete_graph(5)) is not None

@@ -3,9 +3,11 @@ against eager maps: a map ``iter_homs`` yields reads, compares, hashes and
 serialises as the eager ``Homomorphism`` of its vertex and edge maps, in
 plain, labeled and gamma mode, with and without pins, on multigraph targets
 whose parallel edges give a vertex map more than one edge pick.  The
-exponential's per-component tables of first maps, which read shares off the
-records, are checked against a frozen copy of their earlier version, which
-read each map's ``vmap``."""
+exponential's per-component tables of first maps, enumerated or projected
+with their records filled on read, are checked against a frozen copy of
+their earlier version, which enumerated every component and read each map's
+``vmap``.  A search with chosen vertices fixed keeps the enumeration's
+order, which is what lets a projected component find its records on read."""
 
 import itertools
 import random
@@ -13,12 +15,22 @@ from types import SimpleNamespace
 
 import pytest
 
-from cylgraph.construct import _first_maps, _tuple_getter
-from cylgraph.core import GammaLabel
-from cylgraph.hom import Homomorphism, _emap_keys, _has_vertex_map, _src_edges, _vertex_order, iter_homs
+from cylgraph.construct import _first_maps, _Projected, _tuple_getter
+from cylgraph.core import GammaLabel, _Budget
+from cylgraph.hom import (
+    Homomorphism,
+    _emap_keys,
+    _first_record,
+    _has_vertex_map,
+    _Matcher,
+    _Search,
+    _src_edges,
+    _vertex_order,
+    iter_homs,
+)
 from cylgraph.perm import PermGroup
 
-from util import components, random_multigraph
+from util import components, random_multigraph, shuffled_relabel
 
 S2 = PermGroup.symmetric(2)
 GAMMA_LABELS = tuple(GammaLabel(a, 0, b) for a in S2 for b in S2)
@@ -105,6 +117,8 @@ def test_first_maps_match_the_version_that_read_vmap(symmetric):
         cyl = SimpleNamespace(graph=g, y=tuple(rng.choices(g.vertices, k=width)),
                               z=tuple(rng.choices(g.vertices, k=width)))
         got, want = _first_maps(cyl, h), first_maps_reading_vmap(cyl, h)
+        if got is not None:  # every record read, so a projected component's are filled
+            got = (*got[:2], [{s: t[s] for s in t} for t in got[2]])
         assert got == want
         if got is not None and len(got[2]) > 1:
             joined += 1
@@ -118,3 +132,46 @@ def test_first_maps_match_the_version_that_read_vmap(symmetric):
             first = next(x for x in iter_homs(g, h) if all(x.vmap[ends[j]] == w for j, w in rows.items()))
             assert hom == first and hom.to_json() == first.to_json() and list(hom.emap) == list(first.emap)
     assert joined >= 10  # disconnected cylinder graphs are covered
+
+
+def records_of(search, fixed):
+    """Every record ``search`` yields with ``fixed``, position -> value, built as ``_homs`` builds them."""
+    out = []
+    for vals, lists in search.values(_Budget(), fixed):
+        images = tuple(vals[: len(search.order)])
+        out += [pick + images for pick in itertools.product(*lists)]
+    return out
+
+
+@pytest.mark.parametrize("symmetric", [False, True], ids=["directed", "symmetric"])
+def test_a_restricted_search_yields_the_enumerations_maps_with_its_values_in_order(symmetric):
+    rng = random.Random(32 + symmetric)
+    kept = emptied = 0
+    for _ in range(80):
+        # names in shuffled ``str`` order: fixing vertices as pins would reorder the search
+        g = shuffled_relabel(rng, random_multigraph(rng, rng.randint(1, 6), rng.randint(0, 7), (None, "a"), symmetric))
+        h = random_multigraph(rng, rng.randint(1, 3), rng.randint(2, 8), labels=(None, "a"), symmetric=symmetric)
+        every = [(hom.vmap, hom._picked[1]) for hom in iter_homs(g, h)]
+        search = _Search(_Matcher(g, h, "labeled", None), {})  # one search, reused for every restriction
+        for _ in range(3):
+            fixed = {v: rng.choice(h.vertices) for v in rng.sample(g.vertices, rng.randint(0, len(g.vertices)))}
+            want = [record for vmap, record in every if all(vmap[v] == w for v, w in fixed.items())]
+            at = {search.order.index(v): w for v, w in fixed.items()}
+            assert records_of(search, at) == want
+            if want:
+                assert _first_record(search, at) == want[0]
+            kept += bool(fixed) and len(want) > 1
+            emptied += bool(every) and not want
+        # a projection onto vertices on edges reads the shares that enumeration reads
+        on_edges = [v for v in g.vertices if g.out_edges(v) or g.in_edges(v)]
+        if on_edges:
+            names = rng.choices(on_edges, k=rng.randint(1, 3))
+            order = _vertex_order(g, {})
+            table = _Projected(g, h, names, [order.index(v) for v in names])
+            firsts: dict = {}
+            for vmap, record in every:
+                firsts.setdefault(tuple(vmap[v] for v in names), record)
+            assert set(table) == set(firsts)
+            assert {s: table[s] for s in table} == firsts
+    # restrictions that keep several maps, and ones that keep none of a source's maps
+    assert kept >= 30 and emptied >= 10
