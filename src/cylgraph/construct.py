@@ -24,6 +24,7 @@ import itertools
 import json
 import operator
 from collections.abc import Mapping
+from typing import NamedTuple
 
 from .core import Edge, GammaLabel, Graph, _class_names, _union, label_sort_key, node_budget
 from .cylinder import CylinderSet, _bare_rows, make_cylinder
@@ -65,7 +66,13 @@ class ProductTrace:
     The four maps are built together on first read, from the integer gluing
     record :func:`cyl_product` captured (later changes to the source graph do
     not reach them); the record is dropped once they exist.  A caller that
-    keeps only ``graph`` never pays for them.
+    keeps only ``graph`` never pays for them.  The same pass lays out what
+    the duality maps read on every call, so :func:`~cylgraph.duality.section`
+    and :func:`~cylgraph.duality.retraction` see the product as it was made:
+    each source vertex's slot row (what :meth:`blowup` returns), the copies
+    grouped by source edge, the output edges grouped by the source edge that
+    named them, the canonical source edges with their ends and labels, and
+    the identity twist.
     """
 
     __slots__ = ("graph", "source", "cset", "_record", "_maps")
@@ -87,10 +94,11 @@ class ProductTrace:
     copy = property(lambda self: self._built()[1])
     edge_src = property(lambda self: self._built()[2])
     src_edge = property(lambda self: self._built()[3])
+    _layout = property(lambda self: self._built()[4])
 
     def blowup(self, v) -> tuple:
-        slot = self.slot
-        return tuple(slot[(v, i)] for i in range(1, self.cset.width + 1))
+        """The slot names of source vertex ``v``, slot 1 first."""
+        return self._layout.rows[v]
 
     def __repr__(self) -> str:
         return (
@@ -99,26 +107,42 @@ class ProductTrace:
         )
 
 
-def _provenance(verts, k, names, src_eids, keys, rows, nodes, shapes, gids, fids, width) -> tuple:
+class _Layout(NamedTuple):
+    """What the duality maps read of a product on every call, in the orders
+    the product defines."""
+
+    rows: dict  # source vertex -> its slot names, slot 1 first
+    copies: list  # per source edge: (edge id, its cylinder's vertices, their copies' names)
+    runs: dict  # source edge -> (the output edges it names, the cylinder edges they copy)
+    lifts: list  # _lift_edges of the source edges
+    ident: Perm  # the identity twist
+
+
+def _provenance(verts, k, names, src_eids, keys, rows, nodes, shapes, gids, fids, width, ends, twins) -> tuple:
     """The four :class:`ProductTrace` maps from :func:`cyl_product`'s gluing
     record, in the insertion order the product defines: slots by source
     vertex then index, copies by source edge then cylinder vertex,
     ``edge_src`` by output edge, and ``src_edge`` by merge group, then
-    source edge, then cylinder edge."""
+    source edge, then cylinder edge; then the :class:`_Layout`."""
     slot = dict(zip([(v, i) for v in verts for i in range(1, k + 1)], names))
+    slot_rows = dict(zip(verts, zip(*[iter(names)] * k)))  # names opens with the slots, k per vertex
     copy: dict = {}
+    copies: list = []
     members: list = [[] for _ in range(len(fids) // width)]
     pos = j = 0
     for eid, key in zip(src_eids, keys):
-        for x in rows[key][1]:
-            copy[(eid, x)] = names[nodes[pos]]
-            pos += 1
+        xs = rows[key][1]
+        made = tuple(map(names.__getitem__, nodes[pos : pos + len(xs)]))
+        pos += len(xs)
+        copies.append((eid, xs, made))
+        copy.update(zip([(eid, x) for x in xs], made))
         for entry in shapes[key]:
             c = gids[j]
             j += 1
             members[c >> 1].append((eid, entry[0], c & 1))
     edge_src: dict = {fid: [] for fid in fids}
     src_edge: dict = {}
+    runs: dict = {}
     for gid, group in enumerate(members):
         own = fids[gid * width : (gid + 1) * width]
         first = group[0][2]
@@ -126,7 +150,20 @@ def _provenance(verts, k, names, src_eids, keys, rows, nodes, shapes, gids, fids
             for ce, fid in zip(ids, own if o == first else own[::-1]):
                 src_edge[(eid, ce)] = fid
                 edge_src[fid].append((eid, ce))
-    return slot, copy, edge_src, src_edge
+        named, copied = runs.setdefault(group[0][0], ([], []))  # the group's first copy names its edges
+        for ce, fid in zip(group[0][1], own):
+            named.append(fid)
+            copied.append(ce)
+    layout = _Layout(slot_rows, copies, runs, _lift_edges(src_eids, ends, twins), Perm.identity(k))
+    return slot, copy, edge_src, src_edge, layout
+
+
+def _lift_edges(eids, edges, twins) -> list:
+    """Per edge id of ``eids``, with its :class:`Edge` and its twin id (None
+    without one): the id and its twin, the edge's tail and head, and its
+    label's ``pre``, ``key`` and ``post``."""
+    return [((eid,) if tw is None else (eid, tw), e.tail, e.head, e.label.pre, e.label.key, e.label.post)
+            for eid, e, tw in zip(eids, edges, twins)]
 
 
 def _audit_product_labels(g: Graph, cset: CylinderSet) -> None:
@@ -212,6 +249,7 @@ def cyl_product(g: Graph, cset: CylinderSet) -> ProductTrace:
     src_eids = sorted(g.canonical_edges(), key=str)
     rows: dict = {}  # cylinder key -> _cylinder_rows
     keys: list = []  # cylinder key per source edge
+    ends: list = []  # Edge per source edge
     nodes: list = []  # node id per copy vertex, source edge by source edge
     inner: dict = {}  # names of interior nodes n_slots, n_slots + 1, ...
     parent = None  # array union-find over slot ids, made at the first weld
@@ -227,6 +265,7 @@ def cyl_product(g: Graph, cset: CylinderSet) -> ProductTrace:
         if n_pre > MAX_PRODUCT_EDGES:
             raise ResourceLimit(f"product would exceed {MAX_PRODUCT_EDGES} edges before merging")
         keys.append(key)
+        ends.append(e)
         bt, bh = base[e.tail], base[e.head]
         pre, post = lab.pre, lab.post
         for x, yb, zb in row[2]:
@@ -300,7 +339,8 @@ def cyl_product(g: Graph, cset: CylinderSet) -> ProductTrace:
             gids.append(2 * gid + first)
         off += len(rows[key][1])
 
-    record = (verts, k, names, src_eids, keys, rows, nodes, shapes, gids, list(edges), 2 if pairing else 1)
+    record = (verts, k, names, src_eids, keys, rows, nodes, shapes, gids, list(edges), 2 if pairing else 1,
+              ends, list(map(g.pairing.get, src_eids)))
     return ProductTrace(out, g, cset, record)
 
 
@@ -321,9 +361,9 @@ class _Witnesses(Mapping):
             pair = (lab.key, lab.pre.act(self._tuple_of[tail]) + lab.post.act(self._tuple_of[head]))
             if pair not in self._pairs:
                 layout, places, tables = self._tables[lab.key]
-                hom = self._pairs[pair] = object.__new__(Homomorphism)  # the graph's first map with the pair
+                hom = self._pairs[pair] = Homomorphism._owning()  # the graph's first map with the pair
                 shares = (t[tuple(map(pair[1].__getitem__, at))] for at, t in zip(places, tables))
-                hom.alphas, hom._picked = None, (layout, sum(shares, ()))
+                hom._picked = (layout, sum(shares, ()))
             self._read[fid] = self._pairs[pair]
         return self._read[fid]
 
@@ -352,9 +392,17 @@ class ExpoTrace:
     :meth:`rep` and :meth:`shift` for every tuple over the target's
     vertices: it maps a tuple ``t`` to its representative and to the slot
     permutations ``d``, in group order, with ``d.act(rep) == t``.
+
+    For the duality maps the trace also keeps, each filled on first read and
+    then frozen like ``edge_by_triple``: per row of target vertices looked
+    up, its vertex name, shift and inverse shift (None when its orbit has no
+    vertex in ``graph``); and, per edge, ``edge_by_triple``'s key as the
+    plain tuple (tail, head, pre, key, post), mapped to the edge and its
+    twin.
     """
 
-    __slots__ = ("graph", "cset", "tuple_of", "witnesses", "_edge_by_triple", "names", "_reps")
+    __slots__ = ("graph", "cset", "tuple_of", "witnesses", "_edge_by_triple", "names", "_reps", "_lifts",
+                 "_by_ends")
 
     def __init__(self, graph, cset, tuple_of, tables, names, orbits):
         self.graph = graph
@@ -364,6 +412,8 @@ class ExpoTrace:
         self._edge_by_triple = None
         self.names = names
         self._reps = orbits
+        self._lifts: dict = {}  # row -> (vertex name, shift, inverse shift), or None
+        self._by_ends = None
 
     @property
     def edge_by_triple(self) -> dict:
@@ -373,6 +423,32 @@ class ExpoTrace:
                 found.setdefault(tuple(e), fid)  # a self-reverse loop keeps its first edge
             self._edge_by_triple = found
         return self._edge_by_triple
+
+    @property
+    def _edge_by_ends(self) -> dict:
+        """(tail, head, pre, key, post) -> ``with_twin`` of the edge ``edge_by_triple`` names."""
+        if self._by_ends is None:
+            graph, found = self.graph, {}
+            for fid, (tail, head, lab) in graph.edges.items():
+                ends = (tail, head, lab.pre, lab.key, lab.post)
+                if ends not in found:  # a self-reverse loop keeps its first edge
+                    found[ends] = graph.with_twin(fid)
+            self._by_ends = found
+        return self._by_ends
+
+    def _lifted(self, row) -> tuple | None:
+        """``row``'s entry in the memo of lifted rows, made on its first look-up by :meth:`rep`,
+        ``names`` and ``graph.has_vertex``; an unhashable row is looked up afresh each time."""
+        name = self.names.get(self.rep(row))
+        hit = None
+        if name is not None and self.graph.has_vertex(name):
+            d = self.shift(row)
+            hit = (name, d, d.inverse())
+        try:
+            self._lifts[row] = hit
+        except TypeError:
+            pass
+        return hit
 
     def rep(self, t: tuple) -> tuple | None:
         """Canonical representative of the slot-group orbit of ``t``; None

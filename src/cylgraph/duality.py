@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-from .construct import ExpoTrace, ProductTrace, _uniform, cyl_product, exponential
-from .core import GammaLabel, Graph
+from .construct import ExpoTrace, ProductTrace, _lift_edges, _uniform, cyl_product, exponential
+from .core import Graph
 from .cylinder import CylinderSet
 from .errors import DomainError
 from .hom import (
@@ -33,44 +33,42 @@ from .hom import (
     identity_hom,
     iter_homs,
 )
-from .perm import Perm, compose
+from .perm import Perm, _compose
 
 
-def _lift(g: Graph, et: ExpoTrace, rows, no_vertex: str, no_edge: str) -> Homomorphism:
-    """The structured map from ``g`` into the exponential graph that sends
-    each vertex ``v`` of the ``(v, tuple)`` pairs in ``rows`` to the
-    surviving vertex of its tuple's orbit, and each edge to the exponential
-    edge carrying its label shifted the way its ends' tuples were.
-    ``no_vertex`` (with ``{v!r}``) and ``no_edge`` (with ``{eid!r}``) are
-    the messages for a tuple whose orbit has no surviving vertex and for an
-    edge no exponential edge realizes."""
+def _lift(edges: list, et: ExpoTrace, rows, no_vertex: str, no_edge: str) -> Homomorphism:
+    """The structured map that sends each vertex ``v`` of the ``(v, tuple)``
+    pairs in ``rows`` to the surviving vertex of its tuple's orbit in ``et``,
+    and each source edge of ``edges`` (laid out by
+    :func:`~cylgraph.construct._lift_edges`) to the exponential edge carrying
+    its label shifted the way its ends' tuples were.  ``no_vertex`` (with
+    ``{v!r}``) and ``no_edge`` (with ``{eid!r}``) are the messages for a
+    tuple whose orbit has no surviving vertex and for an edge no exponential
+    edge realizes."""
     vmap: dict = {}
-    shift: dict = {}  # v -> the slot permutation carrying its representative to its tuple
-    twist: dict = {}  # v -> its inverse, the twist at v
+    at: dict = {}  # v -> (its image, the shift carrying the image's tuple to v's row, the shift's inverse)
+    lifts = et._lifts
     for v, row in rows:
-        name = et.names.get(et.rep(row))
-        if name is None or not et.graph.has_vertex(name):
+        try:
+            hit = lifts[row]
+        except (KeyError, TypeError):  # a row not looked up before, or an unhashable one
+            hit = et._lifted(row)
+        if hit is None:
             raise DomainError(no_vertex.format(v=v))
-        vmap[v] = name
-        shift[v] = et.shift(row)
-        twist[v] = shift[v].inverse()
+        vmap[v] = hit[0]
+        at[v] = hit
     emap: dict = {}
     alphas: dict = {}
-    by_triple = et.edge_by_triple
-    for eid in _src_edges(g):
-        e = g.edges[eid]
-        want = GammaLabel(
-            compose(shift[e.tail], e.label.pre),
-            e.label.key,
-            compose(shift[e.head], e.label.post),
-        )
-        x = by_triple.get((vmap[e.tail], vmap[e.head], want))
+    by_ends = et._edge_by_ends
+    for ids, tail, head, pre, key, post in edges:
+        t, h = at[tail], at[head]
+        x = by_ends.get((t[0], h[0], _compose(t[1], pre), key, _compose(h[1], post)))
         if x is None:
-            raise DomainError(no_edge.format(eid=eid))
-        emap.update(zip(g.with_twin(eid), et.graph.with_twin(x)))
-        alphas[e.tail] = twist[e.tail]
-        alphas[e.head] = twist[e.head]
-    return Homomorphism(vmap, emap, alphas)
+            raise DomainError(no_edge.format(eid=ids[0]))
+        emap.update(zip(ids, x))
+        alphas[tail] = t[2]
+        alphas[head] = h[2]
+    return Homomorphism._owning(vmap, emap, alphas)
 
 
 def _put(vmap: dict, name, value) -> None:
@@ -83,22 +81,40 @@ def _put(vmap: dict, name, value) -> None:
         )
 
 
-def _expand_rows(f: Homomorphism, tr: ProductTrace, target: Graph, row_of) -> dict:
-    """The product vertices of ``tr``'s slot rows mapped along the structured
-    map ``f`` from ``tr.source`` into ``target``: slot ``alpha(b)`` of each
-    base vertex ``v`` takes entry ``b`` of ``row_of(f.vmap[v])``, ``alpha``
-    the twist of ``f`` at ``v`` (read off the two graphs when ``f`` keeps
-    none)."""
-    g = tr.source
+def _replay(pairs: list) -> None:
+    """:func:`_put` the ``(product vertex, image)`` pairs in turn: raises at
+    the first vertex they give two images, as filling the map one pair at a
+    time would have."""
+    vmap: dict = {}
+    for name, value in pairs:
+        _put(vmap, name, value)
+
+
+def _expand_rows(f: Homomorphism, tr: ProductTrace, target: Graph, row_of) -> list:
+    """The (product vertex, image) pairs of ``tr``'s slot rows mapped along
+    the structured map ``f`` from ``tr.source`` into ``target``: slot
+    ``alpha(b)`` of each base vertex ``v`` takes entry ``b`` of
+    ``row_of(f.vmap[v])``, ``alpha`` the twist of ``f`` at ``v`` (read off
+    the two graphs when ``f`` keeps none)."""
+    lay = tr._layout
     alphas = f.alphas
     if alphas is None:
-        alphas = extract_alphas(g, target, f, tr.cset.group)
-    ident = Perm.identity(tr.cset.width)
-    vmap: dict = {}
-    image = f.vmap
-    for v in g.vertices:
-        for name, x in zip(alphas.get(v, ident).act(tr.blowup(v)), row_of(image[v])):
-            _put(vmap, name, x)
+        alphas = extract_alphas(tr.source, target, f, tr.cset.group)
+    image, pairs, ident = f.vmap, [], lay.ident
+    for v, slots in lay.rows.items():
+        alpha = alphas.get(v, ident)
+        if alpha != ident or not isinstance(alpha, Perm):  # the identity twist leaves the row as it is
+            slots = alpha.act(slots)
+        pairs += zip(slots, row_of(image[v]))
+    return pairs
+
+
+def _row_map(pairs: list) -> dict:
+    """The vertex map of the slot-row ``pairs``, raising for the first vertex
+    they give two images."""
+    vmap = dict(pairs)
+    if len(set(pairs)) != len(vmap):  # some vertex is paired with two images
+        _replay(pairs)
     return vmap
 
 
@@ -107,12 +123,14 @@ def retraction(tr: ProductTrace, et: ExpoTrace, sigma: Homomorphism) -> Homomorp
 
     ``sigma`` maps the product graph into the exponential's target; the
     result maps the labeled base graph into the exponential graph, twist
-    group and all.  Only the vertex part of ``sigma`` is consulted.
+    group and all.  Only the vertex part of ``sigma`` is consulted, row by
+    row, so the first bad row raises before later ones are read.  The slot
+    rows and source edges are the product's as it was made (laid out once
+    per trace), and each distinct row is lifted once per ``et``.
     """
-    g = tr.source
+    lay = tr._layout
     at = sigma.vmap.__getitem__
-    rows = ((v, tuple(map(at, tr.blowup(v)))) for v in g.vertices)
-    return _lift(g, et, rows,
+    return _lift(lay.lifts, et, ((v, tuple(map(at, slots))) for v, slots in lay.rows.items()),
                  "the slot row of {v!r} lands on a tuple with no surviving "
                  "representative in the exponential graph",
                  "no exponential edge realizes the image of {eid!r}; "
@@ -125,22 +143,35 @@ def section(tr: ProductTrace, et: ExpoTrace, sp: Homomorphism) -> Homomorphism:
     Slot rows are filled from the image tuples, cylinder interiors from the
     witness map stored with each exponential edge.  The two necessarily
     agree where rows overlap; a disagreement means ``sp`` was not a valid
-    structured map and raises :class:`DomainError`.
+    structured map and raises :class:`DomainError`, naming the first vertex
+    in row-then-copy order that gets two images.  A conflict among the rows
+    raises before any witness is read.  The rows, copies and edge groups are
+    the product's as it was made, laid out once per trace; a call only
+    reads the images and fills the two maps.
     """
-    vmap = _expand_rows(sp, tr, et.graph, et.tuple_of.__getitem__)
-    sp_emap, edge_src, witnesses = sp.emap, tr.edge_src, et.witnesses
-    wmaps, at = {}, None  # source edge -> witness edge map; copies come grouped by source edge
-    for (eid, x), name in tr.copy.items():
-        if eid != at:
+    lay = tr._layout
+    pairs = _expand_rows(sp, tr, et.graph, et.tuple_of.__getitem__)
+    vmap = _row_map(pairs)
+    sp_emap, witnesses = sp.emap, et.witnesses
+    wmaps: dict = {}  # source edge -> its witness's edge map
+    more: list = []  # the copies' pairs, source edge by source edge
+    try:
+        for eid, xs, names in lay.copies:
             witness = witnesses[sp_emap[eid]]
-            at, wv, wmaps[eid] = eid, witness.vmap, witness.emap
-        _put(vmap, name, wv[x])
-
+            wmaps[eid] = witness.emap
+            more += zip(names, map(witness.vmap.__getitem__, xs))
+    except Exception:  # ``more`` keeps the pairs read before the failure; a conflict among them came first
+        _replay(pairs + more)
+        raise
+    seen = set(pairs)
+    seen.update(more)
+    vmap.update(more)
+    if len(seen) != len(vmap):
+        _replay(pairs + more)
     emap: dict = {}
-    for fid in tr.graph.edges:
-        src_eid, ce = edge_src[fid][0]
-        emap[fid] = wmaps[src_eid][ce]
-    return Homomorphism(vmap, emap)
+    for eid, (fids, ces) in lay.runs.items():
+        emap.update(zip(fids, map(wmaps[eid].__getitem__, ces)))
+    return Homomorphism._owning(vmap, emap)
 
 
 def product_map(f: Homomorphism, tr1: ProductTrace, tr2: ProductTrace) -> Homomorphism:
@@ -150,12 +181,12 @@ def product_map(f: Homomorphism, tr1: ProductTrace, tr2: ProductTrace) -> Homomo
     Slot rows follow the base vertices (reindexed by the per-vertex twist),
     cylinder copies follow the base edges.
     """
-    g1, g2 = tr1.source, tr2.source
+    g1 = tr1.source
     cset = tr1.cset
     if tr2.cset.width != cset.width or tr2.cset.group != cset.group:
         raise DomainError("the two products use different cylinder sets")
-    vmap = _expand_rows(f, tr1, g2, tr2.blowup)
-    canon2 = set(_src_edges(g2))
+    vmap = _row_map(_expand_rows(f, tr1, tr2.source, tr2.blowup))
+    canon2 = {ids[0] for ids, *_ in tr2._layout.lifts}
     reversals: dict = {}
 
     def reversal(key) -> Homomorphism:
@@ -175,19 +206,18 @@ def product_map(f: Homomorphism, tr1: ProductTrace, tr2: ProductTrace) -> Homomo
         return reversals[key]
 
     emap: dict = {}
-    at = None  # copies come grouped by source edge, in source edge order
-    for (eid, x), name in tr1.copy.items():
-        if eid != at:
-            at, img = eid, f.emap[eid]
-            key = g1.edges[eid].label.key
-            rho = None if img in canon2 else reversal(key)
-            target = img if rho is None else g2.pairing[img]
-            for ce in cset[key].graph.edges:
-                fid = tr1.src_edge[(eid, ce)]
-                if fid not in emap:  # the first copy to reach a merged edge names its image
-                    emap[fid] = tr2.src_edge[(target, ce if rho is None else rho.emap[ce])]
-        _put(vmap, name, tr2.copy[(target, x if rho is None else rho.vmap[x])])
-    return Homomorphism(vmap, emap)
+    for eid, xs, names in tr1._layout.copies:
+        img = f.emap[eid]
+        key = g1.edges[eid].label.key
+        rho = None if img in canon2 else reversal(key)
+        target = img if rho is None else tr2.source.pairing[img]
+        for ce in cset[key].graph.edges:
+            fid = tr1.src_edge[(eid, ce)]
+            if fid not in emap:  # the first copy to reach a merged edge names its image
+                emap[fid] = tr2.src_edge[(target, ce if rho is None else rho.emap[ce])]
+        for x, name in zip(xs, names):
+            _put(vmap, name, tr2.copy[(target, x if rho is None else rho.vmap[x])])
+    return Homomorphism._owning(vmap, emap)
 
 
 def exponential_map(f: Homomorphism, et1: ExpoTrace, et2: ExpoTrace) -> Homomorphism:
@@ -200,8 +230,10 @@ def exponential_map(f: Homomorphism, et1: ExpoTrace, et2: ExpoTrace) -> Homomorp
     cset = et1.cset
     if et2.cset.width != cset.width or et2.cset.group != cset.group:
         raise DomainError("the two exponential graphs use different cylinder sets")
+    g = et1.graph
+    src = _src_edges(g)
     rows = ((name, tuple(f.vmap[t] for t in row)) for name, row in et1.tuple_of.items())
-    return _lift(et1.graph, et2, rows,
+    return _lift(_lift_edges(src, map(g.edges.__getitem__, src), map(g.pairing.get, src)), et2, rows,
                  "the image tuple of {v!r} has no surviving representative; "
                  "the target map does not carry this exponential graph over",
                  "no edge of the image exponential graph realizes the image of {eid!r}")

@@ -102,6 +102,17 @@ class Homomorphism:
         self.emap = dict(emap)
         self.alphas = dict(alphas) if alphas is not None else None
 
+    @classmethod
+    def _owning(cls, vmap: dict | None = None, emap: dict | None = None,
+                alphas: dict | None = None) -> Homomorphism:
+        """A map that keeps the dicts it is given, not copies of them.  Without ``vmap`` and ``emap``
+        the caller sets the record ``_picked`` they are built from on first read."""
+        hom = object.__new__(cls)
+        if vmap is not None:
+            hom.vmap, hom.emap = vmap, emap
+        hom.alphas = alphas
+        return hom
+
     def __getattr__(self, name):
         # reached only when a slot is unset: a built map reads as fast as an eager one
         if name not in ("vmap", "emap"):
