@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from itertools import combinations
 
-from .construct import _uniform, cyl_product, exponential
+from .construct import MAX_PRODUCT_EDGES, _uniform, cyl_product, exponential
 from .core import Edge, GammaLabel, Graph, merge_parallel
 from .cylinder import (
     Cylinder,
@@ -29,7 +29,7 @@ from .cylinder import (
     sqcap_cyl,
     wedge_cyl,
 )
-from .errors import DomainError, count_checked
+from .errors import DomainError, ResourceLimit, count_checked
 from .hom import iter_homs
 from .perm import Perm, PermGroup, _perm_checked
 
@@ -110,10 +110,17 @@ def _power(h: Graph, key, cyl: Cylinder, group: PermGroup | None = None) -> Grap
     return g
 
 
+def _path(n: int, directed: bool) -> Cylinder:
+    """``path_cyl(n)``, refused before it is built when ``n`` passes the product edge cap."""
+    if count_checked(n, "path length") > MAX_PRODUCT_EDGES:
+        raise ResourceLimit(f"path length {n} exceeds {MAX_PRODUCT_EDGES}, the product edge cap")
+    return path_cyl(n, directed=directed)
+
+
 def walk_power(g: Graph, n: int) -> Graph:
     """Vertices of ``g``, with an edge wherever a walk of length n runs.
     Vertices on no walk of length n drop out."""
-    return _power(g, 1, path_cyl(n, directed=not g.symmetric))
+    return _power(g, 1, _path(n, directed=not g.symmetric))
 
 
 def walk_power_direct(g: Graph, n: int) -> Graph:
@@ -153,7 +160,7 @@ def walk_power_direct(g: Graph, n: int) -> Graph:
 
 def subdivision(g: Graph, n: int) -> Graph:
     """Every edge replaced by a path of n edges."""
-    cyl = path_cyl(n, directed=not g.symmetric)  # first: it checks that n is an int
+    cyl = _path(n, directed=not g.symmetric)  # first: it checks that n is an int
     if n < 1:
         raise DomainError("subdivision needs n >= 1")
     cs = CylinderSet(PermGroup.trivial(1), {1: cyl})

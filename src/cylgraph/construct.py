@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import operator
 from collections.abc import Mapping
 from typing import NamedTuple
 
@@ -30,7 +29,7 @@ from .core import Edge, GammaLabel, Graph, _class_names, _union, label_sort_key,
 from .cylinder import CylinderSet, _bare_rows, make_cylinder
 from .errors import DomainError, LabelConflict, NotATwist, ResourceLimit
 from .hom import (Homomorphism, _emap_keys, _first_record, _has_vertex_map, _Matcher, _project, _Search,
-                  _src_edges, _vertex_order, iter_homs)
+                  _src_edges, _tuple_getter, _vertex_order, iter_homs)
 from .perm import Perm, PermGroup
 
 MAX_PRODUCT_EDGES = 2_000_000
@@ -235,6 +234,11 @@ def cyl_product(g: Graph, cset: CylinderSet) -> ProductTrace:
     merge into the first copy's edges, which name the output edges.
     """
     g.validate()
+    return _product(g, cset)
+
+
+def _product(g: Graph, cset: CylinderSet) -> ProductTrace:
+    """:func:`cyl_product` of a graph already validated, as ``Graph.from_json`` leaves one."""
     if g.symmetric != cset.symmetric:
         raise DomainError("source graph and cylinders disagree about being symmetric")
     _audit_product_labels(g, cset)
@@ -469,10 +473,6 @@ class ExpoTrace:
         return f"ExpoTrace({len(self.graph.vertices)} vertices, {len(self.graph.edges)} edges)"
 
 
-def _tuple_getter(idx: list):  # operator.itemgetter(*idx), a tuple also for one index or none
-    return operator.itemgetter(*idx) if len(idx) > 1 else lambda s: tuple(map(s.__getitem__, idx))
-
-
 class _Projected(dict):
     """A projected component's table: share -> the record of the component's first map with that share,
     None until read.  The shares come from eliminating the component's other vertices; a read fills its
@@ -571,10 +571,15 @@ def exponential(cset: CylinderSet, h: Graph) -> ExpoTrace:
     its part of the witness then, by its own search.  A bad
     ``CYL_NODE_BUDGET`` raises :class:`DomainError` before any orbit work.
     """
+    h.validate()
+    return _exponential(cset, h)
+
+
+def _exponential(cset: CylinderSet, h: Graph) -> ExpoTrace:
+    """:func:`exponential` of a target already validated, as ``Graph.from_json`` leaves one."""
     node_budget()
     if h.symmetric != cset.symmetric:
         raise DomainError("target graph and cylinders disagree about being symmetric")
-    h.validate()
     group = cset.group
     k = cset.width
 
@@ -584,47 +589,62 @@ def exponential(cset: CylinderSet, h: Graph) -> ExpoTrace:
 
     orbits: dict = {}
     names: dict = {}  # representative -> vertex name, in first-seen order
+    coded: list = []  # per tuple, in ``itertools.product`` order (its code): its orbit table entry
+    acts = [(d, _tuple_getter([j - 1 for j in d])) for d in group]  # ``d.act``, checks left out
     for t in itertools.product(verts, repeat=k):
-        if t in orbits:
-            continue
-        # ties under ``str`` (names 1 and "1") go to the first in group order
-        r = min((p.act(t) for p in group), key=lambda x: tuple(map(str, x)))
-        for d in group:
-            orbits.setdefault(d.act(r), (r, []))[1].append(d)
-        names[r] = _name(r)
-        if len(names) > MAX_EXPO_VERTICES:
-            raise ResourceLimit(f"more than {MAX_EXPO_VERTICES} orbit representatives, the exponential's vertex cap")
+        if t not in orbits:
+            # ties under ``str`` (names 1 and "1") go to the first in group order
+            r = min((act(t) for _, act in acts), key=lambda x: tuple(map(str, x))) if len(acts) > 1 else t
+            for d, act in acts:
+                orbits.setdefault(act(r), (r, []))[1].append(d)
+            names[r] = _name(r)
+            if len(names) > MAX_EXPO_VERTICES:
+                raise ResourceLimit(f"more than {MAX_EXPO_VERTICES} orbit representatives, the exponential's vertex cap")
+        coded.append(orbits[t])
 
     # triple (tail, head, label) -> the integer (tail rank * N + head rank) * L + label rank: names are
     # ranked by ``str`` and labels by sort key, ties sharing a rank; the first label seen keeps the triple
     by_name = sorted(set(names.values()))
     N, rank = len(by_name), {name: n for n, name in enumerate(by_name)}
     rank = {r: rank[name] for r, name in names.items()}
+    index = {d: i for i, d in enumerate(group)}
+    coded = [(rank[r], [index[d] for d in ds]) for r, ds in coded]  # per row code: rank, shifts' indices
     keys = sorted(cset.keys(), key=str)
     made = {(key, a, b): GammaLabel(a, key, b) for key in keys for a in group for b in group}
     sort_key = {lk: label_sort_key(lab) for lk, lab in made.items()}
     lrank = {sk: n for n, sk in enumerate(sorted(set(sort_key.values())))}
     L = len(lrank)
-    # (key, d-, d+) -> (label, its rank, its reversed label's rank)
-    labels = {(key, a, b): (lab, lrank[sort_key[key, a, b]], lrank[sort_key[key, b, a]])
-              for (key, a, b), lab in made.items()}
+    # a row's code is its index in ``itertools.product(verts, repeat=k)``, a pair's y's code * n^k + z's
+    at, nk = {v: i for i, v in enumerate(verts)}, len(verts) ** k
+    weight = [len(verts) ** (2 * k - 1 - j) for j in range(2 * k)]  # per place j in y + z: its value's
     triples: dict = {}  # triple -> (label, its reversed label's rank)
     tables: dict = {}  # cylinder key -> its _first_maps
     for key in keys:
         maps = tables[key] = _first_maps(cset[key], h)
         if maps is None:
             continue
-        order = [j for at in maps[1] for j in at]  # the place in y + z of each value of a product of shares
-        rows = _tuple_getter(sorted(range(len(order)), key=order.__getitem__))
-        for shares in itertools.product(*maps[2]):
-            pq = rows(sum(shares, ()))
-            r1, dm = orbits[pq[:k]]
-            r2, dp = orbits[pq[k:]]
-            base = (rank[r1] * N + rank[r2]) * L
-            for a, b in itertools.product(dm, dp):
-                lab, lr, rl = labels[key, a, b]
-                if base + lr not in triples:
-                    triples[base + lr] = (lab, rl)
+        # per (d-, d+) by index in the group: (the label's rank, (the label, its reversed label's rank))
+        labs = [[(lrank[sort_key[key, a, b]], (made[key, a, b], lrank[sort_key[key, b, a]])) for b in group]
+                for a in group]
+        # each share's part of the pair code, once; the pairs are the sums over the product of the shares,
+        # in its order: all but the last component's folded into a list, the last's run through
+        parts = [[sum(at[v] * weight[j] for j, v in zip(places, share)) for share in table]
+                 for places, table in zip(maps[1], maps[2])]
+        *init, last = parts or [[0]]
+        sums = [0]
+        for part in init:
+            sums = [c + p for c in sums for p in part]
+        for c0 in sums:
+            for c in last:
+                y, z = divmod(c0 + c, nk)
+                r1, dm = coded[y]
+                r2, dp = coded[z]
+                base = (r1 * N + r2) * L
+                for a in dm:
+                    row = labs[a]
+                    for b in dp:
+                        lr, val = row[b]
+                        triples.setdefault(base + lr, val)
 
     # edge x<n> per triple in order, and when symmetric its twin x<n>t carrying the reverse
     symmetric = h.symmetric

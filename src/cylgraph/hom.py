@@ -19,13 +19,15 @@ sum-product over per-edge weight tables, contracted by variable elimination —
 so hom counts far beyond enumeration range stay exact.  In gamma mode each
 edge-incident source vertex takes (target vertex, twist) values, and an edge
 weighs each pair of such values by how many of its candidate images induce
-that pair of twists.  The next variable summed out is always the remaining
+that pair of twists; edges with one label object, both loops or both not,
+share one table.  The next variable summed out is always the remaining
 source vertex with the fewest neighbours in the current factors (ties broken
 by ``str`` of its name), found from a heap that each step updates only around
 the eliminated vertex.  The cost therefore grows with the source's width
 along that order (the size of the largest joined table, at most ``|V(h)|``,
 times the group order in gamma mode, to the power of the largest
 neighbourhood plus one), times the source's size, not with its size cubed.
+A join spends one node per joined tuple, charged once per bucket of rows.
 The same elimination, with chosen source vertices kept out of the heap,
 projects the maps onto those vertices' images: the exponential's realized
 boundary rows, with no map enumerated.
@@ -78,6 +80,7 @@ from __future__ import annotations
 import heapq
 from collections import defaultdict
 from itertools import count, islice, product
+from operator import itemgetter
 from typing import Iterator, Mapping
 
 from .core import GammaLabel, Graph, _Budget, connected_order
@@ -237,6 +240,12 @@ def _alpha_vertices(g: Graph) -> list:
 
 
 _MISSING = object()
+
+
+def _tuple_getter(idx: list):
+    """``operator.itemgetter(*idx)``, returning a tuple also for one index or none."""
+    i = idx[0] if idx else None
+    return itemgetter(*idx) if len(idx) > 1 else (lambda s: (s[i],)) if idx else (lambda s: ())
 
 
 class _Matcher:
@@ -559,33 +568,38 @@ def _project(matcher: _Matcher, keep: set) -> tuple[tuple, dict]:
     """The homs of ``matcher``'s query by their images of ``keep``: (the
     kept vertices, a table from their images to the number of homs with
     them), every other vertex eliminated under one budget.  Each kept vertex
-    must lie on an edge.  Every candidate table gets built."""
+    must lie on an edge."""
     g, n = matcher.g, len(matcher.h.vertices)
     return _eliminate(dict.fromkeys(g.vertices, n), _factors(g, matcher, {}), _Budget(), keep)
 
 
 def _factors(g: Graph, matcher: _Matcher, pins: Mapping) -> list[tuple[tuple, dict]]:
     """One factor per source edge (one per twin pair), weighing its ends'
-    values by their candidate images, and one per pin."""
+    values by their candidate images, and one per pin.  Edges that carry the
+    same label object and are both loops or both not share one table."""
     gamma = matcher.mode == "gamma"
     factors: list[tuple[tuple, dict]] = []
+    shared: dict = {}  # (id of the label, is a loop) -> table
     for eid in _src_edges(g):
-        tail, head = g.edges[eid][:2]
-        table: dict = {}
-        for a, b in matcher.idx:
-            if tail == head and a != b:
-                continue
-            hit = matcher.table(eid, a, b)
-            if gamma:  # values are (target vertex, twist)
-                cells = [((a, t), (b, s), len(fs)) for (t, s), fs in hit.items()]
-            else:
-                cells = [(a, b, len(hit))]
-            for x, y, c in cells:
-                if c and tail != head:
-                    table[(x, y)] = c
-                elif c and x == y:  # a loop keeps equal twists at its one end
-                    table[(x,)] = c
-        factors.append(((tail,) if tail == head else (tail, head), table))
+        tail, head, label = g.edges[eid]
+        loop = tail == head
+        table = shared.get((id(label), loop))
+        if table is None:
+            table = shared[id(label), loop] = {}
+            for a, b in matcher.idx:
+                if loop and a != b:
+                    continue
+                hit = matcher.table(eid, a, b)
+                if gamma:  # values are (target vertex, twist)
+                    cells = [((a, t), (b, s), len(fs)) for (t, s), fs in hit.items()]
+                else:
+                    cells = [(a, b, len(hit))]
+                for x, y, c in cells:
+                    if c and not loop:
+                        table[(x, y)] = c
+                    elif c and x == y:  # a loop keeps equal twists at its one end
+                        table[(x,)] = c
+        factors.append(((tail,) if loop else (tail, head), table))
     for v, w in pins.items():
         if gamma and (g.out_edges(v) or g.in_edges(v)):
             factors.append(((v,), {((w, a),): 1 for a in matcher.group}))
@@ -597,21 +611,23 @@ def _factors(g: Graph, matcher: _Matcher, pins: Mapping) -> list[tuple[tuple, di
 def _join(f1: tuple[tuple, dict], f2: tuple[tuple, dict], budget: _Budget) -> tuple[tuple, dict]:
     v1, t1 = f1
     v2, t2 = f2
-    shared = [v for v in v1 if v in v2]
+    pos1 = [i for i, v in enumerate(v1) if v in v2]
     extra = [i for i, v in enumerate(v2) if v not in v1]
-    out_vars = v1 + tuple(v2[i] for i in extra)
-    pos1 = [v1.index(s) for s in shared]
-    pos2 = [v2.index(s) for s in shared]
+    key1, key2 = _tuple_getter(pos1), _tuple_getter([v2.index(v1[i]) for i in pos1])
+    rest = _tuple_getter(extra)
     index2: dict = defaultdict(list)
     for a2, w2 in t2.items():
-        index2[tuple(a2[i] for i in pos2)].append((a2, w2))
+        index2[key2(a2)].append((rest(a2), w2))
     out: dict = {}
     for a1, w1 in t1.items():
-        key = tuple(a1[i] for i in pos1)
-        for a2, w2 in index2.get(key, ()):
-            budget.spend()
-            out[a1 + tuple(a2[i] for i in extra)] = w1 * w2
-    return out_vars, out
+        bucket = index2.get(key1(a1))
+        if bucket:
+            budget.left -= len(bucket)  # ``budget.spend(len(bucket))`` inlined, as in ``_Search.values``
+            if budget.left < 0:
+                budget.spend(0)
+            for e2, w2 in bucket:
+                out[a1 + e2] = w1 * w2
+    return v1 + tuple(v2[i] for i in extra), out
 
 
 def _eliminate(domains: dict, factors: list[tuple[tuple, dict]], budget: _Budget,
@@ -676,10 +692,11 @@ def _eliminate(domains: dict, factors: list[tuple[tuple, dict]], budget: _Budget
             continue
         jvars, jtable = joined(touching)
         idx = jvars.index(v)
-        out_vars = jvars[:idx] + jvars[idx + 1 :]
+        others = [i for i in range(len(jvars)) if i != idx]
+        out_vars, drop = tuple(jvars[i] for i in others), _tuple_getter(others)
         summed: dict = defaultdict(int)
         for assign, w in jtable.items():
-            summed[assign[:idx] + assign[idx + 1 :]] += w
+            summed[drop(assign)] += w
         budget.spend(len(summed) + 1)
         if out_vars:
             add((out_vars, dict(summed)))

@@ -42,7 +42,8 @@ from cylgraph.catalog import (
 )
 from cylgraph.core import Edge, Graph, disjoint_union, isomorphic
 from cylgraph.cylinder import path_cyl
-from cylgraph.errors import DomainError
+from cylgraph import catalog
+from cylgraph.errors import DomainError, ResourceLimit
 from cylgraph.perm import Perm
 
 from util import degree, girth, random_graph, without_loops
@@ -492,3 +493,19 @@ def test_graph_minor_names_an_unhashable_id():
     assert str(err.value) == "edge ['e0'] is not a canonical edge of the graph"
     # a generator is read once, for the check and the minor alike
     assert len(graph_minor(cycle_graph(5), delete=(e for e in ["e0"])).canonical_edges()) == 4
+
+
+@pytest.mark.parametrize("build", [walk_power, subdivision, lambda g, n: fractional_power(g, n, 1),
+                                   lambda g, n: fractional_power(g, 1, n)],
+                         ids=["walk_power", "subdivision", "fractional_power m", "fractional_power n"])
+def test_a_path_length_is_checked_against_the_product_edge_cap(monkeypatch, build):
+    """Up to the cap a path is built; one more edge raises before it is (the
+    cap lowered here, so that the largest length allowed stays small)."""
+    monkeypatch.setattr(catalog, "MAX_PRODUCT_EDGES", 4)
+    g = cycle_graph(5)
+    assert build(g, 4).edges
+    with pytest.raises(ResourceLimit) as err:
+        build(g, 5)
+    assert str(err.value) == "path length 5 exceeds 4, the product edge cap"
+    with pytest.raises(DomainError, match="^path length must be"):
+        build(g, -1)

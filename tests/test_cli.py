@@ -4,20 +4,21 @@ from __future__ import annotations
 import json
 import os
 import random
+import subprocess
 import sys
 import time
 
 import pytest
 
 from cylgraph import cli
-from cylgraph.catalog import complete_graph, cycle_graph, kneser_graph, path_graph
+from cylgraph.catalog import complete_graph, cycle_graph, kneser_graph, path_graph, petersen
 from cylgraph.cli import main
-from cylgraph.construct import cyl_product, uniform_labels
+from cylgraph.construct import MAX_PRODUCT_EDGES, cyl_product, uniform_labels
 from cylgraph.core import Graph, isomorphic
 from cylgraph.cylinder import CylinderSet, identity_cyl, path_cyl
 from cylgraph.perm import PermGroup
 
-from util import random_graph
+from util import SRC, random_graph
 
 
 def dump(tmp_path, name, payload):
@@ -95,6 +96,43 @@ def test_gamma_mode_wants_a_group(tmp_path, capsys):
     assert rc == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "usage"
+
+
+# verb -> its arguments up to the graph file it loads, and whether that graph is plain (--uniform labels it)
+LOADED_ONCE = {
+    "product": (["product", "--cylinders", "{p2}", "--graph"], False),
+    "product --uniform": (["product", "--cylinders", "{p2}", "--uniform", "1", "--graph"], True),
+    "reduce": (["reduce", "--cylinders", "{p2}", "--target", "{k3}", "--graph"], False),
+    "expo": (["expo", "--cylinders", "{p2}", "--target"], True),
+}
+
+
+@pytest.mark.parametrize("verb", sorted(LOADED_ONCE))
+def test_a_loaded_graph_is_validated_once(tmp_path, capsys, monkeypatch, verb):
+    """``Graph.from_json`` validates the graph a verb loads, and the product
+    or exponential built from it (or from its uniformly labeled copy) does
+    not validate it again; a malformed file gets the loader's error."""
+    fx = fixtures(tmp_path)
+    before, plain = LOADED_ONCE[verb]
+    argv = [a.format(**fx) for a in before]
+    c20 = cycle_graph(20) if plain else uniform_labels(cycle_graph(20), key=1)
+    src = dump(tmp_path, "c20.json", c20.to_json())
+    validated = []
+    check = Graph.validate
+    monkeypatch.setattr(Graph, "validate", lambda self: validated.append(self) or check(self))
+    assert main(argv + [src, "-o", str(tmp_path / "out.json")]) == 0
+    assert sum(set(g.vertices) == set(range(20)) and len(g.edges) == 40 for g in validated) == 1
+
+    data = c20.to_json()
+    for change in ({"edges": data["edges"][:1] + [{**data["edges"][1], "head": [1]}]},
+                   {"pairing": {data["edges"][0]["id"]: "zz"}}, {"vertices": [[0]]}):
+        bad = dump(tmp_path, "bad.json", {**data, **change})
+        with pytest.raises(Exception) as want:
+            Graph.from_json({**data, **change})
+        capsys.readouterr()
+        assert main(argv + [bad]) == 1
+        assert capsys.readouterr().err == json.dumps(
+            {"error": type(want.value).__name__, "message": f"{bad}: {want.value}"}) + "\n"
 
 
 def test_reduce_agrees_with_duality_report(tmp_path, capsys):
@@ -559,3 +597,30 @@ def test_a_malformed_attachment_label_is_one_typed_error(tmp_path, capsys, name)
     bad = dump(tmp_path, "bad.json", _graph(edges=edges))
     assert main(["hom", "count", "--source", bad, "--target", bad]) == 1
     assert _one_line_error(capsys) == {"error": error, "message": f"{bad}: {message}"}
+
+
+# ``cyl`` in a child process whose address space is capped at 600 MB, so that
+# a path built before its length is checked fails there, not in the test run
+CAPPED_CLI = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (600 * 2**20, 600 * 2**20))
+from cylgraph.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("lengths", [["power", "-n", "{big}"], ["subdivision", "-n", "{big}"],
+                                     ["fracpower", "-m", "{big}", "-n", "1"], ["fracpower", "-m", "1", "-n", "{big}"]],
+                         ids=" ".join)
+def test_a_path_length_past_the_cap_is_refused_before_the_path_is_built(tmp_path, lengths):
+    pytest.importorskip("resource")
+    src = dump(tmp_path, "petersen.json", petersen().to_json())
+    big = 10**9
+    argv = ["catalog", *(a.format(big=big) for a in lengths), "--graph", src]
+    start = time.perf_counter()
+    run = subprocess.run([sys.executable, "-c", CAPPED_CLI, *argv], env=dict(os.environ, PYTHONPATH=SRC),
+                         capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - start < 10
+    assert (run.returncode, run.stdout) == (1, "")
+    assert run.stderr == json.dumps({"error": "ResourceLimit",
+                                     "message": f"path length {big} exceeds {MAX_PRODUCT_EDGES}, the product edge cap"}) + "\n"
