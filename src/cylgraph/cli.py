@@ -31,7 +31,7 @@ from .catalog import (
     walk_power,
     zigzag_product,
 )
-from .construct import _exponential, _product, _uniform
+from .construct import _uniform, cyl_product, exponential
 from .core import Graph, isomorphic
 from .cylinder import CylinderSet
 from .duality import check_duality, is_lower_closed, is_upper_closed
@@ -159,14 +159,15 @@ def _maybe_uniform(g: Graph, cset: CylinderSet, flag: str | None) -> Graph:
 def cmd_product(args) -> int:
     cset = load_cylinders(args.cylinders)
     g = _maybe_uniform(load_graph(args.graph), cset, args.uniform)
-    tr = _product(g, cset)  # load_graph validated g
+    tr = cyl_product(g, cset)
     _emit(tr.graph.to_json(), args.output)
     return 0
 
 
 def cmd_expo(args) -> int:
     cset = load_cylinders(args.cylinders)
-    et = _exponential(cset, load_graph(args.target))  # load_graph validated the target
+    h = load_graph(args.target)
+    et = exponential(cset, h)
     _emit(et.graph.to_json(), args.output)
     return 0
 

@@ -234,11 +234,6 @@ def cyl_product(g: Graph, cset: CylinderSet) -> ProductTrace:
     merge into the first copy's edges, which name the output edges.
     """
     g.validate()
-    return _product(g, cset)
-
-
-def _product(g: Graph, cset: CylinderSet) -> ProductTrace:
-    """:func:`cyl_product` of a graph already validated, as ``Graph.from_json`` leaves one."""
     if g.symmetric != cset.symmetric:
         raise DomainError("source graph and cylinders disagree about being symmetric")
     _audit_product_labels(g, cset)
@@ -571,15 +566,10 @@ def exponential(cset: CylinderSet, h: Graph) -> ExpoTrace:
     its part of the witness then, by its own search.  A bad
     ``CYL_NODE_BUDGET`` raises :class:`DomainError` before any orbit work.
     """
-    h.validate()
-    return _exponential(cset, h)
-
-
-def _exponential(cset: CylinderSet, h: Graph) -> ExpoTrace:
-    """:func:`exponential` of a target already validated, as ``Graph.from_json`` leaves one."""
     node_budget()
     if h.symmetric != cset.symmetric:
         raise DomainError("target graph and cylinders disagree about being symmetric")
+    h.validate()
     group = cset.group
     k = cset.width
 
@@ -608,7 +598,9 @@ def _exponential(cset: CylinderSet, h: Graph) -> ExpoTrace:
     N, rank = len(by_name), {name: n for n, name in enumerate(by_name)}
     rank = {r: rank[name] for r, name in names.items()}
     index = {d: i for i, d in enumerate(group)}
-    coded = [(rank[r], [index[d] for d in ds]) for r, ds in coded]  # per row code: rank, shifts' indices
+    ranks = [rank[r] for r, _ in coded]  # per row code: its representative's rank
+    shifts: dict = {}  # each distinct tuple of shifts' indices, made once for the rows to share
+    coded = [shifts.setdefault(ix, ix) for ix in (tuple(map(index.__getitem__, ds)) for _, ds in coded)]
     keys = sorted(cset.keys(), key=str)
     made = {(key, a, b): GammaLabel(a, key, b) for key in keys for a in group for b in group}
     sort_key = {lk: label_sort_key(lab) for lk, lab in made.items()}
@@ -637,10 +629,8 @@ def _exponential(cset: CylinderSet, h: Graph) -> ExpoTrace:
         for c0 in sums:
             for c in last:
                 y, z = divmod(c0 + c, nk)
-                r1, dm = coded[y]
-                r2, dp = coded[z]
-                base = (r1 * N + r2) * L
-                for a in dm:
+                base, dp = (ranks[y] * N + ranks[z]) * L, coded[z]
+                for a in coded[y]:
                     row = labs[a]
                     for b in dp:
                         lr, val = row[b]

@@ -622,9 +622,7 @@ def _join(f1: tuple[tuple, dict], f2: tuple[tuple, dict], budget: _Budget) -> tu
     for a1, w1 in t1.items():
         bucket = index2.get(key1(a1))
         if bucket:
-            budget.left -= len(bucket)  # ``budget.spend(len(bucket))`` inlined, as in ``_Search.values``
-            if budget.left < 0:
-                budget.spend(0)
+            budget.spend(len(bucket))
             for e2, w2 in bucket:
                 out[a1 + e2] = w1 * w2
     return v1 + tuple(v2[i] for i in extra), out

@@ -98,43 +98,6 @@ def test_gamma_mode_wants_a_group(tmp_path, capsys):
     assert err["error"] == "usage"
 
 
-# verb -> its arguments up to the graph file it loads, and whether that graph is plain (--uniform labels it)
-LOADED_ONCE = {
-    "product": (["product", "--cylinders", "{p2}", "--graph"], False),
-    "product --uniform": (["product", "--cylinders", "{p2}", "--uniform", "1", "--graph"], True),
-    "reduce": (["reduce", "--cylinders", "{p2}", "--target", "{k3}", "--graph"], False),
-    "expo": (["expo", "--cylinders", "{p2}", "--target"], True),
-}
-
-
-@pytest.mark.parametrize("verb", sorted(LOADED_ONCE))
-def test_a_loaded_graph_is_validated_once(tmp_path, capsys, monkeypatch, verb):
-    """``Graph.from_json`` validates the graph a verb loads, and the product
-    or exponential built from it (or from its uniformly labeled copy) does
-    not validate it again; a malformed file gets the loader's error."""
-    fx = fixtures(tmp_path)
-    before, plain = LOADED_ONCE[verb]
-    argv = [a.format(**fx) for a in before]
-    c20 = cycle_graph(20) if plain else uniform_labels(cycle_graph(20), key=1)
-    src = dump(tmp_path, "c20.json", c20.to_json())
-    validated = []
-    check = Graph.validate
-    monkeypatch.setattr(Graph, "validate", lambda self: validated.append(self) or check(self))
-    assert main(argv + [src, "-o", str(tmp_path / "out.json")]) == 0
-    assert sum(set(g.vertices) == set(range(20)) and len(g.edges) == 40 for g in validated) == 1
-
-    data = c20.to_json()
-    for change in ({"edges": data["edges"][:1] + [{**data["edges"][1], "head": [1]}]},
-                   {"pairing": {data["edges"][0]["id"]: "zz"}}, {"vertices": [[0]]}):
-        bad = dump(tmp_path, "bad.json", {**data, **change})
-        with pytest.raises(Exception) as want:
-            Graph.from_json({**data, **change})
-        capsys.readouterr()
-        assert main(argv + [bad]) == 1
-        assert capsys.readouterr().err == json.dumps(
-            {"error": type(want.value).__name__, "message": f"{bad}: {want.value}"}) + "\n"
-
-
 def test_reduce_agrees_with_duality_report(tmp_path, capsys):
     fx = fixtures(tmp_path)
     inst = tmp_path / "inst.json"

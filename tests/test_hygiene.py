@@ -225,7 +225,7 @@ KIND_READERS = {
     # decides its output's kind, and ``Graph._linker`` picks how a builder
     # joins two vertices
     "core.py:Graph.copy", "core.py:Graph.induced", "core.py:Graph.with_labels", "core.py:identify_vertices",
-    "core.py:merge_parallel", "core.py:Graph._linker", "construct.py:_product", "construct.py:_exponential",
+    "core.py:merge_parallel", "core.py:Graph._linker", "construct.py:cyl_product", "construct.py:exponential",
     "construct.py:cylinders_from_surjection", "catalog.py:walk_power", "catalog.py:subdivision",
     "catalog.py:voltage_lift", "catalog.py:graph_minor",
     # the oracles the tests compare against
