@@ -287,7 +287,11 @@ def voltage_lift(base: Graph, voltages: dict, k: int) -> Graph:
     """The k-fold cover of ``base`` where travelling an edge permutes the
     sheets by that edge's voltage.  ``voltages`` maps each edge id (one per
     twin pair when symmetric) to a degree-k permutation; missing edges get
-    the identity.  Coincident sheets collapse to a single edge."""
+    the identity.  Coincident sheets collapse to a single edge.  A width-k
+    identity cylinder has k rungs, so k past the product edge cap raises
+    before anything is built."""
+    if count_checked(k, "k=") > MAX_PRODUCT_EDGES:
+        raise ResourceLimit(f"sheet count {k} exceeds {MAX_PRODUCT_EDGES}, the product edge cap")
     ident = Perm.identity(k)
     perms = {eid: voltages.get(eid, ident) for eid in sorted(base.canonical_edges())}
     if bad := [eid for eid in voltages if eid not in perms]:

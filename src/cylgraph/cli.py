@@ -15,6 +15,7 @@ import os
 import stat
 import sys
 from collections.abc import Sequence
+from itertools import chain
 
 from .catalog import (
     NEPS_KINDS,
@@ -32,14 +33,12 @@ from .catalog import (
     zigzag_product,
 )
 from .construct import _uniform, cyl_product, exponential
-from .core import Graph, isomorphic
+from .core import _DICT, _SCALARS, _STR, Graph, isomorphic
 from .cylinder import CylinderSet
 from .duality import check_duality, is_lower_closed, is_upper_closed
 from .errors import CylError, DomainError, json_checked
 from .hom import MODES, count_homs, find_hom, list_homs
 from .perm import Perm, PermGroup
-
-_SCALARS, _STR, _DICT = frozenset((str, int, float, bool, type(None))), frozenset((str,)), frozenset((dict,))
 
 
 class UsageError(CylError):
@@ -114,7 +113,7 @@ def _dumps(x, depth: int = 0) -> str:
             s = "".join(enc(x, 0))
             return s if t in _SCALARS else f"{s[0]}{ind}{s[1:-1]}{ind[:-2]}{s[-1]}"
         if t is list and _DICT.issuperset(map(type, x)) and all(x) and \
-                _SCALARS.issuperset({type(v) for d in x for v in d.values()}):
+                _SCALARS.issuperset(map(type, chain.from_iterable(map(dict.values, x)))):
             # one call at depth + 2; "}," ends objects only (no scalar ends in "}"): those breaks move out
             s = "".join(_flat(depth + 2)[0](x, 0))[2:-2].replace(f"}},{ind}  {{", f"{ind}}},{ind}{{{ind}  ")
             return f"[{ind}{{{ind}  {s}{ind}}}{ind[:-2]}]"

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 from collections.abc import Mapping
 from typing import NamedTuple
 
@@ -195,13 +196,18 @@ def _cylinder_rows(cyl) -> tuple:
     return len(cyl.graph.edges), verts, [(x, ypos.get(x), zpos.get(x)) for x in verts]
 
 
-def _cylinder_shape(key, cg: Graph, verts: list, labels: dict) -> list:
+def _cylinder_shape(key, cg: Graph, row: tuple, labels: dict) -> list:
     """One entry per canonical edge of a cylinder graph, in ``str`` order of
     edge id: (``with_twin`` of the edge, its twin or None, tail and head
-    positions in ``verts``, the ids ``labels`` interns the label and twin
-    label under, the label, the twin label).  Without a twin, the twin label
-    is the label; labels that compare equal share an id."""
-    pos = {x: j for j, x in enumerate(verts)}
+    positions in the vertices of ``row`` (its :func:`_cylinder_rows`), the
+    ids ``labels`` interns the label and twin label under, the label, the
+    twin label, alone).  Without a twin, the twin label is the label; labels
+    that compare equal share an id.  An edge is *alone* when it meets an
+    interior position, whose copies belong to one copy each, and no other
+    edge meets the same interior positions under the same label ids: its
+    copies can merge with nothing."""
+    pos = {x: j for j, x in enumerate(row[1])}
+    inner = {j for j, (_, yb, zb) in enumerate(row[2]) if yb is None and zb is None}
     shape = []
     for ce in sorted(cg.canonical_edges(), key=str):
         e = cg.edges[ce]
@@ -213,7 +219,9 @@ def _cylinder_shape(key, cg: Graph, verts: list, labels: dict) -> list:
         except TypeError:
             raise LabelConflict(f"cylinder {key!r} edge {ce!r} carries an unhashable label") from None
         shape.append((ids, cg.pairing.get(ce), pos[e.tail], pos[e.head], lid, rlid, e.label, twin_label))
-    return shape
+    reach = [(frozenset({ti, hi} & inner), frozenset({lid, rlid})) for _, _, ti, hi, lid, rlid, _, _ in shape]
+    shared = Counter(reach)
+    return [(*entry, bool(r[0]) and shared[r] == 1) for entry, r in zip(shape, reach)]
 
 
 _ID_CLASH = "duplicate edge id {!r}"
@@ -301,30 +309,36 @@ def cyl_product(g: Graph, cset: CylinderSet) -> ProductTrace:
     # is its ends in sorted order.  A copy whose first end is not the group's
     # first end lies the other way round; ``gids`` keeps 2 * group + (first
     # end is the smaller).  No cylinder interns more labels than it has edges.
+    # An edge alone in its cylinder (see _cylinder_shape) opens its own group
+    # without a key.
     n_labels = 1 + sum(row[0] for row in rows.values())
     nl = len(names) * n_labels
     span = len(names) * nl
     labels: dict = {}  # label -> interned id, shared by every cylinder
     shapes: dict = {}  # cylinder key -> _cylinder_shape
     groups: dict = {}  # group key -> group number
+    n_groups = 0
     gids: list = []  # per copy edge, source edge by source edge
     off = 0
     for eid, key in zip(src_eids, keys):
         shape = shapes.get(key)
         if shape is None:
-            shape = shapes[key] = _cylinder_shape(key, cset[key].graph, rows[key][1], labels)
-        for ids, tw, ti, hi, lid, rlid, lab, rlab in shape:
+            shape = shapes[key] = _cylinder_shape(key, cset[key].graph, rows[key], labels)
+        for ids, tw, ti, hi, lid, rlid, lab, rlab, alone in shape:
             a, b = nodes[off + ti], nodes[off + hi]
-            end = a * nl + b * n_labels + lid
-            if tw is None:
-                gk, first = end, True
+            if alone:
+                gid, first = n_groups, True
             else:
-                back = b * nl + a * n_labels + rlid
-                first = end <= back
-                gk = end * span + back if first else back * span + end
-            gid = groups.get(gk)
-            if gid is None:
-                gid = groups[gk] = len(groups)
+                end = a * nl + b * n_labels + lid
+                if tw is None:
+                    gk, first = end, True
+                else:
+                    back = b * nl + a * n_labels + rlid
+                    first = end <= back
+                    gk = end * span + back if first else back * span + end
+                gid = groups.setdefault(gk, n_groups)
+            if gid == n_groups:
+                n_groups += 1
                 fid = f"{eid}@{ids[0]}"
                 if fid in edges:
                     raise DomainError(_ID_CLASH.format(fid))

@@ -18,9 +18,11 @@ import json
 import os
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import eq, itemgetter
 from typing import Iterable, Mapping, NamedTuple
 
-from .errors import JSON_SCALAR, DomainError, LabelConflict, ResourceLimit, json_checked
+from .errors import JSON_SCALAR, CylError, DomainError, LabelConflict, ResourceLimit, json_checked
 from .perm import Perm
 
 
@@ -66,6 +68,10 @@ class Edge(NamedTuple):
     label: object
 
 
+# exact types a whole column of a JSON document is checked against (a subclass fails the check)
+_SCALARS, _STR, _DICT = frozenset(JSON_SCALAR), frozenset((str,)), frozenset((dict,))
+
+
 def label_to_json(label) -> object:
     if isinstance(label, GammaLabel):
         return label.to_json()
@@ -76,6 +82,20 @@ def label_from_json(data) -> object:
     if isinstance(data, dict) and set(data) == {"pre", "cyl", "post"}:
         return GammaLabel.from_json(data)
     return json_checked(data, JSON_SCALAR, "edge label")
+
+
+def _label_reader():
+    """:func:`label_from_json` keeping one object per distinct
+    :class:`GammaLabel`, which label audits memoise by; keys that compare
+    equal but write other JSON (1 and 1.0, 0.0 and -0.0) differ under
+    ``str`` and stay apart."""
+    interned: dict = {}
+
+    def read(data):
+        label = label_from_json(data)
+        return interned.setdefault((label, str(label.key)), label) if isinstance(label, GammaLabel) else label
+
+    return read
 
 
 def label_sort_key(label) -> str:
@@ -313,8 +333,8 @@ class Graph:
             "symmetric": self.symmetric,
             "vertices": sorted(self._vertices, key=str),
             "edges": [
-                {"id": eid, "tail": e.tail, "head": e.head, "label": label_to_json(e.label)}
-                for eid, e in sorted(self.edges.items())
+                {"id": eid, "tail": tail, "head": head, "label": lab.to_json() if isinstance(lab, GammaLabel) else lab}
+                for eid, (tail, head, lab) in sorted(self.edges.items())
             ],
         }
         if self.symmetric:
@@ -323,23 +343,72 @@ class Graph:
 
     @classmethod
     def from_json(cls, data: dict) -> Graph:
+        """The graph a JSON document describes.  A well-formed document is
+        checked and built a column at a time; any other is read record by
+        record, which names the first bad field."""
+        g = cls._from_columns(data)
+        if g is None:
+            g = cls._from_records(data)
+        g.validate()
+        return g
+
+    @classmethod
+    def _from_columns(cls, data) -> Graph | None:
+        """:meth:`_from_records` on a document it would read without an
+        error, one column at a time; None for any other document."""
+        if type(data) is not dict:
+            return None
+        vertices, recs, pairs = data.get("vertices"), data.get("edges"), data.get("pairing", {})
+        if type(vertices) is not list or type(recs) is not list or type(pairs) is not dict or \
+                not _SCALARS.issuperset(map(type, vertices)) or not _DICT.issuperset(map(type, recs)):
+            return None
+        try:
+            tails, heads = list(map(itemgetter("tail"), recs)), list(map(itemgetter("head"), recs))
+        except KeyError:
+            return None
+        ids, raw = list(map(dict.get, recs, repeat("id"))), list(map(dict.get, recs, repeat("label")))
+        verts = dict.fromkeys(vertices)
+        if not _SCALARS.issuperset(map(type, tails + heads)) or not _STR.issuperset(map(type, ids)) or \
+                not verts.keys() >= {*tails, *heads}:
+            return None
+        if _SCALARS.issuperset(map(type, raw)):
+            labels = raw
+        else:
+            read = _label_reader()
+            try:
+                labels = [lab if type(lab) in _SCALARS else read(lab) for lab in raw]
+            except (CylError, ValueError):
+                return None
+        edges = dict(zip(ids, map(tuple.__new__, repeat(Edge), zip(tails, heads, labels))))
+        if len(edges) != len(ids):  # a duplicate id
+            return None
+        twins = list(pairs.values())
+        if pairs and not (_SCALARS.issuperset(map(type, twins)) and edges.keys() >= pairs.keys() and
+                          edges.keys() >= set(twins) and not any(map(eq, pairs, twins)) and
+                          list(map(itemgetter(0, 1), map(edges.__getitem__, pairs))) ==
+                          list(map(itemgetter(1, 0), map(edges.__getitem__, twins)))):
+            return None
+        g = cls(bool(data.get("symmetric", False)))
+        g._vertices, g.edges = verts, edges
+        # item by item, as pair_edges pairs: eid -> twin, then twin -> eid
+        g.pairing = dict(chain.from_iterable(zip(pairs.items(), zip(twins, pairs))))
+        return g
+
+    @classmethod
+    def _from_records(cls, data) -> Graph:
+        """The document read record by record, unvalidated; the first bad
+        field raises, naming itself."""
         g = cls(bool(json_checked(data, dict, "graph").get("symmetric", False)))
         vertices = json_checked(data.get("vertices"), list, "'vertices'")
         g.add_vertices(json_checked(v, JSON_SCALAR, "vertex name") for v in vertices)
-        # one object per distinct GammaLabel, which label audits memoise by; keys that compare equal but
-        # write other JSON (1 and 1.0, 0.0 and -0.0) differ under ``str`` and stay apart
-        interned: dict = {}
+        read = _label_reader()
         for i, rec in enumerate(json_checked(data.get("edges"), list, "'edges'")):
             if not isinstance(rec, dict) or "tail" not in rec or "head" not in rec:
                 raise DomainError(f"edge #{i} needs 'tail' and 'head'")
             tail, head = (json_checked(rec[end], JSON_SCALAR, f"edge #{i} {end!r}") for end in ("tail", "head"))
-            label = label_from_json(rec.get("label"))
-            if isinstance(label, GammaLabel):
-                label = interned.setdefault((label, str(label.key)), label)
-            g.add_edge(tail, head, label, rec.get("id"))
+            g.add_edge(tail, head, read(rec.get("label")), rec.get("id"))
         for eid, tw in json_checked(data.get("pairing", {}), dict, "'pairing'").items():
             g.pair_edges(eid, json_checked(tw, JSON_SCALAR, "'pairing' twin"))
-        g.validate()
         return g
 
     def to_dot(self) -> str:

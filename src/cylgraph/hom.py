@@ -187,12 +187,17 @@ def _require_comparable(g: Graph, h: Graph, mode: str, group: PermGroup | None):
     if mode == "gamma":
         if group is None:
             raise DomainError("gamma mode needs the slot group")
+        k = group.degree
         for graph, side in ((g, "source"), (h, "target")):
-            for eid, e in graph.edges.items():
-                if not isinstance(e.label, GammaLabel):
+            passed: set = set()  # ids of the label objects checked so far; an edge carrying one passes
+            for eid, (_, _, lab) in graph.edges.items():
+                if id(lab) in passed:
+                    continue
+                if not isinstance(lab, GammaLabel):
                     raise DomainError(f"{side} edge {eid!r} lacks an attachment label")
-                if (d := e.label.pre.degree) != group.degree or (d := e.label.post.degree) != group.degree:
-                    raise DomainError(f"{side} edge {eid!r} twists {d} slots, the group acts on {group.degree}")
+                if (d := lab.pre.degree) != k or (d := lab.post.degree) != k:
+                    raise DomainError(f"{side} edge {eid!r} twists {d} slots, the group acts on {k}")
+                passed.add(id(lab))
 
 
 def _checked_pins(g: Graph, h: Graph, pins: Mapping | None) -> dict:

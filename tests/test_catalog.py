@@ -509,3 +509,16 @@ def test_a_path_length_is_checked_against_the_product_edge_cap(monkeypatch, buil
     assert str(err.value) == "path length 5 exceeds 4, the product edge cap"
     with pytest.raises(DomainError, match="^path length must be"):
         build(g, -1)
+
+
+def test_a_sheet_count_is_checked_against_the_product_edge_cap(monkeypatch):
+    """A width-k identity cylinder has k rungs, so ``voltage_lift`` takes k up
+    to the cap and raises one past it, before a permutation is built."""
+    monkeypatch.setattr(catalog, "MAX_PRODUCT_EDGES", 4)
+    base = cycle_graph(3)
+    assert len(voltage_lift(base, {"e0": Perm.from_cycles(4, (1, 2, 3, 4))}, 4).vertices) == 12
+    with pytest.raises(ResourceLimit) as err:
+        voltage_lift(base, {"e0": Perm.from_cycles(4, (1, 2, 3, 4))}, 5)
+    assert str(err.value) == "sheet count 5 exceeds 4, the product edge cap"
+    with pytest.raises(DomainError, match="^k= must be"):
+        voltage_lift(base, {}, -1)

@@ -587,3 +587,20 @@ def test_a_path_length_past_the_cap_is_refused_before_the_path_is_built(tmp_path
     assert (run.returncode, run.stdout) == (1, "")
     assert run.stderr == json.dumps({"error": "ResourceLimit",
                                      "message": f"path length {big} exceeds {MAX_PRODUCT_EDGES}, the product edge cap"}) + "\n"
+
+
+def test_a_sheet_count_past_the_cap_is_refused_before_the_lift_is_built(tmp_path):
+    """A width-k identity cylinder has k rungs: ``voltage -k`` is held to the product edge cap before the
+    identity permutation of degree k is asked for."""
+    pytest.importorskip("resource")
+    base = dump(tmp_path, "petersen.json", petersen().to_json())
+    volts = dump(tmp_path, "volts.json", {})
+    big = 10**9
+    argv = ["catalog", "voltage", "--base", base, "--voltages", volts, "-k", str(big)]
+    start = time.perf_counter()
+    run = subprocess.run([sys.executable, "-c", CAPPED_CLI, *argv], env=dict(os.environ, PYTHONPATH=SRC),
+                         capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - start < 10
+    assert (run.returncode, run.stdout) == (1, "")
+    assert run.stderr == json.dumps({"error": "ResourceLimit",
+                                     "message": f"sheet count {big} exceeds {MAX_PRODUCT_EDGES}, the product edge cap"}) + "\n"

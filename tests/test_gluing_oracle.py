@@ -280,6 +280,16 @@ def _outcome(build):
         return type(exc).__name__, str(exc)
 
 
+def assert_same_product(got, want):
+    """The graph, in its insertion orders, and the four provenance maps agree."""
+    assert json.dumps(got.graph.to_json()) == json.dumps(want.graph.to_json())
+    assert list(got.graph.vertices) == list(want.graph.vertices)
+    assert list(got.graph.edges.items()) == list(want.graph.edges.items())
+    assert list(got.graph.pairing.items()) == list(want.graph.pairing.items())
+    for field in ("slot", "copy", "edge_src", "src_edge"):
+        assert list(getattr(got, field).items()) == list(getattr(want, field).items()), field
+
+
 def test_product_matches_the_frozen_two_branch_merge():
     rng = random.Random(6006)
     stats = Counter()
@@ -292,11 +302,7 @@ def test_product_matches_the_frozen_two_branch_merge():
             assert got == want
             kinds["error"] += 1
             continue
-        assert json.dumps(got.graph.to_json()) == json.dumps(want.graph.to_json())
-        assert list(got.graph.edges.items()) == list(want.graph.edges.items())
-        assert list(got.graph.pairing.items()) == list(want.graph.pairing.items())
-        for field in ("slot", "copy", "edge_src", "src_edge"):
-            assert list(getattr(got, field).items()) == list(getattr(want, field).items()), field
+        assert_same_product(got, want)
         kinds["symmetric" if g.symmetric else "directed"] += 1
     # the battery reaches both kinds of graph and every merge case
     assert kinds["symmetric"] >= 100 and kinds["directed"] >= 60
@@ -323,9 +329,91 @@ def test_merge_parallel_matches_the_frozen_two_branch_merge():
     assert flipped >= 100
 
 
-# -- error paths and the maps built on first read ---------------------------------
+# -- copies whose interior edges merge -------------------------------------------
+# An edge at an interior vertex can merge only within its own copy; these
+# cylinders make it do so, each copy of the product merging on its own.
 
 ID1 = Perm.identity(1)
+
+
+def _width1_source(symmetric):
+    """The path u - v - w (u -> v -> w when directed), labeled ``(id, 1, id)``."""
+    g = Graph(symmetric=symmetric)
+    g.add_vertices("uvw")
+    for tail, head in ("uv", "vw"):
+        g._linker()(tail, head, GammaLabel(ID1, 1, ID1))
+    return g
+
+
+def _parallel_interior_edges(symmetric):
+    """Two same-label edges from interior ``m`` to row vertex ``z1``."""
+    cg = Graph(symmetric=symmetric)
+    cg.add_vertices(["y1", "z1", "m"])
+    link = cg._linker()
+    link("y1", "m", "a")
+    link("m", "z1", "b")
+    link("m", "z1", "b")
+    link("m", "z1", "c")
+    cset = CylinderSet(PermGroup.trivial(1), {1: make_cylinder(cg, ["y1"], ["z1"])})
+    return _width1_source(symmetric), cset
+
+
+def _interior_loop_pairs():
+    """Loop pairs at interior ``m``: two with one label, which merge, and two
+    whose labels are each other's reverse, which merge flipped."""
+    cg = Graph(symmetric=True)
+    cg.add_vertices(["y1", "z1", "m"])
+    cg.add_sym_edge("y1", "m", "a")
+    cg.add_sym_edge("m", "z1", "a")
+    cg.add_sym_edge("m", "m", "l")
+    cg.add_sym_edge("m", "m", "l")
+    turned = GammaLabel(S2, "r", ID2)
+    cg.add_sym_edge("m", "m", turned)
+    cg.add_sym_edge("m", "m", turned.reversed())
+    cset = CylinderSet(PermGroup.trivial(1), {1: make_cylinder(cg, ["y1"], ["z1"])})
+    return _width1_source(True), cset
+
+
+def _interior_edges_to_welded_slots(symmetric):
+    """Width 2 with ``b`` on both rows (y = a b, z = b c).  On source edges
+    u -> v and v -> u it welds u#2 with v#1 and v#2 with u#1, so in each copy
+    the same-label edges from interior ``m`` to ``a`` and to ``c`` meet."""
+    cg = Graph(symmetric=symmetric)
+    cg.add_vertices(["a", "b", "c", "m"])
+    link = cg._linker()
+    link("m", "a", "x")
+    link("m", "c", "x")
+    link("a", "m", "y")
+    cset = CylinderSet(PermGroup.trivial(2), {1: make_cylinder(cg, ["a", "b"], ["b", "c"])})
+    g = Graph(symmetric=symmetric)
+    g.add_vertices("uv")
+    g._linker()("u", "v", GammaLabel(ID2, 1, ID2))
+    g._linker()("v", "u", GammaLabel(ID2, 1, ID2))
+    return g, cset
+
+
+INTERIOR_MERGES = {
+    "parallel interior edges, directed": lambda: _parallel_interior_edges(False),
+    "parallel interior edges, symmetric": lambda: _parallel_interior_edges(True),
+    "interior loop pairs": _interior_loop_pairs,
+    "interior edges to welded slots, directed": lambda: _interior_edges_to_welded_slots(False),
+    "interior edges to welded slots, symmetric": lambda: _interior_edges_to_welded_slots(True),
+}
+
+
+@pytest.mark.parametrize("case", INTERIOR_MERGES, ids=list(INTERIOR_MERGES))
+def test_interior_edges_that_merge_within_a_copy_match_the_oracle(case):
+    g, cset = INTERIOR_MERGES[case]()
+    stats = Counter()
+    want = product_oracle(g, cset, stats)
+    copies = len(g.canonical_edges())
+    assert stats["merged"] >= copies  # every copy merges at least once
+    if case == "interior loop pairs":
+        assert stats["flipped"] >= copies
+    assert_same_product(cyl_product(g, cset), want)
+
+
+# -- error paths and the maps built on first read ---------------------------------
 
 
 def _directed_cset(*edges, inner=()):

@@ -43,3 +43,4 @@ def test_every_size_cap_is_listed_with_its_value():
         assert f"{value:,}" in knobs and str(value) in knobs  # the value, then its error message
     assert "permutation degree, `sys.maxsize`" in knobs
     assert f"path length, the same {construct.MAX_PRODUCT_EDGES:,}" in knobs
+    assert f"sheet count, the same {construct.MAX_PRODUCT_EDGES:,}" in knobs
